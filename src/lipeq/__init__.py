@@ -23,7 +23,7 @@ from .certify import (Certificate, CertificateError, build_certificate,
 from .specfile import (load_spec, save_doc, spec_from_doc, spec_to_doc,
                        canonical_json, doc_digest)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ExactRatio", "SymValue", "DeclaredBase", "ExactError",

@@ -17,7 +17,7 @@ from fractions import Fraction
 import random
 
 from .exactnum import ExactRatio, moran_dimension, exact_float
-from .ifs import IfsSpec, SpecError, canonical_dust
+from .ifs import SpecError
 from . import cylsets, specfile
 from .decide import decide, Witness
 from .tstar import (Context, Placement, DecompositionError, DepthError,
@@ -75,13 +75,23 @@ def rule_affine(system, rule):
 
 
 def rules_affine(system, rules, where=""):
-    """Common affine of a rule set; all rules must agree exactly."""
+    """Common affine of a rule set; all rules must agree exactly.
+
+    Results are kept on ``system``, keyed by the rule tuple, so each
+    piece's similarity is derived once per system; a rule set whose rules
+    disagree is never stored and raises on every call."""
+    cache = system._rules_cache
+    got = cache.get(rules)
+    if got is not None:
+        return got
     r0, s0, o0 = rule_affine(system, rules[0])
     for rule in rules[1:]:
         r, s, o = rule_affine(system, rule)
         if r != r0 or not _veq(s, s0) or not _veq(o, o0):
             raise CertificateError(
                 "%s: rules describe different similarities" % where)
+    if len(cache) < 400000:
+        cache[rules] = (r0, s0, o0)
     return r0, s0, o0
 
 
@@ -150,10 +160,6 @@ def _std_piece(pl):
 # ---------------------------------------------------------------------------
 # (p, q) selection
 
-def _dust_disjoint(dust, groups):
-    cylsets.check_disjoint_groups(dust, groups)
-
-
 def check_pq_restrictions(spec, dust, witnesses, p, q):
     """The displayed patch-disjointness conditions for a candidate (p, q).
 
@@ -168,18 +174,18 @@ def check_pq_restrictions(spec, dust, witnesses, p, q):
             hole_t = left_patch(ctx, (i,) + (n,) * (2 * q) + j, kp)
             tail_t = right_patch(ctx, (i,), 3 * q)
             cylsets.check_disjoint_groups(spec, [hole_t, tail_t])
-            _dust_disjoint(dust, [hole_t, tail_t])
+            cylsets.check_disjoint_groups(dust, [hole_t, tail_t])
             hole_d = left_patch(ctx, (i,) + j, kp)
             near_d = right_patch(ctx, (i,), q)
-            _dust_disjoint(dust, [hole_d, near_d])
+            cylsets.check_disjoint_groups(dust, [hole_d, near_d])
         else:
             hole_t = right_patch(ctx, (i + 1,) + (1,) * (2 * p) + j, kp)
             tail_t = left_patch(ctx, (i + 1,), 3 * p)
             cylsets.check_disjoint_groups(spec, [hole_t, tail_t])
-            _dust_disjoint(dust, [hole_t, tail_t])
+            cylsets.check_disjoint_groups(dust, [hole_t, tail_t])
             hole_d = right_patch(ctx, (i + 1,) + j, kp)
             near_d = left_patch(ctx, (i + 1,), p)
-            _dust_disjoint(dust, [hole_d, near_d])
+            cylsets.check_disjoint_groups(dust, [hole_d, near_d])
 
 
 def choose_pq(spec, witnesses, max_multiple=16):
@@ -191,7 +197,7 @@ def choose_pq(spec, witnesses, max_multiple=16):
     if pq0 is None:
         raise CertificateError("end ratios are multiplicatively independent")
     p0, q0 = pq0
-    dust = canonical_dust(spec.ratios, spec.bases)
+    dust = spec.dust()
     need = max(w.kp + len(w.word) for w in witnesses.values())
     for m in range(1, max_multiple + 1):
         p, q = m * p0, m * q0
@@ -321,7 +327,7 @@ def build_certificate(spec, verdict=None):
                                % (verdict.status, verdict.reason))
     witnesses = verdict.witnesses
     p, q, p0, q0 = choose_pq(spec, witnesses)
-    dust = canonical_dust(spec.ratios, spec.bases)
+    dust = spec.dust()
     last_err = None
     for attempt in range(6):
         ctx = Context(spec, p, q)
@@ -348,11 +354,8 @@ def build_certificate(spec, verdict=None):
 # ---------------------------------------------------------------------------
 # validation
 
-def _piece_images(system, rules, words, where):
-    out = []
-    for w in words:
-        out.append(apply_rules(rules, w))
-    return tuple(out)
+def _piece_images(rules, words):
+    return tuple(apply_rules(rules, w) for w in words)
 
 
 def verify_certificate(spec, cert, tol=1e-10):
@@ -363,8 +366,13 @@ def verify_certificate(spec, cert, tol=1e-10):
     accounting at the similarity dimension (exact in the equal-ratio
     case), and contraction around every cycle.  Raises CertificateError
     on the first violation.
+
+    Each piece's similarity is derived from its rules once per command:
+    ``rules_affine`` keeps the result on ``spec`` and on ``spec.dust()``,
+    where serialization (``cert_to_doc``) and the stored-string comparison
+    of ``verify_cert_doc`` find it again.
     """
-    dust = canonical_dust(spec.ratios, spec.bases)
+    dust = spec.dust()
     if cert.spec_digest != specfile.doc_digest(specfile.spec_to_doc(spec)):
         raise CertificateError("certificate was built for a different spec")
     if cert.dust_digest != specfile.doc_digest(specfile.spec_to_doc(dust)):
@@ -386,10 +394,14 @@ def verify_certificate(spec, cert, tol=1e-10):
     s = moran_dimension(spec.ratios, env=spec.bases)
     equal = all(r == spec.ratios[0] for r in spec.ratios)
     n = spec.n
-
-    def words_measure(words):
-        # natural measure of a cylinder union in the equal-ratio case
-        return sum(Fraction(1, n ** len(w)) for w in words)
+    # natural measure of each vertex's T side, exact in the equal-ratio case
+    if equal:
+        measure = {key: sum(Fraction(1, n ** len(w)) for w in v.t_words)
+                   for key, v in cert.vertices.items()}
+    else:
+        measure = {key: _measure_float(spec, v.t_words, s)
+                   for key, v in cert.vertices.items()}
+    one = ExactRatio(1)
 
     ratio1_edges = []
     for key, edge in cert.edges.items():
@@ -413,18 +425,18 @@ def verify_certificate(spec, cert, tol=1e-10):
             lo, hi = rt.interval(spec.bases)
             if hi > 1:
                 raise CertificateError("%s: expanding piece" % where)
-            if rt == ExactRatio(1):
+            if rt == one:
                 ratio1_edges.append((key, piece.target))
-            t_groups.append(_piece_images(spec, piece.t_rules, tgt.t_words,
-                                          where))
-            d_groups.append(_piece_images(dust, piece.d_rules, tgt.d_words,
-                                          where))
+            t_groups.append(_piece_images(piece.t_rules, tgt.t_words))
+            d_groups.append(_piece_images(piece.d_rules, tgt.d_words))
             if equal:
-                msum += _equal_ratio_weight(spec, rt) \
-                    * words_measure(tgt.t_words)
+                # rt is the common ratio to the power len(add) - len(strip)
+                strip, add = piece.t_rules[0]
+                msum += Fraction(1, n ** (len(add) - len(strip))) \
+                    * measure[piece.target]
             else:
                 msum += exact_float(rt.to_float(spec.bases)) ** s \
-                    * _measure_float(spec, tgt.t_words, s)
+                    * measure[piece.target]
         cylsets.check_disjoint_groups(spec, t_groups)
         if not cylsets.union_equal(n, [w for g in t_groups for w in g],
                                    src.t_words):
@@ -434,33 +446,16 @@ def verify_certificate(spec, cert, tol=1e-10):
                                    src.d_words):
             raise CertificateError("D-side tiling mismatch at %r" % (key,))
         if equal:
-            if msum != words_measure(src.t_words):
+            if msum != measure[key]:
                 raise CertificateError("measure accounting fails at %r"
                                        % (key,))
         else:
-            ref = _measure_float(spec, src.t_words, s)
+            ref = measure[key]
             if abs(msum - ref) > tol * max(1.0, abs(ref)):
                 raise CertificateError("measure accounting fails at %r"
                                        % (key,))
     _check_ratio1_acyclic(ratio1_edges)
     return True
-
-
-def _equal_ratio_weight(spec, r):
-    """r as a power of the common ratio, expressed as measure n^-L."""
-    n = spec.n
-    base = spec.ratios[0]
-    if r == ExactRatio(1):
-        return Fraction(1)
-    L = 1
-    cur = base
-    while cur != r:
-        cur = cur * base
-        L += 1
-        if L > 10000:
-            raise CertificateError("piece ratio is not a power of the "
-                                   "common ratio")
-    return Fraction(1, n ** L)
 
 
 def _measure_float(spec, words, s):
@@ -518,7 +513,7 @@ def expand_map(spec, cert, depth):
     Returns the list of leaf pieces, each pairing a T-side cylinder union
     with a D-side one through explicit increasing similarities.
     """
-    dust = canonical_dust(spec.ratios, spec.bases)
+    dust = spec.dust()
     ident = (((), ()),)
     leaves = [(("whole",), ident, ident)]
     for _ in range(depth):
@@ -538,8 +533,8 @@ def expand_map(spec, cert, depth):
             raise CertificateError("expansion lost ratio equality")
         out.append(ExpandPiece(
             vkey,
-            _piece_images(spec, tr, v.t_words, "expand"),
-            _piece_images(dust, dr, v.d_words, "expand"),
+            _piece_images(tr, v.t_words),
+            _piece_images(dr, v.d_words),
             ts, to, ds, do, rt))
     return out
 
@@ -547,7 +542,7 @@ def expand_map(spec, cert, depth):
 def verify_expansion(spec, cert, pieces):
     """Exact piecewise bijectivity: leaf T-sets tile T, leaf D-sets tile
     D, with no shared points across pieces."""
-    dust = canonical_dust(spec.ratios, spec.bases)
+    dust = spec.dust()
     n = spec.n
     cylsets.check_disjoint_groups(spec, [p.t_words for p in pieces])
     if not cylsets.union_equal(
@@ -570,7 +565,7 @@ def distortion_report(spec, cert, depth, sample_pairs=4000, seed=7):
     coordinates and differences are exact rationals; only the final
     quotients are floats, so arbitrarily close points are handled safely.
     """
-    dust = canonical_dust(spec.ratios, spec.bases)
+    dust = spec.dust()
     pieces = expand_map(spec, cert, depth)
     pts = set()
     for pc in pieces:
@@ -628,18 +623,14 @@ def identity_certificate(spec):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _key_to_list(key):
-    return list(key)
-
-
 def cert_to_doc(spec, cert):
-    dust = canonical_dust(spec.ratios, spec.bases)
+    dust = spec.dust()
     vertices = []
     for key in sorted(cert.vertices):
         v = cert.vertices[key]
         t_lo, t_hi, d_lo, d_hi = v.hulls(spec, dust)
         vertices.append({
-            "key": _key_to_list(key),
+            "key": list(key),
             "t_words": [list(w) for w in v.t_words],
             "d_words": [list(w) for w in v.d_words],
             "t_lo": specfile.format_value(t_lo),
@@ -655,7 +646,7 @@ def cert_to_doc(spec, cert):
             rt, ts, to = rules_affine(spec, piece.t_rules, "serialize")
             rd, ds, do = rules_affine(dust, piece.d_rules, "serialize")
             pieces.append({
-                "target": _key_to_list(piece.target),
+                "target": list(piece.target),
                 "ratio": specfile.format_ratio(rt),
                 "t_rules": [[list(s), list(a)] for s, a in piece.t_rules],
                 "d_rules": [[list(s), list(a)] for s, a in piece.d_rules],
@@ -664,7 +655,7 @@ def cert_to_doc(spec, cert):
                 "d_scale": specfile.format_value(ds),
                 "d_offset": specfile.format_value(do),
             })
-        edges.append({"source": _key_to_list(key), "pieces": pieces})
+        edges.append({"source": list(key), "pieces": pieces})
     return {
         "format": CERT_FORMAT,
         "version": CERT_VERSION,
@@ -715,7 +706,7 @@ def verify_cert_doc(spec, doc, tol=1e-10):
     strings (hulls, scales, offsets, ratios) against recomputation."""
     cert = cert_from_doc(doc)
     verify_certificate(spec, cert, tol)
-    dust = canonical_dust(spec.ratios, spec.bases)
+    dust = spec.dust()
     for vd in doc["vertices"]:
         v = cert.vertices[tuple(vd["key"])]
         t_lo, t_hi, d_lo, d_hi = v.hulls(spec, dust)

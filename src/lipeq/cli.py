@@ -13,8 +13,8 @@ import sys
 
 from . import specfile, cylsets, patches, render
 from .exactnum import ExactError, moran_dimension
-from .ifs import SpecError, canonical_dust
-from .decide import decide, SearchBudget, check_necessary
+from .ifs import SpecError
+from .decide import decide, SearchBudget
 from .certify import (build_certificate, cert_to_doc, verify_cert_doc,
                       distortion_report, expand_map, verify_expansion,
                       CertificateError)
@@ -49,7 +49,7 @@ def _value_str(v):
 def analyze_report(spec, budget):
     st = spec.touching
     verdict = decide(spec, budget)
-    nec = check_necessary(spec)
+    nec = verdict.necessary
     report = {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
@@ -127,6 +127,8 @@ def cmd_verify(args):
 def cmd_partition(args):
     spec = specfile.load_spec(args.specfile)
     k = args.k
+    if k < 1:
+        raise SpecError("--k must be at least 1, got %d" % k)
     fam = args.family
     doc = {"format": REPORT_FORMAT, "version": REPORT_VERSION,
            "family": fam, "k": k}
@@ -160,6 +162,9 @@ def cmd_partition(args):
 
 def cmd_render(args):
     spec = specfile.load_spec(args.specfile)
+    if args.levels < 0:
+        raise SpecError("--levels must be nonnegative, got %d"
+                        % args.levels)
     svg = render.render_svg(spec, levels=args.levels, width=args.width,
                             with_dust=args.with_dust)
     if args.output:

@@ -18,6 +18,7 @@ of the lattice problem is infeasible; budget exhaustion yields "unknown".
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+import math
 
 from .exactnum import (ExactRatio, to_exponent_vector, mult_dependence)
 from .ifs import SpecError
@@ -305,7 +306,7 @@ def closed_form_witnesses(spec, max_factor_bits=64):
         for i in sorted(st.letters):
             ua, va = dep(rho[st.alpha - 1], rho[n - 1])
             wb, vb = dep(rho[i], rho[n - 1])
-            v = va * vb // _gcd(va, vb)
+            v = va * vb // math.gcd(va, vb)
             u = ua * (v // va)
             wexp = wb * (v // vb)
             word = (i,) + (i + 1,) * (wexp - 1) + (st.alpha,) * u
@@ -320,7 +321,7 @@ def closed_form_witnesses(spec, max_factor_bits=64):
         for i in sorted(st.letters):
             ua, va = dep(rho[n - st.beta], rho[0])
             wb, vb = dep(rho[i - 1], rho[0])
-            v = va * vb // _gcd(va, vb)
+            v = va * vb // math.gcd(va, vb)
             u = ua * (v // va)
             wexp = wb * (v // vb)
             word = (i + 1,) + (i,) * (wexp - 1) + (n - st.beta + 1,) * u
@@ -329,12 +330,6 @@ def closed_form_witnesses(spec, max_factor_bits=64):
             out[i] = w
         return out
     return None
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def branch4_obstruction(spec):

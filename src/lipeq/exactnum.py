@@ -381,13 +381,13 @@ class SymValue:
             d = self - other
             if d.is_zero():
                 return True
-            try:
-                return d._sign() == 0
-            except UncertifiableComparisonError:
-                raise
+            return d._sign() == 0
         return NotImplemented
 
     def __hash__(self):
+        # a constant-only value equals its Fraction, so it hashes as one
+        if not self.terms.keys() - {()}:
+            return hash(self.terms.get((), Fraction(0)))
         return hash(frozenset(self.terms.items()))
 
     def __lt__(self, other):
@@ -422,8 +422,6 @@ class SymValue:
 
 def exact_float(x):
     """Best-effort float of a Fraction or SymValue."""
-    if isinstance(x, SymValue):
-        return float(x)
     return float(x)
 
 

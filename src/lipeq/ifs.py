@@ -15,15 +15,11 @@ attractor addressed by word ``w``.
 
 from fractions import Fraction
 
-from .exactnum import ExactRatio, SymValue, exact_float
+from .exactnum import ExactRatio, SymValue
 
 
 class SpecError(Exception):
     pass
-
-
-class Word(tuple):
-    """Just a tuple of letters; kept as plain tuples throughout."""
 
 
 class TouchingStructure:
@@ -71,6 +67,10 @@ class IfsSpec:
         self.rho = tuple(r.value(self.bases) for r in self.ratios)
         self.t = tuple(translations)
         self._affine_cache = {(): (self._one(), self._zero())}
+        self._ratio_cache = {(): ExactRatio(1)}
+        # certify.rules_affine results, keyed by rule tuple (successes only)
+        self._rules_cache = {}
+        self._dust = None
         self._validate()
         self.touching = TouchingStructure(
             [i for i in range(1, self.n)
@@ -154,15 +154,28 @@ class IfsSpec:
         return o + s
 
     def ratio_word(self, word):
-        """Contraction ratio of psi_word as an ExactRatio."""
-        r = ExactRatio(1)
-        for a in word:
-            r = r * self.ratios[a - 1]
+        """Contraction ratio of psi_word as an ExactRatio, cached along
+        prefixes: one product per prefix not seen before."""
+        cache = self._ratio_cache
+        got = cache.get(word)
+        if got is not None:
+            return got
+        k = len(word) - 1
+        while word[:k] not in cache:
+            k -= 1
+        r = cache[word[:k]]
+        for k in range(k, len(word)):
+            r = r * self.ratios[word[k] - 1]
+            if len(cache) < 400000:
+                cache[word[:k + 1]] = r
         return r
 
-    def diam_float(self, word=()):
-        s, _ = self.affine(word)
-        return exact_float(s)
+    def dust(self):
+        """The equally spaced dust counterpart (:func:`canonical_dust`),
+        built on first use and kept with this system."""
+        if self._dust is None:
+            self._dust = canonical_dust(self.ratios, self.bases)
+        return self._dust
 
     # -- level-1 connected blocks -------------------------------------------
 

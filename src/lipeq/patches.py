@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .ifs import SpecError
 from . import cylsets
-from .exactnum import exact_float
 
 
 def left_patch_words(spec, word, k):
@@ -399,17 +398,6 @@ def measure_words(spec, words, mu):
         m = Fraction(1)
         for a in w:
             m *= mu[a - 1]
-        total += m
-    return total
-
-
-def measure_words_dim(spec, words, s):
-    """Float measure with weights rho_i**s (natural measure at dimension s)."""
-    total = 0.0
-    for w in cylsets.canonicalize(spec.n, words):
-        m = 1.0
-        for a in w:
-            m *= exact_float(spec.rho[a - 1]) ** s
         total += m
     return total
 

@@ -8,7 +8,6 @@ equal inputs give byte-identical SVG.
 from itertools import product
 
 from .exactnum import exact_float
-from .ifs import canonical_dust
 
 BAR_H = 16
 ROW_GAP = 10
@@ -60,7 +59,7 @@ def render_svg(spec, levels=2, width=640, with_dust=False):
                  "attractor")
     if with_dust:
         y += ROW_GAP
-        dust = canonical_dust(spec.ratios, spec.bases)
+        dust = spec.dust()
         y = _row_svg(body, dust, levels, MARGIN, y, width, _DUST_FILL,
                      "equally spaced dust")
     total_w = width + 2 * MARGIN

@@ -168,7 +168,17 @@ SPEC_FORMAT = "lipeq-spec"
 SPEC_VERSION = 1
 
 
+def _string_list(doc, field):
+    vals = doc.get(field)
+    if not isinstance(vals, list) or \
+            not all(isinstance(v, str) for v in vals):
+        raise ParseError("%r must be a list of strings" % field)
+    return vals
+
+
 def spec_from_doc(doc):
+    if not isinstance(doc, dict):
+        raise ParseError("a system description must be a JSON object")
     if doc.get("format") != SPEC_FORMAT:
         raise ParseError("not a system description document")
     if doc.get("version") != SPEC_VERSION:
@@ -181,10 +191,17 @@ def spec_from_doc(doc):
         raise ParseError("unknown fields: %s" % ", ".join(sorted(extra)))
     bases = {}
     for b in doc.get("bases", []):
-        bases[b["name"]] = DeclaredBase(b["name"], b["value"],
-                                        b.get("digits"))
-    ratios = [parse_ratio(s, bases) for s in doc["ratios"]]
-    translations = [parse_value(s, bases) for s in doc["translations"]]
+        if not isinstance(b, dict) or not isinstance(b.get("name"), str) \
+                or not isinstance(b.get("value"), str):
+            raise ParseError("each base needs string 'name' and 'value'")
+        try:
+            bases[b["name"]] = DeclaredBase(b["name"], b["value"],
+                                            b.get("digits"))
+        except ValueError as e:
+            raise ParseError("base %r: %s" % (b["name"], e))
+    ratios = [parse_ratio(s, bases) for s in _string_list(doc, "ratios")]
+    translations = [parse_value(s, bases)
+                    for s in _string_list(doc, "translations")]
     if len(ratios) != len(translations):
         raise ParseError("ratio and translation counts differ")
     return IfsSpec(ratios, translations, role=doc.get("role", "touching"),

@@ -248,15 +248,8 @@ def trace(ctx, u, v, verify=True):
         raise DecompositionError("trace end %r shares its right endpoint "
                                  "outside the segment" % (words[-1],))
     if verify:
-        target = _trace_target(ctx, words)
-        verify_cover(ctx, out, target, "trace(%r,%r)" % (u, v))
+        verify_cover(ctx, out, tuple(words), "trace(%r,%r)" % (u, v))
     return out
-
-
-def _trace_target(ctx, words):
-    """The segment as a word set: whole cylinders of the lex range, with
-    family-3 joint pairs reaching below the range's level."""
-    return tuple(words)
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +323,6 @@ def hole_diff_right(ctx, i, kp, j, verify=True):
         verify_cover(ctx, out, target,
                      "hole_diff_right(i=%d,k'=%d,j=%r)" % (i, kp, j))
     return out
-
-
-# ---------------------------------------------------------------------------
-# generic entry point
-
-def tstar_decompose(ctx, shape, *args, verify=True):
-    """Dispatch by shape name; see the individual engines.
-
-    shape in {"ldiff", "rdiff", "trace", "hole_left", "hole_right",
-    "block"}.  Returns a verified placement list.
-    """
-    table = {"ldiff": ldiff, "rdiff": rdiff, "trace": trace,
-             "hole_left": hole_diff_left, "hole_right": hole_diff_right}
-    if shape == "block":
-        return block_decompose(ctx, *args, verify=verify)
-    if shape not in table:
-        raise DecompositionError("unknown shape %r" % shape)
-    return table[shape](ctx, *args, verify=verify)
 
 
 def block_decompose(ctx, idx, verify=True):

@@ -12,8 +12,8 @@ from lipeq import (IfsSpec, decide, build_certificate, verify_certificate,
                    cert_to_doc, cert_from_doc, verify_cert_doc,
                    expand_map, verify_expansion, distortion_report,
                    identity_certificate, canonical_json,
-                   CertificateError, canonical_dust)
-from lipeq.certify import compose_rules, apply_rules, choose_pq
+                   CertificateError, SpecError, canonical_dust)
+from lipeq.certify import compose_rules, apply_rules, choose_pq, rules_affine
 
 from conftest import make_one45, make_endratio_spec, random_equal_spec
 
@@ -41,6 +41,43 @@ class TestRuleAlgebra:
         inner = (((1,), (2,)),)
         comp = compose_rules(outer, inner)
         assert apply_rules(comp, (1, 2)) == (2, 3, 2)
+
+
+class TestSimilarityMemo:
+    def test_warm_spec_rejects_every_mutant(self, one45):
+        # the acceptance-8 mutations, validated against one spec object
+        # whose memo already holds every piece's similarity
+        cert = build_certificate(one45)
+        doc = cert_to_doc(one45, cert)
+        verify_cert_doc(one45, doc)
+        rng = random.Random(8)
+        for kind in ("ratio", "offset", "target"):
+            for _ in range(10):
+                d = copy.deepcopy(doc)
+                piece = rng.choice(rng.choice(d["edges"])["pieces"])
+                if kind == "ratio":
+                    piece["ratio"] = rng.choice(
+                        [r for r in ("1/7", "2/5", "1/125")
+                         if r != piece["ratio"]])
+                elif kind == "offset":
+                    field = rng.choice(["t_offset", "d_offset"])
+                    piece[field] = rng.choice(
+                        [o for o in ("3/11", "1/2", "7/25")
+                         if o != piece[field]])
+                else:
+                    piece["target"] = rng.choice(
+                        [v["key"] for v in d["vertices"]
+                         if v["key"] != piece["target"]])
+                with pytest.raises(SpecError):
+                    verify_cert_doc(one45, d)
+        verify_cert_doc(one45, doc)
+
+    def test_disagreeing_rules_raise_on_every_call(self, one45):
+        # equal ratios 1/5, offsets 0 and 3/5
+        rules = (((), (1,)), ((), (2,)))
+        for _ in range(2):
+            with pytest.raises(CertificateError):
+                rules_affine(one45, rules, "test")
 
 
 class TestOne45Certificate:

@@ -55,6 +55,25 @@ class TestAnalyze:
     def test_missing_file_is_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 3
 
+    def test_spec_without_ratios_is_error(self, tmp_path):
+        doc = spec_to_doc(make_one45())
+        del doc["ratios"]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 3
+
+    def test_spec_with_malformed_base_is_error(self, tmp_path):
+        doc = spec_to_doc(make_one45())
+        doc["bases"] = [{"name": "g", "value": "abc"}]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 3
+
+    def test_spec_that_is_a_list_is_error(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps([spec_to_doc(make_one45())]))
+        assert main(["analyze", str(path)]) == 3
+
     def test_bad_budget_flag(self, one45_file):
         with pytest.raises(SystemExit):
             main(["analyze", one45_file, "--budget", "nonsense"])
@@ -107,6 +126,10 @@ class TestPartition:
         assert main(["partition", one45_file, "--k", "30",
                      "--family", "S"]) == 3
 
+    def test_k_zero_is_error(self, one45_file):
+        assert main(["partition", one45_file, "--k", "0",
+                     "--family", "S"]) == 3
+
     def test_e_family_requires_mu(self, one45_file):
         with pytest.raises(SystemExit):
             main(["partition", one45_file, "--k", "2", "--family", "E"])
@@ -120,6 +143,9 @@ class TestRender:
         text = out.read_text()
         assert text.startswith("<svg")
         assert "rect" in text
+
+    def test_negative_levels_is_error(self, one45_file):
+        assert main(["render", one45_file, "--levels", "-1"]) == 3
 
     def test_deterministic(self, one45_file, tmp_path):
         a = tmp_path / "a.svg"

@@ -117,6 +117,15 @@ class TestSymValue:
         with pytest.raises(UncertifiableComparisonError):
             s == Fraction(1)
 
+    def test_constant_value_hashes_as_its_fraction(self):
+        half = SymValue({(): Fraction(1, 2)}, {})
+        assert half == Fraction(1, 2)
+        assert hash(half) == hash(Fraction(1, 2))
+        assert len({half, Fraction(1, 2)}) == 1
+        zero = SymValue({}, {})
+        assert zero == 0
+        assert hash(zero) == hash(0)
+
     def test_comparisons(self):
         env = golden_env()
         g = SymValue.wrap(

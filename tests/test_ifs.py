@@ -6,10 +6,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lipeq import IfsSpec, SpecError, canonical_dust
+from lipeq.exactnum import DeclaredBase, ExactRatio
 from lipeq.ifs import words_touch, mirror_word
+from lipeq.specfile import spec_to_doc
 
-from conftest import make_one45, make_equal_spec, random_equal_spec
+from conftest import (make_one45, make_equal_spec, random_equal_spec,
+                      make_endratio_spec)
 import random
+
+
+def make_declared_spec():
+    """Ratios g, 1/5, g with g a declared base; touching at letter 1."""
+    g = DeclaredBase("g", "0.20710678118654752440", digits=18)
+    rg = ExactRatio(1, (("g", 1),))
+    gval = rg.value({"g": g})
+    return IfsSpec([rg, ExactRatio(Fraction(1, 5)), rg],
+                   [Fraction(0), gval, 1 - gval], role="touching",
+                   bases={"g": g})
 
 
 class TestValidation:
@@ -90,6 +103,22 @@ class TestCylinders:
         r = spec.ratio_word((1, 2, 3))
         assert r.as_fraction() == Fraction(1, 125)
 
+    @given(st.lists(st.lists(st.integers(min_value=1, max_value=3),
+                             max_size=8).map(tuple),
+                    min_size=1, max_size=12),
+           st.booleans())
+    def test_cached_ratio_word_is_letter_product(self, words, declared):
+        # one spec object per example, so later words reuse the prefixes
+        # cached by earlier ones
+        spec = (make_declared_spec() if declared else
+                make_endratio_spec(Fraction(1, 4), Fraction(1, 8),
+                                   r2=Fraction(1, 3)))
+        for w in words + words[::-1]:
+            r = ExactRatio(1)
+            for a in w:
+                r = r * spec.ratios[a - 1]
+            assert spec.ratio_word(w) == r
+
     def test_empty_word_is_identity(self):
         spec = make_one45()
         assert spec.cyl_interval(()) == (Fraction(0), Fraction(1))
@@ -158,6 +187,13 @@ class TestCanonicalDust:
         assert dust.role == "dust"
         # two gaps of (1 - 3/5) / 2 each
         assert dust.t == (Fraction(0), Fraction(2, 5), Fraction(4, 5))
+
+    def test_dust_is_built_once_per_spec(self):
+        spec = make_declared_spec()
+        dust = spec.dust()
+        assert spec.dust() is dust
+        assert spec_to_doc(dust) == spec_to_doc(
+            canonical_dust(spec.ratios, spec.bases))
 
     def test_no_touching(self):
         rng = random.Random(11)
