@@ -669,42 +669,119 @@ def cert_to_doc(spec, cert):
     }
 
 
-def cert_from_doc(doc):
-    if doc.get("format") != CERT_FORMAT:
+def _field(d, name, kind, where):
+    """``d[name]``, which must hold a value of JSON type ``kind``."""
+    v = d.get(name)
+    if not isinstance(v, kind) or isinstance(v, bool):
+        raise CertificateError("%s: %r must be %s" % (
+            where, name, {int: "an integer", str: "a string",
+                          list: "a list", dict: "an object"}[kind]))
+    return v
+
+
+def _records(d, name, where):
+    """``d[name]`` as a list of JSON objects."""
+    out = _field(d, name, list, where)
+    if not all(isinstance(r, dict) for r in out):
+        raise CertificateError("%s: every entry of %r must be an object"
+                               % (where, name))
+    return out
+
+
+def _word(v, n, where):
+    """A word: a list of letters in 1..n (n None: any positive letter)."""
+    if not isinstance(v, list) or not all(
+            isinstance(a, int) and not isinstance(a, bool) and a >= 1
+            and (n is None or a <= n) for a in v):
+        raise CertificateError("%s: %r is not a word over the letters "
+                               "1..%s" % (where, v, n if n else "n"))
+    return tuple(v)
+
+
+def _words(d, name, n, where):
+    ws = _field(d, name, list, where)
+    if not ws:
+        raise CertificateError("%s: %r is empty" % (where, name))
+    return [_word(w, n, where) for w in ws]
+
+
+def _rules(d, name, n, where):
+    rules = _field(d, name, list, where)
+    if not rules:
+        raise CertificateError("%s: %r is empty" % (where, name))
+    out = []
+    for r in rules:
+        if not isinstance(r, list) or len(r) != 2:
+            raise CertificateError("%s: a rule is a [strip, add] pair"
+                                   % where)
+        out.append((_word(r[0], n, where), _word(r[1], n, where)))
+    return out
+
+
+def _key(d, name, where):
+    key = _field(d, name, list, where)
+    if not key or not all(isinstance(k, (str, int)) for k in key):
+        raise CertificateError("%s: %r must be a nonempty list of names "
+                               "and numbers" % (where, name))
+    return tuple(key)
+
+
+def cert_from_doc(doc, n=None):
+    """Read a certificate document.  Its shape is checked first: every
+    field present with its JSON type, nonempty word and rule lists, vertex
+    keys and edge sources unique, and every letter of a word, rule or
+    witness in 1..n (when n is given).  Any violation raises
+    CertificateError."""
+    if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
         raise CertificateError("not a certificate document")
     if doc.get("version") != CERT_VERSION:
         raise CertificateError("unsupported certificate version")
     witnesses = {}
-    for w in doc.get("witnesses", []):
-        witnesses[w["letter"]] = Witness(w["side"], w["letter"], w["k"],
-                                         w["k_prime"], tuple(w["word"]),
-                                         w.get("source", "file"))
+    for w in (_records(doc, "witnesses", "certificate")
+              if "witnesses" in doc else []):
+        where = "witness"
+        letter = _field(w, "letter", int, where)
+        witnesses[letter] = Witness(
+            _field(w, "side", str, where), letter,
+            _field(w, "k", int, where), _field(w, "k_prime", int, where),
+            _word(w.get("word"), n, where),
+            _field(w, "source", str, where) if "source" in w else "file")
     vertices = {}
-    for v in doc["vertices"]:
-        key = tuple(v["key"])
-        vertices[key] = Vertex(key,
-                               [tuple(w) for w in v["t_words"]],
-                               [tuple(w) for w in v["d_words"]])
+    for v in _records(doc, "vertices", "certificate"):
+        key = _key(v, "key", "vertex")
+        where = "vertex %r" % (key,)
+        if key in vertices:
+            raise CertificateError("%s appears twice" % where)
+        for name in ("t_lo", "t_hi", "d_lo", "d_hi"):
+            _field(v, name, str, where)
+        vertices[key] = Vertex(key, _words(v, "t_words", n, where),
+                               _words(v, "d_words", n, where))
     edges = {}
-    for e in doc["edges"]:
-        key = tuple(e["source"])
+    for e in _records(doc, "edges", "certificate"):
+        key = _key(e, "source", "edge")
+        where = "edge %r" % (key,)
+        if key in edges:
+            raise CertificateError("%s appears twice" % where)
         pieces = []
-        for pd in e["pieces"]:
-            pieces.append(Piece(tuple(pd["target"]),
-                                [(tuple(s), tuple(a))
-                                 for s, a in pd["t_rules"]],
-                                [(tuple(s), tuple(a))
-                                 for s, a in pd["d_rules"]]))
+        for pd in _records(e, "pieces", where):
+            for name in ("ratio", "t_scale", "t_offset", "d_scale",
+                         "d_offset"):
+                _field(pd, name, str, where)
+            pieces.append(Piece(_key(pd, "target", where),
+                                _rules(pd, "t_rules", n, where),
+                                _rules(pd, "d_rules", n, where)))
         edges[key] = Edge(key, pieces)
-    return Certificate(doc["p"], doc["q"], doc["p0"], doc["q0"],
-                       witnesses, vertices, edges,
-                       doc["spec_digest"], doc["dust_digest"])
+    p, q, p0, q0 = (_field(doc, name, int, "certificate")
+                    for name in ("p", "q", "p0", "q0"))
+    return Certificate(p, q, p0, q0, witnesses, vertices, edges,
+                       _field(doc, "spec_digest", str, "certificate"),
+                       _field(doc, "dust_digest", str, "certificate"))
 
 
 def verify_cert_doc(spec, doc, tol=1e-10):
     """Validate a deserialized certificate, including the stored exact
     strings (hulls, scales, offsets, ratios) against recomputation."""
-    cert = cert_from_doc(doc)
+    cert = cert_from_doc(doc, spec.n)
     verify_certificate(spec, cert, tol)
     dust = spec.dust()
     for vd in doc["vertices"]:

@@ -103,7 +103,10 @@ def cmd_certify(args):
 def cmd_verify(args):
     spec = specfile.load_spec(args.specfile)
     with open(args.cert) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise CertificateError("certificate is not JSON: %s" % e)
     cert = verify_cert_doc(spec, doc)
     out = {
         "format": REPORT_FORMAT,

@@ -4,38 +4,90 @@ A set is a sorted tuple of words, pairwise non-comparable under the prefix
 order.  Canonical form merges every complete family of siblings into its
 parent, so equality of canonical forms decides equality of the unions.
 All operations are exact.
+
+The algebra rests on one invariant.  The maps preserve orientation and
+their images lie left to right, so on a prefix-free word set the
+lexicographic order is the spatial (address) order; and in any sorted
+word list the words that begin with w sit in one contiguous run right
+after w.  So a set is canonicalized in one pass over its sorted words,
+the word of a canonical set above a given word is found by ``bisect``,
+and a canonical set's hull runs from its first word to its last.
 """
+
+import heapq
+from bisect import bisect_left, bisect_right
 
 from .ifs import words_touch, SpecError
 
 
 def canonicalize(n, words):
-    """Canonical form: prefix-free, complete sibling sets merged."""
-    ws = set(words)
-    # drop words below an ancestor already present
-    out = set()
-    for w in ws:
-        if any(w[:k] in ws for k in range(len(w))):
+    """Canonical form: prefix-free, complete sibling sets merged.
+
+    One pass over the sorted words with a stack: a word below or equal to
+    the top of the stack is dropped, since an ancestor sorts right before
+    its descendants, and n siblings on top of the stack collapse into
+    their parent, which may complete a family in turn.  Sorting words
+    that are already in order takes one linear pass.
+    """
+    out = []
+    for w in sorted(words):
+        if out and w[:len(out[-1])] == out[-1]:
             continue
-        out.add(w)
-    changed = True
-    while changed:
-        changed = False
-        by_parent = {}
-        for w in out:
-            if w:
-                by_parent.setdefault(w[:-1], set()).add(w[-1])
-        for parent, kids in by_parent.items():
-            if len(kids) == n:
-                for a in kids:
-                    out.discard(parent + (a,))
-                out.add(parent)
-                changed = True
-    return tuple(sorted(out))
+        out.append(w)
+        k = len(w)
+        # the run out[-n:] is sorted, so when its first and last words
+        # are children of one parent, every word between begins with that
+        # parent too; all of length k, they are the n children
+        while (k and w[-1] == n and len(out) >= n
+               and out[-n][:-1] == w[:-1]
+               and all(len(u) == k for u in out[-n:])):
+            del out[-n:]
+            w = w[:-1]
+            k -= 1
+            out.append(w)
+    return tuple(out)
 
 
 def union_equal(n, a, b):
     return canonicalize(n, a) == canonicalize(n, b)
+
+
+def _covered(ws, w):
+    """Is some word of canonical ``ws`` a prefix of w (w included)?  Only
+    the last word not after w can be: a prefix u of w sorts before w, and
+    a word between u and w would begin with u."""
+    i = bisect_right(ws, w)
+    return i > 0 and w[:len(ws[i - 1])] == ws[i - 1]
+
+
+def _carve(n, a, b):
+    """Words of union(a) minus union(b) for canonical a and b with every
+    word of b below a word of a.
+
+    A word of a with no word of b below it is kept whole; otherwise it
+    splits into children, and only the siblings of the paths down to the
+    words of b survive.  Each split leaves out at least one child, so
+    the result is canonical and, built left to right, sorted.
+    """
+    out = []
+
+    def descend(w, lo, hi):
+        # b[lo:hi] are the words of b that begin with w
+        if lo == hi:
+            out.append(w)
+            return
+        if b[lo] == w:
+            return
+        for c in range(1, n + 1):
+            mid = bisect_left(b, w + (c + 1,), lo, hi)
+            descend(w + (c,), lo, mid)
+            lo = mid
+
+    for w in a:
+        # the words that begin with w are those from w up to w + (n + 1,)
+        lo = bisect_left(b, w)
+        descend(w, lo, bisect_left(b, w + (n + 1,), lo))
+    return tuple(out)
 
 
 def refine_word(n, w, depth):
@@ -54,47 +106,21 @@ def subtract(n, a, b):
     """
     a = canonicalize(n, a)
     b = canonicalize(n, b)
-    if not b:
-        return a
-    out = []
-    maxb = max(len(w) for w in b)
-    bset = set(b)
-
-    def descend(w):
-        if w in bset:
-            return
-        if len(w) >= maxb or not any(u[:len(w)] == w for u in bset):
-            # nothing of b inside w
-            if any(w[:len(u)] == u for u in bset):
-                return  # inside a removed cylinder
-            out.append(w)
-            return
-        for c in range(1, n + 1):
-            descend(w + (c,))
-
-    for w in a:
-        descend(w)
-    got = canonicalize(n, out)
-    # sanity: b must actually be inside a
-    if not union_equal(n, tuple(got) + tuple(b), a):
+    if not all(_covered(a, u) for u in b):
         raise SpecError("subtrahend is not contained in the set")
-    return got
+    return _carve(n, a, b)
 
 
 def word_subset(n, a, b):
-    """Is union(a) a subset of union(b)?  Word-level, exact."""
+    """Is union(a) a subset of union(b)?  Word-level, exact.
+
+    A cylinder lies inside a canonical union iff a word of the union is a
+    prefix of its word: otherwise the words of the union below it cover
+    it, and the deepest of them needs all its siblings, which canonical
+    form forbids.  So each word of a costs one bisect.
+    """
     b = canonicalize(n, b)
-    bset = set(b)
-    maxb = max((len(w) for w in b), default=0)
-
-    def covered(w):
-        if any(w[:len(u)] == u for u in bset):
-            return True
-        if len(w) >= maxb:
-            return False
-        return all(covered(w + (c,)) for c in range(1, n + 1))
-
-    return all(covered(w) for w in canonicalize(n, a))
+    return all(_covered(b, w) for w in a)
 
 
 def sort_spatial(words):
@@ -126,7 +152,8 @@ def check_disjoint_groups(spec, groups):
     for w, gi in tagged:
         owner.setdefault(w, set()).add(gi)
     for a, b in zip(flat, flat[1:]):
-        if a == b[:len(a)] or b[:len(b)] == a[:len(b)]:
+        # a < b, so b is never a prefix of a; only a below b is skipped
+        if a == b[:len(a)]:
             continue
         if words_touch(spec, a, b) and owner[a] != owner[b]:
             if not owner[a] & owner[b]:
@@ -136,52 +163,37 @@ def check_disjoint_groups(spec, groups):
 
 def complement_words(n, words):
     """Canonical words of T minus union(words) (word-level complement)."""
-    words = canonicalize(n, words)
-    if words == ((),):
-        return ()
-    wset = set(words)
-    out = []
-
-    def descend(w):
-        if w in wset:
-            return
-        if not any(u[:len(w)] == w for u in wset):
-            out.append(w)
-            return
-        for c in range(1, n + 1):
-            descend(w + (c,))
-
-    if () in wset:
-        return ()
-    for c in range(1, n + 1):
-        descend((c,))
-    return canonicalize(n, out)
+    return _carve(n, ((),), canonicalize(n, words))
 
 
 def set_distance(spec, a, b):
     """Exact distance between two disjoint cylinder unions (may be 0 when
-    they touch)."""
+    they touch).
+
+    Canonical words come in hull order, so one merge of the two interval
+    lists visits them left to right.  The distance is the least gap
+    between neighbours from different sets.  An overlap shows at the
+    first interval of one set after an interval of the other: it starts
+    before that neighbour ends.
+    """
+    sides = [[(spec.cyl_interval(w), s) for w in canonicalize(spec.n, ws)]
+             for s, ws in enumerate((a, b))]
     best = None
-    alos = sorted(spec.cyl_interval(w) for w in canonicalize(spec.n, a))
-    blos = sorted(spec.cyl_interval(w) for w in canonicalize(spec.n, b))
-    for lo1, hi1 in alos:
-        for lo2, hi2 in blos:
-            if hi1 <= lo2:
-                d = lo2 - hi1
-            elif hi2 <= lo1:
-                d = lo1 - hi2
-            else:
+    prev_hi = prev_side = None
+    for (lo, hi), s in heapq.merge(*sides):
+        if prev_side is not None and prev_side != s:
+            d = lo - prev_hi
+            if d < 0:
                 raise SpecError("sets overlap; no distance")
             if best is None or d < best:
                 best = d
+        prev_hi, prev_side = hi, s
     return best
 
 
 def set_diam(spec, words):
     ws = canonicalize(spec.n, words)
-    lo = min(spec.cyl_lo(w) for w in ws)
-    hi = max(spec.cyl_hi(w) for w in ws)
-    return hi - lo
+    return spec.cyl_hi(ws[-1]) - spec.cyl_lo(ws[0])
 
 
 def sigma_L_star(spec, word):

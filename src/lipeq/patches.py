@@ -10,6 +10,7 @@ All partitions are families of :class:`PartitionPiece`; construction is
 exact and every decomposition step re-verifies itself.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .ifs import SpecError
@@ -98,8 +99,9 @@ class PartitionPiece:
         self.words = cylsets.canonicalize(spec.n, words)
         if not self.words:
             raise SpecError("empty piece")
-        self.lo = min(spec.cyl_lo(w) for w in self.words)
-        self.hi = max(spec.cyl_hi(w) for w in self.words)
+        # canonical words are in spatial order
+        self.lo = spec.cyl_lo(self.words[0])
+        self.hi = spec.cyl_hi(self.words[-1])
 
     def diam(self):
         return self.hi - self.lo
@@ -125,55 +127,43 @@ def simple_decomposition(spec, parent_words, marked):
     for m in marked:
         if not cylsets.word_subset(n, m, parent_words):
             raise SpecError("marked set not inside parent")
-    hulls = []
-    for m in marked:
-        lo = min(spec.cyl_lo(w) for w in m)
-        hi = max(spec.cyl_hi(w) for w in m)
-        hulls.append((lo, hi, m))
+    hulls = [(spec.cyl_lo(m[0]), spec.cyl_hi(m[-1]), m) for m in marked]
     hulls.sort(key=lambda x: (x[0], x[1]))
     for (l1, h1, _), (l2, h2, _) in zip(hulls, hulls[1:]):
         if h1 >= l2:
             raise SpecError("marked hulls overlap")
-    # refine parent words so each atom is inside or outside every marked set
-    atoms = []
+    # all marked words, sorted; disjoint hulls make them prefix-free
+    tagged = sorted((w, k) for k, (_, _, m) in enumerate(hulls) for w in m)
+    mark_words = tuple(w for w, _ in tagged)
+    mark_of = tuple(k for _, k in tagged)
+    # refine parent words so each atom is inside or outside every marked
+    # set; atoms come out in spatial order, each with its marked set
+    runs = []
     for w in parent_words:
-        atoms.extend(_refine_past(spec, w, marked))
-    atoms.sort()
-    mark_of = {}
-    for k, (_, _, m) in enumerate(hulls):
-        for w in m:
-            mark_of[w] = k
-
-    def owner(w):
-        for k2 in range(len(w) + 1):
-            if w[:k2] in mark_of:
-                return mark_of[w[:k2]]
-        return None
-
-    runs = [(w, owner(w)) for w in atoms]
+        _refine_past(n, w, mark_words, mark_of, runs)
+    # verify on the way: the hull of each marked set meets the parent only
+    # in itself.  Atoms are in spatial order and have positive length, so
+    # an atom lies in a marked set's hull iff it comes between that set's
+    # first and last atoms: each marked set must be one unbroken run.
     out_pieces = []
     buf = []
     emitted_marks = set()
+    prev = None
     for w, o in runs:
         if o is None:
             buf.append(w)
-        else:
+        elif o != prev:
+            if o in emitted_marks:
+                raise SpecError("hull of marked set meets the parent "
+                                "outside the set")
             if buf:
                 out_pieces.append(PartitionPiece(spec, buf))
                 buf = []
-            if o not in emitted_marks:
-                out_pieces.append(PartitionPiece(spec, hulls[o][2]))
-                emitted_marks.add(o)
+            out_pieces.append(PartitionPiece(spec, hulls[o][2]))
+            emitted_marks.add(o)
+        prev = o
     if buf:
         out_pieces.append(PartitionPiece(spec, buf))
-    # verify: the hull of each marked set meets the parent only in itself
-    for lo, hi, m in hulls:
-        for w, o in runs:
-            if o is None:
-                wlo, whi = spec.cyl_interval(w)
-                if wlo >= lo and whi <= hi:
-                    raise SpecError("hull of marked set meets the parent "
-                                    "outside the set")
     # verify: full coverage and no shared endpoints between pieces
     allw = [w for p in out_pieces for w in p.words]
     if not cylsets.union_equal(n, allw, parent_words):
@@ -182,18 +172,21 @@ def simple_decomposition(spec, parent_words, marked):
     return out_pieces
 
 
-def _refine_past(spec, w, marked):
-    """Split w until it is inside or outside every marked set."""
-    for m in marked:
-        mset = set(m)
-        if any(w[:k] in mset for k in range(len(w) + 1)):
-            return [w]  # inside this marked set entirely
-    if not any(u[:len(w)] == w for m in marked for u in m if len(u) > len(w)):
-        return [w]
-    out = []
-    for c in range(1, spec.n + 1):
-        out.extend(_refine_past(spec, w + (c,), marked))
-    return out
+def _refine_past(n, w, mark_words, mark_of, out):
+    """Split w until it is inside or outside every marked set, appending
+    (atom, index of its marked set or None) to ``out`` in order.
+
+    ``mark_words`` is sorted and prefix-free: the marked word above w is
+    the last one not after w, and a marked word below w, if any, is the
+    first one after w."""
+    i = bisect_right(mark_words, w)
+    if i and w[:len(mark_words[i - 1])] == mark_words[i - 1]:
+        out.append((w, mark_of[i - 1]))
+    elif i == len(mark_words) or mark_words[i][:len(w)] != w:
+        out.append((w, None))
+    else:
+        for c in range(1, n + 1):
+            _refine_past(n, w + (c,), mark_words, mark_of, out)
 
 
 def c_family(spec, k, i0=None):
@@ -227,15 +220,24 @@ def partition_S(spec, k, i0=None, depth_cap=8):
     levels = []
     current = [PartitionPiece(spec, ((),))]
     for level in range(1, k + 1):
-        csets = c_family(spec, level, i0)
+        # the pieces tile T, so exactly one prefix of a word is a word of
+        # some piece; a set inside a piece has its first word below one
+        # of that piece's words
+        home = {w: i for i, p in enumerate(current) for w in p.words}
+        inside = [[] for _ in current]
+        for c in c_family(spec, level, i0):
+            w = c[0]
+            i = next((home[w[:j]] for j in range(len(w) + 1)
+                      if w[:j] in home), None)
+            if i is not None and cylsets.word_subset(spec.n, c,
+                                                     current[i].words):
+                inside[i].append(c)
         nxt = []
-        for piece in current:
-            inside = [c for c in csets
-                      if cylsets.word_subset(spec.n, c, piece.words)]
-            if not inside:
+        for piece, marks in zip(current, inside):
+            if not marks:
                 nxt.append(piece)
             else:
-                nxt.extend(simple_decomposition(spec, piece.words, inside))
+                nxt.extend(simple_decomposition(spec, piece.words, marks))
         nxt.sort(key=lambda p: p.lo)
         levels.append(nxt)
         current = nxt

@@ -64,7 +64,10 @@ def _parse_terms(s):
         while True:
             kind, val = toks[i]
             if kind == "num":
-                coeff *= Fraction(val)
+                try:
+                    coeff *= Fraction(val)
+                except ZeroDivisionError:
+                    raise ParseError("zero denominator in %r" % s)
                 i += 1
             elif kind == "name":
                 e = 1
@@ -77,7 +80,11 @@ def _parse_terms(s):
                         i += 1
                     if i >= n or toks[i][0] != "num":
                         raise ParseError("exponent expected in %r" % s)
-                    e = expsign * int(toks[i][1])
+                    try:
+                        e = expsign * int(toks[i][1])
+                    except ValueError:
+                        raise ParseError("integer exponent expected in %r"
+                                         % s)
                     i += 1
                 mono[val] = mono.get(val, 0) + e
             else:
@@ -113,6 +120,8 @@ def parse_ratio(s, bases):
     for name in mono:
         if name not in bases:
             raise ParseError("undeclared base %r in %r" % (name, s))
+    if coeff <= 0:
+        raise ParseError("a ratio must be positive: %r" % s)
     return ExactRatio(coeff, mono)
 
 
@@ -189,15 +198,21 @@ def spec_from_doc(doc):
     extra = set(doc) - known
     if extra:
         raise ParseError("unknown fields: %s" % ", ".join(sorted(extra)))
+    if not isinstance(doc.get("bases", []), list):
+        raise ParseError("'bases' must be a list")
     bases = {}
     for b in doc.get("bases", []):
         if not isinstance(b, dict) or not isinstance(b.get("name"), str) \
                 or not isinstance(b.get("value"), str):
             raise ParseError("each base needs string 'name' and 'value'")
+        digits = b.get("digits")
+        if digits is not None and (not isinstance(digits, int)
+                                   or isinstance(digits, bool) or digits < 0):
+            raise ParseError("base %r: 'digits' must be a nonnegative "
+                             "integer" % b["name"])
         try:
-            bases[b["name"]] = DeclaredBase(b["name"], b["value"],
-                                            b.get("digits"))
-        except ValueError as e:
+            bases[b["name"]] = DeclaredBase(b["name"], b["value"], digits)
+        except (ValueError, ZeroDivisionError) as e:
             raise ParseError("base %r: %s" % (b["name"], e))
     ratios = [parse_ratio(s, bases) for s in _string_list(doc, "ratios")]
     translations = [parse_value(s, bases)
@@ -236,7 +251,10 @@ def doc_digest(doc):
 
 def load_spec(path):
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except ValueError as e:
+            raise ParseError("system description is not JSON: %s" % e)
     return spec_from_doc(doc)
 
 

@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, report stability, file formats."""
 
+import copy
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lipeq.certify import build_certificate, cert_to_doc, cert_from_doc
 from lipeq.cli import main
 from lipeq.specfile import spec_to_doc, save_doc
 
@@ -26,6 +29,65 @@ def notequiv_file(tmp_path):
     path = tmp_path / "ne.json"
     save_doc(spec_to_doc(spec), str(path))
     return str(path)
+
+
+ONE45_CERT = cert_to_doc(make_one45(), build_certificate(make_one45()))
+
+
+def verify_doc(spec_file, directory, doc):
+    """Exit status of ``lipeq verify`` on a certificate document."""
+    cert = os.path.join(str(directory), "c.json")
+    with open(cert, "w") as fh:
+        json.dump(doc, fh)
+    return main(["verify", spec_file, "--cert", cert])
+
+
+def json_paths(node, path=()):
+    """Every position in a JSON tree, as a path of keys and indices."""
+    yield path
+    if isinstance(node, dict):
+        for k in sorted(node):
+            yield from json_paths(node[k], path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from json_paths(v, path + (i,))
+
+
+CERT_PATHS = list(json_paths(ONE45_CERT))
+SPEC_WITH_BASE = dict(spec_to_doc(make_one45()), bases=[
+    {"name": "g", "value": "0.618", "digits": 3}])
+SPEC_PATHS = list(json_paths(SPEC_WITH_BASE))
+# stand-ins of every JSON type, letters outside 1..3 and malformed
+# numbers among them
+RETYPES = (None, True, 0, -1, 4, 2, 1.5, "x", "", [], [1], [[]], {},
+           "1/0", "-1/5", "g^x", "0.5", "1/5*g")
+
+
+def mutate(doc, path, how, arg):
+    """The document with the node at ``path`` deleted, truncated to its
+    first ``arg`` entries or characters, or replaced by RETYPES[arg]."""
+    bad = copy.deepcopy(doc)
+    if not path:
+        return RETYPES[arg % len(RETYPES)] if how == "retype" else [bad]
+    holder = bad
+    for k in path[:-1]:
+        holder = holder[k]
+    last = path[-1]
+    if how == "delete":
+        del holder[last]
+    elif how == "truncate" and isinstance(holder[last], (list, str)):
+        holder[last] = holder[last][:arg % max(1, len(holder[last]))]
+    else:
+        holder[last] = RETYPES[arg % len(RETYPES)]
+    return bad
+
+
+def proof_part(doc):
+    """What the verdict rests on: the vertex sets and the edge rules."""
+    cert = cert_from_doc(doc, 3)
+    return ({k: (v.t_words, v.d_words) for k, v in cert.vertices.items()},
+            {k: [(p.target, p.t_rules, p.d_rules) for p in e.pieces]
+             for k, e in cert.edges.items()})
 
 
 class TestAnalyze:
@@ -74,6 +136,39 @@ class TestAnalyze:
         path.write_text(json.dumps([spec_to_doc(make_one45())]))
         assert main(["analyze", str(path)]) == 3
 
+    def test_spec_that_is_not_json_is_error(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec_to_doc(make_one45()))[:-7])
+        assert main(["analyze", str(path)]) == 3
+
+    @pytest.mark.parametrize("field, value", [
+        ("ratios", ["1/5", "1/0", "1/5"]),
+        ("ratios", ["1/5", "-1/5", "1/5"]),
+        ("ratios", ["1/5", "0", "1/5"]),
+        ("translations", ["0", "3/0", "4/5"]),
+        ("bases", True),
+        ("bases", [{"name": "g", "value": "0.6", "digits": "3"}]),
+        ("bases", [{"name": "g", "value": "1/0"}]),
+    ])
+    def test_malformed_spec_field_is_error(self, tmp_path, field, value):
+        doc = spec_to_doc(make_one45())
+        doc[field] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 3
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, len(SPEC_PATHS) - 1),
+           st.sampled_from(("delete", "truncate", "retype")),
+           st.integers(0, 50))
+    def test_fuzzed_spec_documents(self, tmp_path, at, how, arg):
+        bad = mutate(SPEC_WITH_BASE, SPEC_PATHS[at], how, arg)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(bad))
+        assert main(["analyze", str(path), "--budget", "4,8",
+                     "-o", str(tmp_path / "r.json")]) in (0, 1, 2, 3)
+
     def test_bad_budget_flag(self, one45_file):
         with pytest.raises(SystemExit):
             main(["analyze", one45_file, "--budget", "nonsense"])
@@ -111,6 +206,55 @@ class TestVerify:
         doc["edges"][0]["pieces"][0]["ratio"] = "1/7"
         cert.write_text(json.dumps(doc))
         assert main(["verify", one45_file, "--cert", str(cert)]) == 3
+
+
+class TestVerifyMalformed:
+    """``lipeq verify`` on malformed certificates: exit 3, no traceback."""
+
+    def test_empty_rule_list(self, one45_file, tmp_path):
+        doc = copy.deepcopy(ONE45_CERT)
+        doc["edges"][0]["pieces"][0]["t_rules"] = []
+        assert verify_doc(one45_file, tmp_path, doc) == 3
+
+    def test_rule_letter_above_n(self, one45_file, tmp_path):
+        doc = copy.deepcopy(ONE45_CERT)
+        doc["edges"][0]["pieces"][0]["t_rules"][0][1] = [4]
+        assert verify_doc(one45_file, tmp_path, doc) == 3
+
+    def test_missing_vertices(self, one45_file, tmp_path):
+        doc = copy.deepcopy(ONE45_CERT)
+        del doc["vertices"]
+        assert verify_doc(one45_file, tmp_path, doc) == 3
+
+    def test_document_that_is_a_list(self, one45_file, tmp_path):
+        assert verify_doc(one45_file, tmp_path, [ONE45_CERT]) == 3
+
+    def test_witness_letter_zero(self, one45_file, tmp_path):
+        # letter 0 used to be read as letter n through negative indexing
+        doc = copy.deepcopy(ONE45_CERT)
+        doc["witnesses"][0]["word"] = [2, 0]
+        assert verify_doc(one45_file, tmp_path, doc) == 3
+
+    def test_not_json(self, one45_file, tmp_path):
+        cert = tmp_path / "c.json"
+        cert.write_text(json.dumps(ONE45_CERT)[:-3])
+        assert main(["verify", one45_file, "--cert", str(cert)]) == 3
+
+    def test_intact_document_accepted(self, one45_file, tmp_path):
+        assert verify_doc(one45_file, tmp_path, ONE45_CERT) == 0
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, len(CERT_PATHS) - 1),
+           st.sampled_from(("delete", "truncate", "retype")),
+           st.integers(0, 50))
+    def test_fuzzed_documents(self, one45_file, tmp_path, at, how, arg):
+        bad = mutate(ONE45_CERT, CERT_PATHS[at], how, arg)
+        status = verify_doc(one45_file, tmp_path, bad)
+        assert status in (0, 3)
+        if status == 0:
+            # accepted: the mutation left the proof itself unchanged
+            assert proof_part(bad) == proof_part(ONE45_CERT)
 
 
 class TestPartition:

@@ -1,5 +1,9 @@
 """Word-level cylinder set algebra: canonical forms, subtraction,
-complements, exact distances and separateness."""
+complements, exact distances and separateness.
+
+The ``ref_*`` functions are the earlier prefix-scanning versions of the
+algebra, kept here as the reference the sorted-order versions must agree
+with."""
 
 import random
 from fractions import Fraction
@@ -17,6 +21,152 @@ from lipeq.cylsets import (canonicalize, union_equal, refine_word,
 from conftest import make_one45, random_equal_spec
 
 
+# ---------------------------------------------------------------------------
+# reference algorithms: a prefix scan per word, repeated sibling sweeps
+
+def ref_canonicalize(n, words):
+    ws = set(words)
+    out = set()
+    for w in ws:
+        if any(w[:k] in ws for k in range(len(w))):
+            continue
+        out.add(w)
+    changed = True
+    while changed:
+        changed = False
+        by_parent = {}
+        for w in out:
+            if w:
+                by_parent.setdefault(w[:-1], set()).add(w[-1])
+        for parent, kids in by_parent.items():
+            if len(kids) == n:
+                for a in kids:
+                    out.discard(parent + (a,))
+                out.add(parent)
+                changed = True
+    return tuple(sorted(out))
+
+
+def ref_subtract(n, a, b):
+    a = ref_canonicalize(n, a)
+    b = ref_canonicalize(n, b)
+    if not b:
+        return a
+    out = []
+    maxb = max(len(w) for w in b)
+    bset = set(b)
+
+    def descend(w):
+        if w in bset:
+            return
+        if len(w) >= maxb or not any(u[:len(w)] == w for u in bset):
+            if any(w[:len(u)] == u for u in bset):
+                return
+            out.append(w)
+            return
+        for c in range(1, n + 1):
+            descend(w + (c,))
+
+    for w in a:
+        descend(w)
+    got = ref_canonicalize(n, out)
+    if ref_canonicalize(n, tuple(got) + tuple(b)) != a:
+        raise SpecError("subtrahend is not contained in the set")
+    return got
+
+
+def ref_word_subset(n, a, b):
+    b = ref_canonicalize(n, b)
+    bset = set(b)
+    maxb = max((len(w) for w in b), default=0)
+
+    def covered(w):
+        if any(w[:len(u)] == u for u in bset):
+            return True
+        if len(w) >= maxb:
+            return False
+        return all(covered(w + (c,)) for c in range(1, n + 1))
+
+    return all(covered(w) for w in ref_canonicalize(n, a))
+
+
+def ref_complement_words(n, words):
+    words = ref_canonicalize(n, words)
+    if words == ((),):
+        return ()
+    wset = set(words)
+    out = []
+
+    def descend(w):
+        if w in wset:
+            return
+        if not any(u[:len(w)] == w for u in wset):
+            out.append(w)
+            return
+        for c in range(1, n + 1):
+            descend(w + (c,))
+
+    if () in wset:
+        return ()
+    for c in range(1, n + 1):
+        descend((c,))
+    return ref_canonicalize(n, out)
+
+
+def ref_set_distance(spec, a, b):
+    best = None
+    alos = sorted(spec.cyl_interval(w) for w in canonicalize(spec.n, a))
+    blos = sorted(spec.cyl_interval(w) for w in canonicalize(spec.n, b))
+    for lo1, hi1 in alos:
+        for lo2, hi2 in blos:
+            if hi1 <= lo2:
+                d = lo2 - hi1
+            elif hi2 <= lo1:
+                d = lo1 - hi2
+            else:
+                raise SpecError("sets overlap; no distance")
+            if best is None or d < best:
+                best = d
+    return best
+
+
+def _family(stem, n, depth):
+    words = [stem]
+    for _ in range(depth):
+        words = [w + (a,) for w in words for a in range(1, n + 1)]
+    return words
+
+
+@st.composite
+def word_lists(draw, n):
+    """Word lists over 1..n: random words (the empty word among them),
+    duplicates, words below other words, and complete sibling families
+    several levels deep, some of them spoilt."""
+    word = st.lists(st.integers(1, n), max_size=4).map(tuple)
+    words = draw(st.lists(word, max_size=10))
+    for stem in draw(st.lists(word, max_size=3)):
+        family = _family(stem, n, draw(st.integers(1, 3 if n <= 3 else 2)))
+        # complete, one member left out, or one member swapped for one
+        # of its children
+        i = draw(st.integers(0, len(family) - 1))
+        kind = draw(st.sampled_from(("complete", "short", "deeper")))
+        if kind == "short":
+            family.pop(i)
+        elif kind == "deeper":
+            family[i] += (draw(st.integers(1, n)),)
+        words += family
+    for w in draw(st.lists(st.sampled_from(words), max_size=3)
+                  if words else st.just([])):
+        words += [w, w + (draw(st.integers(1, n)),)]
+    return draw(st.permutations(words))
+
+
+@st.composite
+def n_and_lists(draw, count):
+    n = draw(st.integers(2, 5))
+    return (n,) + tuple(draw(word_lists(n)) for _ in range(count))
+
+
 def random_canonical_set(rng, n, max_depth=4):
     """A canonical nonempty word set: random refinement of the root."""
     words = [()]
@@ -29,6 +179,67 @@ def random_canonical_set(rng, n, max_depth=4):
         rng.shuffle(kids)
         words.extend(kids[:rng.randrange(1, n + 1)])
     return canonicalize(n, words)
+
+
+class TestAgainstReference:
+    """The sorted-order algebra agrees with the prefix-scan reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n_and_lists(1))
+    def test_canonicalize(self, case):
+        n, words = case
+        assert canonicalize(n, words) == ref_canonicalize(n, words)
+
+    @settings(max_examples=120, deadline=None)
+    @given(n_and_lists(2), st.booleans())
+    def test_word_subset(self, case, from_b):
+        n, a, b = case
+        if from_b and b:
+            # refinements of words of b: often inside, sometimes equal
+            a = [w + u for w in b[:3] for u in a[:2]] + b[1:2]
+        assert word_subset(n, a, b) == ref_word_subset(n, a, b)
+
+    @settings(max_examples=120, deadline=None)
+    @given(n_and_lists(2), st.booleans())
+    def test_subtract(self, case, inside):
+        n, a, b = case
+        if inside:
+            # pieces of a's words: a subtrahend that is contained
+            b = [w + u for w in a[::2] for u in b[:2]]
+        try:
+            want = ref_subtract(n, a, b)
+        except SpecError:
+            with pytest.raises(SpecError):
+                subtract(n, a, b)
+        else:
+            assert subtract(n, a, b) == want
+
+    @settings(max_examples=120, deadline=None)
+    @given(n_and_lists(1))
+    def test_complement_words(self, case):
+        n, words = case
+        assert complement_words(n, words) == ref_complement_words(n, words)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32))
+    def test_set_distance(self, seed):
+        rng = random.Random(seed)
+        spec = random_equal_spec(rng) if seed % 3 else make_one45()
+        n = spec.n
+        # split a random prefix-free family into two disjoint sets
+        words = random_canonical_set(rng, n, max_depth=5)
+        words = [u for w in words for u in refine_word(n, w, len(w) + 1)]
+        side = [rng.random() < 0.5 for _ in words]
+        a = [w for w, s in zip(words, side) if s]
+        b = [w for w, s in zip(words, side) if not s]
+        assert set_distance(spec, a, b) == ref_set_distance(spec, a, b)
+        if a and b:
+            # a word of b below a word of a is an overlap for both
+            c = b + [a[0] + (1,)]
+            with pytest.raises(SpecError):
+                ref_set_distance(spec, a, c)
+            with pytest.raises(SpecError):
+                set_distance(spec, a, c)
 
 
 class TestCanonicalize:
@@ -44,6 +255,11 @@ class TestCanonicalize:
 
     def test_partial_siblings_kept(self):
         assert canonicalize(3, [(2, 1), (2, 3)]) == ((2, 1), (2, 3))
+
+    def test_sibling_run_with_a_deeper_member_kept(self):
+        words = ((2, 1), (2, 2, 1), (2, 3))
+        assert canonicalize(3, words) == words
+        assert canonicalize(3, words + ((2, 2, 2), (2, 2, 3))) == ((2,),)
 
     def test_union_equal_across_refinement(self):
         assert union_equal(3, [(1,), (2,)],
@@ -117,6 +333,10 @@ class TestDistances:
 
 
 class TestDisjointGroups:
+    def test_nested_words_of_one_group_pass(self):
+        spec = make_one45()
+        check_disjoint_groups(spec, [[(2,), (2, 3)], [(1,)]])
+
     def test_overlap_detected(self):
         spec = make_one45()
         with pytest.raises(SpecError):

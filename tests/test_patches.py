@@ -10,10 +10,32 @@ from lipeq import IfsSpec, SpecError
 from lipeq.patches import (tau, c_set_words, c_family, partition_S,
                            partition_T, partition_norm, delta_k,
                            e_family, e_ratio_set, measure_words,
-                           simple_decomposition)
+                           simple_decomposition, PartitionPiece)
 from lipeq import cylsets
 
-from conftest import make_one45, make_equal_spec, random_equal_spec
+from conftest import (make_one45, make_equal_spec, make_endratio_spec,
+                      random_equal_spec)
+
+
+def ref_partition_S(spec, k):
+    """partition_S placing each touching-zone set by testing it against
+    every piece, the reference for the prefix-indexed placement."""
+    levels = []
+    current = [PartitionPiece(spec, ((),))]
+    for level in range(1, k + 1):
+        csets = c_family(spec, level)
+        nxt = []
+        for piece in current:
+            inside = [c for c in csets
+                      if cylsets.word_subset(spec.n, c, piece.words)]
+            if not inside:
+                nxt.append(piece)
+            else:
+                nxt.extend(simple_decomposition(spec, piece.words, inside))
+        nxt.sort(key=lambda p: p.lo)
+        levels.append(nxt)
+        current = nxt
+    return levels
 
 
 class TestTau:
@@ -80,6 +102,18 @@ class TestPartitionS:
                            for p in pieces)
 
 
+    def test_indexed_placement_matches_exhaustive(self):
+        specs = [make_one45(), make_equal_spec(4, 9, [0, 3, 4, 8]),
+                 make_endratio_spec(Fraction(1, 4), Fraction(1, 8),
+                                    r2=Fraction(1, 3))]
+        for spec in specs:
+            got = partition_S(spec, 4)
+            want = ref_partition_S(spec, 4)
+            assert ([[(p.words, p.lo, p.hi) for p in lvl] for lvl in got]
+                    == [[(p.words, p.lo, p.hi) for p in lvl]
+                        for lvl in want])
+
+
 class TestPartitionT:
     def test_norm_strictly_decreasing(self):
         spec = make_one45()
@@ -105,6 +139,23 @@ class TestSimpleDecomposition:
         sorted_marked = tuple(cylsets.sort_spatial(marked[0]))
         assert any(tuple(cylsets.sort_spatial(p.words)) == sorted_marked
                    for p in pieces)
+
+    def test_hull_must_meet_parent_only_in_marked_set(self):
+        spec = make_one45()
+        # the hull of {T_21, T_23} holds T_22, which is left unmarked
+        with pytest.raises(SpecError, match="outside the set"):
+            simple_decomposition(spec, [()], [[(2, 1), (2, 3)]])
+
+    def test_marked_hulls_must_be_disjoint(self):
+        spec = make_one45()
+        with pytest.raises(SpecError, match="overlap"):
+            simple_decomposition(spec, [()], [[(1,), (3,)], [(2,)]])
+
+    def test_hulls_of_pieces(self):
+        spec = make_one45()
+        for piece in partition_S(spec, 3)[-1]:
+            assert piece.lo == min(spec.cyl_lo(w) for w in piece.words)
+            assert piece.hi == max(spec.cyl_hi(w) for w in piece.words)
 
     def test_cover_is_exact(self):
         spec = make_one45()
