@@ -16,7 +16,8 @@ mismatch raises instead of producing an unsound certificate.
 from fractions import Fraction
 import random
 
-from .exactnum import ExactRatio, moran_dimension, exact_float
+from .exactnum import (ExactRatio, moran_dimension, exact_float,
+                       mult_dependence)
 from .ifs import SpecError
 from . import cylsets, specfile
 from .decide import decide, Witness
@@ -188,17 +189,21 @@ def check_pq_restrictions(spec, dust, witnesses, p, q):
             cylsets.check_disjoint_groups(dust, [hole_d, near_d])
 
 
+def _pq_floor(witnesses):
+    """min(p, q) must exceed this: the deepest k' + |word| of a witness."""
+    return max((w.kp + len(w.word) for w in witnesses.values()), default=0)
+
+
 def choose_pq(spec, witnesses, max_multiple=16):
     """Smallest multiple of the base dependence (p0, q0) satisfying the
     depth bound and the patch-disjointness restrictions, all verified
     exactly."""
-    from .exactnum import mult_dependence
     pq0 = mult_dependence(spec.ratios[0], spec.ratios[-1])
     if pq0 is None:
         raise CertificateError("end ratios are multiplicatively independent")
     p0, q0 = pq0
     dust = spec.dust()
-    need = max(w.kp + len(w.word) for w in witnesses.values())
+    need = _pq_floor(witnesses)
     for m in range(1, max_multiple + 1):
         p, q = m * p0, m * q0
         if min(p, q) <= need:
@@ -358,14 +363,33 @@ def _piece_images(rules, words):
     return tuple(apply_rules(rules, w) for w in words)
 
 
+def _check_pq(spec, cert):
+    """The stored exponents are those the construction chooses from:
+    (p0, q0) the end-ratio dependence, (p, q) a positive multiple of it,
+    and min(p, q) past the witnesses' depth bound."""
+    pq0 = mult_dependence(spec.ratios[0], spec.ratios[-1])
+    if (cert.p0, cert.q0) != pq0:
+        raise CertificateError("stored (p0, q0) = (%d, %d) is not the "
+                               "end-ratio dependence %r"
+                               % (cert.p0, cert.q0, pq0))
+    m = cert.p // cert.p0
+    if m < 1 or (cert.p, cert.q) != (m * cert.p0, m * cert.q0):
+        raise CertificateError("stored (p, q) = (%d, %d) is not a positive "
+                               "multiple of (p0, q0)" % (cert.p, cert.q))
+    need = _pq_floor(cert.witnesses)
+    if min(cert.p, cert.q) <= need:
+        raise CertificateError("stored p, q must exceed %d" % need)
+
+
 def verify_certificate(spec, cert, tol=1e-10):
     """Re-verify every certificate invariant from scratch.
 
-    Checks: vertex keys and 1 + c1 + 3|touching| count, exact edge tilings
-    on the T and D sides, per-piece ratio equality, per-edge measure
-    accounting at the similarity dimension (exact in the equal-ratio
-    case), and contraction around every cycle.  Raises CertificateError
-    on the first violation.
+    Checks: the stored (p0, q0) and (p, q) against the end ratios and the
+    witnesses, vertex keys and 1 + c1 + 3|touching| count, exact edge
+    tilings on the T and D sides, per-piece ratio equality, per-edge
+    measure accounting at the similarity dimension (exact in the
+    equal-ratio case), and contraction around every cycle.  Raises
+    CertificateError on the first violation.
 
     Each piece's similarity is derived from its rules once per command:
     ``rules_affine`` keeps the result on ``spec`` and on ``spec.dust()``,
@@ -377,6 +401,7 @@ def verify_certificate(spec, cert, tol=1e-10):
         raise CertificateError("certificate was built for a different spec")
     if cert.dust_digest != specfile.doc_digest(specfile.spec_to_doc(dust)):
         raise CertificateError("dust digest mismatch")
+    _check_pq(spec, cert)
     ctx = Context(spec, cert.p, cert.q)
     expected = 1 + ctx.c1 + 3 * len(ctx.touch)
     if spec.role == "touching" and len(cert.vertices) != expected:

@@ -24,13 +24,24 @@ REPORT_VERSION = 1
 
 
 def _budget(args):
+    """The search budget from --budget, else from LIPEQ_BUDGET.  Anything
+    but two integers MAX_WORD,MAX_EXP with MAX_WORD >= 1 and MAX_EXP >= 0
+    ends the command with one error line and exit status 3."""
+    source = "--budget" if args.budget else "LIPEQ_BUDGET"
     raw = args.budget or os.environ.get("LIPEQ_BUDGET")
     if not raw:
         return SearchBudget()
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise SystemExit("--budget expects MAX_WORD,MAX_EXP")
-    return SearchBudget(int(parts[0]), int(parts[1]))
+    try:
+        max_word, max_exp = map(int, raw.split(","))
+        ok = max_word >= 1 and max_exp >= 0
+    except ValueError:
+        ok = False
+    if not ok:
+        sys.stderr.write("error: %s expects MAX_WORD,MAX_EXP with integers "
+                         "MAX_WORD >= 1 and MAX_EXP >= 0, got %r\n"
+                         % (source, raw))
+        raise SystemExit(3)
+    return SearchBudget(max_word, max_exp)
 
 
 def _emit(doc, path=None):

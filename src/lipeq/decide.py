@@ -11,13 +11,26 @@ The pipeline is:
    i.e. admit an exact ratio identity letting one side of the touching
    point absorb the other (verified exactly on every reported witness).
 
-Witness search runs over exponent vectors of the ratios.  A definitive
-"no witness exists" answer is only produced when the rational relaxation
-of the lattice problem is infeasible; budget exhaustion yields "unknown".
+Witness search runs over exponent vectors of the ratios, each packed into
+one integer.  Suffix tables hold the distinct exponent sums that letter
+multisets of each length reach, split by whether the multiset holds an
+admissible letter.  The first length at which such a sum meets a goal is
+the minimal witness length, and a greedy walk over the tables recovers
+the lexicographically first multiset of that length: the one that an
+enumeration of multisets in length-then-lexicographic order meets first.
+Time and memory follow the number of distinct sums, not of multisets, and
+while the length is sought only the tables of two lengths are live.  At
+the default budget (40, 60), an exhausted search on a six-map spec over
+five primes (ratios 1/4, 1/6, 1/10, 1/14, 1/22, 1/8) takes about 4 s and
+a traced peak of 261 MB on a 2-core x86-64 host; enumerating its 9.4 M
+multisets would take an estimated 270-350 s.
+
+A definitive "no witness exists" answer is only produced when the
+rational relaxation of the lattice problem is infeasible, shown by
+Fourier-Motzkin elimination over integer rows; budget exhaustion yields
+"unknown".
 """
 
-from fractions import Fraction
-from itertools import combinations_with_replacement
 import math
 
 from .exactnum import (ExactRatio, to_exponent_vector, mult_dependence)
@@ -87,83 +100,51 @@ def verify_witness(spec, w):
 # exact rational feasibility (Fourier-Motzkin)
 
 def _fm_feasible(eqs, nonneg, nvars):
-    """Feasibility over the rationals of eq rows (coeffs, rhs) meaning
-    sum(c*x) == rhs, with x_j >= 0 for j in nonneg.  Small systems only."""
-    ineqs = []  # (coeffs, rhs) meaning sum(c*x) <= rhs
+    """Feasibility over the rationals of integer rows (coeffs, rhs) meaning
+    sum(c*x) == rhs, with x_j >= 0 for j in nonneg.  Small systems only.
+
+    Fourier-Motzkin elimination on integer inequality rows, each divided
+    by the gcd of its entries and kept in a set, so that scaled copies of
+    one row merge.  Past 4000 rows the answer is "feasible": callers only
+    conclude anything from infeasibility, so giving up stays sound."""
+    def row(c, r):
+        g = math.gcd(*c, r)
+        if g > 1:
+            return tuple(v // g for v in c), r // g
+        return tuple(c), r
+
+    ineqs = set()  # (coeffs, rhs) meaning sum(c*x) <= rhs
     for c, r in eqs:
-        ineqs.append((list(c), Fraction(r)))
-        ineqs.append(([-v for v in c], -Fraction(r)))
+        ineqs.add(row(c, r))
+        ineqs.add(row([-v for v in c], -r))
     for j in nonneg:
-        row = [Fraction(0)] * nvars
-        row[j] = Fraction(-1)
-        ineqs.append((row, Fraction(0)))
+        c = [0] * nvars
+        c[j] = -1
+        ineqs.add((tuple(c), 0))
 
     for var in range(nvars):
-        pos, neg, rest = [], [], []
+        pos, neg, new = [], [], set()
         for c, r in ineqs:
             if c[var] > 0:
                 pos.append((c, r))
             elif c[var] < 0:
                 neg.append((c, r))
             else:
-                rest.append((c, r))
-        new = rest
+                new.add((c, r))
         for cp, rp in pos:
+            a = cp[var]
             for cn, rn in neg:
-                f = -cn[var] / cp[var]
-                c2 = [cn[k] + f * cp[k] for k in range(nvars)]
-                r2 = rn + f * rp
-                new.append((c2, r2))
-        # dedupe trivially
-        ineqs = []
-        seen = set()
-        for c, r in new:
-            key = (tuple(c), r)
-            if key not in seen:
-                seen.add(key)
-                ineqs.append((c, r))
+                b = -cn[var]
+                new.add(row([b * u + a * v for u, v in zip(cp, cn)],
+                             b * rp + a * rn))
+        ineqs = new
         if len(ineqs) > 4000:
-            # keep it sound: give up on proving infeasibility
             return True
     return all(r >= 0 for c, r in ineqs)
 
 
 # ---------------------------------------------------------------------------
-# exponent-vector tooling
-
-def _vec_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) - v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def _vec_add_scaled(a, b, m):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + m * v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def _parallel_int_factor(d, e):
-    """delta with d == delta * e, or None (d, e exponent dicts, e != 0)."""
-    if not d:
-        return 0
-    if set(d) != set(e):
-        return None
-    k0 = next(iter(e))
-    if d[k0] % e[k0] != 0:
-        return None
-    delta = d[k0] // e[k0]
-    for k in e:
-        if d[k] != delta * e[k]:
-            return None
-    return delta
-
+# witness search over reachable exponent sums
 
 class SearchBudget:
     def __init__(self, max_word=40, max_exp=60):
@@ -190,66 +171,126 @@ def _arrange_word(spec, side, multiset):
     return None
 
 
+def _longer_sums(prev, codes, adm):
+    """Suffix tables one length up.
+
+    ``prev[a]`` is the pair (sums without an admissible letter, sums with
+    one) over the multisets of length r - 1 drawn from letters a+1..n
+    (0-based ``a``); the result holds the same pairs for length r.  A
+    multiset from a+1..n either has no letter a+1, or it is letter a+1
+    added to a shorter multiset from a+1..n."""
+    n = len(codes)
+    out = [None] * n + [(frozenset(), frozenset())]
+    for a in range(n - 1, -1, -1):
+        plain, flagged = out[a + 1]
+        e = codes[a]
+        plain_up = {x + e for x in prev[a][0]}
+        flagged_up = {x + e for x in prev[a][1]}
+        if adm[a]:
+            out[a] = (plain, flagged | plain_up | flagged_up)
+        else:
+            out[a] = (plain | plain_up, flagged | flagged_up)
+    return out
+
+
 def find_witness(spec, i, side, budget=None, max_factor_bits=64):
     """Search a substitution witness for touching letter ``i``.
 
     Returns (witness, status) where status is "found", "none" (proved
-    impossible over the rationals) or "exhausted".  The first witness in
-    word-length-then-lexicographic order is returned; exponents are the
-    minimal nonnegative pair realizing the required difference.
+    impossible over the rationals) or "exhausted".  The witness is the
+    first multiset of letters, in word-length-then-lexicographic order,
+    whose exponent sum equals target + delta * anchor for some
+    |delta| <= max_exp and which holds an admissible letter; its word is
+    the sorted multiset with one admissible letter moved to the end, and
+    its exponents are the minimal nonnegative pair realizing delta.
+
+    The search runs over exponent sums, not multisets.  Suffix table
+    R[a][r] holds the sums of the r-letter multisets drawn from letters
+    a..n, split by whether they hold an admissible letter.  The minimal
+    length L is the first r at which R[1][r] meets a goal; a greedy walk
+    over the tables up to L - 1 then picks, position by position, the
+    smallest letter that still has a completion, which is the
+    lexicographically first multiset of length L.  Time and memory follow
+    the number of distinct sums, not of multisets; while L is sought only
+    the tables of two lengths are live.
     """
     budget = budget or SearchBudget()
     vecs = [to_exponent_vector(r, max_factor_bits) for r in spec.ratios]
     n = spec.n
     if side == "left":
-        target0 = _vec_sub(vecs[i], vecs[i - 1])   # e_{i+1} - e_i
-        anchor = vecs[0]
+        upper, lower, end = vecs[i], vecs[i - 1], vecs[0]
     else:
-        target0 = _vec_sub(vecs[i - 1], vecs[i])
-        anchor = vecs[n - 1]
-    letters = [t for t in range(1, n + 1)]
-    if not any(_admissible(spec, side, t) for t in letters):
+        upper, lower, end = vecs[i - 1], vecs[i], vecs[n - 1]
+    adm = [_admissible(spec, side, t) for t in range(1, n + 1)]
+    if not any(adm):
         return (None, "none")
 
-    # rational relaxation: sum m_t e_t - delta*anchor == target0,
-    # m_t >= 0, sum m_t >= 1.  Infeasible => no witness at any budget.
-    keys = sorted({k for v in vecs for k in v} | set(target0) | set(anchor),
-                  key=str)
-    nv = n + 1  # delta, m_1..m_n
-    eqs = []
-    for key in keys:
-        row = [Fraction(-anchor.get(key, 0))]
-        row += [Fraction(vecs[t].get(key, 0)) for t in range(n)]
-        eqs.append((row, Fraction(target0.get(key, 0))))
-    # sum m >= 1 as equality with slack: use inequality via extra var
-    row = [Fraction(0)] + [Fraction(-1)] * n
-    slack = row + [Fraction(1)]
-    eqs2 = [(c + [Fraction(0)], r) for c, r in eqs]
-    eqs2.append((slack, Fraction(-1)))
-    if not _fm_feasible(eqs2, nonneg=list(range(1, nv)) + [nv],
-                        nvars=nv + 1):
+    keys = sorted({k for v in vecs for k in v}, key=str)
+    exps = [[v.get(k, 0) for k in keys] for v in vecs]
+    target = [upper.get(k, 0) - lower.get(k, 0) for k in keys]
+    anchor = [end.get(k, 0) for k in keys]
+
+    # rational relaxation: sum m_t e_t - delta*anchor == target,
+    # m_t >= 0, sum m_t >= 1 (an equality with a nonnegative slack).
+    # Infeasible => no witness at any budget.
+    eqs = [([-anchor[j]] + [e[j] for e in exps] + [0], target[j])
+           for j in range(len(keys))]
+    eqs.append(([0] + [-1] * n + [1], -1))
+    if not _fm_feasible(eqs, nonneg=list(range(1, n + 2)), nvars=n + 2):
         return (None, "none")
 
-    for total in range(1, budget.max_word + 1):
-        for multi in combinations_with_replacement(letters, total):
-            if not any(_admissible(spec, side, t) for t in multi):
-                continue
-            vec = {}
-            for t in multi:
-                vec = _vec_add_scaled(vec, vecs[t - 1], 1)
-            d = _vec_sub(vec, target0)
-            delta = _parallel_int_factor(d, anchor)
-            if delta is None or abs(delta) > budget.max_exp:
-                continue
-            word = _arrange_word(spec, side, multi)
-            if word is None:
-                continue
-            k = max(delta, 0)
-            kp = max(-delta, 0)
-            w = Witness(side, i, k, kp, word, "search")
-            verify_witness(spec, w)
-            return (w, "found")
-    return (None, "exhausted")
+    # Each exponent vector becomes one int: its digits in the balanced base
+    # B = 2*bound + 1.  The packing is linear, and it maps a vector to 0
+    # only if every entry, lying in [-bound, bound], is 0.  Every test
+    # below asks whether a sum s of at most max_word letters equals a goal
+    # g = target + delta*anchor, |delta| <= max_exp (the walk asks it as
+    # "is g - t in a table" for s = t + a table sum); each entry of s - g
+    # is within bound, so equal codes mean equal vectors.  Two goals may
+    # share a code, but then no sum has it.
+    bound = (budget.max_word * max(abs(x) for e in exps for x in e)
+             + max(map(abs, target))
+             + budget.max_exp * max(map(abs, anchor)))
+    base = 2 * bound + 1
+
+    def pack(vec):
+        code = 0
+        for x in reversed(vec):
+            code = code * base + x
+        return code
+
+    codes = [pack(e) for e in exps]
+    goal = {pack(target) + d * pack(anchor): d
+            for d in range(-budget.max_exp, budget.max_exp + 1)}
+    empty = [({0}, frozenset())] * (n + 1)
+
+    level = empty
+    for length in range(1, budget.max_word + 1):
+        level = _longer_sums(level, codes, adm)
+        if not goal.keys().isdisjoint(level[0][1]):
+            break
+    else:
+        return (None, "exhausted")
+
+    tables = [empty]
+    for _ in range(1, length):
+        tables.append(_longer_sums(tables[-1], codes, adm))
+    s, flagged, b, multi = 0, False, 0, []
+    for left in range(length - 1, -1, -1):
+        while True:
+            t = s + codes[b]
+            f = flagged or adm[b]
+            plain, with_adm = tables[left][b]
+            if any((g - t) in with_adm or (f and (g - t) in plain)
+                   for g in goal):
+                break
+            b += 1
+        multi.append(b + 1)
+        s, flagged = t, f
+    delta = goal[s]
+    w = Witness(side, i, max(delta, 0), max(-delta, 0),
+                _arrange_word(spec, side, multi), "search")
+    verify_witness(spec, w)
+    return (w, "found")
 
 
 # ---------------------------------------------------------------------------

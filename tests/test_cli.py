@@ -63,6 +63,11 @@ RETYPES = (None, True, 0, -1, 4, 2, 1.5, "x", "", [], [1], [[]], {},
            "1/0", "-1/5", "g^x", "0.5", "1/5*g")
 
 
+# not two integers, or max_word < 1, or max_exp < 0
+MALFORMED_BUDGETS = ("a,b", "1.5,2", "x,y", "nonsense", "4", "1,2,3",
+                     "-3,4", "0,5", "5,-1")
+
+
 def mutate(doc, path, how, arg):
     """The document with the node at ``path`` deleted, truncated to its
     first ``arg`` entries or characters, or replaced by RETYPES[arg]."""
@@ -173,6 +178,31 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             main(["analyze", one45_file, "--budget", "nonsense"])
 
+    @pytest.mark.parametrize("raw", MALFORMED_BUDGETS)
+    def test_malformed_budget_flag(self, one45_file, capsys, raw):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", one45_file, "--budget=" + raw])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --budget") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", MALFORMED_BUDGETS)
+    def test_malformed_budget_variable(self, one45_file, capsys,
+                                       monkeypatch, raw):
+        monkeypatch.setenv("LIPEQ_BUDGET", raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", one45_file])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: LIPEQ_BUDGET") and err.count("\n") == 1
+
+    def test_budget_variable_read(self, one45_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("LIPEQ_BUDGET", "1,0")
+        out = tmp_path / "r.json"
+        assert main(["analyze", one45_file, "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["budget"] == {"max_word": 1,
+                                                         "max_exp": 0}
+
 
 class TestCertify:
     def test_deterministic_output(self, one45_file, tmp_path):
@@ -239,6 +269,16 @@ class TestVerifyMalformed:
         cert = tmp_path / "c.json"
         cert.write_text(json.dumps(ONE45_CERT)[:-3])
         assert main(["verify", one45_file, "--cert", str(cert)]) == 3
+
+    @pytest.mark.parametrize("change", [
+        {"p": 7}, {"p": -3}, {"q": 1}, {"p0": 5}, {"q0": 0},
+        # a multiple of (p0, q0) = (1, 1), but not past the witness
+        # depth k' + |word| = 2
+        {"p": 2, "q": 2}],
+        ids=lambda c: ",".join("%s=%s" % kv for kv in c.items()))
+    def test_stored_exponents_checked(self, one45_file, tmp_path, change):
+        doc = dict(ONE45_CERT, **change)
+        assert verify_doc(one45_file, tmp_path, doc) == 3
 
     def test_intact_document_accepted(self, one45_file, tmp_path):
         assert verify_doc(one45_file, tmp_path, ONE45_CERT) == 0

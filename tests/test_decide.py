@@ -1,18 +1,180 @@
 """Decision pipeline: necessary condition, witness search and
-verification, closed-form fastpath, four-map obstruction."""
+verification, closed-form fastpath, four-map obstruction.
+
+The ``ref_*`` functions are the earlier witness search, which enumerated
+letter multisets, and its Fourier-Motzkin test over Fractions, kept here
+as the reference the search over exponent sums must agree with."""
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipeq import IfsSpec, decide, verify_witness, Witness, SearchBudget
 from lipeq.decide import (check_necessary, find_witness,
-                          closed_form_witnesses, branch4_obstruction)
-from lipeq.exactnum import ExactRatio, DeclaredBase
+                          closed_form_witnesses, branch4_obstruction,
+                          _admissible, _arrange_word, _fm_feasible)
+from lipeq.exactnum import ExactRatio, DeclaredBase, to_exponent_vector
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
                       random_equal_spec)
+
+
+# ---------------------------------------------------------------------------
+# reference: multiset enumeration and Fraction Fourier-Motzkin
+
+def ref_fm_feasible(eqs, nonneg, nvars):
+    ineqs = []  # (coeffs, rhs) meaning sum(c*x) <= rhs
+    for c, r in eqs:
+        ineqs.append((list(c), Fraction(r)))
+        ineqs.append(([-v for v in c], -Fraction(r)))
+    for j in nonneg:
+        row = [Fraction(0)] * nvars
+        row[j] = Fraction(-1)
+        ineqs.append((row, Fraction(0)))
+
+    for var in range(nvars):
+        pos, neg, rest = [], [], []
+        for c, r in ineqs:
+            if c[var] > 0:
+                pos.append((c, r))
+            elif c[var] < 0:
+                neg.append((c, r))
+            else:
+                rest.append((c, r))
+        new = rest
+        for cp, rp in pos:
+            for cn, rn in neg:
+                f = -cn[var] / cp[var]
+                c2 = [cn[k] + f * cp[k] for k in range(nvars)]
+                r2 = rn + f * rp
+                new.append((c2, r2))
+        ineqs = []
+        seen = set()
+        for c, r in new:
+            key = (tuple(c), r)
+            if key not in seen:
+                seen.add(key)
+                ineqs.append((c, r))
+        if len(ineqs) > 4000:
+            return True
+    return all(r >= 0 for c, r in ineqs)
+
+
+def ref_vec_sub(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) - v
+        if out[k] == 0:
+            del out[k]
+    return out
+
+
+def ref_vec_add_scaled(a, b, m):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + m * v
+        if out[k] == 0:
+            del out[k]
+    return out
+
+
+def ref_parallel_int_factor(d, e):
+    if not d:
+        return 0
+    if set(d) != set(e):
+        return None
+    k0 = next(iter(e))
+    if d[k0] % e[k0] != 0:
+        return None
+    delta = d[k0] // e[k0]
+    for k in e:
+        if d[k] != delta * e[k]:
+            return None
+    return delta
+
+
+def ref_find_witness(spec, i, side, budget=None, max_factor_bits=64):
+    budget = budget or SearchBudget()
+    vecs = [to_exponent_vector(r, max_factor_bits) for r in spec.ratios]
+    n = spec.n
+    if side == "left":
+        target0 = ref_vec_sub(vecs[i], vecs[i - 1])
+        anchor = vecs[0]
+    else:
+        target0 = ref_vec_sub(vecs[i - 1], vecs[i])
+        anchor = vecs[n - 1]
+    letters = [t for t in range(1, n + 1)]
+    if not any(_admissible(spec, side, t) for t in letters):
+        return (None, "none")
+    keys = sorted({k for v in vecs for k in v} | set(target0) | set(anchor),
+                  key=str)
+    nv = n + 1
+    eqs = []
+    for key in keys:
+        row = [Fraction(-anchor.get(key, 0))]
+        row += [Fraction(vecs[t].get(key, 0)) for t in range(n)]
+        eqs.append((row, Fraction(target0.get(key, 0))))
+    row = [Fraction(0)] + [Fraction(-1)] * n
+    slack = row + [Fraction(1)]
+    eqs2 = [(c + [Fraction(0)], r) for c, r in eqs]
+    eqs2.append((slack, Fraction(-1)))
+    if not ref_fm_feasible(eqs2, nonneg=list(range(1, nv)) + [nv],
+                           nvars=nv + 1):
+        return (None, "none")
+    for total in range(1, budget.max_word + 1):
+        for multi in combinations_with_replacement(letters, total):
+            if not any(_admissible(spec, side, t) for t in multi):
+                continue
+            vec = {}
+            for t in multi:
+                vec = ref_vec_add_scaled(vec, vecs[t - 1], 1)
+            d = ref_vec_sub(vec, target0)
+            delta = ref_parallel_int_factor(d, anchor)
+            if delta is None or abs(delta) > budget.max_exp:
+                continue
+            word = _arrange_word(spec, side, multi)
+            if word is None:
+                continue
+            w = Witness(side, i, max(delta, 0), max(-delta, 0), word,
+                        "search")
+            verify_witness(spec, w)
+            return (w, "found")
+    return (None, "exhausted")
+
+
+def _smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+INTERIOR = [k for k in range(6, 37) if _smooth(k)]
+END_PAIRS = [(Fraction(1, a), Fraction(1, b))
+             for a, b in ((4, 8), (8, 4), (9, 27), (4, 16), (8, 8), (2, 3))]
+
+
+def random_decide_spec(rng):
+    """n in 3..6, end ratios from END_PAIRS (the last pair independent),
+    interior ratios 1/k for {2,3,5}-smooth k in 6..36, and a random
+    touching pattern with at least one touch and one gap."""
+    while True:
+        n = rng.randrange(3, 7)
+        first, last = rng.choice(END_PAIRS)
+        ratios = ([first] + [Fraction(1, rng.choice(INTERIOR))
+                             for _ in range(n - 2)] + [last])
+        touch = [rng.random() < 0.5 for _ in range(n - 1)]
+        if sum(ratios) >= 1 or all(touch) or not any(touch):
+            continue
+        gap = (1 - sum(ratios)) / touch.count(False)
+        ts = [Fraction(0)]
+        for i in range(n - 1):
+            ts.append(ts[-1] + ratios[i] + (0 if touch[i] else gap))
+        return IfsSpec(ratios, ts, role="touching")
 
 
 class TestNecessary:
@@ -156,3 +318,93 @@ class TestBranch4:
         spec = self.make_branch4()
         spec.mu_independent = False
         assert not branch4_obstruction(spec)
+
+
+def outcome(result):
+    w, status = result
+    return status, (w.as_dict() if w else None)
+
+
+class TestSearchAgreesWithReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.booleans(),
+           st.integers(1, 10), st.integers(0, 8), st.integers(0, 99))
+    def test_generated_specs(self, seed, equal, max_word, max_exp, pick):
+        rng = random.Random(seed)
+        spec = random_equal_spec(rng) if equal else random_decide_spec(rng)
+        letters = sorted(spec.touching.letters)
+        i = letters[pick % len(letters)]
+        side = ("left", "right")[pick // len(letters) % 2]
+        budget = SearchBudget(max_word, max_exp)
+        assert (outcome(find_witness(spec, i, side, budget))
+                == outcome(ref_find_witness(spec, i, side, budget)))
+
+    def test_seeded_specs_every_letter_and_side(self):
+        rng = random.Random(7)
+        statuses = set()
+        for _ in range(12):
+            spec = random_decide_spec(rng)
+            for i in sorted(spec.touching.letters):
+                for side in ("left", "right"):
+                    budget = SearchBudget(8, 5)
+                    got = outcome(find_witness(spec, i, side, budget))
+                    assert got == outcome(ref_find_witness(spec, i, side,
+                                                           budget))
+                    statuses.add(got[0])
+        assert statuses == {"found", "none", "exhausted"}
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_no_admissible_letter(self, side):
+        # every letter touches its right neighbour, which a valid IfsSpec
+        # never has, so the spec is a stand-in with just what the search
+        # reads
+        spec = SimpleNamespace(
+            n=3, ratios=[ExactRatio(Fraction(1, 4))] * 3,
+            touching=SimpleNamespace(letters=frozenset({1, 2})))
+        assert find_witness(spec, 1, side) == (None, "none")
+        assert ref_find_witness(spec, 1, side) == (None, "none")
+
+    def test_lex_first_of_two_minimal_multisets(self):
+        # letters 1 and 3 share the ratio 1/8, so both {1,1,4} and {1,3,4}
+        # give rho_4 rho_5^4 == rho_5 rho_word, and no shorter multiset
+        # does; the lexicographically first one wins
+        spec = IfsSpec([Fraction(1, 8), Fraction(1, 15), Fraction(1, 8),
+                        Fraction(1, 20), Fraction(1, 4)],
+                       [Fraction(0), Fraction(19, 60), Fraction(23, 40),
+                        Fraction(7, 10), Fraction(3, 4)], role="touching")
+        assert spec.touching.letters == {3, 4}
+        verify_witness(spec, Witness("right", 4, 4, 0, (3, 4, 1), "manual"))
+        w, status = find_witness(spec, 4, "right", SearchBudget(2, 60))
+        assert status == "exhausted"
+        w, status = find_witness(spec, 4, "right")
+        assert status == "found"
+        assert (w.k, w.kp, w.word) == (4, 0, (1, 4, 1))
+        assert outcome((w, status)) == outcome(
+            ref_find_witness(spec, 4, "right"))
+
+
+class TestIntegerFourierMotzkin:
+    def test_agrees_with_fraction_reference(self):
+        # at most 3 variables and 3 equations keep every elimination
+        # under the 4000-row cap, so both answers are exact
+        rng = random.Random(11)
+        seen = {True: 0, False: 0}
+        for _ in range(600):
+            nvars = rng.randrange(1, 4)
+            eqs = [([rng.randrange(-3, 4) for _ in range(nvars)],
+                    rng.randrange(-4, 5))
+                   for _ in range(rng.randrange(1, 4))]
+            nonneg = [j for j in range(nvars) if rng.random() < 0.7]
+            got = _fm_feasible(eqs, nonneg, nvars)
+            ref = ref_fm_feasible(
+                [([Fraction(v) for v in c], Fraction(r)) for c, r in eqs],
+                nonneg, nvars)
+            assert got == ref
+            seen[got] += 1
+        assert min(seen.values()) > 100
+
+    def test_scaled_rows_merge(self):
+        # 2x + 4y == 6 and x + 2y == 3 are one constraint; x, y >= 0
+        assert _fm_feasible([([2, 4], 6), ([1, 2], 3)], [0, 1], 2)
+        assert not _fm_feasible([([2, 4], 6), ([1, 2], 4)], [0, 1], 2)
+        assert not _fm_feasible([([1, 1], -1)], [0, 1], 2)
