@@ -580,7 +580,8 @@ def verify_expansion(spec, cert, pieces):
     return True
 
 
-def distortion_report(spec, cert, depth, sample_pairs=4000, seed=7):
+def distortion_report(spec, cert, depth, sample_pairs=4000, seed=7,
+                      pieces=None):
     """Empirical bi-Lipschitz bounds of the finite-depth correspondence.
 
     Each leaf contributes both hull endpoint pairs (left of T-set with
@@ -589,9 +590,12 @@ def distortion_report(spec, cert, depth, sample_pairs=4000, seed=7):
     attained, plus a seeded random sample of long-range pairs.  All
     coordinates and differences are exact rationals; only the final
     quotients are floats, so arbitrarily close points are handled safely.
+    ``pieces`` is ``expand_map(spec, cert, depth)`` when the caller has
+    it already; otherwise it is computed here.
     """
     dust = spec.dust()
-    pieces = expand_map(spec, cert, depth)
+    if pieces is None:
+        pieces = expand_map(spec, cert, depth)
     pts = set()
     for pc in pieces:
         t_lo = min(spec.cyl_lo(w) for w in pc.t_words)

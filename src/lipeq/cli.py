@@ -2,11 +2,13 @@
 
 Subcommands: analyze, certify, verify, partition, render.  All file
 formats carry a leading format/version pair; exact numbers serialize as
-strings, approximations carry their tolerance.  Exit codes of analyze:
-0 equivalent, 1 not equivalent, 2 unknown, 3 error.
+strings, approximations carry their tolerance.  Every document is written
+by ``specfile.dump_doc``: sorted-key JSON with a one-space indent.  Exit
+codes of analyze: 0 equivalent, 1 not equivalent, 2 unknown, 3 error.
 """
 
 import argparse
+from fractions import Fraction
 import json
 import os
 import sys
@@ -45,12 +47,12 @@ def _budget(args):
 
 
 def _emit(doc, path=None):
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    """Write a document as ``specfile.dump_doc`` text to ``path``, or to
+    standard output."""
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        specfile.save_doc(doc, path)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(specfile.dump_doc(doc) + "\n")
 
 
 def _value_str(v):
@@ -130,12 +132,26 @@ def cmd_verify(args):
         pieces = expand_map(spec, cert, args.depth)
         verify_expansion(spec, cert, pieces)
         c_low, c_high = distortion_report(spec, cert, args.depth,
-                                          sample_pairs=args.pairs)
+                                          sample_pairs=args.pairs,
+                                          pieces=pieces)
         out["leaf_pieces"] = len(pieces)
         out["distortion"] = {"c_low": c_low, "c_high": c_high,
                              "exactness": "approx(float64)"}
     _emit(out, args.output)
     return 0
+
+
+def _weights(raw):
+    """The measure weights of ``--mu``: exactly four positive fractions
+    that sum to 1, else SpecError."""
+    try:
+        mu = [Fraction(x) for x in raw.split(",")] if raw else None
+    except (ValueError, ZeroDivisionError):
+        mu = None
+    if mu is None or len(mu) != 4 or min(mu) <= 0 or sum(mu) != 1:
+        raise SpecError("--mu expects four positive fractions m1,m2,m3,m4 "
+                        "that sum to 1, got %r" % raw)
+    return mu
 
 
 def cmd_partition(args):
@@ -150,11 +166,7 @@ def cmd_partition(args):
         sets = patches.c_family(spec, k)
         doc["sets"] = [{"words": [list(w) for w in ws]} for ws in sets]
     elif fam == "E":
-        mu = args.mu
-        if mu is None:
-            raise SystemExit("--mu m1,m2,m3,m4 required for family E")
-        from fractions import Fraction
-        muv = [Fraction(x) for x in mu.split(",")]
+        muv = _weights(args.mu)
         levels = patches.e_family(spec, k)
         doc["levels"] = [[{"words": [list(w) for w in ws]} for ws in lvl]
                          for lvl in levels]
@@ -179,6 +191,8 @@ def cmd_render(args):
     if args.levels < 0:
         raise SpecError("--levels must be nonnegative, got %d"
                         % args.levels)
+    if args.width < 1:
+        raise SpecError("--width must be positive, got %d" % args.width)
     svg = render.render_svg(spec, levels=args.levels, width=args.width,
                             with_dust=args.with_dust)
     if args.output:

@@ -205,6 +205,13 @@ def c_family(spec, k, i0=None):
     return out
 
 
+def _home_of(home, w):
+    """``home[u]`` for the prefix u of w (w included) that is a key of
+    ``home``, a map from prefix-free words; None when there is none."""
+    return next((home[w[:j]] for j in range(len(w) + 1) if w[:j] in home),
+                None)
+
+
 def partition_S(spec, k, i0=None, depth_cap=8):
     """The nested partitions S_1 .. S_k; returns a list of lists of pieces.
 
@@ -226,9 +233,7 @@ def partition_S(spec, k, i0=None, depth_cap=8):
         home = {w: i for i, p in enumerate(current) for w in p.words}
         inside = [[] for _ in current]
         for c in c_family(spec, level, i0):
-            w = c[0]
-            i = next((home[w[:j]] for j in range(len(w) + 1)
-                      if w[:j] in home), None)
+            i = _home_of(home, c[0])
             if i is not None and cylsets.word_subset(spec.n, c,
                                                      current[i].words):
                 inside[i].append(c)
@@ -404,16 +409,34 @@ def measure_words(spec, words, mu):
     return total
 
 
+def _e_parents(spec, upper, lower):
+    """The index in ``upper`` of the member that contains each member of
+    ``lower``, for consecutive levels of ``e_family``.
+
+    The members of ``upper`` are checked pairwise disjoint, so a nonempty
+    member of ``lower`` lies in at most one of them.  Their canonical
+    words together are then prefix-free, and a member that contains a
+    child has a word that is a prefix of the child's first word, so the
+    prefixes of that word name the only candidate; the exact
+    ``word_subset`` decides it.
+    """
+    cylsets.check_disjoint_groups(spec, upper)
+    home = {w: i for i, m in enumerate(upper) for w in m}
+    parents = []
+    for child in lower:
+        i = _home_of(home, child[0])
+        if i is None or not cylsets.word_subset(4, child, upper[i]):
+            raise SpecError("family member without a unique parent")
+        parents.append(i)
+    return parents
+
+
 def e_ratio_set(spec, k, mu):
     """Measure ratios mu(child)/mu(parent) across consecutive family levels."""
     levels = e_family(spec, k)
     ratios = set()
     for lower, upper in zip(levels[1:], levels):
-        for child in lower:
-            parents = [p for p in upper
-                       if cylsets.word_subset(4, child, p)]
-            if len(parents) != 1:
-                raise SpecError("family member without a unique parent")
+        for child, i in zip(lower, _e_parents(spec, upper, lower)):
             ratios.add(measure_words(spec, child, mu)
-                       / measure_words(spec, parents[0], mu))
+                       / measure_words(spec, upper[i], mu))
     return ratios

@@ -3,11 +3,13 @@
 Exact values serialize as small expressions over rationals and declared
 base names, e.g. ``"1/5"``, ``"1/16*e^2"``, ``"3/4-1/4*e"``.  Ratios must
 be single positive monomials; translations may be sums.  Serialization is
-canonical so documents and digests are reproducible.
+canonical so documents and digests are reproducible: every document lipeq
+writes is ``dump_doc`` text, sorted-key JSON with a one-space indent.
 """
 
 from fractions import Fraction
 import hashlib
+from itertools import chain
 import json
 import re
 
@@ -249,6 +251,152 @@ def doc_digest(doc):
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
+# ---------------------------------------------------------------------------
+# document text
+
+_str_json = json.encoder.encode_basestring_ascii
+_int_json = int.__repr__
+_INF = float("inf")
+_INT = {int}
+_SEQS = {list, tuple}
+
+
+def dump_doc(doc):
+    """``json.dumps(doc, indent=1, sort_keys=True)``, byte for byte.
+
+    The standard library writes indented JSON with its pure-Python
+    encoder, one generator step per token.  Here each container is one
+    ``"".join``, strings go through the C string encoder, and dict
+    values that are strs or ints are written inline.  A list of ints, of
+    int lists (words) or of lists of int lists (``[strip, add]`` rule
+    lists) is written in one pass with ``map(int.__repr__, ...)``, no
+    Python call per item.  Such a list is recognised by its first item,
+    and the types of all its items are checked at the end in one pass
+    per nesting level; a tree that fails the check, say with a bool in
+    an int list, is encoded again item by item.  Tuples are written as
+    lists.  ``doc`` must be a tree whose dict keys are strings: a
+    non-string key or a value of any type but dict, list, tuple, str,
+    int, float, bool and None raises TypeError.
+    """
+    text, nests = _encode(doc, True)
+    if all(_int_leaves(lists, depth)
+           for depth, lists in enumerate(nests, 1)):
+        return text
+    return _encode(doc, False)[0]
+
+
+def _int_leaves(lists, depth):
+    """Is every item ``depth`` levels below the members of ``lists`` an
+    int, and every item above it a list or tuple?"""
+    for _ in range(depth - 1):
+        lists = list(chain.from_iterable(lists))
+        if not set(map(type, lists)) <= _SEQS:
+            return False
+    return set(map(type, chain.from_iterable(lists))) <= _INT
+
+
+def _int_lists(x, nl):
+    """The int lists of x, each after ``nl``, comma separated."""
+    deeper = nl + " "
+    head, sep, tail = "[" + deeper, "," + deeper, nl + "]"
+    return ("," + nl).join(
+        [head + sep.join(map(_int_json, w)) + tail if w else "[]"
+         for w in x])
+
+
+def _encode(doc, fast):
+    """(text, nests): the JSON text of doc and, when ``fast``, the lists
+    written as int lists, lists of int lists and lists of lists of int
+    lists, whose item types the caller still has to check."""
+    nests = ([], [], [])
+    ints, words, rules = (n.append for n in nests)
+
+    def value(x, nl):
+        # nl: the line break and indent that x's closing bracket follows
+        t = type(x)
+        if t is str:
+            return _str_json(x)
+        if t is int:
+            return _int_json(x)
+        if t is dict:
+            return obj(x, nl)
+        if t is list or t is tuple:
+            return array(x, nl)
+        if x is None:
+            return "null"
+        if x is True:
+            return "true"
+        if x is False:
+            return "false"
+        if isinstance(x, str):
+            return _str_json(x)
+        if isinstance(x, int):
+            return _int_json(x)
+        if isinstance(x, float):
+            if x != x:
+                return "NaN"
+            if x == _INF:
+                return "Infinity"
+            if x == -_INF:
+                return "-Infinity"
+            return float.__repr__(x)
+        if isinstance(x, (list, tuple)):
+            return array(x, nl)
+        if isinstance(x, dict):
+            return obj(x, nl)
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(x).__name__)
+
+    def array(x, nl):
+        if not x:
+            return "[]"
+        inner = nl + " "
+        sep = "," + inner
+        if fast:
+            # a wrong guess from the first item either raises TypeError
+            # here or fails the item check in dump_doc
+            first = x[0]
+            t = type(first)
+            try:
+                if t is int:
+                    text = sep.join(map(_int_json, x))
+                    ints(x)
+                    return "[" + inner + text + nl + "]"
+                if (t is list or t is tuple) and first:
+                    t = type(first[0])
+                    if t is int:
+                        text = _int_lists(x, inner)
+                        words(x)
+                        return "[" + inner + text + nl + "]"
+                    if t is list or t is tuple:
+                        deeper = inner + " "
+                        text = sep.join(
+                            ["[" + deeper + _int_lists(r, deeper) + inner
+                             + "]" if r else "[]" for r in x])
+                        rules(x)
+                        return "[" + inner + text + nl + "]"
+            except TypeError:
+                pass
+        return "[" + inner + sep.join(
+            [_str_json(v) if type(v) is str else
+             _int_json(v) if type(v) is int else
+             value(v, inner) for v in x]) + nl + "]"
+
+    def obj(d, nl):
+        if not d:
+            return "{}"
+        inner = nl + " "
+        # the C string encoder raises TypeError on a key that is not a str
+        return "{" + inner + ("," + inner).join(
+            [_str_json(k) + ": " + (_str_json(v) if type(v) is str else
+                                    _int_json(v) if type(v) is int else
+                                    array(v, inner) if type(v) is list else
+                                    value(v, inner))
+             for k, v in sorted(d.items())]) + nl + "}"
+
+    return value(doc, "\n"), nests
+
+
 def load_spec(path):
     with open(path) as f:
         try:
@@ -259,6 +407,7 @@ def load_spec(path):
 
 
 def save_doc(doc, path):
-    data = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    """Write ``dump_doc(doc)`` and a final newline to ``path``."""
+    data = dump_doc(doc) + "\n"
     with open(path, "w") as f:
         f.write(data)

@@ -7,11 +7,14 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import lipeq.certify
+import lipeq.cli
+import lipeq.specfile
 from lipeq.certify import build_certificate, cert_to_doc, cert_from_doc
 from lipeq.cli import main
 from lipeq.specfile import spec_to_doc, save_doc
 
-from conftest import make_one45, make_endratio_spec
+from conftest import make_one45, make_endratio_spec, make_equal_spec
 from fractions import Fraction
 
 
@@ -19,6 +22,13 @@ from fractions import Fraction
 def one45_file(tmp_path):
     path = tmp_path / "one45.json"
     save_doc(spec_to_doc(make_one45()), str(path))
+    return str(path)
+
+
+@pytest.fixture
+def ninths_file(tmp_path):
+    path = tmp_path / "ninths.json"
+    save_doc(spec_to_doc(make_equal_spec(4, 9, [0, 3, 4, 8])), str(path))
     return str(path)
 
 
@@ -32,6 +42,20 @@ def notequiv_file(tmp_path):
 
 
 ONE45_CERT = cert_to_doc(make_one45(), build_certificate(make_one45()))
+ONE45_DEPTH5_REPORT = """{
+ "certificate_valid": true,
+ "depth": 5,
+ "distortion": {
+  "c_high": 976590.5,
+  "c_low": 0.012195121951219513,
+  "exactness": "approx(float64)"
+ },
+ "format": "lipeq-report",
+ "leaf_pieces": 940,
+ "version": 1,
+ "vertices": 6
+}
+"""
 
 
 def verify_doc(spec_file, directory, doc):
@@ -229,6 +253,28 @@ class TestVerify:
         assert report["certificate_valid"]
         assert report["distortion"]["c_low"] > 0
 
+    def test_depth_report_expands_once(self, one45_file, tmp_path, capsys,
+                                       monkeypatch):
+        cert = tmp_path / "c.json"
+        main(["certify", one45_file, "-o", str(cert)])
+        calls = []
+
+        def counting(real):
+            def expand_map(*args):
+                calls.append(args[2])
+                return real(*args)
+            return expand_map
+
+        for mod in (lipeq.cli, lipeq.certify):
+            monkeypatch.setattr(mod, "expand_map",
+                                counting(mod.expand_map))
+        capsys.readouterr()
+        assert main(["verify", one45_file, "--cert", str(cert),
+                     "--depth", "5"]) == 0
+        assert calls == [5]
+        # the report of the code that expanded the certificate twice
+        assert capsys.readouterr().out == ONE45_DEPTH5_REPORT
+
     def test_tampered_certificate(self, one45_file, tmp_path):
         cert = tmp_path / "c.json"
         main(["certify", one45_file, "-o", str(cert)])
@@ -314,9 +360,33 @@ class TestPartition:
         assert main(["partition", one45_file, "--k", "0",
                      "--family", "S"]) == 3
 
-    def test_e_family_requires_mu(self, one45_file):
-        with pytest.raises(SystemExit):
-            main(["partition", one45_file, "--k", "2", "--family", "E"])
+    def test_e_family_requires_mu(self, ninths_file, capsys):
+        assert main(["partition", ninths_file, "--k", "2",
+                     "--family", "E"]) == 3
+        assert capsys.readouterr().err.count("error:") == 1
+
+    @pytest.mark.parametrize("mu", [
+        "a,b",                      # not fractions
+        "1/2,1/2",                  # two weights
+        "1/4,1/4,1/4,1/5",          # sum 19/20
+        "1,0,0,0",                  # a zero weight
+        "1/2,3/4,-1/4,0",           # a negative weight
+        "1/4,1/4,1/4,1/4,0",        # five weights
+        "1/0,1/4,1/4,1/4",          # zero denominator
+    ])
+    def test_e_family_malformed_mu(self, ninths_file, capsys, mu):
+        assert main(["partition", ninths_file, "--k", "2", "--family", "E",
+                     "--mu", mu]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --mu") and err.count("\n") == 1
+
+    def test_e_family(self, ninths_file, capsys):
+        assert main(["partition", ninths_file, "--k", "3", "--family", "E",
+                     "--mu", "1/4, 1/4, 1/4, 0.25"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [len(lvl) for lvl in doc["levels"]] == [3, 11, 43]
+        # m_i, m2 + m3 and m1*m2/(m2 + m3), m1*m3/(m2 + m3) at m_i = 1/4
+        assert doc["measure_ratios"] == ["1/2", "1/4", "1/8"]
 
 
 class TestRender:
@@ -331,9 +401,53 @@ class TestRender:
     def test_negative_levels_is_error(self, one45_file):
         assert main(["render", one45_file, "--levels", "-1"]) == 3
 
+    @pytest.mark.parametrize("width", ["0", "-5"])
+    def test_nonpositive_width_is_error(self, one45_file, capsys, width):
+        assert main(["render", one45_file, "--width", width]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("error:") == 1
+
     def test_deterministic(self, one45_file, tmp_path):
         a = tmp_path / "a.svg"
         b = tmp_path / "b.svg"
         main(["render", one45_file, "-o", str(a)])
         main(["render", one45_file, "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestDocumentText:
+    """Every document is the standard library's indented, sorted-key
+    encoding of itself, byte for byte."""
+
+    @pytest.mark.parametrize("spec", ["one45", "endratio64"])
+    def test_output_matches_stdlib_encoding(self, spec, tmp_path, capsys,
+                                            monkeypatch):
+        spec_file = str(tmp_path / "spec.json")
+        save_doc(spec_to_doc(make_one45() if spec == "one45" else
+                             make_endratio_spec(Fraction(1, 4),
+                                                Fraction(1, 8),
+                                                r2=Fraction(1, 8))),
+                 spec_file)
+        docs = []
+
+        def recording(doc):
+            docs.append(doc)
+            return real(doc)
+
+        real = lipeq.specfile.dump_doc
+        monkeypatch.setattr(lipeq.specfile, "dump_doc", recording)
+        cert = str(tmp_path / "cert.json")
+        commands = [["certify", spec_file, "-o", cert],
+                    ["analyze", spec_file], ["certify", spec_file],
+                    ["verify", spec_file, "--cert", cert, "--depth", "2"]]
+        commands += [["partition", spec_file, "--k", "2", "--family", f]
+                     for f in "STC"]
+        texts = []
+        for argv in commands:
+            assert main(argv) == 0
+            texts.append(capsys.readouterr().out)
+        with open(cert) as fh:
+            texts[0] = fh.read()
+        assert len(docs) == len(texts)
+        for doc, text in zip(docs, texts):
+            assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"

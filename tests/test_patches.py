@@ -10,7 +10,8 @@ from lipeq import IfsSpec, SpecError
 from lipeq.patches import (tau, c_set_words, c_family, partition_S,
                            partition_T, partition_norm, delta_k,
                            e_family, e_ratio_set, measure_words,
-                           simple_decomposition, PartitionPiece)
+                           simple_decomposition, PartitionPiece,
+                           _e_parents)
 from lipeq import cylsets
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
@@ -203,3 +204,31 @@ class TestMeasureFamily:
         spec, mu = four_map_spec()
         assert measure_words(spec, [(1,), (4,)], mu) == Fraction(1, 2)
         assert measure_words(spec, [(2, 3)], mu) == mu[1] * mu[2]
+
+
+def all_pairs_parents(upper, lower):
+    """For each member of ``lower``, the indices of the members of
+    ``upper`` that contain it: the test of every pair."""
+    return [[i for i, p in enumerate(upper)
+             if cylsets.word_subset(4, child, p)] for child in lower]
+
+
+class TestMeasureFamilyParents:
+    def test_indexed_parents_equal_all_pairs(self):
+        # levels 1..5 of e_family, so every pair of the families k = 1..5
+        spec = make_equal_spec(4, 9, [0, 3, 4, 8])
+        levels = e_family(spec, 5)
+        for lower, upper in zip(levels[1:], levels):
+            assert [[i] for i in _e_parents(spec, upper, lower)] == \
+                all_pairs_parents(upper, lower)
+
+    def test_member_outside_every_parent(self):
+        spec = make_equal_spec(4, 9, [0, 3, 4, 8])
+        upper = e_family(spec, 2)[0]
+        with pytest.raises(SpecError):
+            _e_parents(spec, upper, [((1, 1), (2, 1))])
+
+    def test_overlapping_parents(self):
+        spec = make_equal_spec(4, 9, [0, 3, 4, 8])
+        with pytest.raises(SpecError):
+            _e_parents(spec, [((1,),), ((1, 2), (4,))], [((1, 2, 3),)])

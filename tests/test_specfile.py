@@ -4,13 +4,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipeq import IfsSpec, SpecError
+from lipeq import specfile
+from lipeq.certify import build_certificate, cert_to_doc
 from lipeq.exactnum import ExactRatio, DeclaredBase
 from lipeq.specfile import (parse_ratio, parse_value, format_ratio,
                             format_value, spec_to_doc, spec_from_doc,
                             canonical_json, doc_digest, load_spec,
-                            save_doc)
+                            save_doc, dump_doc)
 
 from conftest import make_one45
 
@@ -109,3 +112,80 @@ class TestSpecDocs:
         spec2 = spec_from_doc(doc)
         assert spec2.ratios == spec.ratios
         assert spec_to_doc(spec2) == doc
+
+
+def stdlib_text(doc):
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+# every kind of value the documents can hold, and the shapes the encoder
+# writes in one pass (int lists, lists of int lists, lists of lists of int
+# lists), with bools, floats and strings mixed into them
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.text(st.characters(blacklist_categories=()), max_size=8)
+           | st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f", "é€😀",
+                              "\ud800", "</>"]))
+INT_LISTS = st.lists(st.lists(st.integers(), max_size=4), max_size=4)
+NEARLY_INTS = st.lists(st.integers() | st.booleans(), max_size=4)
+JSON_TREES = st.recursive(
+    SCALARS | INT_LISTS | st.lists(INT_LISTS, max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(NEARLY_INTS | st.lists(NEARLY_INTS, max_size=3)
+                              | inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=4)),
+    max_leaves=30)
+
+
+class TestDumpDoc:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_TREES)
+    def test_equals_stdlib_indented_encoding(self, doc):
+        assert dump_doc(doc) == stdlib_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [], {}, [[]], [[], []], [[[]]], [[], [1]], [[[], [2]]],
+        [[1, 2], [3, True]], [[[1], [False]]], [1, True, 2], [True, 1],
+        [[1], ""], [[1], 0], [[[1], 0]], [[[1]], 0], [[[1]], [""]],
+        [[1], [[2]]], [[[1, 2], 3]], (1, (2,)),
+        [1.5, 2], [float("nan"), float("-inf")], {"a": None},
+        {"b": [1, "x"], "a": ("k", 2, False)}, [-0.0, 10 ** 30]])
+    def test_shapes(self, doc):
+        assert dump_doc(doc) == stdlib_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {1: 2}, {"a": {(1,): 2}}, {"a": 1, 2: "b"}, [{"x": {None: 1}}]])
+    def test_non_string_key(self, doc):
+        with pytest.raises(TypeError):
+            dump_doc(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {1, 2}, [[1, 2], b"\x01"], [[1], {2: 3}], [[[1], range(2)]],
+        {"a": Fraction(1, 2)}, [object()]])
+    def test_unsupported_type(self, doc):
+        with pytest.raises(TypeError):
+            dump_doc(doc)
+
+    def test_certificate_takes_one_pass(self, monkeypatch):
+        # words and rule lists are written by the one-pass branches and
+        # pass the item check, so nothing is encoded a second time
+        spec = make_one45()
+        doc = cert_to_doc(spec, build_certificate(spec))
+        passes = []
+
+        def counting(doc, fast):
+            passes.append(fast)
+            return encode(doc, fast)
+
+        encode = specfile._encode
+        monkeypatch.setattr(specfile, "_encode", counting)
+        assert dump_doc(doc) == stdlib_text(doc)
+        assert passes == [True]
+
+    def test_save_doc(self, tmp_path):
+        doc = {"words": [[1, 2], []], "name": "x"}
+        path = tmp_path / "d.json"
+        save_doc(doc, str(path))
+        assert path.read_text() == stdlib_text(doc) + "\n"
