@@ -114,6 +114,10 @@ def cmd_certify(args):
 
 
 def cmd_verify(args):
+    if args.depth < 0:
+        raise SpecError("--depth must be nonnegative, got %d" % args.depth)
+    if args.pairs < 0:
+        raise SpecError("--pairs must be nonnegative, got %d" % args.pairs)
     spec = specfile.load_spec(args.specfile)
     with open(args.cert) as fh:
         try:

@@ -133,31 +133,32 @@ def check_disjoint_groups(spec, groups):
     sets.  Words within one group may touch each other; across groups both
     prefix overlap and shared endpoints are violations.  Returns None or
     raises SpecError naming the offending pair.
+
+    One pass over the tagged words in sorted order.  The words that begin
+    with w follow it contiguously, so overlap is a scan of that run for
+    another group.  Once the scan passes, the run belongs to w's group,
+    and T_w can share its right endpoint only with the first word u after
+    the run: a later word lies beyond T_u, or inside it and in u's group.
+    (T_w's left endpoint is the right endpoint of the word whose run ends
+    at w.)  Every word is tested, not just the last of its run, since T_w
+    reaches further right than the words below it.  Without touching
+    letters (a dust) no two cylinders touch, and that test is skipped.
     """
-    tagged = []
-    for gi, g in enumerate(groups):
-        for w in g:
-            tagged.append((w, gi))
-    tagged.sort()
+    tagged = sorted((w, gi) for gi, g in enumerate(groups) for w in g)
+    touching = bool(spec.touching.letters)
+    m = len(tagged)
     for i, (w, gi) in enumerate(tagged):
-        for j in range(i + 1, len(tagged)):
+        k = len(w)
+        j = i + 1
+        while j < m and tagged[j][0][:k] == w:
+            if tagged[j][1] != gi:
+                raise SpecError("piece overlap: %r and %r"
+                                % (w, tagged[j][0]))
+            j += 1
+        if touching and j < m:
             u, gj = tagged[j]
-            if u[:len(w)] != w:
-                break
-            if gj != gi:
-                raise SpecError("piece overlap: %r and %r" % (w, u))
-    # shared endpoints: only spatially adjacent prefix-free pairs can touch
-    flat = sorted(set(w for w, _ in tagged))
-    owner = {}
-    for w, gi in tagged:
-        owner.setdefault(w, set()).add(gi)
-    for a, b in zip(flat, flat[1:]):
-        # a < b, so b is never a prefix of a; only a below b is skipped
-        if a == b[:len(a)]:
-            continue
-        if words_touch(spec, a, b) and owner[a] != owner[b]:
-            if not owner[a] & owner[b]:
-                raise SpecError("pieces touch at a point: %r | %r" % (a, b))
+            if gj != gi and words_touch(spec, w, u):
+                raise SpecError("pieces touch at a point: %r | %r" % (w, u))
     return None
 
 

@@ -29,11 +29,6 @@ def right_patch_words(spec, word, k):
     return tuple(stem + (j,) for j in range(n - b + 1, n + 1))
 
 
-def middle_words(spec, word):
-    a, b, n = spec.touching.alpha, spec.touching.beta, spec.n
-    return tuple(word + (j,) for j in range(a + 1, n - b + 1))
-
-
 def base_touch_letter(spec, i0=None):
     """Default distinguished touching letter: the smallest one."""
     if i0 is not None:

@@ -157,6 +157,8 @@ def format_ratio(r):
 
 
 def format_value(x):
+    if type(x) is Fraction:
+        return str(x)
     if isinstance(x, SymValue):
         if not x.terms:
             return "0"

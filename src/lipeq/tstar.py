@@ -9,9 +9,13 @@ disjoint union of placed members of three families:
 * family 3: the deep neighbourhood R_q(T_i) union L_p(T_{i+1}).
 
 A placement is (prefix word, family, index): the piece is the image of the
-family member under psi_prefix.  Every engine verifies its own output:
-the placed pieces must be pairwise point-disjoint and their union must
-equal the intended target word set exactly; any residue is a hard error.
+family member under psi_prefix.  With ``verify=True``, the default, an
+engine verifies its own output (``verify_cover``): the placed pieces must
+be pairwise point-disjoint, each block piece separate from the rest of
+the attractor, and their union must equal the intended target word set
+exactly; any residue is a hard error.  The certificate construction runs
+the engines with ``verify=False``, because it validates the tilings made
+of their placements itself (``certify.verify_certificate``).
 """
 
 from .ifs import SpecError
@@ -98,7 +102,8 @@ def right_patch(ctx, base, k):
 def verify_cover(ctx, placements, target_words, where=""):
     """Exact check: placements tile target_words with no residue and no
     shared points.  Family-1 placements must also be separate from the
-    rest of the attractor (closed-form criterion)."""
+    rest of the attractor (closed-form criterion).  Every failure raises
+    DecompositionError naming ``where``."""
     spec = ctx.spec
     groups = []
     for pl in placements:
@@ -107,7 +112,10 @@ def verify_cover(ctx, placements, target_words, where=""):
                 raise DecompositionError(
                     "%s: block piece %r not separate" % (where, pl))
         groups.append(ctx.placement_words(pl))
-    cylsets.check_disjoint_groups(spec, groups)
+    try:
+        cylsets.check_disjoint_groups(spec, groups)
+    except SpecError as e:
+        raise DecompositionError("%s: %s" % (where, e))
     allw = [w for g in groups for w in g]
     if not cylsets.union_equal(spec.n, allw, target_words):
         want = cylsets.canonicalize(spec.n, target_words)

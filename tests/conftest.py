@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lipeq import IfsSpec
+from lipeq.exactnum import DeclaredBase, ExactRatio
 
 
 def make_one45():
@@ -45,6 +46,16 @@ def make_endratio_spec(r1, r3, rng=None, r2=None):
                 break
     return IfsSpec([r1, r2, r3], [Fraction(0), r1, 1 - r3],
                    role="touching")
+
+
+def make_declared_spec():
+    """Ratios g, 1/5, g with g a declared base; touching at letter 1."""
+    g = DeclaredBase("g", "0.20710678118654752440", digits=18)
+    rg = ExactRatio(1, (("g", 1),))
+    gval = rg.value({"g": g})
+    return IfsSpec([rg, ExactRatio(Fraction(1, 5)), rg],
+                   [Fraction(0), gval, 1 - gval], role="touching",
+                   bases={"g": g})
 
 
 @pytest.fixture

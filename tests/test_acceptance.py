@@ -66,9 +66,10 @@ def test_criterion_2_end_ratio_dichotomy():
 def test_criterion_3_certificate_soundness_suite():
     """Certificates validate on {1,4,5} and 20 random equal-ratio specs.
 
-    verify_certificate re-checks exact tilings on both sides, piece
-    ratio equality, the per-edge measure identity at the similarity
-    dimension (exact for equal ratios), and cycle contraction.
+    verify_certificate re-checks the stored exponents, exact tilings on
+    both sides, piece ratio equality and cycle contraction.  The per-edge
+    measure identity at the similarity dimension follows from the exact
+    tilings and is no longer checked on its own.
     """
     specs = [make_one45()]
     rng = random.Random(31)

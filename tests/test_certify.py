@@ -13,9 +13,16 @@ from lipeq import (IfsSpec, decide, build_certificate, verify_certificate,
                    expand_map, verify_expansion, distortion_report,
                    identity_certificate, canonical_json,
                    CertificateError, SpecError, canonical_dust)
-from lipeq.certify import compose_rules, apply_rules, choose_pq, rules_affine
+import lipeq.certify
+from lipeq import cylsets, tstar
+from lipeq.certify import (compose_rules, apply_rules, choose_pq,
+                           rules_affine, rule_affine, Edge, Piece)
+from lipeq.exactnum import SymValue
+from lipeq.specfile import format_value
+from lipeq.tstar import Context, DecompositionError, Placement
 
-from conftest import make_one45, make_endratio_spec, random_equal_spec
+from conftest import (make_one45, make_endratio_spec, random_equal_spec,
+                      make_declared_spec)
 
 
 class TestRuleAlgebra:
@@ -245,3 +252,195 @@ class TestOtherSpecs:
     def test_identity_needs_dust(self, one45):
         with pytest.raises(CertificateError):
             identity_certificate(one45)
+
+
+# ---------------------------------------------------------------------------
+# the retired measure identity
+
+def ref_measure_failures(spec, cert):
+    """Edges that break the per-edge measure identity, exactly, for an
+    equal-ratio spec: the check ``verify_certificate`` used to make.  The
+    measure of a word list is the sum of n^-|w| over its words, and a
+    piece adds n^-(|add| - |strip|) times its target's measure."""
+    n = spec.n
+    measure = {key: sum(Fraction(1, n ** len(w)) for w in v.t_words)
+               for key, v in cert.vertices.items()}
+    bad = []
+    for key, edge in cert.edges.items():
+        total = Fraction(0)
+        for piece in edge.pieces:
+            strip, add = piece.t_rules[0]
+            total += (Fraction(1, n ** (len(add) - len(strip)))
+                      * measure[piece.target])
+        if total != measure[key]:
+            bad.append(key)
+    return bad
+
+
+def measure_mutants(cert):
+    """(name, certificate) for every retargeted piece, every piece whose
+    rules all gain a letter at the end of ``add`` (on both sides, so the
+    T and D ratios stay equal), every piece dropped from an edge with
+    three or more pieces, and every piece listed twice.  A duplicate
+    leaves both unions unchanged: only the disjointness checks see it."""
+    def with_pieces(key, pieces):
+        m = copy.copy(cert)
+        m.edges = dict(cert.edges)
+        m.edges[key] = Edge(key, pieces)
+        return m
+
+    for key, edge in sorted(cert.edges.items()):
+        for pi, piece in enumerate(edge.pieces):
+            before, after = edge.pieces[:pi], edge.pieces[pi + 1:]
+            for other in sorted(cert.vertices):
+                if other != piece.target:
+                    yield ("retarget %r/%d to %r" % (key, pi, other),
+                           with_pieces(key, before + [Piece(
+                               other, piece.t_rules, piece.d_rules)] + after))
+            longer = Piece(piece.target,
+                           [(s, a + (1,)) for s, a in piece.t_rules],
+                           [(s, a + (1,)) for s, a in piece.d_rules])
+            yield ("longer add %r/%d" % (key, pi),
+                   with_pieces(key, before + [longer] + after))
+            if len(edge.pieces) >= 3:
+                yield "drop %r/%d" % (key, pi), with_pieces(key,
+                                                            before + after)
+            yield ("duplicate %r/%d" % (key, pi),
+                   with_pieces(key, edge.pieces + [piece]))
+
+
+class TestMeasureIdentityImplied:
+    """``verify_certificate`` no longer checks the measure identity; the
+    exact tilings imply it (argument in its docstring)."""
+
+    def test_built_certificates_satisfy_it(self):
+        rng = random.Random(31)
+        for spec in [make_one45()] + [random_equal_spec(rng)
+                                      for _ in range(4)]:
+            cert = build_certificate(spec)
+            assert ref_measure_failures(spec, cert) == []
+
+    def test_mutants_it_caught_are_still_rejected(self, one45):
+        cert = build_certificate(one45)
+        kinds = set()
+        for name, m in measure_mutants(cert):
+            if not ref_measure_failures(one45, m):
+                continue        # measures still add up: not its target
+            kinds.add(name.split()[0])
+            with pytest.raises(SpecError):
+                verify_certificate(one45, m)
+        assert kinds == {"retarget", "longer", "drop", "duplicate"}
+
+
+def test_disjointness_checked_on_both_sides_of_every_edge(one45,
+                                                          monkeypatch):
+    # a duplicate piece overlaps on both sides at once, so the mutants
+    # above would still fail with one side's check gone; count the calls
+    cert = build_certificate(one45)
+    real = cylsets.check_disjoint_groups
+    seen = []
+
+    def recording(system, groups):
+        seen.append(system.role)
+        return real(system, groups)
+
+    monkeypatch.setattr(cylsets, "check_disjoint_groups", recording)
+    verify_certificate(one45, cert)
+    assert seen == ["touching", "dust"] * len(cert.edges)
+
+
+# ---------------------------------------------------------------------------
+# the build path validates once
+
+def _shift_block(ctx, pls):
+    """Move the first block piece to the neighbouring block."""
+    i = next(k for k, pl in enumerate(pls) if pl.fam == 1)
+    pl = pls[i]
+    idx = pl.idx + 1 if pl.idx < ctx.c1 else pl.idx - 1
+    return pls[:i] + [Placement(pl.prefix, 1, idx)] + pls[i + 1:]
+
+
+ENGINE_FAULTS = {
+    "drop": lambda ctx, pls: pls[:-1],
+    "duplicate": lambda ctx, pls: pls + pls[:1],
+    "shift": _shift_block,
+}
+
+
+class TestBuildPath:
+    def test_no_engine_self_check(self, one45, monkeypatch):
+        calls = []
+        real = tstar.verify_cover
+
+        def counting(*args, **kw):
+            calls.append(args[3] if len(args) > 3 else kw.get("where"))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(tstar, "verify_cover", counting)
+        cert = build_certificate(one45)
+        assert calls == []
+        # the engines still check themselves when asked to
+        tstar.block_decompose(Context(one45, cert.p, cert.q), 2)
+        assert calls == ["block_decompose(2)"]
+
+    @pytest.mark.parametrize("fault", sorted(ENGINE_FAULTS))
+    def test_engine_fault_rejected_by_validation(self, one45, monkeypatch,
+                                                 fault):
+        real = lipeq.certify.block_decompose
+
+        def faulty(ctx, idx, verify=True):
+            return ENGINE_FAULTS[fault](ctx, real(ctx, idx, verify))
+
+        monkeypatch.setattr(lipeq.certify, "block_decompose", faulty)
+        with pytest.raises(SpecError):
+            build_certificate(one45)
+
+    @pytest.mark.parametrize("fault", sorted(ENGINE_FAULTS))
+    def test_same_fault_rejected_by_engine(self, one45, monkeypatch, fault):
+        real = tstar.verify_cover
+
+        def faulty(ctx, placements, target, where=""):
+            return real(ctx, ENGINE_FAULTS[fault](ctx, placements), target,
+                        where)
+
+        monkeypatch.setattr(tstar, "verify_cover", faulty)
+        ctx = Context(one45, 3, 3)
+        for idx in range(1, ctx.c1 + 1):
+            with pytest.raises(DecompositionError):
+                tstar.block_decompose(ctx, idx)
+
+
+# ---------------------------------------------------------------------------
+# piece similarities
+
+def ref_rule_affine(system, rule):
+    """The general formula: psi_add o psi_strip^-1 for every rule."""
+    strip, add = rule
+    r = system.ratio_word(add) / system.ratio_word(strip)
+    scale = r.value(system.bases)
+    offset = system.cyl_lo(add) - scale * system.cyl_lo(strip)
+    return r, scale, offset
+
+
+class TestRuleAffine:
+    @pytest.mark.parametrize("make", [make_declared_spec, make_one45],
+                             ids=["declared", "one45"])
+    def test_matches_general_formula(self, make):
+        spec = make()
+        words = [()] + [w + (a,) for w in [(), (1,), (2,), (2, 3), (3, 2)]
+                        for a in (1, 2, 3)]
+        rules = [((), w) for w in words]
+        rules += [((1,), (1, 2, 2)), ((2,), (2, 1)), ((3, 2), (3,))]
+        for system in (spec, spec.dust()):
+            for rule in rules:
+                got = rule_affine(system, rule)
+                want = ref_rule_affine(system, rule)
+                assert got[0] == want[0]
+                for a, b in zip(got[1:], want[1:]):
+                    assert type(a) is type(b), rule
+                    assert format_value(a) == format_value(b), rule
+        if make is make_declared_spec:
+            # a rational ratio with a symbolic offset, and a symbolic ratio
+            r, scale, offset = rule_affine(spec, ((), (2,)))
+            assert r.is_rational and isinstance(offset, SymValue)
+            assert not rule_affine(spec, ((), (1,)))[0].is_rational

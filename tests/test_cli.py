@@ -275,6 +275,27 @@ class TestVerify:
         # the report of the code that expanded the certificate twice
         assert capsys.readouterr().out == ONE45_DEPTH5_REPORT
 
+    @pytest.mark.parametrize("argv", [["--depth", "-1"], ["--pairs", "-5"],
+                                      ["--depth", "3", "--pairs", "-1"]],
+                             ids=["depth-1", "pairs-5", "depth3-pairs-1"])
+    def test_negative_argument_is_error(self, one45_file, tmp_path, capsys,
+                                        argv):
+        cert = tmp_path / "c.json"
+        main(["certify", one45_file, "-o", str(cert)])
+        capsys.readouterr()
+        assert main(["verify", one45_file, "--cert", str(cert)] + argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: --") and out.err.count("\n") == 1
+
+    def test_zero_pairs_accepted(self, one45_file, tmp_path, capsys):
+        cert = tmp_path / "c.json"
+        main(["certify", one45_file, "-o", str(cert)])
+        capsys.readouterr()
+        assert main(["verify", one45_file, "--cert", str(cert),
+                     "--depth", "1", "--pairs", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["leaf_pieces"] == 2
+
     def test_tampered_certificate(self, one45_file, tmp_path):
         cert = tmp_path / "c.json"
         main(["certify", one45_file, "-o", str(cert)])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipeq import SpecError
+from lipeq.ifs import words_touch
 from lipeq.cylsets import (canonicalize, union_equal, refine_word,
                            subtract, word_subset, sort_spatial,
                            check_disjoint_groups, complement_words,
@@ -130,6 +131,39 @@ def ref_set_distance(spec, a, b):
     return best
 
 
+def ref_check_disjoint_groups(spec, groups):
+    """The two-pass version: an overlap scan, then the shared-endpoint
+    scan over the distinct words with a set of owning groups per word.
+
+    It tests a word for a shared endpoint only against the next distinct
+    word, so it misses T_w touching another group when words below w in
+    its own group sort between them: [[(2,), (2, 1)], [(3,)]] on {1,4,5}
+    passes it, though T_2 and T_3 share the point 3/5."""
+    tagged = []
+    for gi, g in enumerate(groups):
+        for w in g:
+            tagged.append((w, gi))
+    tagged.sort()
+    for i, (w, gi) in enumerate(tagged):
+        for j in range(i + 1, len(tagged)):
+            u, gj = tagged[j]
+            if u[:len(w)] != w:
+                break
+            if gj != gi:
+                raise SpecError("piece overlap: %r and %r" % (w, u))
+    flat = sorted(set(w for w, _ in tagged))
+    owner = {}
+    for w, gi in tagged:
+        owner.setdefault(w, set()).add(gi)
+    for a, b in zip(flat, flat[1:]):
+        if a == b[:len(a)]:
+            continue
+        if words_touch(spec, a, b) and owner[a] != owner[b]:
+            if not owner[a] & owner[b]:
+                raise SpecError("pieces touch at a point: %r | %r" % (a, b))
+    return None
+
+
 def _family(stem, n, depth):
     words = [stem]
     for _ in range(depth):
@@ -242,6 +276,74 @@ class TestAgainstReference:
                 set_distance(spec, a, c)
 
 
+# touching specs and their dusts, each with the touching letters of the
+# touching spec: adjacent cylinders across them touch on T, never on D
+DISJOINT_SYSTEMS = [
+    (system, spec.touching.letters)
+    for spec in [make_one45()] + [random_equal_spec(random.Random(s))
+                                  for s in (3, 12)]
+    for system in (spec, spec.dust())]
+
+
+@st.composite
+def group_families(draw):
+    """(system, groups): a random refinement of the whole set dealt out
+    to one to four groups, plus duplicate words within a group and across
+    groups, words below other words, and a pair of words on the two sides
+    of a touching letter, each put in a random group."""
+    spec, touch = draw(st.sampled_from(DISJOINT_SYSTEMS))
+    n = spec.n
+    words = [()]
+    for _ in range(draw(st.integers(0, 6))):
+        w = words.pop(draw(st.integers(0, len(words) - 1)))
+        if len(w) >= 4:
+            words.append(w)
+            continue
+        words.extend(w + (a,) for a in range(1, n + 1))
+    count = draw(st.integers(1, 4))
+    group = st.integers(0, count - 1)
+    groups = [[] for _ in range(count)]
+    for w in words:
+        groups[draw(group)].append(w)
+    for kind in draw(st.lists(st.sampled_from(
+            ("same", "other", "below", "touch")), max_size=4)):
+        w = draw(st.sampled_from(words))
+        gi = draw(group)
+        if kind == "same":
+            next(g for g in groups if w in g).append(w)
+        elif kind == "other":
+            groups[gi].append(w)
+        elif kind == "below":
+            groups[gi].append(w + (draw(st.integers(1, n)),))
+        else:
+            i = draw(st.sampled_from(sorted(touch)))
+            k = draw(st.integers(0, 2))
+            groups[gi].append(w + (i,) + (n,) * k)
+            groups[draw(group)].append(w + (i + 1,) + (1,) * k)
+    return spec, [draw(st.permutations(g)) for g in groups]
+
+
+def hull_check(spec, groups):
+    """Exact oracle: cylinders of different groups meet iff their closed
+    hulls do.  Two cylinders are nested or meet at most in a hull
+    endpoint, and 0 and 1 lie in the attractor, so a shared hull point is
+    a shared point of the sets."""
+    hulls = [(spec.cyl_lo(w), spec.cyl_hi(w), gi)
+             for gi, g in enumerate(groups) for w in g]
+    for a, (lo1, hi1, g1) in enumerate(hulls):
+        for lo2, hi2, g2 in hulls[a + 1:]:
+            if g1 != g2 and max(lo1, lo2) <= min(hi1, hi2):
+                raise SpecError("groups %d and %d meet" % (g1, g2))
+
+
+def _outcome(check, spec, groups):
+    try:
+        check(spec, groups)
+    except Exception as e:
+        return type(e)
+    return None
+
+
 class TestCanonicalize:
     def test_descendants_dropped(self):
         assert canonicalize(3, [(1,), (1, 2), (1, 2, 3)]) == ((1,),)
@@ -350,6 +452,42 @@ class TestDisjointGroups:
     def test_ok_groups(self):
         spec = make_one45()
         check_disjoint_groups(spec, [[(1,)], [(2,), (3,)]])
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(group_families())
+    def test_agrees_with_reference(self, case):
+        # same outcome and exception class as the two-pass reference,
+        # except where the reference misses a touch below a nested word;
+        # the hull oracle decides every family
+        spec, groups = case
+        got = _outcome(check_disjoint_groups, spec, groups)
+        assert got == _outcome(hull_check, spec, groups)
+        ref = _outcome(ref_check_disjoint_groups, spec, groups)
+        if got != ref:
+            assert (got, ref) == (SpecError, None)
+            assert any(u[:len(w)] == w for g in groups
+                       for w in g for u in g if u != w)
+
+    def test_fixed_families(self):
+        # a clean tiling, a duplicate within a group and across groups,
+        # a nested word across groups, a touching pair across groups on T
+        # that is harmless on the dust, and a touch behind a nested word
+        # of the same group, which only the reference misses
+        spec = make_one45()
+        cases = [([[(1,)], [(2,), (3,)]], None, None, False),
+                 ([[(1,), (1,)], [(2,), (3,)]], None, None, False),
+                 ([[(1,)], [(2,), (3,), (1,)]], SpecError, SpecError, False),
+                 ([[(3,), (2, 1)], [(2,)]], SpecError, SpecError, False),
+                 ([[(2, 3, 3)], [(3, 1, 1)], [(1,)]], SpecError, None, False),
+                 ([[(2,), (2, 1)], [(3,)]], SpecError, None, True)]
+        for groups, on_t, on_dust, ref_misses in cases:
+            for system, want in ((spec, on_t), (spec.dust(), on_dust)):
+                assert _outcome(check_disjoint_groups, system,
+                                groups) == want, groups
+                assert _outcome(hull_check, system, groups) == want, groups
+                ref = _outcome(ref_check_disjoint_groups, system, groups)
+                assert ref == (None if ref_misses else want), groups
 
 
 class TestSeparateness:

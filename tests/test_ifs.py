@@ -6,23 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lipeq import IfsSpec, SpecError, canonical_dust
-from lipeq.exactnum import DeclaredBase, ExactRatio
+from lipeq.exactnum import ExactRatio
 from lipeq.ifs import words_touch, mirror_word
 from lipeq.specfile import spec_to_doc
 
 from conftest import (make_one45, make_equal_spec, random_equal_spec,
-                      make_endratio_spec)
+                      make_endratio_spec, make_declared_spec)
 import random
-
-
-def make_declared_spec():
-    """Ratios g, 1/5, g with g a declared base; touching at letter 1."""
-    g = DeclaredBase("g", "0.20710678118654752440", digits=18)
-    rg = ExactRatio(1, (("g", 1),))
-    gval = rg.value({"g": g})
-    return IfsSpec([rg, ExactRatio(Fraction(1, 5)), rg],
-                   [Fraction(0), gval, 1 - gval], role="touching",
-                   bases={"g": g})
 
 
 class TestValidation:
