@@ -14,12 +14,13 @@ mismatch raises instead of producing an unsound certificate.
 """
 
 from fractions import Fraction
+import math
 import random
 
 from .exactnum import ExactRatio, exact_float, mult_dependence
 from .ifs import SpecError
 from . import cylsets, specfile
-from .decide import decide, Witness
+from .decide import decide, verify_witness, Witness
 from .tstar import (Context, Placement, DecompositionError, DepthError,
                     ldiff, rdiff, hole_diff_left, hole_diff_right,
                     block_decompose, left_patch, right_patch)
@@ -88,7 +89,9 @@ def rules_affine(system, rules, where=""):
 
     Results are kept on ``system``, keyed by the rule tuple, so each
     piece's similarity is derived once per system; a rule set whose rules
-    disagree is never stored and raises on every call."""
+    disagree is never stored and raises on every call.  ``where`` names
+    the rule set in that error: a label, or the (vertex key, piece index)
+    of a certificate piece, formatted only when the error is raised."""
     cache = system._rules_cache
     got = cache.get(rules)
     if got is not None:
@@ -98,10 +101,16 @@ def rules_affine(system, rules, where=""):
         r, s, o = rule_affine(system, rule)
         if r != r0 or not _veq(s, s0) or not _veq(o, o0):
             raise CertificateError(
-                "%s: rules describe different similarities" % where)
+                "%s: rules describe different similarities" % _label(where))
     if len(cache) < 400000:
         cache[rules] = (r0, s0, o0)
     return r0, s0, o0
+
+
+def _label(where):
+    if isinstance(where, tuple):
+        return "%r piece %d" % where
+    return where
 
 
 def _veq(a, b):
@@ -130,10 +139,14 @@ class Vertex:
 
 
 class Piece:
+    """One piece of an edge: a copy of vertex ``target`` placed by the
+    rule sets ``t_rules`` and ``d_rules``, each a sequence of (strip, add)
+    pairs of word tuples.  A tuple of rules is kept as it is."""
+
     def __init__(self, target, t_rules, d_rules):
         self.target = tuple(target)
-        self.t_rules = tuple((tuple(s), tuple(a)) for s, a in t_rules)
-        self.d_rules = tuple((tuple(s), tuple(a)) for s, a in d_rules)
+        self.t_rules = tuple(t_rules)
+        self.d_rules = tuple(d_rules)
 
 
 class Edge:
@@ -382,7 +395,12 @@ def build_certificate(spec, verdict=None):
 # validation
 
 def _piece_images(rules, words):
-    return tuple(apply_rules(rules, w) for w in words)
+    """The words of ``words`` rewritten by ``rules``.  The usual single
+    rule ((), add) prefixes every word with ``add``."""
+    if len(rules) == 1 and not rules[0][0]:
+        add = rules[0][1]
+        return tuple([add + w for w in words])
+    return tuple([apply_rules(rules, w) for w in words])
 
 
 def _check_pq(spec, cert):
@@ -447,32 +465,34 @@ def verify_certificate(spec, cert):
             cert.vertices[("whole",)].t_words != ((),):
         raise CertificateError("missing or malformed whole-set vertex")
     for i, w in cert.witnesses.items():
-        from .decide import verify_witness
         verify_witness(spec, w)
 
     n = spec.n
     one = ExactRatio(1)
+    vertices = cert.vertices
     ratio1_edges = []
     for key, edge in cert.edges.items():
         if edge.source != key:
             raise CertificateError("edge source mismatch at %r" % (key,))
-        src = cert.vertices[key]
+        src = vertices[key]
         if len(edge.pieces) < 2:
             raise CertificateError("edge at %r has fewer than 2 pieces"
                                    % (key,))
         t_groups, d_groups = [], []
         for pi, piece in enumerate(edge.pieces):
-            tgt = cert.vertices.get(piece.target)
+            tgt = vertices.get(piece.target)
             if tgt is None:
                 raise CertificateError("unknown target %r" % (piece.target,))
-            where = "%r piece %d" % (key, pi)
-            rt, ts, to = rules_affine(spec, piece.t_rules, where)
-            rd, ds, do = rules_affine(dust, piece.d_rules, where)
-            if rt != rd:
-                raise CertificateError("%s: T and D ratios differ" % where)
-            lo, hi = rt.interval(spec.bases)
-            if hi > 1:
-                raise CertificateError("%s: expanding piece" % where)
+            rt = rules_affine(spec, piece.t_rules, (key, pi))[0]
+            rd = rules_affine(dust, piece.d_rules, (key, pi))[0]
+            # a spec and its dust share one ratio-word table, so equal
+            # ratios of the usual rules are one object
+            if rt is not rd and rt != rd:
+                raise CertificateError("%s: T and D ratios differ"
+                                       % _label((key, pi)))
+            if rt.interval(spec.bases)[1] > 1:
+                raise CertificateError("%s: expanding piece"
+                                       % _label((key, pi)))
             if rt == one:
                 ratio1_edges.append((key, piece.target))
             t_groups.append(_piece_images(piece.t_rules, tgt.t_words))
@@ -560,6 +580,22 @@ def expand_map(spec, cert, depth):
     return out
 
 
+def leaf_counts(cert):
+    """The leaf counts of ``expand_map(spec, cert, d)`` for d = 0, 1, 2, ...
+    (an endless generator), exactly: e_whole M^d 1 for the piece-count
+    matrix M of the certificate, whose (u, v) entry is the number of
+    pieces of u's edge that target v.  Needs a validated certificate:
+    every target is a vertex with an edge."""
+    counts = {("whole",): 1}
+    while True:
+        yield sum(counts.values())
+        nxt = {}
+        for key, c in counts.items():
+            for piece in cert.edges[key].pieces:
+                nxt[piece.target] = nxt.get(piece.target, 0) + c
+        counts = nxt
+
+
 def verify_expansion(spec, cert, pieces):
     """Exact piecewise bijectivity: leaf T-sets tile T, leaf D-sets tile
     D, with no shared points across pieces."""
@@ -576,30 +612,75 @@ def verify_expansion(spec, cert, pieces):
     return True
 
 
+def leaf_hulls(spec, cert, pieces):
+    """(t_lo, t_hi, d_lo, d_hi), the T-hull and D-hull of each leaf of
+    ``pieces`` (an ``expand_map`` result), from its similarities.
+
+    A leaf's T-hull is (t_scale*t_lo + t_offset, t_scale*t_hi + t_offset)
+    for the T-hull (t_lo, t_hi) of its vertex, and its D-hull likewise.
+    This is an exact identity.  ``rules_affine`` makes every rule of the
+    leaf describe one increasing similarity phi, and a rule (strip, add)
+    maps the cylinder of a vertex word w = strip + u, psi_strip(T_u), to
+    psi_add(T_u) = phi(T_w).  So ``cyl_lo`` and ``cyl_hi`` of every image
+    word are phi of those of w, and phi, being increasing, maps the least
+    and greatest of them to the least and greatest of the images.  Each
+    vertex's hulls are found once, by ``Vertex.hulls``."""
+    dust = spec.dust()
+    hulls = {}
+    out = []
+    for pc in pieces:
+        h = hulls.get(pc.vkey)
+        if h is None:
+            h = hulls[pc.vkey] = cert.vertices[pc.vkey].hulls(spec, dust)
+        t_lo, t_hi, d_lo, d_hi = h
+        ts, to, ds, do = pc.t_scale, pc.t_offset, pc.d_scale, pc.d_offset
+        out.append((ts * t_lo + to, ts * t_hi + to,
+                    ds * d_lo + do, ds * d_hi + do))
+    return out
+
+
 def distortion_report(spec, cert, depth, sample_pairs=4000, seed=7,
                       pieces=None):
     """Empirical bi-Lipschitz bounds of the finite-depth correspondence.
 
     Each leaf contributes both hull endpoint pairs (left of T-set with
-    left of D-set, right with right).  The ratio extremes are taken over
-    all consecutive pairs in both coordinate orders, where they are
-    attained, plus a seeded random sample of long-range pairs.  All
-    coordinates and differences are exact rationals; only the final
-    quotients are floats, so arbitrarily close points are handled safely.
-    ``pieces`` is ``expand_map(spec, cert, depth)`` when the caller has
-    it already; otherwise it is computed here.
+    left of D-set, right with right); the hulls come from the leaves'
+    similarities (``leaf_hulls``).  The ratio extremes are taken over all
+    consecutive pairs in both coordinate orders, where they are attained,
+    plus a seeded random sample of long-range pairs.  ``pieces`` is
+    ``expand_map(spec, cert, depth)`` when the caller has it already;
+    otherwise it is computed here.
+
+    All coordinates and differences are exact; only the quotients are
+    floats, each the correctly rounded value of an exact quotient, so
+    arbitrarily close points are handled safely.  When every coordinate
+    is a Fraction, each side is written over one common denominator
+    (D_T and D_D): the points are sorted by their integer numerators, and
+    dy/dx is formed as (dY*D_T) / (dX*D_D), an int true division that
+    rounds once.  The points and their order are those of the set of
+    hull endpoints, so ties sort and the seeded sample draws as they
+    would over the exact coordinates.
     """
-    dust = spec.dust()
     if pieces is None:
         pieces = expand_map(spec, cert, depth)
     pts = set()
-    for pc in pieces:
-        t_lo = min(spec.cyl_lo(w) for w in pc.t_words)
-        t_hi = max(spec.cyl_hi(w) for w in pc.t_words)
-        d_lo = min(dust.cyl_lo(w) for w in pc.d_words)
-        d_hi = max(dust.cyl_hi(w) for w in pc.d_words)
+    for t_lo, t_hi, d_lo, d_hi in leaf_hulls(spec, cert, pieces):
         pts.add((t_lo, d_lo))
         pts.add((t_hi, d_hi))
+    pts = list(pts)
+    if all(type(x) is Fraction and type(y) is Fraction for x, y in pts):
+        den_t = math.lcm(*[x.denominator for x, _ in pts])
+        den_d = math.lcm(*[y.denominator for _, y in pts])
+        pts = [(x.numerator * (den_t // x.denominator),
+                y.numerator * (den_d // y.denominator)) for x, y in pts]
+
+        def quotient(dx, dy):
+            return (dy * den_t) / (dx * den_d)
+    else:
+        def quotient(dx, dy):
+            if isinstance(dx, Fraction) and isinstance(dy, Fraction):
+                return exact_float(dy / dx)
+            return exact_float(dy) / exact_float(dx)
     pairs = []
     orders = [sorted(pts, key=lambda p: p[0]),
               sorted(pts, key=lambda p: p[1])]
@@ -619,10 +700,7 @@ def distortion_report(spec, cert, depth, sample_pairs=4000, seed=7,
         dy = abs(a[1] - b[1])
         if dx == 0 or dy == 0:
             continue
-        if isinstance(dx, Fraction) and isinstance(dy, Fraction):
-            r = exact_float(dy / dx)
-        else:
-            r = exact_float(dy) / exact_float(dx)
+        r = quotient(dx, dy)
         if c_low is None or r < c_low:
             c_low = r
         if c_high is None or r > c_high:
@@ -714,13 +792,14 @@ def _records(d, name, where):
 
 
 def _word(v, n, where):
-    """A word: a list of letters in 1..n (n None: any positive letter)."""
-    if not isinstance(v, list) or not all(
-            isinstance(a, int) and not isinstance(a, bool) and a >= 1
-            and (n is None or a <= n) for a in v):
-        raise CertificateError("%s: %r is not a word over the letters "
-                               "1..%s" % (where, v, n if n else "n"))
-    return tuple(v)
+    """A word: a list of letters in 1..n (n None: any positive letter).
+    A JSON letter is an int; ``true`` and ``1.0`` are not letters."""
+    if type(v) is list and (not v or (
+            set(map(type, v)) <= {int} and min(v) >= 1
+            and (n is None or max(v) <= n))):
+        return tuple(v)
+    raise CertificateError("%s: %r is not a word over the letters 1..%s"
+                           % (where, v, n if n else "n"))
 
 
 def _words(d, name, n, where):
@@ -731,16 +810,17 @@ def _words(d, name, n, where):
 
 
 def _rules(d, name, n, where):
+    """A nonempty tuple of (strip, add) word pairs."""
     rules = _field(d, name, list, where)
     if not rules:
         raise CertificateError("%s: %r is empty" % (where, name))
     out = []
     for r in rules:
-        if not isinstance(r, list) or len(r) != 2:
+        if type(r) is not list or len(r) != 2:
             raise CertificateError("%s: a rule is a [strip, add] pair"
                                    % where)
         out.append((_word(r[0], n, where), _word(r[1], n, where)))
-    return out
+    return tuple(out)
 
 
 def _key(d, name, where):
@@ -751,12 +831,22 @@ def _key(d, name, where):
     return tuple(key)
 
 
+# the exact strings stored with each piece, compared by verify_cert_doc
+PIECE_STRINGS = ("ratio", "t_scale", "t_offset", "d_scale", "d_offset")
+
+
 def cert_from_doc(doc, n=None):
     """Read a certificate document.  Its shape is checked first: every
     field present with its JSON type, nonempty word and rule lists, vertex
     keys and edge sources unique, and every letter of a word, rule or
-    witness in 1..n (when n is given).  Any violation raises
-    CertificateError."""
+    witness an int (not ``true``, not ``1.0``) in 1..n (when n is given).
+    Any violation raises CertificateError.
+
+    The checks cost few Python calls per piece: a word is one
+    ``set(map(type, ...))`` and one ``min``/``max``, the five exact
+    strings of a piece are tested in one pass (``_field`` runs only to
+    name a failure), and the rule tuples built here are the ones the
+    ``Piece`` keeps."""
     if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
         raise CertificateError("not a certificate document")
     if doc.get("version") != CERT_VERSION:
@@ -789,9 +879,9 @@ def cert_from_doc(doc, n=None):
             raise CertificateError("%s appears twice" % where)
         pieces = []
         for pd in _records(e, "pieces", where):
-            for name in ("ratio", "t_scale", "t_offset", "d_scale",
-                         "d_offset"):
-                _field(pd, name, str, where)
+            if not all(type(pd.get(name)) is str for name in PIECE_STRINGS):
+                for name in PIECE_STRINGS:
+                    _field(pd, name, str, where)
             pieces.append(Piece(_key(pd, "target", where),
                                 _rules(pd, "t_rules", n, where),
                                 _rules(pd, "d_rules", n, where)))

@@ -19,10 +19,12 @@ from .ifs import SpecError
 from .decide import decide, SearchBudget
 from .certify import (build_certificate, cert_to_doc, verify_cert_doc,
                       distortion_report, expand_map, verify_expansion,
-                      CertificateError)
+                      leaf_counts, CertificateError)
 
 REPORT_FORMAT = "lipeq-report"
 REPORT_VERSION = 1
+# the most leaf pieces ``lipeq verify --depth`` expands
+MAX_EXPAND_LEAVES = 1_000_000
 
 
 def _budget(args):
@@ -113,6 +115,23 @@ def cmd_certify(args):
     return 0
 
 
+def _check_leaf_budget(cert, depth):
+    """Refuse a --depth whose expansion has more than MAX_EXPAND_LEAVES
+    leaf pieces, before any is built.  Every edge of a validated
+    certificate has at least two pieces, so the count grows with the
+    depth, and it is counted only up to the first depth over the limit:
+    a deeper request is reported with that lower bound."""
+    for d, count in zip(range(depth + 1), leaf_counts(cert)):
+        if count > MAX_EXPAND_LEAVES:
+            if d == depth:
+                raise SpecError("--depth %d expands to %d leaf pieces, "
+                                "over the limit of %d"
+                                % (depth, count, MAX_EXPAND_LEAVES))
+            raise SpecError("--depth %d expands to more than %d leaf "
+                            "pieces, the count at depth %d, over the limit "
+                            "of %d" % (depth, count, d, MAX_EXPAND_LEAVES))
+
+
 def cmd_verify(args):
     if args.depth < 0:
         raise SpecError("--depth must be nonnegative, got %d" % args.depth)
@@ -133,6 +152,7 @@ def cmd_verify(args):
         "depth": args.depth,
     }
     if args.depth > 0:
+        _check_leaf_budget(cert, args.depth)
         pieces = expand_map(spec, cert, args.depth)
         verify_expansion(spec, cert, pieces)
         c_low, c_high = distortion_report(spec, cert, args.depth,

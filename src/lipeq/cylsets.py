@@ -90,14 +90,6 @@ def _carve(n, a, b):
     return tuple(out)
 
 
-def refine_word(n, w, depth):
-    """All extensions of w to the given length."""
-    out = [w]
-    while out and len(out[0]) < depth:
-        out = [u + (a,) for u in out for a in range(1, n + 1)]
-    return out
-
-
 def subtract(n, a, b):
     """Words of (union a) minus (union b).
 
@@ -218,31 +210,6 @@ def sigma_R_star(spec, word):
     if k == 0:
         return False
     return word[k - 1] in spec.touching.letters
-
-
-def is_separate(spec, words):
-    """Is union(words) positively separated from the rest of T?
-
-    Returns (flag, distance, diameter); distance is None when the set is
-    all of T.  Exact.
-    """
-    ws = canonicalize(spec.n, words)
-    comp = complement_words(spec.n, ws)
-    if not comp:
-        return (True, None, set_diam(spec, ws))
-    # adjacency scan: the complement is also a finite cylinder union, so
-    # the distance is the smallest hull gap between the two families
-    try:
-        check_disjoint_groups(spec, [ws, comp])
-    except SpecError:
-        return (False, 0, set_diam(spec, ws))
-    d = set_distance(spec, ws, comp)
-    return (d > 0, d, set_diam(spec, ws))
-
-
-def block_words(spec):
-    """Level-1 component letter blocks as word sets, left to right."""
-    return [tuple((a,) for a in range(b, e + 1)) for b, e in spec.blocks()]
 
 
 def is_separate_block_form(spec, prefix, block_index):

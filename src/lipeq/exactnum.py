@@ -331,6 +331,9 @@ class SymValue:
     def __neg__(self):
         return SymValue({m: -c for m, c in self.terms.items()}, self.env)
 
+    def __abs__(self):
+        return -self if self._sign() < 0 else self
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return SymValue({m: c * other for m, c in self.terms.items()},
@@ -472,16 +475,6 @@ def mult_dependence(a, b, max_factor_bits=64):
     q, p = t.numerator, t.denominator
     assert a.pow_int(p) == b.pow_int(q)
     return (p, q)
-
-
-def log_ratio_rational(a, b, max_factor_bits=64):
-    """log a / log b as a Fraction when a, b are multiplicatively
-    dependent, else None."""
-    pq = mult_dependence(a, b, max_factor_bits)
-    if pq is None:
-        return None
-    p, q = pq
-    return Fraction(q, p)
 
 
 # ---------------------------------------------------------------------------

@@ -172,9 +172,11 @@ class IfsSpec:
 
     def dust(self):
         """The equally spaced dust counterpart (:func:`canonical_dust`),
-        built on first use and kept with this system."""
+        built on first use and kept with this system.  It has the same
+        ratio tuple, so the two share one ``ratio_word`` table."""
         if self._dust is None:
             self._dust = canonical_dust(self.ratios, self.bases)
+            self._dust._ratio_cache = self._ratio_cache
         return self._dust
 
     # -- level-1 connected blocks -------------------------------------------
@@ -223,10 +225,6 @@ class IfsSpec:
                    for i in range(n))
         return IfsSpec(ratios, ts, role=self.role, bases=self.bases,
                        mu_independent=self.mu_independent)
-
-
-def mirror_word(n, word):
-    return tuple(n + 1 - a for a in word)
 
 
 def words_touch(spec, u, v):

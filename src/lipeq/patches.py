@@ -275,9 +275,9 @@ def _max_level1_gap(spec):
     return gmax
 
 
-def _gap_atoms(spec, words, delta):
-    """Refine until no cylinder can hide a gap of length >= delta."""
-    gmax = _max_level1_gap(spec)
+def _gap_atoms(spec, words, delta, gmax):
+    """Refine until no cylinder can hide a gap of length >= delta; gmax
+    is ``_max_level1_gap(spec)``."""
 
     def expand(w):
         s, _ = spec.affine(w)
@@ -301,7 +301,7 @@ def gaps(spec, words, delta):
     A gap is a maximal open interval of the hull disjoint from the set.
     Cylinders are expanded while they can still contain a qualifying gap.
     """
-    atoms = _gap_atoms(spec, words, delta)
+    atoms = _gap_atoms(spec, words, delta, _max_level1_gap(spec))
     out = []
     for u, v in zip(atoms, atoms[1:]):
         lo = spec.cyl_hi(u)
@@ -311,9 +311,12 @@ def gaps(spec, words, delta):
     return out
 
 
-def gap_partition(spec, words, delta):
-    """Split union(words) at every gap of length >= delta."""
-    atoms = _gap_atoms(spec, words, delta)
+def gap_partition(spec, words, delta, gmax=None):
+    """Split union(words) at every gap of length >= delta.  ``gmax`` is
+    ``_max_level1_gap(spec)`` when the caller has it already."""
+    if gmax is None:
+        gmax = _max_level1_gap(spec)
+    atoms = _gap_atoms(spec, words, delta, gmax)
     pieces = []
     buf = [atoms[0]]
     for u, v in zip(atoms, atoms[1:]):
@@ -331,9 +334,10 @@ def partition_T(spec, k, i0=None, depth_cap=8):
     """Refinement of S_k splitting every piece at gaps >= delta_k."""
     levels = partition_S(spec, k, i0, depth_cap)
     d = delta_k(spec, k, i0)
+    gmax = _max_level1_gap(spec)
     out = []
     for piece in levels[-1]:
-        out.extend(gap_partition(spec, piece.words, d))
+        out.extend(gap_partition(spec, piece.words, d, gmax))
     out.sort(key=lambda p: p.lo)
     return out
 

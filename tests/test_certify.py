@@ -16,7 +16,8 @@ from lipeq import (IfsSpec, decide, build_certificate, verify_certificate,
 import lipeq.certify
 from lipeq import cylsets, tstar
 from lipeq.certify import (compose_rules, apply_rules, choose_pq,
-                           rules_affine, rule_affine, Edge, Piece)
+                           rules_affine, rule_affine, leaf_counts,
+                           leaf_hulls, Edge, Piece)
 from lipeq.exactnum import SymValue
 from lipeq.specfile import format_value
 from lipeq.tstar import Context, DecompositionError, Placement
@@ -186,6 +187,27 @@ class TestMutationDetection:
             with pytest.raises(Exception):
                 verify_cert_doc(one45, d)
 
+    def test_swapped_d_rules_rejected_by_ratio_check(self, one45):
+        # two pieces with one target and different ratios swap their
+        # D-side rules: both unions stay the same, only the per-piece
+        # ratio equality sees it
+        cert = build_certificate(one45)
+        key = ("touch2", 2)
+        pieces = list(cert.edges[key].pieces)
+        a, b = pieces[0], pieces[2]
+        assert a.target == b.target
+        assert (rules_affine(one45, a.t_rules)[0]
+                != rules_affine(one45, b.t_rules)[0])
+        pieces[0] = Piece(a.target, a.t_rules, b.d_rules)
+        pieces[2] = Piece(b.target, b.t_rules, a.d_rules)
+        bad = copy.copy(cert)
+        bad.edges = dict(cert.edges)
+        bad.edges[key] = Edge(key, pieces)
+        with pytest.raises(CertificateError,
+                           match=r"^\('touch2', 2\) piece 0: T and D "
+                                 r"ratios differ$"):
+            verify_certificate(one45, bad)
+
     def test_hull_mutation_detected(self, one45):
         cert = build_certificate(one45)
         doc = cert_to_doc(one45, cert)
@@ -193,6 +215,69 @@ class TestMutationDetection:
         d["vertices"][2]["t_lo"] = "1/9"
         with pytest.raises(CertificateError):
             verify_cert_doc(one45, d)
+
+
+def make_endratio64():
+    """End ratios 1/4, 1/8 and middle ratio 1/8: certifies at (6, 4)."""
+    return make_endratio_spec(Fraction(1, 4), Fraction(1, 8),
+                              r2=Fraction(1, 8))
+
+
+def declared_dust():
+    spec = make_declared_spec()
+    return canonical_dust(spec.ratios, spec.bases)
+
+
+def word_scan_hulls(spec, pieces):
+    """Reference leaf hulls: the extremes of ``cyl_lo`` and ``cyl_hi``
+    over each leaf's words, the scan the depth report made before it took
+    its hulls from the leaves' similarities."""
+    dust = spec.dust()
+    return [(min(spec.cyl_lo(w) for w in pc.t_words),
+             max(spec.cyl_hi(w) for w in pc.t_words),
+             min(dust.cyl_lo(w) for w in pc.d_words),
+             max(dust.cyl_hi(w) for w in pc.d_words)) for pc in pieces]
+
+
+def ref_distortion_report(spec, cert, depth, sample_pairs=4000, seed=7):
+    """Reference depth report: word-scan hulls, Fraction sorting and one
+    Fraction quotient per pair."""
+    pts = set()
+    for t_lo, t_hi, d_lo, d_hi in word_scan_hulls(
+            spec, expand_map(spec, cert, depth)):
+        pts.add((t_lo, d_lo))
+        pts.add((t_hi, d_hi))
+    orders = [sorted(pts, key=lambda p: p[0]),
+              sorted(pts, key=lambda p: p[1])]
+    pairs = [ab for order in orders for ab in zip(order, order[1:])]
+    lst = orders[0]
+    m = len(lst)
+    rng = random.Random(seed)
+    for _ in range(min(sample_pairs, m * (m - 1) // 2)):
+        a = rng.randrange(m)
+        b = rng.randrange(m)
+        if a != b:
+            pairs.append((lst[a], lst[b]))
+    quotients = [float(abs(a[1] - b[1]) / abs(a[0] - b[0]))
+                 for a, b in pairs if a[0] != b[0] and a[1] != b[1]]
+    return min(quotients), max(quotients)
+
+
+def hull_cases():
+    """(label, spec, certificate, deepest depth) of the hull tests."""
+    one45 = make_one45()
+    dust = one45.dust()
+    return [("one45", one45, build_certificate(one45), 4),
+            ("endratio64", make_endratio64(),
+             build_certificate(make_endratio64()), 4),
+            ("identity", dust, identity_certificate(dust), 4),
+            ("declared-identity", declared_dust(),
+             identity_certificate(declared_dust()), 3),
+            ("declared", make_declared_spec(),
+             build_certificate(make_declared_spec()), 3)]
+
+
+HULL_CASES = hull_cases()
 
 
 class TestExpansion:
@@ -207,6 +292,45 @@ class TestExpansion:
         sizes = [len(expand_map(one45, cert, d)) for d in (1, 2, 3)]
         assert sizes[0] == 2
         assert sizes[0] < sizes[1] < sizes[2]
+
+    @pytest.mark.parametrize("make,depths", [(make_one45, 7),
+                                             (make_endratio64, 5)],
+                             ids=["one45", "endratio64"])
+    def test_leaf_counts_predict_expansion(self, make, depths):
+        spec = make()
+        cert = build_certificate(spec)
+        counts = leaf_counts(cert)
+        for depth in range(depths):
+            assert next(counts) == len(expand_map(spec, cert, depth))
+
+    def test_leaf_counts_of_one45(self, one45):
+        counts = leaf_counts(build_certificate(one45))
+        assert [next(counts) for _ in range(11)] == [
+            1, 2, 5, 20, 131, 940, 6837, 49830, 363273, 2648448, 19308655]
+
+
+class TestLeafHulls:
+    @pytest.mark.parametrize("label,spec,cert,deepest", HULL_CASES,
+                             ids=[c[0] for c in HULL_CASES])
+    def test_similarity_hull_equals_word_scan(self, label, spec, cert,
+                                              deepest):
+        for depth in range(1, deepest + 1):
+            pieces = expand_map(spec, cert, depth)
+            assert (leaf_hulls(spec, cert, pieces)
+                    == word_scan_hulls(spec, pieces)), depth
+
+    @pytest.mark.parametrize("make,depth,seed,pairs", [
+        (make_one45, 3, 7, 4000), (make_one45, 4, 11, 500),
+        (make_endratio64, 3, 7, 4000), (make_endratio64, 2, 3, 10)],
+        ids=["one45-3", "one45-4", "endratio64-3", "endratio64-2"])
+    def test_report_matches_fraction_reference(self, make, depth, seed,
+                                               pairs):
+        spec = make()
+        cert = build_certificate(spec)
+        assert (distortion_report(spec, cert, depth, sample_pairs=pairs,
+                                  seed=seed)
+                == ref_distortion_report(spec, cert, depth,
+                                         sample_pairs=pairs, seed=seed))
 
 
 class TestDistortion:
@@ -223,6 +347,13 @@ class TestDistortion:
         cert = identity_certificate(dust)
         lo, hi = distortion_report(dust, cert, 3)
         assert lo == hi == 1.0
+
+    def test_symbolic_identity_certificate_is_isometry(self):
+        # SymValue coordinates take the generic quotient path
+        dust = declared_dust()
+        assert isinstance(dust.t[1], SymValue)
+        assert distortion_report(dust, identity_certificate(dust),
+                                 2) == (1.0, 1.0)
 
 
 class TestOtherSpecs:

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -296,6 +297,39 @@ class TestVerify:
                      "--depth", "1", "--pairs", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["leaf_pieces"] == 2
 
+    def test_depth_over_leaf_budget_refused(self, one45_file, tmp_path,
+                                            capsys, monkeypatch):
+        cert = tmp_path / "c.json"
+        main(["certify", one45_file, "-o", str(cert)])
+        expanded = []
+        monkeypatch.setattr(lipeq.cli, "expand_map",
+                            lambda *args: expanded.append(args))
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert main(["verify", one45_file, "--cert", str(cert),
+                     "--depth", "9"]) == 3
+        assert time.perf_counter() - t0 < 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err == ("error: --depth 9 expands to 2648448 leaf "
+                           "pieces, over the limit of 1000000\n")
+        assert main(["verify", one45_file, "--cert", str(cert),
+                     "--depth", "1000000000"]) == 3
+        assert "more than 2648448 leaf pieces, the count at depth 9" in \
+            capsys.readouterr().err
+        assert expanded == []
+
+    def test_depth_under_leaf_budget_expands(self, one45_file, tmp_path,
+                                             monkeypatch):
+        cert = tmp_path / "c.json"
+        main(["certify", one45_file, "-o", str(cert)])
+        # depth 2 has 5 leaves: a limit of 5 still expands it
+        monkeypatch.setattr(lipeq.cli, "MAX_EXPAND_LEAVES", 5)
+        assert main(["verify", one45_file, "--cert", str(cert),
+                     "--depth", "2"]) == 0
+        assert main(["verify", one45_file, "--cert", str(cert),
+                     "--depth", "3"]) == 3
+
     def test_tampered_certificate(self, one45_file, tmp_path):
         cert = tmp_path / "c.json"
         main(["certify", one45_file, "-o", str(cert)])
@@ -317,6 +351,21 @@ class TestVerifyMalformed:
         doc = copy.deepcopy(ONE45_CERT)
         doc["edges"][0]["pieces"][0]["t_rules"][0][1] = [4]
         assert verify_doc(one45_file, tmp_path, doc) == 3
+
+    @pytest.mark.parametrize("letter", [True, 1.0], ids=["true", "1.0"])
+    @pytest.mark.parametrize("side,part", [("t_rules", 0), ("t_rules", 1),
+                                           ("d_rules", 0), ("d_rules", 1)],
+                             ids=["t-strip", "t-add", "d-strip", "d-add"])
+    def test_rule_letter_not_an_int(self, one45_file, tmp_path, capsys,
+                                    side, part, letter):
+        doc = copy.deepcopy(ONE45_CERT)
+        rule = doc["edges"][0]["pieces"][0][side][0]
+        rule[part] = rule[part] + [letter]
+        capsys.readouterr()
+        assert verify_doc(one45_file, tmp_path, doc) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: edge ") and err.count("\n") == 1
+        assert "is not a word over the letters 1..3" in err
 
     def test_missing_vertices(self, one45_file, tmp_path):
         doc = copy.deepcopy(ONE45_CERT)

@@ -13,13 +13,40 @@ from hypothesis import given, settings, strategies as st
 
 from lipeq import SpecError
 from lipeq.ifs import words_touch
-from lipeq.cylsets import (canonicalize, union_equal, refine_word,
-                           subtract, word_subset, sort_spatial,
-                           check_disjoint_groups, complement_words,
-                           set_distance, set_diam, is_separate,
-                           is_separate_block_form, block_words)
+from lipeq.cylsets import (canonicalize, union_equal, subtract,
+                           word_subset, sort_spatial, check_disjoint_groups,
+                           complement_words, set_distance, set_diam,
+                           is_separate_block_form)
 
 from conftest import make_one45, random_equal_spec
+
+
+def refine_word(n, w, depth):
+    """All extensions of w to the given length."""
+    out = [w]
+    while out and len(out[0]) < depth:
+        out = [u + (a,) for u in out for a in range(1, n + 1)]
+    return out
+
+
+def is_separate(spec, words):
+    """Is union(words) positively separated from the rest of T?
+
+    Returns (flag, distance, diameter); distance is None when the set is
+    all of T.  Exact: the reference for ``is_separate_block_form``.
+    """
+    ws = canonicalize(spec.n, words)
+    comp = complement_words(spec.n, ws)
+    if not comp:
+        return (True, None, set_diam(spec, ws))
+    # adjacency scan: the complement is also a finite cylinder union, so
+    # the distance is the smallest hull gap between the two families
+    try:
+        check_disjoint_groups(spec, [ws, comp])
+    except SpecError:
+        return (False, 0, set_diam(spec, ws))
+    d = set_distance(spec, ws, comp)
+    return (d > 0, d, set_diam(spec, ws))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +520,9 @@ class TestDisjointGroups:
 class TestSeparateness:
     def test_blocks_are_separate(self):
         spec = make_one45()
-        for b in block_words(spec):
-            flag, dist, diam = is_separate(spec, b)
+        for first, last in spec.blocks():
+            flag, dist, diam = is_separate(
+                spec, [(a,) for a in range(first, last + 1)])
             assert flag and dist > 0
 
     def test_half_touching_pair_not_separate(self):

@@ -11,8 +11,7 @@ from lipeq.exactnum import (ExactRatio, SymValue, DeclaredBase,
                             FactorizationError,
                             UncertifiableComparisonError,
                             factorize, ratio_cmp, to_exponent_vector,
-                            mult_dependence, log_ratio_rational,
-                            moran_dimension)
+                            mult_dependence, moran_dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +125,14 @@ class TestSymValue:
         assert zero == 0
         assert hash(zero) == hash(0)
 
+    def test_abs(self):
+        env = golden_env()
+        g = SymValue.wrap(
+            ExactRatio(Fraction(1), (("g", 1),)).value(env), env)
+        assert abs(g) == g
+        assert abs(Fraction(1, 2) - g) == g - Fraction(1, 2)
+        assert abs(g - g).is_zero()
+
     def test_comparisons(self):
         env = golden_env()
         g = SymValue.wrap(
@@ -162,12 +169,6 @@ class TestMultDependence:
         a = ExactRatio(Fraction(1), (("g", 1),))
         b = ExactRatio(Fraction(1, 2))
         assert mult_dependence(a, b) is None
-
-    def test_log_ratio(self):
-        a = ExactRatio(Fraction(1, 4))
-        b = ExactRatio(Fraction(1, 8))
-        assert log_ratio_rational(a, b) == Fraction(2, 3)
-        assert log_ratio_rational(a, ExactRatio(Fraction(1, 3))) is None
 
     @given(st.integers(min_value=2, max_value=30),
            st.integers(min_value=1, max_value=5),

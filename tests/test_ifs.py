@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from lipeq import IfsSpec, SpecError, canonical_dust
 from lipeq.exactnum import ExactRatio
-from lipeq.ifs import words_touch, mirror_word
+from lipeq.ifs import words_touch
 from lipeq.specfile import spec_to_doc
 
 from conftest import (make_one45, make_equal_spec, random_equal_spec,
@@ -165,9 +165,6 @@ class TestMirror:
             mm = spec.mirror().mirror()
             assert mm.t == spec.t
             assert mm.ratios == spec.ratios
-
-    def test_mirror_word(self):
-        assert mirror_word(3, (1, 2, 3)) == (3, 2, 1)
 
 
 class TestCanonicalDust:
