@@ -119,17 +119,13 @@ def _check_leaf_budget(cert, depth):
     """Refuse a --depth whose expansion has more than MAX_EXPAND_LEAVES
     leaf pieces, before any is built.  Every edge of a validated
     certificate has at least two pieces, so the count grows with the
-    depth, and it is counted only up to the first depth over the limit:
-    a deeper request is reported with that lower bound."""
+    depth, and it is counted only up to the first depth over the limit,
+    which the message names with its count."""
     for d, count in zip(range(depth + 1), leaf_counts(cert)):
         if count > MAX_EXPAND_LEAVES:
-            if d == depth:
-                raise SpecError("--depth %d expands to %d leaf pieces, "
-                                "over the limit of %d"
-                                % (depth, count, MAX_EXPAND_LEAVES))
-            raise SpecError("--depth %d expands to more than %d leaf "
-                            "pieces, the count at depth %d, over the limit "
-                            "of %d" % (depth, count, d, MAX_EXPAND_LEAVES))
+            raise SpecError("--depth %d needs at least %d leaf pieces "
+                            "(%d at depth %d), over the limit of %d"
+                            % (depth, count, count, d, MAX_EXPAND_LEAVES))
 
 
 def cmd_verify(args):

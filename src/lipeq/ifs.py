@@ -71,6 +71,8 @@ class IfsSpec:
         # certify.rules_affine results, keyed by rule tuple (successes only)
         self._rules_cache = {}
         self._dust = None
+        # patches._max_level1_gap result
+        self._level1_gap = None
         self._validate()
         self.touching = TouchingStructure(
             [i for i in range(1, self.n)

@@ -262,6 +262,10 @@ def delta_k(spec, k, i0=None):
 
 
 def _max_level1_gap(spec):
+    """The longest level-1 gap of ``spec``.  It is a constant of the spec
+    that every gap refinement asks for, so it is kept on the spec."""
+    if spec._level1_gap is not None:
+        return spec._level1_gap
     g1 = []
     for i in range(spec.n - 1):
         lo = spec.t[i] + spec.rho[i]
@@ -272,12 +276,13 @@ def _max_level1_gap(spec):
     for v in g1[1:]:
         if _cmp_vals(v, gmax) > 0:
             gmax = v
+    spec._level1_gap = gmax
     return gmax
 
 
-def _gap_atoms(spec, words, delta, gmax):
-    """Refine until no cylinder can hide a gap of length >= delta; gmax
-    is ``_max_level1_gap(spec)``."""
+def _gap_atoms(spec, words, delta):
+    """Refine until no cylinder can hide a gap of length >= delta."""
+    gmax = _max_level1_gap(spec)
 
     def expand(w):
         s, _ = spec.affine(w)
@@ -301,7 +306,7 @@ def gaps(spec, words, delta):
     A gap is a maximal open interval of the hull disjoint from the set.
     Cylinders are expanded while they can still contain a qualifying gap.
     """
-    atoms = _gap_atoms(spec, words, delta, _max_level1_gap(spec))
+    atoms = _gap_atoms(spec, words, delta)
     out = []
     for u, v in zip(atoms, atoms[1:]):
         lo = spec.cyl_hi(u)
@@ -311,12 +316,9 @@ def gaps(spec, words, delta):
     return out
 
 
-def gap_partition(spec, words, delta, gmax=None):
-    """Split union(words) at every gap of length >= delta.  ``gmax`` is
-    ``_max_level1_gap(spec)`` when the caller has it already."""
-    if gmax is None:
-        gmax = _max_level1_gap(spec)
-    atoms = _gap_atoms(spec, words, delta, gmax)
+def gap_partition(spec, words, delta):
+    """Split union(words) at every gap of length >= delta."""
+    atoms = _gap_atoms(spec, words, delta)
     pieces = []
     buf = [atoms[0]]
     for u, v in zip(atoms, atoms[1:]):
@@ -334,10 +336,9 @@ def partition_T(spec, k, i0=None, depth_cap=8):
     """Refinement of S_k splitting every piece at gaps >= delta_k."""
     levels = partition_S(spec, k, i0, depth_cap)
     d = delta_k(spec, k, i0)
-    gmax = _max_level1_gap(spec)
     out = []
     for piece in levels[-1]:
-        out.extend(gap_partition(spec, piece.words, d, gmax))
+        out.extend(gap_partition(spec, piece.words, d))
     out.sort(key=lambda p: p.lo)
     return out
 

@@ -311,12 +311,14 @@ class TestVerify:
         assert time.perf_counter() - t0 < 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1
-        assert out.err == ("error: --depth 9 expands to 2648448 leaf "
-                           "pieces, over the limit of 1000000\n")
+        assert out.err == ("error: --depth 9 needs at least 2648448 leaf "
+                           "pieces (2648448 at depth 9), over the limit of "
+                           "1000000\n")
         assert main(["verify", one45_file, "--cert", str(cert),
                      "--depth", "1000000000"]) == 3
-        assert "more than 2648448 leaf pieces, the count at depth 9" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --depth 1000000000 needs at least 2648448 leaf pieces "
+            "(2648448 at depth 9), over the limit of 1000000\n")
         assert expanded == []
 
     def test_depth_under_leaf_budget_expands(self, one45_file, tmp_path,

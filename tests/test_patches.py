@@ -9,10 +9,9 @@ import pytest
 from lipeq import IfsSpec, SpecError
 from lipeq.patches import (tau, c_set_words, c_family, partition_S,
                            partition_T, partition_norm, delta_k,
-                           gap_partition,
                            e_family, e_ratio_set, measure_words,
                            simple_decomposition, PartitionPiece,
-                           _e_parents)
+                           _e_parents, _max_level1_gap)
 from lipeq import cylsets
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
@@ -117,21 +116,23 @@ class TestPartitionS:
 
 
 class TestPartitionT:
-    def test_splits_each_piece_of_s_at_its_gaps(self):
-        # partition_T passes one precomputed level-1 gap bound to every
-        # gap_partition call; without it each call finds its own
-        specs = [make_equal_spec(4, 9, [0, 3, 4, 8]),
-                 make_endratio_spec(Fraction(1, 4), Fraction(1, 8),
-                                    r2=Fraction(1, 3))]
-        for spec in specs:
+    def test_level1_gap_bound_kept_on_spec(self):
+        # the bound is the longest level-1 gap, found once and kept on the
+        # spec; a spec that has partitioned before partitions like a new one
+        makers = [lambda: make_equal_spec(4, 9, [0, 3, 4, 8]),
+                  lambda: make_endratio_spec(Fraction(1, 4), Fraction(1, 8),
+                                             r2=Fraction(1, 3))]
+        for make in makers:
+            warm = make()
+            want = max(warm.t[i + 1] - warm.t[i] - warm.rho[i]
+                       for i in range(warm.n - 1))
+            assert _max_level1_gap(warm) == want
+            assert warm._level1_gap == want
             for k in (1, 2, 3):
-                d = delta_k(spec, k)
-                want = [q for p in partition_S(spec, k)[-1]
-                        for q in gap_partition(spec, p.words, d)]
-                want.sort(key=lambda p: p.lo)
                 assert ([(p.words, p.lo, p.hi)
-                         for p in partition_T(spec, k)]
-                        == [(p.words, p.lo, p.hi) for p in want])
+                         for p in partition_T(warm, k)]
+                        == [(p.words, p.lo, p.hi)
+                            for p in partition_T(make(), k)])
 
     def test_norm_strictly_decreasing(self):
         spec = make_one45()
