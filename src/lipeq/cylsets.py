@@ -52,10 +52,11 @@ def union_equal(n, a, b):
     return canonicalize(n, a) == canonicalize(n, b)
 
 
-def _covered(ws, w):
+def covered(ws, w):
     """Is some word of canonical ``ws`` a prefix of w (w included)?  Only
     the last word not after w can be: a prefix u of w sorts before w, and
-    a word between u and w would begin with u."""
+    a word between u and w would begin with u.  By ``word_subset``'s
+    argument this decides whether T_w lies inside union(ws)."""
     i = bisect_right(ws, w)
     return i > 0 and w[:len(ws[i - 1])] == ws[i - 1]
 
@@ -98,7 +99,7 @@ def subtract(n, a, b):
     """
     a = canonicalize(n, a)
     b = canonicalize(n, b)
-    if not all(_covered(a, u) for u in b):
+    if not all(covered(a, u) for u in b):
         raise SpecError("subtrahend is not contained in the set")
     return _carve(n, a, b)
 
@@ -112,7 +113,7 @@ def word_subset(n, a, b):
     form forbids.  So each word of a costs one bisect.
     """
     b = canonicalize(n, b)
-    return all(_covered(b, w) for w in a)
+    return all(covered(b, w) for w in a)
 
 
 def sort_spatial(words):

@@ -11,9 +11,24 @@ without overlapping interiors.  Two roles are supported:
 
 Words are tuples of 1-based letters.  ``T_w`` denotes the cylinder of the
 attractor addressed by word ``w``.
+
+Cylinder maps live on an integer grid.  Let q be the least common
+denominator of all ratios and translations of a rational system, and
+``R_c = q * r_c``, ``T_c = q * t_c`` its integer letters.  Then
+
+    psi_w(x) = (S_w * x + O_w) / q**|w|,
+    S_wc = S_w * R_c,    O_wc = q * O_w + S_w * T_c,
+
+with S and O integers, since psi_wc(x) = psi_w(r_c x + t_c) and
+q**|wc| = q * q**|w|.  The identity holds term by term over the
+integers, so a cylinder's scale and ends are exact: each is one
+normalized ``Fraction`` built from the grid, equal to the one the
+``Fraction`` recursion gives.  A system with a declared base runs the
+same recursion with q = 1 over its own exact values.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .exactnum import ExactRatio, SymValue
 
@@ -66,7 +81,7 @@ class IfsSpec:
         self.mu_independent = mu_independent
         self.rho = tuple(r.value(self.bases) for r in self.ratios)
         self.t = tuple(translations)
-        self._affine_cache = {(): (self._one(), self._zero())}
+        self._init_grid()
         self._ratio_cache = {(): ExactRatio(1)}
         # certify.rules_affine results, keyed by rule tuple (successes only)
         self._rules_cache = {}
@@ -79,11 +94,24 @@ class IfsSpec:
              if self._eq(self.t[i - 1] + self.rho[i - 1], self.t[i])],
             self.n)
 
-    def _zero(self):
-        return Fraction(0)
-
-    def _one(self):
-        return Fraction(1)
+    def _init_grid(self):
+        """The letters (R, T), q and the cache of the cylinder grid; see
+        the module docstring.  ``_grid`` maps a word w to (S_w, O_w)."""
+        vals = self.rho + self.t
+        self._on_grid = all(isinstance(v, (int, Fraction)) for v in vals)
+        if self._on_grid:
+            q = lcm(*(v.denominator for v in vals))
+            self._q = q
+            self._R = tuple(v.numerator * (q // v.denominator)
+                            for v in self.rho)
+            self._T = tuple(v.numerator * (q // v.denominator)
+                            for v in self.t)
+            self._grid = {(): (1, 0)}
+        else:
+            self._q = 1
+            self._R = self.rho
+            self._T = self.t
+            self._grid = {(): (Fraction(1), Fraction(0))}
 
     def _eq(self, a, b):
         if isinstance(a, SymValue) or isinstance(b, SymValue):
@@ -131,28 +159,50 @@ class IfsSpec:
 
     # -- basic geometry ----------------------------------------------------
 
-    def affine(self, word):
-        """(scale, offset) of psi_word, exact, cached along prefixes."""
-        cache = self._affine_cache
-        got = cache.get(word)
+    def _cell(self, word):
+        """(S_word, O_word) on the grid, cached along prefixes."""
+        grid = self._grid
+        got = grid.get(word)
         if got is not None:
             return got
-        s, o = self.affine(word[:-1])
+        s, o = self._cell(word[:-1])
         i = word[-1] - 1
-        res = (s * self.rho[i], o + s * self.t[i])
-        if len(cache) < 400000:
-            cache[word] = res
+        res = (s * self._R[i], o * self._q + s * self._T[i])
+        if len(grid) < 400000:
+            grid[word] = res
         return res
 
+    def affine(self, word):
+        """(scale, offset) of psi_word, exact.
+
+        psi_word(x) = (S * x + O) / q**|word| with integers S, O from the
+        grid of the module docstring; the identity is exact because each
+        step multiplies the numerators and the denominator by integers.
+        So the scale and the offset are each one normalized ``Fraction``.
+        A declared-base system has q = 1 and returns its grid values."""
+        s, o = self._grid.get(word) or self._cell(word)
+        if self._on_grid:
+            d = self._q ** len(word)
+            return (Fraction(s, d), Fraction(o, d))
+        return (s, o)
+
     def cyl_interval(self, word):
-        s, o = self.affine(word)
+        s, o = self._grid.get(word) or self._cell(word)
+        if self._on_grid:
+            d = self._q ** len(word)
+            return (Fraction(o, d), Fraction(o + s, d))
         return (o, o + s)
 
     def cyl_lo(self, word):
-        return self.affine(word)[1]
+        s, o = self._grid.get(word) or self._cell(word)
+        if self._on_grid:
+            return Fraction(o, self._q ** len(word))
+        return o
 
     def cyl_hi(self, word):
-        s, o = self.affine(word)
+        s, o = self._grid.get(word) or self._cell(word)
+        if self._on_grid:
+            return Fraction(o + s, self._q ** len(word))
         return o + s
 
     def ratio_word(self, word):

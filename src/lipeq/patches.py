@@ -86,12 +86,16 @@ def c_set_words(spec, j, i0=None):
 
 
 class PartitionPiece:
-    """A finite cylinder union with its hull, member of a partition."""
+    """A finite cylinder union with its hull, member of a partition.
+
+    ``words`` must be a canonical word set.  Every piece built here is
+    canonical when it is made (each builder says why), so none is
+    canonicalized again."""
 
     __slots__ = ("words", "lo", "hi")
 
     def __init__(self, spec, words):
-        self.words = cylsets.canonicalize(spec.n, words)
+        self.words = tuple(words)
         if not self.words:
             raise SpecError("empty piece")
         # canonical words are in spatial order
@@ -115,12 +119,18 @@ def simple_decomposition(spec, parent_words, marked):
     be pairwise disjoint, and each must be separated from the rest of the
     parent.  The remainder between consecutive marked hulls is grouped into
     one piece per maximal run.  Preconditions are verified exactly.
+
+    The parent and the marked sets are canonicalized once, at entry.  A
+    run of the remainder is canonical as it comes: its atoms are sorted
+    and prefix-free; no complete sibling family lies above a parent word,
+    since the parent is canonical; and a split word has a marked word
+    below it, which is not in the run, so its children never all are.
     """
     n = spec.n
     parent_words = cylsets.canonicalize(n, parent_words)
     marked = [cylsets.canonicalize(n, m) for m in marked]
     for m in marked:
-        if not cylsets.word_subset(n, m, parent_words):
+        if not all(cylsets.covered(parent_words, w) for w in m):
             raise SpecError("marked set not inside parent")
     hulls = [(spec.cyl_lo(m[0]), spec.cyl_hi(m[-1]), m) for m in marked]
     hulls.sort(key=lambda x: (x[0], x[1]))
@@ -229,8 +239,9 @@ def partition_S(spec, k, i0=None, depth_cap=8):
         inside = [[] for _ in current]
         for c in c_family(spec, level, i0):
             i = _home_of(home, c[0])
-            if i is not None and cylsets.word_subset(spec.n, c,
-                                                     current[i].words):
+            # piece words are canonical, so each word of c needs one bisect
+            if i is not None and all(cylsets.covered(current[i].words, w)
+                                     for w in c):
                 inside[i].append(c)
         nxt = []
         for piece, marks in zip(current, inside):
@@ -261,17 +272,19 @@ def delta_k(spec, k, i0=None):
     return best
 
 
+def _level1_gaps(spec):
+    """g_c = psi_{c+1}(0) - psi_c(1) for c = 1..n-1; zero after a
+    touching letter."""
+    return [spec.t[c] - (spec.t[c - 1] + spec.rho[c - 1])
+            for c in range(1, spec.n)]
+
+
 def _max_level1_gap(spec):
     """The longest level-1 gap of ``spec``.  It is a constant of the spec
     that every gap refinement asks for, so it is kept on the spec."""
     if spec._level1_gap is not None:
         return spec._level1_gap
-    g1 = []
-    for i in range(spec.n - 1):
-        lo = spec.t[i] + spec.rho[i]
-        hi = spec.t[i + 1]
-        if _cmp_vals(hi - lo, 0) > 0:
-            g1.append(hi - lo)
+    g1 = [g for g in _level1_gaps(spec) if _cmp_vals(g, 0) > 0]
     gmax = g1[0]
     for v in g1[1:]:
         if _cmp_vals(v, gmax) > 0:
@@ -280,55 +293,55 @@ def _max_level1_gap(spec):
     return gmax
 
 
-def _gap_atoms(spec, words, delta):
-    """Refine until no cylinder can hide a gap of length >= delta."""
-    gmax = _max_level1_gap(spec)
-
-    def expand(w):
-        s, _ = spec.affine(w)
-        if _cmp_vals(s * gmax, delta) < 0:
-            return [w]
-        out = []
-        for c in range(1, spec.n + 1):
-            out.extend(expand(w + (c,)))
-        return out
-
-    atoms = []
-    for w in cylsets.canonicalize(spec.n, words):
-        atoms.extend(expand(w))
-    atoms.sort()
-    return atoms
-
-
-def gaps(spec, words, delta):
-    """All gaps of union(words) with length >= delta, as (lo, hi) pairs.
+def gap_partition(spec, words, delta):
+    """Split union(words) at every gap of length >= delta.
 
     A gap is a maximal open interval of the hull disjoint from the set.
-    Cylinders are expanded while they can still contain a qualifying gap.
+    The canonical words are walked once, left to right.  A cylinder w
+    with scale(w) * gmax < delta, gmax the longest level-1 gap, hides no
+    qualifying gap and is kept whole as an atom; any other is expanded
+    into its children.  Between the last atom below child c of an
+    expanded w and the first atom below child c + 1 lies exactly
+    psi_w of the level-1 gap g_c, of length scale(w) * g_c: the last
+    atom below wc is w c n...n, whose right end is psi_wc(1) because
+    psi_n(1) = 1, and the first below w(c+1) is w (c+1) 1...1, whose
+    left end is psi_w(c+1)(0) because psi_1(0) = 0.  For the same reason
+    the gap between two neighbouring input words u, v runs from the right
+    end of T_u to the left end of T_v.  Every test is in product form,
+    since a declared-base value has no division.
+
+    Each run of atoms between two qualifying gaps is canonical: the
+    input is, so no complete sibling family lies above an input word,
+    and an expanded cylinder has its qualifying gap between children
+    argmax g and argmax g + 1, so its children never all share a run.
     """
-    atoms = _gap_atoms(spec, words, delta)
-    out = []
-    for u, v in zip(atoms, atoms[1:]):
-        lo = spec.cyl_hi(u)
-        hi = spec.cyl_lo(v)
-        if _cmp_vals(hi - lo, delta) >= 0:
-            out.append((lo, hi))
-    return out
-
-
-def gap_partition(spec, words, delta):
-    """Split union(words) at every gap of length >= delta."""
-    atoms = _gap_atoms(spec, words, delta)
+    n = spec.n
+    gmax = _max_level1_gap(spec)
+    g = _level1_gaps(spec)
     pieces = []
-    buf = [atoms[0]]
-    for u, v in zip(atoms, atoms[1:]):
-        lo = spec.cyl_hi(u)
-        hi = spec.cyl_lo(v)
-        if _cmp_vals(hi - lo, delta) >= 0:
-            pieces.append(PartitionPiece(spec, buf))
-            buf = []
-        buf.append(v)
-    pieces.append(PartitionPiece(spec, buf))
+    run = []
+
+    def walk(w):
+        nonlocal run
+        s = spec.affine(w)[0]
+        if s * gmax < delta:
+            run.append(w)
+            return
+        for c in range(1, n):
+            walk(w + (c,))
+            if s * g[c - 1] >= delta:
+                pieces.append(PartitionPiece(spec, run))
+                run = []
+        walk(w + (n,))
+
+    prev = None
+    for w in cylsets.canonicalize(n, words):
+        if prev is not None and spec.cyl_lo(w) - spec.cyl_hi(prev) >= delta:
+            pieces.append(PartitionPiece(spec, run))
+            run = []
+        walk(w)
+        prev = w
+    pieces.append(PartitionPiece(spec, run))
     return pieces
 
 

@@ -61,3 +61,29 @@ def make_declared_spec():
 @pytest.fixture
 def one45():
     return make_one45()
+
+
+def random_unequal_spec(rng, role="touching"):
+    """Random valid spec with n in 3..5, unequal ratios and unequal gaps.
+
+    A touching spec touches after at least one letter and leaves a gap
+    after another; a dust leaves a gap after every letter."""
+    while True:
+        n = rng.randrange(3, 6)
+        ratios = [Fraction(rng.randrange(1, 4), rng.randrange(4, 4 * n + 8))
+                  for _ in range(n)]
+        if role == "dust":
+            touch = [False] * (n - 1)
+        else:
+            touch = [rng.random() < 0.5 for _ in range(n - 1)]
+            if all(touch) or not any(touch):
+                continue
+        slack = 1 - sum(ratios)
+        if slack <= 0:
+            continue
+        weights = [0 if t else rng.randrange(1, 5) for t in touch]
+        ts = [Fraction(0)]
+        for i in range(n - 1):
+            ts.append(ts[-1] + ratios[i]
+                      + slack * Fraction(weights[i], sum(weights)))
+        return IfsSpec(ratios, ts, role=role)

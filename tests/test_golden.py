@@ -8,14 +8,21 @@ criterion 3, recorded before validation moved off the tiling engines.
 ``lipeq verify --depth D`` on certificates of {1,4,5} (D = 5), the (6, 4)
 end-ratio spec (D = 3) and four seed-31 specs (D = 2), keyed
 ``label@D``, recorded before the depth report took its points from the
-leaves' similarities.  A change that only makes certification or
-verification faster must leave every digest as it is.  Regenerate the
+leaves' similarities.  ``golden_partition.json`` holds the SHA-256 of the
+standard output of ``lipeq partition --family F --k K`` for F in S, T, C
+and K = 1..4 on {1,4,5}, 1/9*{0,3,4,8} and the end-ratio spec that
+certifies at (9, 6), and for F in S, T and K = 1..3 on the declared-base
+spec, keyed ``label/FK``, recorded before cylinder maps moved to an
+integer grid.  A change that only makes certification, verification or
+partitioning faster must leave every digest as it is.  Regenerate the
 files only for a deliberate change of a document format:
 
     PYTHONPATH=src python3 tests/test_golden.py certify \
         > tests/golden_certify.json
     PYTHONPATH=src python3 tests/test_golden.py verify \
         > tests/golden_verify.json
+    PYTHONPATH=src python3 tests/test_golden.py partition \
+        > tests/golden_partition.json
 """
 
 import contextlib
@@ -33,11 +40,13 @@ from lipeq.cli import main
 from lipeq.specfile import save_doc, spec_to_doc
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from conftest import make_one45, make_endratio_spec, random_equal_spec  # noqa
+from conftest import (make_one45, make_endratio_spec,  # noqa
+                      random_equal_spec, make_equal_spec, make_declared_spec)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_certify.json")
 GOLDEN_VERIFY = os.path.join(HERE, "golden_verify.json")
+GOLDEN_PARTITION = os.path.join(HERE, "golden_partition.json")
 # (label, depth) of every recorded ``lipeq verify --depth`` report
 VERIFY_CASES = (("one45", 5), ("endratio64", 3), ("eq31-00", 2),
                 ("eq31-02", 2), ("eq31-03", 2), ("eq31-07", 2))
@@ -85,6 +94,30 @@ def verify_cases():
             for label, depth in VERIFY_CASES]
 
 
+def partition_cases():
+    """(key, spec, family, k) of every recorded ``lipeq partition``
+    report."""
+    rational = [("one45", make_one45()),
+                ("ninths", make_equal_spec(4, 9, [0, 3, 4, 8])),
+                ("endratio96", make_endratio_spec(Fraction(1, 4),
+                                                  Fraction(1, 8),
+                                                  r2=Fraction(1, 3)))]
+    out = [("%s/%s%d" % (label, fam, k), spec, fam, k)
+           for label, spec in rational
+           for fam in ("S", "T", "C") for k in range(1, 5)]
+    out += [("declared/%s%d" % (fam, k), make_declared_spec(), fam, k)
+            for fam in ("S", "T") for k in range(1, 4)]
+    return out
+
+
+def partition_digest(spec, family, k, path):
+    """SHA-256 of the standard output of ``lipeq partition`` on
+    ``spec``."""
+    save_doc(spec_to_doc(spec), path)
+    return stdout_digest(["partition", path, "--k", str(k),
+                          "--family", family])
+
+
 def test_golden_file_covers_every_spec():
     with open(GOLDEN) as fh:
         golden = json.load(fh)
@@ -113,12 +146,31 @@ def test_verify_output_unchanged(key, spec, depth, tmp_path):
     assert verify_digest(spec, depth, str(tmp_path)) == want
 
 
+def test_golden_partition_file_covers_every_case():
+    with open(GOLDEN_PARTITION) as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == sorted(key for key, _, _, _ in partition_cases())
+
+
+@pytest.mark.parametrize("key,spec,family,k", partition_cases(),
+                         ids=[key for key, _, _, _ in partition_cases()])
+def test_partition_output_unchanged(key, spec, family, k, tmp_path):
+    with open(GOLDEN_PARTITION) as fh:
+        want = json.load(fh)[key]
+    assert partition_digest(spec, family, k,
+                            str(tmp_path / "spec.json")) == want
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as d:
         if sys.argv[1:] == ["verify"]:
             digests = {key: verify_digest(spec, depth, d)
                        for key, spec, depth in verify_cases()}
+        elif sys.argv[1:] == ["partition"]:
+            digests = {key: partition_digest(spec, fam, k,
+                                             os.path.join(d, "spec.json"))
+                       for key, spec, fam, k in partition_cases()}
         else:
             digests = {label: certify_digest(spec,
                                              os.path.join(d, "spec.json"))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lipeq import IfsSpec, SpecError, canonical_dust
 from lipeq.exactnum import ExactRatio
@@ -11,8 +11,24 @@ from lipeq.ifs import words_touch
 from lipeq.specfile import spec_to_doc
 
 from conftest import (make_one45, make_equal_spec, random_equal_spec,
-                      make_endratio_spec, make_declared_spec)
+                      make_endratio_spec, make_declared_spec,
+                      random_unequal_spec)
 import random
+
+
+def ref_affine(spec, word):
+    """(scale, offset) of psi_word by the Fraction recursion along the
+    word, the reference for the integer grid."""
+    s, o = Fraction(1), Fraction(0)
+    for a in word:
+        s, o = s * spec.rho[a - 1], o + s * spec.t[a - 1]
+    return s, o
+
+
+def same(a, b):
+    """Equal in value and in type, element by element."""
+    return (len(a) == len(b)
+            and all(type(x) is type(y) and x == y for x, y in zip(a, b)))
 
 
 class TestValidation:
@@ -108,6 +124,29 @@ class TestCylinders:
             for a in w:
                 r = r * spec.ratios[a - 1]
             assert spec.ratio_word(w) == r
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32),
+           st.sampled_from(["touching", "dust", "declared",
+                            "declared-dust"]))
+    def test_grid_matches_fraction_recursion(self, seed, kind):
+        rng = random.Random(seed)
+        if kind.startswith("declared"):
+            spec = make_declared_spec()
+            if kind == "declared-dust":
+                spec = spec.dust()
+        else:
+            spec = random_unequal_spec(rng, role=kind)
+        words = [()] + [tuple(rng.randrange(1, spec.n + 1)
+                              for _ in range(rng.randrange(1, 9)))
+                        for _ in range(12)]
+        # prefixes first and last, so both cold and warm grid entries
+        for w in words + [w[:len(w) // 2] for w in words] + words:
+            s, o = ref_affine(spec, w)
+            assert same(spec.affine(w), (s, o)), w
+            assert same(spec.cyl_interval(w), (o, o + s)), w
+            assert same((spec.cyl_lo(w),), (o,)), w
+            assert same((spec.cyl_hi(w),), (o + s,)), w
 
     def test_empty_word_is_identity(self):
         spec = make_one45()

@@ -5,17 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipeq import IfsSpec, SpecError
 from lipeq.patches import (tau, c_set_words, c_family, partition_S,
                            partition_T, partition_norm, delta_k,
                            e_family, e_ratio_set, measure_words,
                            simple_decomposition, PartitionPiece,
-                           _e_parents, _max_level1_gap)
+                           gap_partition, _e_parents, _max_level1_gap,
+                           _cmp_vals)
 from lipeq import cylsets
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
-                      random_equal_spec)
+                      random_equal_spec, random_unequal_spec,
+                      make_declared_spec)
+from test_cylsets import random_canonical_set
 
 
 def ref_partition_S(spec, k):
@@ -37,6 +41,46 @@ def ref_partition_S(spec, k):
         levels.append(nxt)
         current = nxt
     return levels
+
+
+def ref_gap_partition(spec, words, delta):
+    """gap_partition by refining into atoms and scanning the hull ends of
+    every pair of neighbouring atoms, the reference for the walk that
+    reads the gaps off the scales.  Returns (words, lo, hi) per piece."""
+    gmax = _max_level1_gap(spec)
+
+    def expand(w):
+        s, _ = spec.affine(w)
+        if _cmp_vals(s * gmax, delta) < 0:
+            return [w]
+        out = []
+        for c in range(1, spec.n + 1):
+            out.extend(expand(w + (c,)))
+        return out
+
+    atoms = []
+    for w in cylsets.canonicalize(spec.n, words):
+        atoms.extend(expand(w))
+    atoms.sort()
+    runs = []
+    buf = [atoms[0]]
+    for u, v in zip(atoms, atoms[1:]):
+        if _cmp_vals(spec.cyl_lo(v) - spec.cyl_hi(u), delta) >= 0:
+            runs.append(buf)
+            buf = []
+        buf.append(v)
+    runs.append(buf)
+    out = []
+    for run in runs:
+        ws = cylsets.canonicalize(spec.n, run)
+        out.append((ws, spec.cyl_lo(ws[0]), spec.cyl_hi(ws[-1])))
+    return out
+
+
+def left_heavy(spec):
+    """``spec`` or its mirror, whichever has rho_1 >= rho_n, as tau
+    needs."""
+    return spec if spec.rho[0] >= spec.rho[-1] else spec.mirror()
 
 
 class TestTau:
@@ -150,6 +194,48 @@ class TestPartitionT:
                 spec.n, [w for g in groups for w in g], [()])
 
 
+class TestGapPartition:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32),
+           st.sampled_from(["equal", "unequal", "declared"]),
+           st.booleans())
+    def test_walk_matches_atom_scan(self, seed, kind, on_a_gap):
+        rng = random.Random(seed)
+        spec = {"equal": lambda: random_equal_spec(rng),
+                "unequal": lambda: random_unequal_spec(rng),
+                "declared": make_declared_spec}[kind]()
+        words = random_canonical_set(rng, spec.n, max_depth=3)
+        if on_a_gap:
+            # a delta equal to a gap of some cylinder, where >= decides
+            w = tuple(rng.randrange(1, spec.n + 1)
+                      for _ in range(rng.randrange(0, 3)))
+            c = rng.choice([i for i in range(1, spec.n)
+                            if i not in spec.touching.letters])
+            g = spec.t[c] - (spec.t[c - 1] + spec.rho[c - 1])
+            delta = spec.affine(w)[0] * g
+        else:
+            delta = Fraction(1, rng.randrange(2, 300))
+        got = [(p.words, p.lo, p.hi)
+               for p in gap_partition(spec, words, delta)]
+        assert got == ref_gap_partition(spec, words, delta)
+
+
+class TestPiecesCanonical:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32), st.booleans())
+    def test_every_piece_is_canonical(self, seed, equal):
+        # the runs of simple_decomposition and gap_partition are never
+        # canonicalized after they are built
+        rng = random.Random(seed)
+        spec = left_heavy(random_equal_spec(rng) if equal
+                          else random_unequal_spec(rng))
+        levels = partition_S(spec, 3)
+        for k in (1, 2, 3):
+            for pieces in (levels[k - 1], partition_T(spec, k)):
+                for p in pieces:
+                    assert p.words == cylsets.canonicalize(spec.n, p.words)
+
+
 class TestSimpleDecomposition:
     def test_marked_sets_become_pieces(self):
         spec = make_one45()
@@ -164,6 +250,11 @@ class TestSimpleDecomposition:
         # the hull of {T_21, T_23} holds T_22, which is left unmarked
         with pytest.raises(SpecError, match="outside the set"):
             simple_decomposition(spec, [()], [[(2, 1), (2, 3)]])
+
+    def test_marked_set_must_lie_in_parent(self):
+        spec = make_one45()
+        with pytest.raises(SpecError, match="not inside parent"):
+            simple_decomposition(spec, [(1,), (2,)], [[(2, 1), (3,)]])
 
     def test_marked_hulls_must_be_disjoint(self):
         spec = make_one45()
