@@ -17,16 +17,19 @@ from fractions import Fraction
 import math
 import random
 
-from .exactnum import ExactRatio, exact_float, mult_dependence
+from .exactnum import ExactRatio, mult_dependence
 from .ifs import SpecError
 from . import cylsets, specfile
 from .decide import decide, verify_witness, Witness
+from .patches import left_patch_words, right_patch_words
 from .tstar import (Context, Placement, DecompositionError, DepthError,
                     ldiff, rdiff, hole_diff_left, hole_diff_right,
-                    block_decompose, left_patch, right_patch)
+                    block_decompose)
 
 CERT_FORMAT = "lipeq-certificate"
 CERT_VERSION = 1
+# the most multiples of the end-ratio dependence that ``choose_pq`` tries
+MAX_PQ_MULTIPLE = 16
 
 
 class CertificateError(SpecError):
@@ -186,27 +189,27 @@ def check_pq_restrictions(spec, dust, witnesses, p, q):
     """The displayed patch-disjointness conditions for a candidate (p, q).
 
     Exact word-level verification; raises on any violation."""
-    ctx = Context(spec, p, q)
     n = spec.n
     for i, w in sorted(witnesses.items()):
         kp, j = w.kp, w.word
         if min(p, q) <= w.kp + len(j):
             raise DepthError("p, q must exceed %d" % (w.kp + len(j)))
         if w.side == "left":
-            hole_t = left_patch(ctx, (i,) + (n,) * (2 * q) + j, kp)
-            tail_t = right_patch(ctx, (i,), 3 * q)
+            hole_t = left_patch_words(spec, (i,) + (n,) * (2 * q) + j, kp)
+            tail_t = right_patch_words(spec, (i,), 3 * q)
             cylsets.check_disjoint_groups(spec, [hole_t, tail_t])
             cylsets.check_disjoint_groups(dust, [hole_t, tail_t])
-            hole_d = left_patch(ctx, (i,) + j, kp)
-            near_d = right_patch(ctx, (i,), q)
+            hole_d = left_patch_words(spec, (i,) + j, kp)
+            near_d = right_patch_words(spec, (i,), q)
             cylsets.check_disjoint_groups(dust, [hole_d, near_d])
         else:
-            hole_t = right_patch(ctx, (i + 1,) + (1,) * (2 * p) + j, kp)
-            tail_t = left_patch(ctx, (i + 1,), 3 * p)
+            hole_t = right_patch_words(spec, (i + 1,) + (1,) * (2 * p) + j,
+                                       kp)
+            tail_t = left_patch_words(spec, (i + 1,), 3 * p)
             cylsets.check_disjoint_groups(spec, [hole_t, tail_t])
             cylsets.check_disjoint_groups(dust, [hole_t, tail_t])
-            hole_d = right_patch(ctx, (i + 1,) + j, kp)
-            near_d = left_patch(ctx, (i + 1,), p)
+            hole_d = right_patch_words(spec, (i + 1,) + j, kp)
+            near_d = left_patch_words(spec, (i + 1,), p)
             cylsets.check_disjoint_groups(dust, [hole_d, near_d])
 
 
@@ -215,7 +218,7 @@ def _pq_floor(witnesses):
     return max((w.kp + len(w.word) for w in witnesses.values()), default=0)
 
 
-def choose_pq(spec, witnesses, max_multiple=16):
+def choose_pq(spec, witnesses):
     """Smallest multiple of the base dependence (p0, q0) satisfying the
     depth bound and the patch-disjointness restrictions, all verified
     exactly."""
@@ -225,7 +228,7 @@ def choose_pq(spec, witnesses, max_multiple=16):
     p0, q0 = pq0
     dust = spec.dust()
     need = _pq_floor(witnesses)
-    for m in range(1, max_multiple + 1):
+    for m in range(1, MAX_PQ_MULTIPLE + 1):
         p, q = m * p0, m * q0
         if min(p, q) <= need:
             continue
@@ -235,13 +238,13 @@ def choose_pq(spec, witnesses, max_multiple=16):
         except (SpecError, DepthError):
             continue
     raise CertificateError("no admissible (p, q) within %d multiples"
-                           % max_multiple)
+                           % MAX_PQ_MULTIPLE)
 
 
 # ---------------------------------------------------------------------------
 # vertices and edges
 
-def build_vertices(spec, dust, witnesses, p, q):
+def build_vertices(spec, witnesses, p, q):
     ctx = Context(spec, p, q)
     n = spec.n
     out = {}
@@ -256,15 +259,15 @@ def build_vertices(spec, dust, witnesses, p, q):
         out[("touch3", i)] = Vertex(("touch3", i), w3, w3)
         wit = witnesses[i]
         if wit.side == "left":
-            t4 = tuple(right_patch(ctx, (i,), q)
-                       + left_patch(ctx, (i + 1,), wit.k))
-            d4 = tuple(right_patch(ctx, (i,), q)
-                       + left_patch(ctx, (i,) + wit.word, wit.kp))
+            t4 = (right_patch_words(spec, (i,), q)
+                  + left_patch_words(spec, (i + 1,), wit.k))
+            d4 = (right_patch_words(spec, (i,), q)
+                  + left_patch_words(spec, (i,) + wit.word, wit.kp))
         else:
-            t4 = tuple(right_patch(ctx, (i,), wit.k)
-                       + left_patch(ctx, (i + 1,), p))
-            d4 = tuple(right_patch(ctx, (i + 1,) + wit.word, wit.kp)
-                       + left_patch(ctx, (i + 1,), p))
+            t4 = (right_patch_words(spec, (i,), wit.k)
+                  + left_patch_words(spec, (i + 1,), p))
+            d4 = (right_patch_words(spec, (i + 1,) + wit.word, wit.kp)
+                  + left_patch_words(spec, (i + 1,), p))
         out[("touch4", i)] = Vertex(("touch4", i),
                                     cylsets.canonicalize(n, t4),
                                     cylsets.canonicalize(n, d4))
@@ -274,16 +277,14 @@ def build_vertices(spec, dust, witnesses, p, q):
 def decompose_vertex(ctx, witnesses, vkey):
     """The Edge for one vertex, per the constructive decompositions.
 
-    The tiling engines run with ``verify=False``: every placement they
-    return becomes a piece of this edge, and ``verify_certificate``, which
-    ``build_certificate`` runs on every certificate it returns, checks
-    that the edge's pieces are pairwise point-disjoint and that their
-    union equals the source vertex, on the T and on the D side.  An
-    engine's own ``verify_cover`` would check the same tiling once more,
-    plus the closed-form separateness of each block piece, which validity
-    does not need: a certificate needs only pairwise disjoint pieces
-    within each vertex, the contract under which ``lipeq verify`` accepts
-    a stored certificate.
+    Every placement the tiling engines return becomes a piece of this
+    edge, unchecked.  ``verify_certificate``, which ``build_certificate``
+    runs on every certificate it returns, checks that the edge's pieces
+    are pairwise point-disjoint with union the source vertex, on the T
+    and on the D side.  That alone suffices: validity needs only pairwise
+    disjoint pieces within each vertex, the contract under which ``lipeq
+    verify`` accepts a stored certificate, and not the separateness of a
+    block piece from the rest of the attractor.
     """
     spec = ctx.spec
     n, p, q, c1 = spec.n, ctx.p, ctx.q, ctx.c1
@@ -294,13 +295,13 @@ def decompose_vertex(ctx, witnesses, vkey):
         return Edge(vkey, pieces)
     if kind == "comp1":
         return Edge(vkey, [_std_piece(pl) for pl in
-                           block_decompose(ctx, vkey[1], verify=False)])
+                           block_decompose(ctx, vkey[1])])
     i = vkey[1]
     wit = witnesses[i]
     k, kp, j = wit.k, wit.kp, wit.word
     if kind == "touch2":
-        pls = (rdiff(ctx, (i,), 0, q, verify=False)
-               + ldiff(ctx, (i + 1,), 0, p, verify=False)
+        pls = (rdiff(ctx, (i,), 0, q)
+               + ldiff(ctx, (i + 1,), 0, p)
                + [Placement((), 3, i)])
         return Edge(vkey, [_std_piece(pl) for pl in pls])
 
@@ -308,19 +309,19 @@ def decompose_vertex(ctx, witnesses, vkey):
         rec_t = (((i,), (i,) + (n,) * (2 * q)),
                  ((i + 1,), (i + 1,) + (1,) * (2 * p)))
         rec_d = (((i,), (i,) + (n,) * (2 * q)),)
-        hole = hole_diff_left(ctx, i, kp, j, verify=False)
+        hole = hole_diff_left(ctx, i, kp, j)
         sub_t = (i,) + (n,) * (2 * q) + j + (1,) * kp  # the replaced patch
         if kind == "touch3":
             pieces = [_std_piece(pl) for pl in hole]
             pieces += [_std_piece(pl) for pl in
-                       ldiff(ctx, (i + 1,), p, 2 * p + k, verify=False)]
+                       ldiff(ctx, (i + 1,), p, 2 * p + k)]
             pieces.append(Piece(("comp1", 1), (((), sub_t),),
                                 (((), (i + 1,) + (1,) * (2 * p + k)),)))
             pieces.append(Piece(("touch4", i), rec_t, rec_d))
             return Edge(vkey, pieces)
         # touch4, left
         pieces = [_std_piece(pl) for pl in hole]
-        for pl in ldiff(ctx, (), 0, 2 * p, verify=False):
+        for pl in ldiff(ctx, (), 0, 2 * p):
             pieces.append(Piece(
                 _fam_key(pl),
                 (((), (i + 1,) + (1,) * k + pl.prefix),),
@@ -334,11 +335,11 @@ def decompose_vertex(ctx, witnesses, vkey):
     rec_t = (((i + 1,), (i + 1,) + (1,) * (2 * p)),
              ((i,), (i,) + (n,) * (2 * q)))
     rec_d = (((i + 1,), (i + 1,) + (1,) * (2 * p)),)
-    hole = hole_diff_right(ctx, i, kp, j, verify=False)
+    hole = hole_diff_right(ctx, i, kp, j)
     sub_t = (i + 1,) + (1,) * (2 * p) + j + (n,) * kp
     if kind == "touch3":
         pieces = [_std_piece(pl) for pl in
-                  rdiff(ctx, (i,), q, 2 * q + k, verify=False)]
+                  rdiff(ctx, (i,), q, 2 * q + k)]
         pieces += [_std_piece(pl) for pl in hole]
         pieces.append(Piece(("comp1", c1), (((), sub_t),),
                             (((), (i,) + (n,) * (2 * q + k)),)))
@@ -346,7 +347,7 @@ def decompose_vertex(ctx, witnesses, vkey):
         return Edge(vkey, pieces)
     # touch4, right
     pieces = [_std_piece(pl) for pl in hole]
-    for pl in rdiff(ctx, (), 0, 2 * q, verify=False):
+    for pl in rdiff(ctx, (), 0, 2 * q):
         pieces.append(Piece(
             _fam_key(pl),
             (((), (i,) + (n,) * k + pl.prefix),),
@@ -372,7 +373,7 @@ def build_certificate(spec, verdict=None):
     for attempt in range(6):
         ctx = Context(spec, p, q)
         try:
-            vertices = build_vertices(spec, dust, witnesses, p, q)
+            vertices = build_vertices(spec, witnesses, p, q)
             edges = {}
             for key in vertices:
                 edges[key] = decompose_vertex(ctx, witnesses, key)
@@ -430,8 +431,8 @@ def verify_certificate(spec, cert):
     contraction around every cycle.  Raises CertificateError (or the
     SpecError of a failed disjointness check) on the first violation.
     This is the one exact validator of a certificate: ``build_certificate``
-    runs it on everything it builds, and the tiling engines do not check
-    their own output on that path.
+    runs it on everything it builds, and the tiling engines only
+    construct.
 
     The measure identity at the similarity dimension s, that the natural
     measure of each source is the sum over its pieces of r^s times the
@@ -679,8 +680,8 @@ def distortion_report(spec, cert, depth, sample_pairs=4000, seed=7,
     else:
         def quotient(dx, dy):
             if isinstance(dx, Fraction) and isinstance(dy, Fraction):
-                return exact_float(dy / dx)
-            return exact_float(dy) / exact_float(dx)
+                return float(dy / dx)
+            return float(dy) / float(dx)
     pairs = []
     orders = [sorted(pts, key=lambda p: p[0]),
               sorted(pts, key=lambda p: p[1])]

@@ -13,8 +13,8 @@ import json
 import os
 import sys
 
-from . import specfile, cylsets, patches, render
-from .exactnum import ExactError, moran_dimension
+from . import specfile, patches, render
+from .exactnum import ExactError, MORAN_TOL, moran_dimension
 from .ifs import SpecError
 from .decide import decide, SearchBudget
 from .certify import (build_certificate, cert_to_doc, verify_cert_doc,
@@ -23,7 +23,8 @@ from .certify import (build_certificate, cert_to_doc, verify_cert_doc,
 
 REPORT_FORMAT = "lipeq-report"
 REPORT_VERSION = 1
-# the most leaf pieces ``lipeq verify --depth`` expands
+# the most leaf pieces ``lipeq verify --depth`` expands, and the most sets
+# of one level that ``lipeq partition --k`` builds
 MAX_EXPAND_LEAVES = 1_000_000
 
 
@@ -57,10 +58,6 @@ def _emit(doc, path=None):
         sys.stdout.write(specfile.dump_doc(doc) + "\n")
 
 
-def _value_str(v):
-    return specfile.format_value(v)
-
-
 def analyze_report(spec, budget):
     st = spec.touching
     verdict = decide(spec, budget)
@@ -77,7 +74,7 @@ def analyze_report(spec, budget):
         "last_free_letter": st.beta if st else None,
         "dimension": {"value": moran_dimension(spec.ratios,
                                                env=spec.bases),
-                      "exactness": "approx(1e-12)"},
+                      "exactness": "approx(%g)" % MORAN_TOL},
         "necessary_condition": {
             "holds": nec.ok,
             "dependence": list(nec.pq) if nec.pq else None,
@@ -115,17 +112,18 @@ def cmd_certify(args):
     return 0
 
 
-def _check_leaf_budget(cert, depth):
-    """Refuse a --depth whose expansion has more than MAX_EXPAND_LEAVES
-    leaf pieces, before any is built.  Every edge of a validated
-    certificate has at least two pieces, so the count grows with the
-    depth, and it is counted only up to the first depth over the limit,
-    which the message names with its count."""
-    for d, count in zip(range(depth + 1), leaf_counts(cert)):
+def _check_limit(flag, value, first, counts, unit, stage):
+    """Refuse ``flag`` ``value`` when it needs more than MAX_EXPAND_LEAVES
+    ``unit``, before any is built.  ``counts`` yields the exact count at
+    each ``stage`` from ``first`` on, and the counts grow with the stage,
+    so they are counted only up to the first stage over the limit, which
+    the message names with its count."""
+    for level, count in zip(range(first, value + 1), counts):
         if count > MAX_EXPAND_LEAVES:
-            raise SpecError("--depth %d needs at least %d leaf pieces "
-                            "(%d at depth %d), over the limit of %d"
-                            % (depth, count, count, d, MAX_EXPAND_LEAVES))
+            raise SpecError("%s %d needs at least %d %s (%d at %s %d), "
+                            "over the limit of %d"
+                            % (flag, value, count, unit, count, stage,
+                               level, MAX_EXPAND_LEAVES))
 
 
 def cmd_verify(args):
@@ -148,7 +146,9 @@ def cmd_verify(args):
         "depth": args.depth,
     }
     if args.depth > 0:
-        _check_leaf_budget(cert, args.depth)
+        # every edge of a validated certificate has at least two pieces
+        _check_limit("--depth", args.depth, 0, leaf_counts(cert),
+                     "leaf pieces", "depth")
         pieces = expand_map(spec, cert, args.depth)
         verify_expansion(spec, cert, pieces)
         c_low, c_high = distortion_report(spec, cert, args.depth,
@@ -180,6 +180,10 @@ def cmd_partition(args):
     if k < 1:
         raise SpecError("--k must be at least 1, got %d" % k)
     fam = args.family
+    # S and T build ``c_family`` at every level up to k, so the count of
+    # the C sets bounds them as well
+    _check_limit("--k", k, 1, patches.e_family_sizes() if fam == "E"
+                 else patches.c_family_sizes(spec), "sets", "level")
     doc = {"format": REPORT_FORMAT, "version": REPORT_VERSION,
            "family": fam, "k": k}
     if fam == "C":
@@ -198,9 +202,10 @@ def cmd_partition(args):
         else:
             pieces = patches.partition_T(spec, k)
         doc["pieces"] = [{"words": [list(w) for w in p.words],
-                          "lo": _value_str(p.lo),
-                          "hi": _value_str(p.hi)} for p in pieces]
-        doc["norm"] = {"value": _value_str(
+                          "lo": specfile.format_value(p.lo),
+                          "hi": specfile.format_value(p.hi)}
+                         for p in pieces]
+        doc["norm"] = {"value": specfile.format_value(
             patches.partition_norm(spec, pieces)), "exactness": "exact"}
     _emit(doc, args.output)
     return 0

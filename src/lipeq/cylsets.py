@@ -15,7 +15,7 @@ and a canonical set's hull runs from its first word to its last.
 """
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from .ifs import words_touch, SpecError
 
@@ -59,49 +59,6 @@ def covered(ws, w):
     argument this decides whether T_w lies inside union(ws)."""
     i = bisect_right(ws, w)
     return i > 0 and w[:len(ws[i - 1])] == ws[i - 1]
-
-
-def _carve(n, a, b):
-    """Words of union(a) minus union(b) for canonical a and b with every
-    word of b below a word of a.
-
-    A word of a with no word of b below it is kept whole; otherwise it
-    splits into children, and only the siblings of the paths down to the
-    words of b survive.  Each split leaves out at least one child, so
-    the result is canonical and, built left to right, sorted.
-    """
-    out = []
-
-    def descend(w, lo, hi):
-        # b[lo:hi] are the words of b that begin with w
-        if lo == hi:
-            out.append(w)
-            return
-        if b[lo] == w:
-            return
-        for c in range(1, n + 1):
-            mid = bisect_left(b, w + (c + 1,), lo, hi)
-            descend(w + (c,), lo, mid)
-            lo = mid
-
-    for w in a:
-        # the words that begin with w are those from w up to w + (n + 1,)
-        lo = bisect_left(b, w)
-        descend(w, lo, bisect_left(b, w + (n + 1,), lo))
-    return tuple(out)
-
-
-def subtract(n, a, b):
-    """Words of (union a) minus (union b).
-
-    Requires the difference to again be a finite union of cylinders, i.e.
-    every word of b must sit inside a; raises SpecError otherwise.
-    """
-    a = canonicalize(n, a)
-    b = canonicalize(n, b)
-    if not all(covered(a, u) for u in b):
-        raise SpecError("subtrahend is not contained in the set")
-    return _carve(n, a, b)
 
 
 def word_subset(n, a, b):
@@ -153,11 +110,6 @@ def check_disjoint_groups(spec, groups):
             if gj != gi and words_touch(spec, w, u):
                 raise SpecError("pieces touch at a point: %r | %r" % (w, u))
     return None
-
-
-def complement_words(n, words):
-    """Canonical words of T minus union(words) (word-level complement)."""
-    return _carve(n, ((),), canonicalize(n, words))
 
 
 def set_distance(spec, a, b):
@@ -212,19 +164,3 @@ def sigma_R_star(spec, word):
         return False
     return word[k - 1] in spec.touching.letters
 
-
-def is_separate_block_form(spec, prefix, block_index):
-    """Closed-form separateness test for psi_prefix(block) pieces.
-
-    A copy of the j-th level-1 block placed at ``prefix`` is separate from
-    the rest of T unless it is the first block and the prefix left-touches
-    a neighbour, or the last block and the prefix right-touches one.
-    """
-    c1 = len(spec.blocks())
-    if 1 < block_index < c1:
-        return True
-    if block_index == 1:
-        return not sigma_L_star(spec, prefix)
-    if block_index == c1:
-        return not sigma_R_star(spec, prefix)
-    raise ValueError("block index out of range")

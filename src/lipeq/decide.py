@@ -193,7 +193,7 @@ def _longer_sums(prev, codes, adm):
     return out
 
 
-def find_witness(spec, i, side, budget=None, max_factor_bits=64):
+def find_witness(spec, i, side, budget=None):
     """Search a substitution witness for touching letter ``i``.
 
     Returns (witness, status) where status is "found", "none" (proved
@@ -215,7 +215,7 @@ def find_witness(spec, i, side, budget=None, max_factor_bits=64):
     the tables of two lengths are live.
     """
     budget = budget or SearchBudget()
-    vecs = [to_exponent_vector(r, max_factor_bits) for r in spec.ratios]
+    vecs = [to_exponent_vector(r) for r in spec.ratios]
     n = spec.n
     if side == "left":
         upper, lower, end = vecs[i], vecs[i - 1], vecs[0]
@@ -303,9 +303,9 @@ class NecessaryResult:
         self.detail = detail
 
 
-def check_necessary(spec, max_factor_bits=64):
+def check_necessary(spec):
     """The boundary ratios must satisfy rho_1**p == rho_n**q exactly."""
-    pq = mult_dependence(spec.ratios[0], spec.ratios[-1], max_factor_bits)
+    pq = mult_dependence(spec.ratios[0], spec.ratios[-1])
     if pq is None:
         return NecessaryResult(
             False, None,
@@ -314,17 +314,17 @@ def check_necessary(spec, max_factor_bits=64):
     return NecessaryResult(True, pq, "rho_1**%d == rho_n**%d" % pq)
 
 
-def _all_dependent(ratios, max_factor_bits=64):
+def _all_dependent(ratios):
     """Pairwise multiplicative dependence of a list; returns True/False."""
     base = ratios[0]
     for r in ratios[1:]:
-        if mult_dependence(base, r, max_factor_bits) is None:
+        if mult_dependence(base, r) is None:
             return False
     # pairwise follows from dependence on a common anchor
     return True
 
 
-def closed_form_witnesses(spec, max_factor_bits=64):
+def closed_form_witnesses(spec):
     """Closed-form witnesses when enough ratios share a common power.
 
     Right-side witnesses exist for every touching letter when rho_1, rho_n,
@@ -336,17 +336,14 @@ def closed_form_witnesses(spec, max_factor_bits=64):
     n = spec.n
     rho = spec.ratios
 
-    def dep(a, b):
-        return mult_dependence(a, b, max_factor_bits)
-
     # right-side family
     cond1 = [rho[0], rho[n - 1], rho[st.alpha - 1]] + \
             [rho[i] for i in sorted(st.letters)]
-    if _all_dependent(cond1, max_factor_bits):
+    if _all_dependent(cond1):
         out = {}
         for i in sorted(st.letters):
-            ua, va = dep(rho[st.alpha - 1], rho[n - 1])
-            wb, vb = dep(rho[i], rho[n - 1])
+            ua, va = mult_dependence(rho[st.alpha - 1], rho[n - 1])
+            wb, vb = mult_dependence(rho[i], rho[n - 1])
             v = va * vb // math.gcd(va, vb)
             u = ua * (v // va)
             wexp = wb * (v // vb)
@@ -357,11 +354,11 @@ def closed_form_witnesses(spec, max_factor_bits=64):
         return out
     cond2 = [rho[0], rho[n - 1], rho[n - st.beta]] + \
             [rho[i - 1] for i in sorted(st.letters)]
-    if _all_dependent(cond2, max_factor_bits):
+    if _all_dependent(cond2):
         out = {}
         for i in sorted(st.letters):
-            ua, va = dep(rho[n - st.beta], rho[0])
-            wb, vb = dep(rho[i - 1], rho[0])
+            ua, va = mult_dependence(rho[n - st.beta], rho[0])
+            wb, vb = mult_dependence(rho[i - 1], rho[0])
             v = va * vb // math.gcd(va, vb)
             u = ua * (v // va)
             wexp = wb * (v // vb)
@@ -406,7 +403,7 @@ class Verdict:
         return "Verdict(%s: %s)" % (self.status, self.reason)
 
 
-def decide(spec, budget=None, max_factor_bits=64):
+def decide(spec, budget=None):
     """Full decision pipeline; returns a Verdict.
 
     "equivalent" always comes with one verified witness per touching
@@ -416,13 +413,13 @@ def decide(spec, budget=None, max_factor_bits=64):
     if spec.role != "touching":
         raise SpecError("decision applies to touching systems")
     budget = budget or SearchBudget()
-    nec = check_necessary(spec, max_factor_bits)
+    nec = check_necessary(spec)
     if not nec.ok:
         return Verdict("not_equivalent", nec.detail, nec, {}, [])
     reason4 = branch4_obstruction(spec)
     if reason4:
         return Verdict("not_equivalent", reason4, nec, {}, [])
-    fast = closed_form_witnesses(spec, max_factor_bits)
+    fast = closed_form_witnesses(spec)
     if fast is not None:
         return Verdict("equivalent",
                        "every touching letter substitutable (closed-form "
@@ -432,8 +429,7 @@ def decide(spec, budget=None, max_factor_bits=64):
     for i in sorted(spec.touching.letters):
         w = None
         for side in ("left", "right"):
-            got, status = find_witness(spec, i, side, budget,
-                                       max_factor_bits)
+            got, status = find_witness(spec, i, side, budget)
             if got is not None:
                 w = got
                 break

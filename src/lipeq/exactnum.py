@@ -27,7 +27,7 @@ class ExactError(Exception):
 
 
 class FactorizationError(ExactError):
-    """An integer could not be factored within the configured bound."""
+    """An integer could not be factored within ``MAX_FACTOR_BITS``."""
 
 
 class UncertifiableComparisonError(ExactError):
@@ -38,6 +38,8 @@ class UncertifiableComparisonError(ExactError):
 # integer factorization: trial division + Pollard rho
 
 _SMALL_PRIME_BOUND = 100000
+# the largest composite cofactor, in bits, that Pollard rho is tried on
+MAX_FACTOR_BITS = 64
 
 def _is_probable_prime(n):
     if n < 2:
@@ -78,11 +80,11 @@ def _pollard_rho(n, rng):
             return d
 
 
-def factorize(n, max_factor_bits=64):
+def factorize(n):
     """Factor a positive integer into a dict {prime: exponent}.
 
     Raises FactorizationError when a composite cofactor larger than
-    ``max_factor_bits`` bits resists trial division, instead of stalling.
+    ``MAX_FACTOR_BITS`` bits resists trial division, instead of stalling.
     """
     if n <= 0:
         raise ValueError("factorize needs a positive integer")
@@ -109,10 +111,10 @@ def factorize(n, max_factor_bits=64):
         if _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        if m.bit_length() > max_factor_bits:
+        if m.bit_length() > MAX_FACTOR_BITS:
             raise FactorizationError(
                 "composite factor with %d bits exceeds the %d-bit bound"
-                % (m.bit_length(), max_factor_bits))
+                % (m.bit_length(), MAX_FACTOR_BITS))
         d = _pollard_rho(m, rng)
         stack.append(d)
         stack.append(m // d)
@@ -423,15 +425,10 @@ class SymValue:
         return "SymValue(%s)" % " + ".join(bits)
 
 
-def exact_float(x):
-    """Best-effort float of a Fraction or SymValue."""
-    return float(x)
-
-
 # ---------------------------------------------------------------------------
 # exponent vectors and multiplicative dependence
 
-def to_exponent_vector(r, max_factor_bits=64):
+def to_exponent_vector(r):
     """Exponent vector of an ExactRatio over primes and declared bases.
 
     Keys are ints (primes) and strings (declared base names); distinct keys
@@ -443,24 +440,24 @@ def to_exponent_vector(r, max_factor_bits=64):
     num = r.scalar.numerator
     den = r.scalar.denominator
     if num != 1:
-        for p, e in factorize(num, max_factor_bits).items():
+        for p, e in factorize(num).items():
             vec[p] = vec.get(p, 0) + e
     if den != 1:
-        for p, e in factorize(den, max_factor_bits).items():
+        for p, e in factorize(den).items():
             vec[p] = vec.get(p, 0) - e
     for k, v in r.sym:
         vec[k] = vec.get(k, 0) + v
     return {k: v for k, v in vec.items() if v != 0}
 
 
-def mult_dependence(a, b, max_factor_bits=64):
+def mult_dependence(a, b):
     """Smallest positive integers (p, q) with a**p == b**q, or None.
 
     Both arguments are ExactRatios; independence of declared bases is
     assumed as asserted at declaration time.
     """
-    va = to_exponent_vector(a, max_factor_bits)
-    vb = to_exponent_vector(b, max_factor_bits)
+    va = to_exponent_vector(a)
+    vb = to_exponent_vector(b)
     if not va or not vb:
         return None  # one of them is 1, ratios in (0,1) never are
     if set(va) != set(vb):
@@ -480,11 +477,15 @@ def mult_dependence(a, b, max_factor_bits=64):
 # ---------------------------------------------------------------------------
 # Moran dimension
 
-def moran_dimension(ratios, tol=1e-12, env=None):
+# the residual |sum r^s - 1| at which the bisection stops
+MORAN_TOL = 1e-12
+
+
+def moran_dimension(ratios, env=None):
     """Similarity dimension: the s with sum(r**s) == 1.
 
     ``ratios`` is a list of ExactRatios (or floats) in (0,1).  Bisection on
-    floats; the residual |sum r^s - 1| is driven below ``tol``.
+    floats; the residual |sum r^s - 1| is driven below ``MORAN_TOL``.
     """
     vals = []
     for r in ratios:
@@ -511,13 +512,13 @@ def moran_dimension(ratios, tol=1e-12, env=None):
     for _ in range(300):
         mid = (lo + hi) / 2
         fm = f(mid)
-        if abs(fm) <= tol:
+        if abs(fm) <= MORAN_TOL:
             return mid
         if fm > 0:
             lo = mid
         else:
             hi = mid
     mid = (lo + hi) / 2
-    if abs(f(mid)) <= tol:
+    if abs(f(mid)) <= MORAN_TOL:
         return mid
-    raise ValueError("bisection failed to reach tolerance %g" % tol)
+    raise ValueError("bisection failed to reach tolerance %g" % MORAN_TOL)

@@ -16,6 +16,9 @@ from fractions import Fraction
 from .ifs import SpecError
 from . import cylsets
 
+# the deepest level that ``partition_S`` and ``partition_T`` build
+DEPTH_CAP = 8
+
 
 def left_patch_words(spec, word, k):
     a = spec.touching.alpha
@@ -27,20 +30,6 @@ def right_patch_words(spec, word, k):
     n, b = spec.n, spec.touching.beta
     stem = word + (n,) * k
     return tuple(stem + (j,) for j in range(n - b + 1, n + 1))
-
-
-def base_touch_letter(spec, i0=None):
-    """Default distinguished touching letter: the smallest one."""
-    if i0 is not None:
-        if i0 not in spec.touching.letters:
-            raise SpecError("%d is not a touching letter" % i0)
-        return i0
-    return min(spec.touching.letters)
-
-
-def _require_left_heavy(spec):
-    c = _cmp_vals(spec.rho[0], spec.rho[-1])
-    return c >= 0
 
 
 def _cmp_vals(a, b):
@@ -55,7 +44,7 @@ def tau(spec, k):
     Defined when rho_1 >= rho_n; equivalently the least m with
     rho_1**m <= rho_n**k.
     """
-    if not _require_left_heavy(spec):
+    if _cmp_vals(spec.rho[0], spec.rho[-1]) < 0:
         raise SpecError("tau needs rho_1 >= rho_n; mirror the spec first")
     r1, rn = spec.rho[0], spec.rho[-1]
     target = rn ** k if isinstance(rn, Fraction) else _powv(rn, k)
@@ -74,11 +63,12 @@ def _powv(v, k):
     return out
 
 
-def c_set_words(spec, j, i0=None):
+def c_set_words(spec, j):
     """Words of the touching-zone set at depth j around the point
-    psi_{i0}(1) == psi_{i0+1}(0): right patch at depth j on the left side,
-    left patch at depth tau(j) on the right side."""
-    i0 = base_touch_letter(spec, i0)
+    psi_{i0}(1) == psi_{i0+1}(0), i0 the smallest touching letter: right
+    patch at depth j on the left side, left patch at depth tau(j) on the
+    right side."""
+    i0 = min(spec.touching.letters)
     return tuple(cylsets.canonicalize(
         spec.n,
         right_patch_words(spec, (i0,), j)
@@ -194,13 +184,12 @@ def _refine_past(n, w, mark_words, mark_of, out):
             _refine_past(n, w + (c,), mark_words, mark_of, out)
 
 
-def c_family(spec, k, i0=None):
+def c_family(spec, k):
     """All touching-zone sets at combined depth k: prefixes of length
     k - j in front of the depth-j building block, j >= 1."""
-    i0 = base_touch_letter(spec, i0)
     out = []
     for j in range(1, k + 1):
-        base = c_set_words(spec, j, i0)
+        base = c_set_words(spec, j)
         prefixes = [()]
         for _ in range(k - j):
             prefixes = [p + (a,) for p in prefixes
@@ -210,6 +199,17 @@ def c_family(spec, k, i0=None):
     return out
 
 
+def c_family_sizes(spec):
+    """|c_family(spec, k)| for k = 1, 2, ... (an endless generator),
+    exactly: level k holds the one depth-k building block and n prefixed
+    copies of every set of level k - 1, so the counts run 1, n + 1,
+    n^2 + n + 1, ..., (n^k - 1)/(n - 1)."""
+    count = 0
+    while True:
+        count = spec.n * count + 1
+        yield count
+
+
 def _home_of(home, w):
     """``home[u]`` for the prefix u of w (w included) that is a key of
     ``home``, a map from prefix-free words; None when there is none."""
@@ -217,7 +217,7 @@ def _home_of(home, w):
                 None)
 
 
-def partition_S(spec, k, i0=None, depth_cap=8):
+def partition_S(spec, k):
     """The nested partitions S_1 .. S_k; returns a list of lists of pieces.
 
     S_1 splits T by the depth-1 touching-zone set; each refinement inserts
@@ -226,9 +226,8 @@ def partition_S(spec, k, i0=None, depth_cap=8):
     """
     if k < 1:
         raise ValueError("k >= 1")
-    if k > depth_cap:
-        raise SpecError("partition depth %d beyond cap %d" % (k, depth_cap))
-    i0 = base_touch_letter(spec, i0)
+    if k > DEPTH_CAP:
+        raise SpecError("partition depth %d beyond cap %d" % (k, DEPTH_CAP))
     levels = []
     current = [PartitionPiece(spec, ((),))]
     for level in range(1, k + 1):
@@ -237,7 +236,7 @@ def partition_S(spec, k, i0=None, depth_cap=8):
         # of that piece's words
         home = {w: i for i, p in enumerate(current) for w in p.words}
         inside = [[] for _ in current]
-        for c in c_family(spec, level, i0):
+        for c in c_family(spec, level):
             i = _home_of(home, c[0])
             # piece words are canonical, so each word of c needs one bisect
             if i is not None and all(cylsets.covered(current[i].words, w)
@@ -255,16 +254,15 @@ def partition_S(spec, k, i0=None, depth_cap=8):
     return levels
 
 
-def delta_k(spec, k, i0=None):
+def delta_k(spec, k):
     """Largest diameter of a touching-zone set of combined depth k."""
-    i0 = base_touch_letter(spec, i0)
     rmax = spec.rho[0]
     for v in spec.rho[1:]:
         if _cmp_vals(v, rmax) > 0:
             rmax = v
     best = None
     for j in range(1, k + 1):
-        d = cylsets.set_diam(spec, c_set_words(spec, j, i0))
+        d = cylsets.set_diam(spec, c_set_words(spec, j))
         scale = _powv(rmax, k - j)
         cand = scale * d
         if best is None or _cmp_vals(cand, best) > 0:
@@ -345,10 +343,10 @@ def gap_partition(spec, words, delta):
     return pieces
 
 
-def partition_T(spec, k, i0=None, depth_cap=8):
+def partition_T(spec, k):
     """Refinement of S_k splitting every piece at gaps >= delta_k."""
-    levels = partition_S(spec, k, i0, depth_cap)
-    d = delta_k(spec, k, i0)
+    levels = partition_S(spec, k)
+    d = delta_k(spec, k)
     out = []
     for piece in levels[-1]:
         out.extend(gap_partition(spec, piece.words, d))
@@ -406,6 +404,24 @@ def e_family(spec, k):
         levels.append(nxt)
         cur = nxt
     return levels
+
+
+def e_family_sizes():
+    """The member counts of the levels of ``e_family``, level 1 first (an
+    endless generator), exactly: 3, then |L_k| = 4|L_{k-1}| - 1, that is
+    (2 * 4^k + 1)/3.
+
+    Level k prefixes every member of L_{k-1} with each of the four maps,
+    drops exactly two of the shifted members and adds one bridge.  Exactly
+    two drop: the members of a level are pairwise disjoint, and L_{k-1}
+    holds the single cylinders T_{4...4} and T_{1...1} of length k - 1
+    (level 1 holds T_4 and T_1, and the copies into maps 4 and 1 carry them
+    one level down), so one shifted member equals T_{2 4...4} and one
+    equals T_{3 1...1}."""
+    count = 3
+    while True:
+        yield count
+        count = 4 * count - 1
 
 
 def measure_words(spec, words, mu):

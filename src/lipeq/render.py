@@ -7,8 +7,6 @@ equal inputs give byte-identical SVG.
 
 from itertools import product
 
-from .exactnum import exact_float
-
 BAR_H = 16
 ROW_GAP = 10
 MARGIN = 12
@@ -26,8 +24,8 @@ def _level_bars(spec, level, width):
     bars = []
     for word in product(range(1, spec.n + 1), repeat=level):
         lo, hi = spec.cyl_interval(word)
-        x = exact_float(lo) * width
-        w = exact_float(hi - lo) * width
+        x = float(lo) * width
+        w = float(hi - lo) * width
         bars.append((x, w))
     return bars
 

@@ -9,13 +9,10 @@ disjoint union of placed members of three families:
 * family 3: the deep neighbourhood R_q(T_i) union L_p(T_{i+1}).
 
 A placement is (prefix word, family, index): the piece is the image of the
-family member under psi_prefix.  With ``verify=True``, the default, an
-engine verifies its own output (``verify_cover``): the placed pieces must
-be pairwise point-disjoint, each block piece separate from the rest of
-the attractor, and their union must equal the intended target word set
-exactly; any residue is a hard error.  The certificate construction runs
-the engines with ``verify=False``, because it validates the tilings made
-of their placements itself (``certify.verify_certificate``).
+family member under psi_prefix.  The engines construct and do not check
+their output: the certificate construction validates the tilings made of
+their placements exactly (``certify.verify_certificate``), and the tests
+hold each engine to its target word set with an exact oracle.
 """
 
 from .ifs import SpecError
@@ -85,51 +82,11 @@ class Context:
                    for l in range(1, self.alpha + 1)])
         raise DecompositionError("unknown family %d" % fam)
 
-    def placement_words(self, pl):
-        return tuple(pl.prefix + w for w in self.family_words(pl.fam, pl.idx))
-
-
-def left_patch(ctx, base, k):
-    return tuple(base + (1,) * k + (j,) for j in range(1, ctx.alpha + 1))
-
-
-def right_patch(ctx, base, k):
-    n = ctx.spec.n
-    return tuple(base + (n,) * k + (j,)
-                 for j in range(n - ctx.beta + 1, n + 1))
-
-
-def verify_cover(ctx, placements, target_words, where=""):
-    """Exact check: placements tile target_words with no residue and no
-    shared points.  Family-1 placements must also be separate from the
-    rest of the attractor (closed-form criterion).  Every failure raises
-    DecompositionError naming ``where``."""
-    spec = ctx.spec
-    groups = []
-    for pl in placements:
-        if pl.fam == 1:
-            if not cylsets.is_separate_block_form(spec, pl.prefix, pl.idx):
-                raise DecompositionError(
-                    "%s: block piece %r not separate" % (where, pl))
-        groups.append(ctx.placement_words(pl))
-    try:
-        cylsets.check_disjoint_groups(spec, groups)
-    except SpecError as e:
-        raise DecompositionError("%s: %s" % (where, e))
-    allw = [w for g in groups for w in g]
-    if not cylsets.union_equal(spec.n, allw, target_words):
-        want = cylsets.canonicalize(spec.n, target_words)
-        got = cylsets.canonicalize(spec.n, allw)
-        raise DecompositionError(
-            "%s: decomposition mismatch\n  want %r\n  got  %r"
-            % (where, want, got))
-    return placements
-
 
 # ---------------------------------------------------------------------------
 # patch differences
 
-def ldiff(ctx, base, u, v, verify=True):
+def ldiff(ctx, base, u, v):
     """Placements tiling L_u(T_base) minus L_v(T_base), u < v."""
     if not u < v:
         raise DecompositionError("ldiff needs u < v")
@@ -145,14 +102,10 @@ def ldiff(ctx, base, u, v, verify=True):
             out.extend(Placement(w + (l,), 1, j)
                        for l in range(1, a + 1) for j in range(2, c1))
             out.append(Placement(w + (a,), 1, c1))
-    if verify:
-        target = cylsets.subtract(ctx.spec.n, left_patch(ctx, base, u),
-                                  left_patch(ctx, base, v))
-        verify_cover(ctx, out, target, "ldiff(%r,%d,%d)" % (base, u, v))
     return out
 
 
-def rdiff(ctx, base, u, v, verify=True):
+def rdiff(ctx, base, u, v):
     """Placements tiling R_u(T_base) minus R_v(T_base), u < v."""
     if not u < v:
         raise DecompositionError("rdiff needs u < v")
@@ -170,10 +123,6 @@ def rdiff(ctx, base, u, v, verify=True):
                        for l in range(n - b + 1, n + 1)
                        for j in range(2, c1))
             out.append(Placement(w + (n - b + 1,), 1, 1))
-    if verify:
-        target = cylsets.subtract(ctx.spec.n, right_patch(ctx, base, u),
-                                  right_patch(ctx, base, v))
-        verify_cover(ctx, out, target, "rdiff(%r,%d,%d)" % (base, u, v))
     return out
 
 
@@ -208,7 +157,7 @@ def _lex_range(n, u, v):
     return out
 
 
-def trace(ctx, u, v, verify=True):
+def trace(ctx, u, v):
     """Placements tiling [psi_u(0), psi_v(1)] intersected with T.
 
     u and v are words; the shorter one is padded (u along letter 1, v
@@ -245,8 +194,8 @@ def trace(ctx, u, v, verify=True):
                 raise DepthError(
                     "joint pair with %d trailing letters needs p, q > %d"
                     % (s, s))
-            out.extend(rdiff(ctx, a, 0, ctx.q - s, verify=False))
-            out.extend(ldiff(ctx, b, 0, ctx.p - s, verify=False))
+            out.extend(rdiff(ctx, a, 0, ctx.q - s))
+            out.extend(ldiff(ctx, b, 0, ctx.p - s))
             out.append(Placement(a[:m], 3, g))
         else:
             out.append(Placement(a, 1, ctx.c1))
@@ -255,8 +204,6 @@ def trace(ctx, u, v, verify=True):
     if cylsets.sigma_R_star(spec, words[-1]):
         raise DecompositionError("trace end %r shares its right endpoint "
                                  "outside the segment" % (words[-1],))
-    if verify:
-        verify_cover(ctx, out, tuple(words), "trace(%r,%r)" % (u, v))
     return out
 
 
@@ -270,11 +217,10 @@ def _leading_run(word, letter):
     return s
 
 
-def hole_diff_left(ctx, i, kp, j, verify=True):
+def hole_diff_left(ctx, i, kp, j):
     """Placements tiling R_q(T_i) minus (R_3q(T_i) union
     L_kp(T_{i [n]^2q j})), for a left-substitution word j."""
-    spec = ctx.spec
-    n, q = spec.n, ctx.q
+    n, q = ctx.spec.n, ctx.q
     if j[-1] == 1 or (j[-1] - 1) in ctx.touch:
         raise DecompositionError("inadmissible final letter in %r" % (j,))
     if kp + len(j) >= min(ctx.p, ctx.q):
@@ -284,29 +230,20 @@ def hole_diff_left(ctx, i, kp, j, verify=True):
     s = _leading_run(j, n)
     jp = j[s:]
     out = []
-    out.extend(rdiff(ctx, (i,), q, 2 * q - 1, verify=False))
+    out.extend(rdiff(ctx, (i,), q, 2 * q - 1))
     w1 = (i,) + (n,) * (2 * q - 1)
-    out.extend(trace(ctx, w1 + (n - ctx.beta + 1,), w1 + (n,) + u,
-                     verify=False))
-    out.extend(rdiff(ctx, (i,), 2 * q + s + 1, 3 * q, verify=False))
+    out.extend(trace(ctx, w1 + (n - ctx.beta + 1,), w1 + (n,) + u))
+    out.extend(rdiff(ctx, (i,), 2 * q + s + 1, 3 * q))
     w2 = (i,) + (n,) * (2 * q + s)
     out.extend(trace(ctx, w2 + jp + (1,) * kp + (ctx.alpha + 1,),
-                     w2 + (n, n - ctx.beta), verify=False))
-    if verify:
-        hole = left_patch(ctx, (i,) + (n,) * (2 * q) + j, kp)
-        target = cylsets.subtract(
-            n, right_patch(ctx, (i,), q),
-            tuple(right_patch(ctx, (i,), 3 * q)) + tuple(hole))
-        verify_cover(ctx, out, target,
-                     "hole_diff_left(i=%d,k'=%d,j=%r)" % (i, kp, j))
+                     w2 + (n, n - ctx.beta)))
     return out
 
 
-def hole_diff_right(ctx, i, kp, j, verify=True):
+def hole_diff_right(ctx, i, kp, j):
     """Placements tiling L_p(T_{i+1}) minus (L_3p(T_{i+1}) union
     R_kp(T_{(i+1) [1]^2p j})), for a right-substitution word j."""
-    spec = ctx.spec
-    n, p = spec.n, ctx.p
+    n, p = ctx.spec.n, ctx.p
     if j[-1] == n or j[-1] in ctx.touch:
         raise DecompositionError("inadmissible final letter in %r" % (j,))
     if kp + len(j) >= min(ctx.p, ctx.q):
@@ -316,24 +253,17 @@ def hole_diff_right(ctx, i, kp, j, verify=True):
     s = _leading_run(j, 1)
     jp = j[s:]
     out = []
-    out.extend(ldiff(ctx, (i + 1,), p, 2 * p - 1, verify=False))
+    out.extend(ldiff(ctx, (i + 1,), p, 2 * p - 1))
     w1 = (i + 1,) + (1,) * (2 * p - 1)
-    out.extend(trace(ctx, w1 + (1,) + u, w1 + (ctx.alpha,), verify=False))
-    out.extend(ldiff(ctx, (i + 1,), 2 * p + s + 1, 3 * p, verify=False))
+    out.extend(trace(ctx, w1 + (1,) + u, w1 + (ctx.alpha,)))
+    out.extend(ldiff(ctx, (i + 1,), 2 * p + s + 1, 3 * p))
     w2 = (i + 1,) + (1,) * (2 * p + s)
     out.extend(trace(ctx, w2 + (1, ctx.alpha + 1),
-                     w2 + jp + (n,) * kp + (n - ctx.beta,), verify=False))
-    if verify:
-        hole = right_patch(ctx, (i + 1,) + (1,) * (2 * p) + j, kp)
-        target = cylsets.subtract(
-            n, left_patch(ctx, (i + 1,), p),
-            tuple(left_patch(ctx, (i + 1,), 3 * p)) + tuple(hole))
-        verify_cover(ctx, out, target,
-                     "hole_diff_right(i=%d,k'=%d,j=%r)" % (i, kp, j))
+                     w2 + jp + (n,) * kp + (n - ctx.beta,)))
     return out
 
 
-def block_decompose(ctx, idx, verify=True):
+def block_decompose(ctx, idx):
     """One level-1 block rewritten through its own children.
 
     A single-letter block becomes the full child block list; a multi
@@ -350,7 +280,4 @@ def block_decompose(ctx, idx, verify=True):
                    for l in range(b, e + 1) for j in range(2, c1))
         out.extend(Placement((), 2, l) for l in range(b, e))
         out.append(Placement((e,), 1, c1))
-    if verify:
-        verify_cover(ctx, out, ctx.family_words(1, idx),
-                     "block_decompose(%d)" % idx)
     return out

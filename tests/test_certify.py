@@ -20,10 +20,11 @@ from lipeq.certify import (compose_rules, apply_rules, choose_pq,
                            leaf_hulls, Edge, Piece)
 from lipeq.exactnum import SymValue
 from lipeq.specfile import format_value
-from lipeq.tstar import Context, DecompositionError, Placement
+from lipeq.tstar import Context, Placement
 
 from conftest import (make_one45, make_endratio_spec, random_equal_spec,
                       make_declared_spec)
+from test_tstar import cover_fault
 
 
 class TestRuleAlgebra:
@@ -498,47 +499,66 @@ ENGINE_FAULTS = {
 }
 
 
+ENGINES = ("ldiff", "rdiff", "hole_diff_left", "hole_diff_right",
+           "block_decompose")
+SET_CHECKS = ("canonicalize", "union_equal", "word_subset",
+              "check_disjoint_groups")
+
+
 class TestBuildPath:
     def test_no_engine_self_check(self, one45, monkeypatch):
-        calls = []
-        real = tstar.verify_cover
+        # the engines only construct: no cylinder-set check runs inside
+        # them, while validation still makes its own
+        depth = [0]
+        inside, outside = [], []
 
-        def counting(*args, **kw):
-            calls.append(args[3] if len(args) > 3 else kw.get("where"))
-            return real(*args, **kw)
+        def engine(real):
+            def wrapped(*args):
+                depth[0] += 1
+                try:
+                    return real(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapped
 
-        monkeypatch.setattr(tstar, "verify_cover", counting)
-        cert = build_certificate(one45)
-        assert calls == []
-        # the engines still check themselves when asked to
-        tstar.block_decompose(Context(one45, cert.p, cert.q), 2)
-        assert calls == ["block_decompose(2)"]
+        def check(name, real):
+            def wrapped(*args):
+                (inside if depth[0] else outside).append(name)
+                return real(*args)
+            return wrapped
+
+        for name in ENGINES:
+            monkeypatch.setattr(lipeq.certify, name,
+                                engine(getattr(lipeq.certify, name)))
+        for name in SET_CHECKS:
+            monkeypatch.setattr(cylsets, name,
+                                check(name, getattr(cylsets, name)))
+        build_certificate(one45)
+        assert inside == []
+        assert "check_disjoint_groups" in outside
 
     @pytest.mark.parametrize("fault", sorted(ENGINE_FAULTS))
     def test_engine_fault_rejected_by_validation(self, one45, monkeypatch,
                                                  fault):
         real = lipeq.certify.block_decompose
 
-        def faulty(ctx, idx, verify=True):
-            return ENGINE_FAULTS[fault](ctx, real(ctx, idx, verify))
+        def faulty(ctx, idx):
+            return ENGINE_FAULTS[fault](ctx, real(ctx, idx))
 
         monkeypatch.setattr(lipeq.certify, "block_decompose", faulty)
         with pytest.raises(SpecError):
             build_certificate(one45)
 
     @pytest.mark.parametrize("fault", sorted(ENGINE_FAULTS))
-    def test_same_fault_rejected_by_engine(self, one45, monkeypatch, fault):
-        real = tstar.verify_cover
-
-        def faulty(ctx, placements, target, where=""):
-            return real(ctx, ENGINE_FAULTS[fault](ctx, placements), target,
-                        where)
-
-        monkeypatch.setattr(tstar, "verify_cover", faulty)
+    def test_same_fault_rejected_by_oracle(self, one45, fault):
+        # the engine oracle of the tests catches what validation catches
         ctx = Context(one45, 3, 3)
         for idx in range(1, ctx.c1 + 1):
-            with pytest.raises(DecompositionError):
-                tstar.block_decompose(ctx, idx)
+            pls = tstar.block_decompose(ctx, idx)
+            target = ctx.family_words(1, idx)
+            assert cover_fault(ctx, pls, target) is None
+            assert cover_fault(ctx, ENGINE_FAULTS[fault](ctx, pls),
+                               target) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lipeq.certify
 import lipeq.cli
+import lipeq.patches
 import lipeq.specfile
 from lipeq.certify import build_certificate, cert_to_doc, cert_from_doc
 from lipeq.cli import main
@@ -427,6 +428,54 @@ class TestPartition:
     def test_depth_cap_is_error(self, one45_file):
         assert main(["partition", one45_file, "--k", "30",
                      "--family", "S"]) == 3
+
+    @pytest.mark.parametrize("family", ["C", "S", "T"])
+    def test_k_over_set_budget_refused(self, one45_file, capsys,
+                                       monkeypatch, family):
+        built = []
+        for name in ("c_family", "partition_S", "partition_T"):
+            monkeypatch.setattr(lipeq.patches, name,
+                                lambda *args: built.append(args))
+        t0 = time.perf_counter()
+        assert main(["partition", one45_file, "--k", "40",
+                     "--family", family]) == 3
+        assert time.perf_counter() - t0 < 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "error: --k 40 needs at least 2391484 sets (2391484 at level "
+            "14), over the limit of 1000000\n")
+        assert built == []
+
+    def test_e_family_over_set_budget_refused(self, ninths_file, capsys,
+                                              monkeypatch):
+        built = []
+        monkeypatch.setattr(lipeq.patches, "e_family",
+                            lambda *args: built.append(args))
+        t0 = time.perf_counter()
+        assert main(["partition", ninths_file, "--k", "40", "--family", "E",
+                     "--mu", "1/4,1/4,1/4,1/4"]) == 3
+        assert time.perf_counter() - t0 < 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "error: --k 40 needs at least 2796203 sets (2796203 at level "
+            "11), over the limit of 1000000\n")
+        assert built == []
+
+    def test_k_under_set_budget_builds(self, one45_file, ninths_file,
+                                       monkeypatch):
+        # 13 C-sets at level 3 on {1,4,5}, 11 E-members at level 2
+        monkeypatch.setattr(lipeq.cli, "MAX_EXPAND_LEAVES", 13)
+        for family in "CST":
+            assert main(["partition", one45_file, "--k", "3",
+                         "--family", family]) == 0
+            assert main(["partition", one45_file, "--k", "4",
+                         "--family", family]) == 3
+        mu = ["--mu", "1/4,1/4,1/4,1/4"]
+        assert main(["partition", ninths_file, "--k", "2",
+                     "--family", "E"] + mu) == 0
+        monkeypatch.setattr(lipeq.cli, "MAX_EXPAND_LEAVES", 10)
+        assert main(["partition", ninths_file, "--k", "2",
+                     "--family", "E"] + mu) == 3
 
     def test_k_zero_is_error(self, one45_file):
         assert main(["partition", one45_file, "--k", "0",

@@ -1,9 +1,11 @@
-"""Word-level cylinder set algebra: canonical forms, subtraction,
-complements, exact distances and separateness.
+"""Word-level cylinder set algebra: canonical forms, subsets, exact
+distances and separateness.
 
 The ``ref_*`` functions are the earlier prefix-scanning versions of the
 algebra, kept here as the reference the sorted-order versions must agree
-with."""
+with.  ``ref_subtract``, ``ref_complement_words`` and ``is_separate``
+also build the exact oracle that ``test_tstar`` holds the tiling engines
+to, so they are tested here in their own right."""
 
 import random
 from fractions import Fraction
@@ -13,10 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from lipeq import SpecError
 from lipeq.ifs import words_touch
-from lipeq.cylsets import (canonicalize, union_equal, subtract,
-                           word_subset, sort_spatial, check_disjoint_groups,
-                           complement_words, set_distance, set_diam,
-                           is_separate_block_form)
+from lipeq.cylsets import (canonicalize, union_equal, word_subset,
+                           sort_spatial, check_disjoint_groups, set_distance,
+                           set_diam, sigma_L_star, sigma_R_star)
 
 from conftest import make_one45, random_equal_spec
 
@@ -33,10 +34,10 @@ def is_separate(spec, words):
     """Is union(words) positively separated from the rest of T?
 
     Returns (flag, distance, diameter); distance is None when the set is
-    all of T.  Exact: the reference for ``is_separate_block_form``.
+    all of T.  Exact.
     """
     ws = canonicalize(spec.n, words)
-    comp = complement_words(spec.n, ws)
+    comp = ref_complement_words(spec.n, ws)
     if not comp:
         return (True, None, set_diam(spec, ws))
     # adjacency scan: the complement is also a finite cylinder union, so
@@ -260,27 +261,6 @@ class TestAgainstReference:
             a = [w + u for w in b[:3] for u in a[:2]] + b[1:2]
         assert word_subset(n, a, b) == ref_word_subset(n, a, b)
 
-    @settings(max_examples=120, deadline=None)
-    @given(n_and_lists(2), st.booleans())
-    def test_subtract(self, case, inside):
-        n, a, b = case
-        if inside:
-            # pieces of a's words: a subtrahend that is contained
-            b = [w + u for w in a[::2] for u in b[:2]]
-        try:
-            want = ref_subtract(n, a, b)
-        except SpecError:
-            with pytest.raises(SpecError):
-                subtract(n, a, b)
-        else:
-            assert subtract(n, a, b) == want
-
-    @settings(max_examples=120, deadline=None)
-    @given(n_and_lists(1))
-    def test_complement_words(self, case):
-        n, words = case
-        assert complement_words(n, words) == ref_complement_words(n, words)
-
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32))
     def test_set_distance(self, seed):
@@ -396,15 +376,17 @@ class TestCanonicalize:
 
 
 class TestSubtract:
+    """``ref_subtract``, which builds the engines' targets."""
+
     def test_simple(self):
-        assert subtract(3, [(1,)], [(1, 2)]) == ((1, 1), (1, 3))
+        assert ref_subtract(3, [(1,)], [(1, 2)]) == ((1, 1), (1, 3))
 
     def test_full_cancellation(self):
-        assert subtract(3, [(2,)], [(2,)]) == ()
+        assert ref_subtract(3, [(2,)], [(2,)]) == ()
 
     def test_not_contained_raises(self):
-        with pytest.raises(Exception):
-            subtract(3, [(1,)], [(2,)])
+        with pytest.raises(SpecError):
+            ref_subtract(3, [(1,)], [(2,)])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32))
@@ -417,7 +399,7 @@ class TestSubtract:
         for w in a:
             parts.extend(refine_word(n, w, 1))
         b = canonicalize(n, rng.sample(parts, max(1, len(parts) // 2)))
-        rest = subtract(n, a, b)
+        rest = ref_subtract(n, a, b)
         assert union_equal(n, list(rest) + list(b), a)
 
     def test_word_subset(self):
@@ -429,11 +411,13 @@ class TestSubtract:
 
 
 class TestComplement:
+    """``ref_complement_words``, on which ``is_separate`` rests."""
+
     def test_root_has_empty_complement(self):
-        assert complement_words(3, [()]) == ()
+        assert ref_complement_words(3, [()]) == ()
 
     def test_single_cylinder(self):
-        assert sort_spatial(complement_words(3, [(2,)])) == [(1,), (3,)]
+        assert sort_spatial(ref_complement_words(3, [(2,)])) == [(1,), (3,)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32))
@@ -441,7 +425,7 @@ class TestComplement:
         rng = random.Random(seed)
         n = rng.randrange(3, 6)
         a = random_canonical_set(rng, n)
-        comp = complement_words(n, a)
+        comp = ref_complement_words(n, a)
         assert union_equal(n, list(a) + list(comp), [()])
 
 
@@ -531,12 +515,19 @@ class TestSeparateness:
         assert not flag and dist == 0
 
     def test_closed_form_matches_direct(self):
+        # a copy of a level-1 block at a prefix is separate from the rest
+        # of T unless it is the first block and the prefix shares its left
+        # endpoint outside, or the last block and the prefix shares its
+        # right endpoint outside: the closed forms sigma_L_star and
+        # sigma_R_star, which ``tstar.trace`` relies on, against the
+        # complement scan
         spec = make_one45()
+        blocks = spec.blocks()
         prefixes = [(), (1,), (2,), (3,), (2, 3), (3, 1), (1, 2, 3)]
-        # compare the closed-form answer against the complement scan
         for prefix in prefixes:
-            for bi in range(1, len(spec.blocks()) + 1):
-                first, last = spec.blocks()[bi - 1]
+            for bi, (first, last) in enumerate(blocks, 1):
                 words = [prefix + (a,) for a in range(first, last + 1)]
-                assert (is_separate_block_form(spec, prefix, bi)
-                        == is_separate(spec, words)[0])
+                touches = ((bi == 1 and sigma_L_star(spec, prefix))
+                           or (bi == len(blocks)
+                               and sigma_R_star(spec, prefix)))
+                assert is_separate(spec, words)[0] == (not touches)

@@ -97,9 +97,9 @@ def ref_parallel_int_factor(d, e):
     return delta
 
 
-def ref_find_witness(spec, i, side, budget=None, max_factor_bits=64):
+def ref_find_witness(spec, i, side, budget=None):
     budget = budget or SearchBudget()
-    vecs = [to_exponent_vector(r, max_factor_bits) for r in spec.ratios]
+    vecs = [to_exponent_vector(r) for r in spec.ratios]
     n = spec.n
     if side == "left":
         target0 = ref_vec_sub(vecs[i], vecs[i - 1])

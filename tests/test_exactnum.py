@@ -32,10 +32,10 @@ class TestFactorize:
         assert factorize(p * q) == {p: 1, q: 1}
 
     def test_unfactorable_raises(self):
-        # product of two 80-bit primes cannot be certified small
+        # a product of two 80-bit primes is past MAX_FACTOR_BITS = 64
         n = (2 ** 82 - 99) * (2 ** 80 - 65)
         with pytest.raises(FactorizationError):
-            factorize(n, max_factor_bits=64)
+            factorize(n)
 
     @given(st.integers(min_value=2, max_value=10 ** 9))
     def test_roundtrip(self, n):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipeq import IfsSpec, SpecError
-from lipeq.patches import (tau, c_set_words, c_family, partition_S,
-                           partition_T, partition_norm, delta_k,
-                           e_family, e_ratio_set, measure_words,
+from lipeq.patches import (tau, c_set_words, c_family, c_family_sizes,
+                           partition_S, partition_T, partition_norm, delta_k,
+                           e_family, e_family_sizes, e_ratio_set,
+                           measure_words,
                            simple_decomposition, PartitionPiece,
                            gap_partition, _e_parents, _max_level1_gap,
                            _cmp_vals)
@@ -111,6 +112,18 @@ class TestCSets:
         spec = make_one45()
         assert len(c_family(spec, 1)) == 1
         assert len(c_family(spec, 2)) == 1 + spec.n
+
+    @pytest.mark.parametrize("make", [make_one45,
+                                      lambda: make_equal_spec(4, 9,
+                                                              [0, 3, 4, 8])],
+                             ids=["one45", "ninths"])
+    def test_predicted_sizes(self, make):
+        spec = make()
+        n = spec.n
+        got = [len(c_family(spec, k)) for k in range(1, 6)]
+        sizes = c_family_sizes(spec)
+        assert got == [next(sizes) for _ in range(5)]
+        assert got == [(n ** k - 1) // (n - 1) for k in range(1, 6)]
 
 
 class TestPartitionS:
@@ -287,7 +300,11 @@ def four_map_spec():
 class TestMeasureFamily:
     def test_level_sizes(self):
         spec, mu = four_map_spec()
-        assert [len(l) for l in e_family(spec, 3)] == [3, 11, 43]
+        got = [len(l) for l in e_family(spec, 5)]
+        assert got[:3] == [3, 11, 43]
+        sizes = e_family_sizes()
+        assert got == [next(sizes) for _ in range(5)]
+        assert got == [(2 * 4 ** k + 1) // 3 for k in range(1, 6)]
 
     def test_nesting(self):
         spec, mu = four_map_spec()

@@ -1,24 +1,96 @@
 """Placement engines for touching-zone decompositions.
 
-Every engine verifies its own output against an exact word-set target,
-so these tests mostly ask for constructions and check piece-level facts
-on top of the built-in verification.
+The engines only construct.  ``cover_fault`` is the exact oracle that
+these tests hold them to: the placed pieces are pairwise point-disjoint,
+each block piece is separate from the rest of the attractor, and their
+union is the engine's target word set, built here with the reference
+subtraction of ``test_cylsets``.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lipeq import cylsets
+from lipeq import SpecError, cylsets
+from lipeq.patches import left_patch_words, right_patch_words
 from lipeq.tstar import (Context, Placement, DepthError, ldiff, rdiff,
                          trace, hole_diff_left, hole_diff_right,
-                         block_decompose, left_patch, right_patch)
+                         block_decompose)
 
-from conftest import make_one45, make_equal_spec, random_equal_spec
+from conftest import make_one45, random_equal_spec, random_unequal_spec
+from test_cylsets import is_separate, ref_subtract
 
 
 def ctx45(p=3, q=3):
     return Context(make_one45(), p, q)
+
+
+def placement_words(ctx, pl):
+    """The words of a placed family member."""
+    return tuple(pl.prefix + w for w in ctx.family_words(pl.fam, pl.idx))
+
+
+def cover_fault(ctx, placements, target):
+    """Why ``placements`` do not tile the word set ``target`` exactly, or
+    None when they do.  The pieces must be pairwise point-disjoint, each
+    block piece separate from the rest of the attractor (the exact
+    ``is_separate``), and their union must equal the target with no
+    residue."""
+    spec = ctx.spec
+    groups = [placement_words(ctx, pl) for pl in placements]
+    for pl, words in zip(placements, groups):
+        if pl.fam == 1 and not is_separate(spec, words)[0]:
+            return "block piece %r not separate" % (pl,)
+    try:
+        cylsets.check_disjoint_groups(spec, groups)
+    except SpecError as e:
+        return str(e)
+    if not cylsets.union_equal(spec.n, [w for g in groups for w in g],
+                               target):
+        return "union differs from the target"
+    return None
+
+
+# the target word set of each engine call
+
+def ldiff_target(spec, base, u, v):
+    return ref_subtract(spec.n, left_patch_words(spec, base, u),
+                        left_patch_words(spec, base, v))
+
+
+def rdiff_target(spec, base, u, v):
+    return ref_subtract(spec.n, right_patch_words(spec, base, u),
+                        right_patch_words(spec, base, v))
+
+
+def trace_target(spec, u, v):
+    """The words from u to v at their common length, u padded along
+    letter 1 and v along letter n, in lexicographic order."""
+    n = spec.n
+    m = max(len(u), len(v))
+    u = u + (1,) * (m - len(u))
+    v = v + (n,) * (m - len(v))
+    c = 0
+    while c < m and u[c] == v[c]:
+        c += 1
+    return [u[:c] + w
+            for w in itertools.product(range(1, n + 1), repeat=m - c)
+            if u[c:] <= w <= v[c:]]
+
+
+def hole_left_target(spec, q, i, kp, j):
+    n = spec.n
+    hole = left_patch_words(spec, (i,) + (n,) * (2 * q) + j, kp)
+    return ref_subtract(n, right_patch_words(spec, (i,), q),
+                        right_patch_words(spec, (i,), 3 * q) + hole)
+
+
+def hole_right_target(spec, p, i, kp, j):
+    hole = right_patch_words(spec, (i + 1,) + (1,) * (2 * p) + j, kp)
+    return ref_subtract(spec.n, left_patch_words(spec, (i + 1,), p),
+                        left_patch_words(spec, (i + 1,), 3 * p) + hole)
 
 
 class TestContext:
@@ -37,31 +109,38 @@ class TestContext:
         assert set(ctx.family_words(2, 2)) == {(2, 2), (2, 3), (3, 1)}
 
     def test_patches(self):
+        spec = make_one45()
+        assert right_patch_words(spec, (2,), 2) == ((2, 3, 3, 2),
+                                                     (2, 3, 3, 3))
+        assert left_patch_words(spec, (3,), 2) == ((3, 1, 1, 1),)
+
+
+class TestOracle:
+    def test_rejects_residue_overlap_and_touching_blocks(self):
         ctx = ctx45()
-        assert tuple(right_patch(ctx, (2,), 2)) == ((2, 3, 3, 2), (2, 3, 3, 3))
-        assert tuple(left_patch(ctx, (3,), 2)) == ((3, 1, 1, 1),)
+        pls = block_decompose(ctx, 2)
+        target = ctx.family_words(1, 2)
+        assert cover_fault(ctx, pls, target) is None
+        assert cover_fault(ctx, pls[1:], target) is not None
+        assert cover_fault(ctx, pls + pls[:1], target) is not None
+        # the second block under prefix 2 ends at psi_2(1) = psi_3(0)
+        piece = Placement((2,), 1, 2)
+        assert "not separate" in cover_fault(ctx, [piece],
+                                             [(2, 2), (2, 3)])
 
 
 class TestDiffAnnuli:
     def test_ldiff_covers_annulus(self):
         ctx = ctx45()
         pls = ldiff(ctx, (3,), 0, 3)
-        covered = []
-        for pl in pls:
-            covered.extend(ctx.placement_words(pl))
-        target = cylsets.subtract(
-            3, left_patch(ctx, (3,), 0), left_patch(ctx, (3,), 3))
-        assert cylsets.union_equal(3, covered, target)
+        assert cover_fault(ctx, pls, ldiff_target(ctx.spec, (3,), 0, 3)) \
+            is None
 
     def test_rdiff_covers_annulus(self):
         ctx = ctx45()
         pls = rdiff(ctx, (2,), 1, 3)
-        covered = []
-        for pl in pls:
-            covered.extend(ctx.placement_words(pl))
-        target = cylsets.subtract(
-            3, right_patch(ctx, (2,), 1), right_patch(ctx, (2,), 3))
-        assert cylsets.union_equal(3, covered, target)
+        assert cover_fault(ctx, pls, rdiff_target(ctx.spec, (2,), 1, 3)) \
+            is None
 
     def test_random_specs(self):
         rng = random.Random(23)
@@ -69,8 +148,10 @@ class TestDiffAnnuli:
             spec = random_equal_spec(rng)
             ctx = Context(spec, 3, 3)
             base = (rng.randrange(1, spec.n + 1),)
-            ldiff(ctx, base, 0, 2)
-            rdiff(ctx, base, 0, 2)
+            assert cover_fault(ctx, ldiff(ctx, base, 0, 2),
+                               ldiff_target(spec, base, 0, 2)) is None
+            assert cover_fault(ctx, rdiff(ctx, base, 0, 2),
+                               rdiff_target(spec, base, 0, 2)) is None
 
 
 class TestTrace:
@@ -78,8 +159,8 @@ class TestTrace:
         ctx = ctx45()
         # spans a touching point and a gap inside cylinder (2,)
         pls = trace(ctx, (2, 1), (2, 3, 1))
-        groups = [ctx.placement_words(pl) for pl in pls]
-        cylsets.check_disjoint_groups(ctx.spec, groups)
+        assert cover_fault(ctx, pls, trace_target(ctx.spec, (2, 1),
+                                                  (2, 3, 1))) is None
 
     def test_depth_error_on_close_touch(self):
         ctx = ctx45(2, 2)
@@ -94,11 +175,16 @@ class TestHoleDiff:
     def test_left_on_mirror(self):
         spec = make_one45().mirror()
         ctx = Context(spec, 3, 3)
-        hole_diff_left(ctx, 1, 0, (2, 3))
+        pls = hole_diff_left(ctx, 1, 0, (2, 3))
+        assert cover_fault(ctx, pls,
+                           hole_left_target(spec, 3, 1, 0, (2, 3))) is None
 
     def test_right_on_one45(self):
         ctx = ctx45()
-        hole_diff_right(ctx, 2, 0, (2, 1))
+        pls = hole_diff_right(ctx, 2, 0, (2, 1))
+        assert cover_fault(ctx, pls,
+                           hole_right_target(ctx.spec, 3, 2, 0, (2, 1))) \
+            is None
 
     def test_depth_error_when_too_deep(self):
         ctx = ctx45(2, 2)
@@ -112,11 +198,79 @@ class TestBlockDecompose:
         pls = block_decompose(ctx, 1)
         # cylinder (1,) splits into scaled copies of both level-1 blocks
         assert {pl.idx for pl in pls if pl.fam == 1} == {1, 2}
+        assert cover_fault(ctx, pls, ctx.family_words(1, 1)) is None
 
     def test_multi_letter_block(self):
         ctx = ctx45()
         pls = block_decompose(ctx, 2)
-        covered = []
-        for pl in pls:
-            covered.extend(ctx.placement_words(pl))
-        assert cylsets.union_equal(3, covered, [(2,), (3,)])
+        assert cover_fault(ctx, pls, [(2,), (3,)]) is None
+
+
+# ---------------------------------------------------------------------------
+# every engine on random specs
+
+def _word(rng, n, lo, hi):
+    return tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(lo,
+                                                                      hi)))
+
+
+def _trace_args(rng, ctx):
+    """A word range whose first word shares no left endpoint and whose
+    last word shares no right endpoint with the rest of T, so that the
+    range is separated from the rest: a random range at depth 2 inside
+    a block under a random prefix, else a whole level-1 block."""
+    spec = ctx.spec
+    prefix = _word(rng, spec.n, 0, 2)
+    b, e = rng.choice(ctx.blocks)
+    for _ in range(10):
+        x = prefix + (rng.randrange(b, e + 1), rng.randrange(1, spec.n + 1))
+        y = prefix + (rng.randrange(b, e + 1), rng.randrange(1, spec.n + 1))
+        x, y = min(x, y), max(x, y)
+        if not (cylsets.sigma_L_star(spec, x)
+                or cylsets.sigma_R_star(spec, y)):
+            return x, y
+    return (b,), (e,)
+
+
+def _hole_word(rng, spec, admissible):
+    """A one-letter substitution word, an admissible letter.  (A longer
+    word multiplies the words of the traces in the hole differences by
+    n per letter; the two-letter cases are tested on their own above.)"""
+    return (rng.choice([c for c in range(1, spec.n + 1) if admissible(c)]),)
+
+
+class TestEnginesAgainstOracle:
+    # each example checks up to a few hundred block pieces, each with
+    # the exact complement scan of ``is_separate``
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32), st.booleans())
+    def test_every_engine_tiles_its_target(self, seed, equal):
+        rng = random.Random(seed)
+        spec = random_equal_spec(rng) if equal else random_unequal_spec(rng)
+        n = spec.n
+        p = q = 3
+        ctx = Context(spec, p, q)
+        touch = sorted(spec.touching.letters)
+
+        base = _word(rng, n, 0, 3)
+        u = rng.randrange(0, 3)
+        v = rng.randrange(u + 1, 4)
+        calls = [(ldiff(ctx, base, u, v), ldiff_target(spec, base, u, v)),
+                 (rdiff(ctx, base, u, v), rdiff_target(spec, base, u, v))]
+        calls += [(block_decompose(ctx, idx), ctx.family_words(1, idx))
+                  for idx in range(1, ctx.c1 + 1)]
+        a, b = _trace_args(rng, ctx)
+        calls.append((trace(ctx, a, b), trace_target(spec, a, b)))
+
+        i = rng.choice(touch)
+        kp = rng.randrange(0, 2)
+        j = _hole_word(rng, spec, lambda c: c != 1 and c - 1 not in touch)
+        calls.append((hole_diff_left(ctx, i, kp, j),
+                      hole_left_target(spec, q, i, kp, j)))
+        j = _hole_word(rng, spec, lambda c: c != n and c not in touch)
+        calls.append((hole_diff_right(ctx, i, kp, j),
+                      hole_right_target(spec, p, i, kp, j)))
+
+        for placements, target in calls:
+            assert placements
+            assert cover_fault(ctx, placements, target) is None
