@@ -472,6 +472,9 @@ def verify_certificate(spec, cert):
     one = ExactRatio(1)
     vertices = cert.vertices
     ratio1_edges = []
+    # id(ratio) -> (ratio, is it 1?): the rule sets of a system share
+    # their ratio objects through ``rules_affine``, so each is tested once
+    checked_ratios = {}
     for key, edge in cert.edges.items():
         if edge.source != key:
             raise CertificateError("edge source mismatch at %r" % (key,))
@@ -491,20 +494,21 @@ def verify_certificate(spec, cert):
             if rt is not rd and rt != rd:
                 raise CertificateError("%s: T and D ratios differ"
                                        % _label((key, pi)))
-            if rt.interval(spec.bases)[1] > 1:
-                raise CertificateError("%s: expanding piece"
-                                       % _label((key, pi)))
-            if rt == one:
+            seen = checked_ratios.get(id(rt))
+            if seen is None:
+                if rt.interval(spec.bases)[1] > 1:
+                    raise CertificateError("%s: expanding piece"
+                                           % _label((key, pi)))
+                seen = checked_ratios[id(rt)] = (rt, rt == one)
+            if seen[1]:
                 ratio1_edges.append((key, piece.target))
             t_groups.append(_piece_images(piece.t_rules, tgt.t_words))
             d_groups.append(_piece_images(piece.d_rules, tgt.d_words))
-        cylsets.check_disjoint_groups(spec, t_groups)
-        if not cylsets.union_equal(n, [w for g in t_groups for w in g],
-                                   src.t_words):
+        if (cylsets.check_disjoint_groups(spec, t_groups)
+                != cylsets.canonicalize(n, src.t_words)):
             raise CertificateError("T-side tiling mismatch at %r" % (key,))
-        cylsets.check_disjoint_groups(dust, d_groups)
-        if not cylsets.union_equal(n, [w for g in d_groups for w in g],
-                                   src.d_words):
+        if (cylsets.check_disjoint_groups(dust, d_groups)
+                != cylsets.canonicalize(n, src.d_words)):
             raise CertificateError("D-side tiling mismatch at %r" % (key,))
     _check_ratio1_acyclic(ratio1_edges)
     return True
@@ -601,14 +605,11 @@ def verify_expansion(spec, cert, pieces):
     """Exact piecewise bijectivity: leaf T-sets tile T, leaf D-sets tile
     D, with no shared points across pieces."""
     dust = spec.dust()
-    n = spec.n
-    cylsets.check_disjoint_groups(spec, [p.t_words for p in pieces])
-    if not cylsets.union_equal(
-            n, [w for p in pieces for w in p.t_words], ((),)):
+    if cylsets.check_disjoint_groups(spec, [p.t_words for p in pieces]) \
+            != ((),):
         raise CertificateError("expansion T-side does not tile T")
-    cylsets.check_disjoint_groups(dust, [p.d_words for p in pieces])
-    if not cylsets.union_equal(
-            n, [w for p in pieces for w in p.d_words], ((),)):
+    if cylsets.check_disjoint_groups(dust, [p.d_words for p in pieces]) \
+            != ((),):
         raise CertificateError("expansion D-side does not tile D")
     return True
 
@@ -728,6 +729,16 @@ def identity_certificate(spec):
 # serialization
 
 def cert_to_doc(spec, cert):
+    """The certificate as a JSON document (a tree of dicts, lists, strs
+    and ints), for ``specfile.dump_doc``.
+
+    Each distinct rule tuple becomes one JSON rule list, and every piece
+    that uses the tuple holds that same list object; so does a piece whose
+    ``t_rules`` is its ``d_rules``.  The ratio, scale and offset strings
+    are formatted once per distinct (side, rule set).  An in-place edit of
+    one piece's rules therefore changes every piece that shares the list:
+    copy the document through JSON text first (``copy.deepcopy`` keeps the
+    sharing), as a certificate read from a file already is."""
     dust = spec.dust()
     vertices = []
     for key in sorted(cert.vertices):
@@ -742,22 +753,28 @@ def cert_to_doc(spec, cert):
             "d_lo": specfile.format_value(d_lo),
             "d_hi": specfile.format_value(d_hi),
         })
+    rule_lists, t_text, d_text = {}, {}, {}
     edges = []
     for key in sorted(cert.edges):
         edge = cert.edges[key]
         pieces = []
         for piece in edge.pieces:
-            rt, ts, to = rules_affine(spec, piece.t_rules, "serialize")
-            rd, ds, do = rules_affine(dust, piece.d_rules, "serialize")
+            tr, dr = piece.t_rules, piece.d_rules
+            ratio, t_scale, t_offset = _piece_strings(spec, tr, t_text,
+                                                      "serialize")
+            d_scale, d_offset = _piece_strings(dust, dr, d_text,
+                                               "serialize")[1:]
+            t_list = _rule_list(tr, rule_lists)
             pieces.append({
                 "target": list(piece.target),
-                "ratio": specfile.format_ratio(rt),
-                "t_rules": [[list(s), list(a)] for s, a in piece.t_rules],
-                "d_rules": [[list(s), list(a)] for s, a in piece.d_rules],
-                "t_scale": specfile.format_value(ts),
-                "t_offset": specfile.format_value(to),
-                "d_scale": specfile.format_value(ds),
-                "d_offset": specfile.format_value(do),
+                "ratio": ratio,
+                "t_rules": t_list,
+                "d_rules": t_list if dr is tr else _rule_list(dr,
+                                                              rule_lists),
+                "t_scale": t_scale,
+                "t_offset": t_offset,
+                "d_scale": d_scale,
+                "d_offset": d_offset,
             })
         edges.append({"source": list(key), "pieces": pieces})
     return {
@@ -771,6 +788,27 @@ def cert_to_doc(spec, cert):
         "vertices": vertices,
         "edges": edges,
     }
+
+
+def _rule_list(rules, memo):
+    """The JSON list of a rule tuple, built once per tuple in ``memo``."""
+    got = memo.get(rules)
+    if got is None:
+        got = memo[rules] = [[list(s), list(a)] for s, a in rules]
+    return got
+
+
+def _piece_strings(system, rules, memo, where):
+    """The exact strings (ratio, scale, offset) of the similarity that
+    ``rules`` describe on ``system``, formatted once per rule set in
+    ``memo``, a dict kept for one side of one document."""
+    got = memo.get(rules)
+    if got is None:
+        r, scale, offset = rules_affine(system, rules, where)
+        got = memo[rules] = (specfile.format_ratio(r),
+                             specfile.format_value(scale),
+                             specfile.format_value(offset))
+    return got
 
 
 def _field(d, name, kind, where):
@@ -810,8 +848,9 @@ def _words(d, name, n, where):
     return [_word(w, n, where) for w in ws]
 
 
-def _rules(d, name, n, where):
-    """A nonempty tuple of (strip, add) word pairs."""
+def _rules(d, name, n, where, seen):
+    """A nonempty tuple of (strip, add) word pairs: the one in ``seen``
+    equal to it, if any, so equal rule sets of a document share a tuple."""
     rules = _field(d, name, list, where)
     if not rules:
         raise CertificateError("%s: %r is empty" % (where, name))
@@ -821,7 +860,8 @@ def _rules(d, name, n, where):
             raise CertificateError("%s: a rule is a [strip, add] pair"
                                    % where)
         out.append((_word(r[0], n, where), _word(r[1], n, where)))
-    return tuple(out)
+    out = tuple(out)
+    return seen.setdefault(out, out)
 
 
 def _key(d, name, where):
@@ -847,7 +887,8 @@ def cert_from_doc(doc, n=None):
     ``set(map(type, ...))`` and one ``min``/``max``, the five exact
     strings of a piece are tested in one pass (``_field`` runs only to
     name a failure), and the rule tuples built here are the ones the
-    ``Piece`` keeps."""
+    ``Piece`` keeps.  Equal rule lists, which most pieces repeat, become
+    one tuple, as ``cert_to_doc`` wrote them from one list."""
     if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
         raise CertificateError("not a certificate document")
     if doc.get("version") != CERT_VERSION:
@@ -873,6 +914,7 @@ def cert_from_doc(doc, n=None):
         vertices[key] = Vertex(key, _words(v, "t_words", n, where),
                                _words(v, "d_words", n, where))
     edges = {}
+    rule_sets = {}
     for e in _records(doc, "edges", "certificate"):
         key = _key(e, "source", "edge")
         where = "edge %r" % (key,)
@@ -884,8 +926,8 @@ def cert_from_doc(doc, n=None):
                 for name in PIECE_STRINGS:
                     _field(pd, name, str, where)
             pieces.append(Piece(_key(pd, "target", where),
-                                _rules(pd, "t_rules", n, where),
-                                _rules(pd, "d_rules", n, where)))
+                                _rules(pd, "t_rules", n, where, rule_sets),
+                                _rules(pd, "d_rules", n, where, rule_sets)))
         edges[key] = Edge(key, pieces)
     p, q, p0, q0 = (_field(doc, name, int, "certificate")
                     for name in ("p", "q", "p0", "q0"))
@@ -908,19 +950,19 @@ def verify_cert_doc(spec, doc):
             if vd[name] != specfile.format_value(val):
                 raise CertificateError("stored %s of %r does not match"
                                        % (name, vd["key"]))
+    t_text, d_text = {}, {}
     for ed in doc["edges"]:
         edge = cert.edges[tuple(ed["source"])]
         for pd, piece in zip(ed["pieces"], edge.pieces):
-            rt, ts, to = rules_affine(spec, piece.t_rules, "verify")
-            rd, ds, do = rules_affine(dust, piece.d_rules, "verify")
-            checks = (("ratio", specfile.format_ratio(rt)),
-                      ("t_scale", specfile.format_value(ts)),
-                      ("t_offset", specfile.format_value(to)),
-                      ("d_scale", specfile.format_value(ds)),
-                      ("d_offset", specfile.format_value(do)))
-            for name, want in checks:
-                if pd[name] != want:
-                    raise CertificateError(
-                        "stored %s mismatches recomputation in edge %r"
-                        % (name, ed["source"]))
+            want = (_piece_strings(spec, piece.t_rules, t_text, "verify")
+                    + _piece_strings(dust, piece.d_rules, d_text,
+                                     "verify")[1:])
+            stored = (pd["ratio"], pd["t_scale"], pd["t_offset"],
+                      pd["d_scale"], pd["d_offset"])
+            if stored != want:
+                name = next(name for name, a, b in
+                            zip(PIECE_STRINGS, stored, want) if a != b)
+                raise CertificateError(
+                    "stored %s mismatches recomputation in edge %r"
+                    % (name, ed["source"]))
     return cert

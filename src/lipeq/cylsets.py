@@ -26,26 +26,35 @@ def canonicalize(n, words):
     One pass over the sorted words with a stack: a word below or equal to
     the top of the stack is dropped, since an ancestor sorts right before
     its descendants, and n siblings on top of the stack collapse into
-    their parent, which may complete a family in turn.  Sorting words
-    that are already in order takes one linear pass.
+    their parent (``_merge_siblings``).  Sorting words that are already
+    in order takes one linear pass.
     """
     out = []
     for w in sorted(words):
         if out and w[:len(out[-1])] == out[-1]:
             continue
         out.append(w)
-        k = len(w)
-        # the run out[-n:] is sorted, so when its first and last words
-        # are children of one parent, every word between begins with that
-        # parent too; all of length k, they are the n children
-        while (k and w[-1] == n and len(out) >= n
-               and out[-n][:-1] == w[:-1]
-               and all(len(u) == k for u in out[-n:])):
-            del out[-n:]
-            w = w[:-1]
-            k -= 1
-            out.append(w)
+        if w and w[-1] == n:
+            _merge_siblings(n, out)
     return tuple(out)
+
+
+def _merge_siblings(n, out):
+    """Collapse complete sibling families on top of the sorted,
+    prefix-free stack ``out``, whose last word has just been pushed and
+    ends in letter n.  A merged parent may complete a family in turn."""
+    w = out[-1]
+    k = len(w)
+    # the run out[-n:] is sorted, so when its first and last words are
+    # children of one parent, every word between begins with that parent
+    # too; all of length k, they are the n children
+    while (k and w[-1] == n and len(out) >= n
+           and out[-n][:-1] == w[:-1]
+           and all(len(u) == k for u in out[-n:])):
+        del out[-n:]
+        w = w[:-1]
+        k -= 1
+        out.append(w)
 
 
 def union_equal(n, a, b):
@@ -80,9 +89,10 @@ def sort_spatial(words):
 
 def check_disjoint_groups(spec, groups):
     """Verify that the unions in ``groups`` are pairwise disjoint as point
-    sets.  Words within one group may touch each other; across groups both
-    prefix overlap and shared endpoints are violations.  Returns None or
-    raises SpecError naming the offending pair.
+    sets, and return their union in canonical form.  Words within one
+    group may touch each other; across groups both prefix overlap and
+    shared endpoints are violations, which raise SpecError naming the
+    offending pair.
 
     One pass over the tagged words in sorted order.  The words that begin
     with w follow it contiguously, so overlap is a scan of that run for
@@ -90,14 +100,24 @@ def check_disjoint_groups(spec, groups):
     and T_w can share its right endpoint only with the first word u after
     the run: a later word lies beyond T_u, or inside it and in u's group.
     (T_w's left endpoint is the right endpoint of the word whose run ends
-    at w.)  Every word is tested, not just the last of its run, since T_w
-    reaches further right than the words below it.  Without touching
+    at w.)  The scan then jumps past the run.  A word x of the run needs
+    no test of its own: its run lies inside w's, and T_x can touch a word
+    of another group only at u, where T_x ends no later than T_w, so T_w
+    touches u as well and has already been tested.  Without touching
     letters (a dust) no two cylinders touch, and that test is skipped.
+
+    The words the scan stops at are the union's words not below another,
+    in sorted order, so merging sibling families as ``canonicalize`` does
+    gives the canonical union without a second sort.
     """
     tagged = sorted((w, gi) for gi, g in enumerate(groups) for w in g)
     touching = bool(spec.touching.letters)
+    n = spec.n
     m = len(tagged)
-    for i, (w, gi) in enumerate(tagged):
+    out = []
+    i = 0
+    while i < m:
+        w, gi = tagged[i]
         k = len(w)
         j = i + 1
         while j < m and tagged[j][0][:k] == w:
@@ -109,7 +129,11 @@ def check_disjoint_groups(spec, groups):
             u, gj = tagged[j]
             if gj != gi and words_touch(spec, w, u):
                 raise SpecError("pieces touch at a point: %r | %r" % (w, u))
-    return None
+        out.append(w)
+        if k and w[-1] == n:
+            _merge_siblings(n, out)
+        i = j
+    return tuple(out)
 
 
 def set_distance(spec, a, b):

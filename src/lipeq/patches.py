@@ -159,11 +159,11 @@ def simple_decomposition(spec, parent_words, marked):
         prev = o
     if buf:
         out_pieces.append(PartitionPiece(spec, buf))
-    # verify: full coverage and no shared endpoints between pieces
-    allw = [w for p in out_pieces for w in p.words]
-    if not cylsets.union_equal(n, allw, parent_words):
+    # verify: no shared points between pieces, and their union, which
+    # the disjointness check returns, is the parent
+    if cylsets.check_disjoint_groups(
+            spec, [p.words for p in out_pieces]) != parent_words:
         raise SpecError("decomposition does not cover the parent")
-    cylsets.check_disjoint_groups(spec, [p.words for p in out_pieces])
     return out_pieces
 
 

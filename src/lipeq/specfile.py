@@ -275,10 +275,14 @@ def dump_doc(doc):
     Python call per item.  Such a list is recognised by its first item,
     and the types of all its items are checked at the end in one pass
     per nesting level; a tree that fails the check, say with a bool in
-    an int list, is encoded again item by item.  Tuples are written as
-    lists.  ``doc`` must be a tree whose dict keys are strings: a
-    non-string key or a value of any type but dict, list, tuple, str,
-    int, float, bool and None raises TypeError.
+    an int list, is encoded again item by item.  A rule list object that
+    appears at several places of ``doc`` at one indent, as
+    ``certify.cert_to_doc`` shares them, is encoded at the first and its
+    text reused; the memo, keyed by the object's identity, lives for one
+    call, so a document edited in place between calls is encoded afresh.
+    Tuples are written as lists.  ``doc`` must be a tree whose dict keys
+    are strings: a non-string key or a value of any type but dict, list,
+    tuple, str, int, float, bool and None raises TypeError.
     """
     text, nests = _encode(doc, True)
     if all(_int_leaves(lists, depth)
@@ -312,6 +316,11 @@ def _encode(doc, fast):
     lists, whose item types the caller still has to check."""
     nests = ([], [], [])
     ints, words, rules = (n.append for n in nests)
+    # (id, indent) -> text of the rule lists written so far: a list shared
+    # by several places of doc is encoded once per indent, and its items
+    # checked once.  doc holds every list while this call runs, so no id
+    # is reused.
+    written = {}
 
     def value(x, nl):
         # nl: the line break and indent that x's closing bracket follows
@@ -371,12 +380,16 @@ def _encode(doc, fast):
                         words(x)
                         return "[" + inner + text + nl + "]"
                     if t is list or t is tuple:
-                        deeper = inner + " "
-                        text = sep.join(
-                            ["[" + deeper + _int_lists(r, deeper) + inner
-                             + "]" if r else "[]" for r in x])
-                        rules(x)
-                        return "[" + inner + text + nl + "]"
+                        key = (id(x), nl)
+                        text = written.get(key)
+                        if text is None:
+                            deeper = inner + " "
+                            text = written[key] = "[" + inner + sep.join(
+                                ["[" + deeper + _int_lists(r, deeper)
+                                 + inner + "]" if r else "[]" for r in x]
+                            ) + nl + "]"
+                            rules(x)
+                        return text
             except TypeError:
                 pass
         return "[" + inner + sep.join(

@@ -228,6 +228,11 @@ def hole_diff_left(ctx, i, kp, j):
                          % (kp + len(j)))
     u = j[:-1] + (j[-1] - 1,)
     s = _leading_run(j, n)
+    if s >= q - 1:
+        # k' = 0 and j = n...n of length q - 1 pass the bound above, but
+        # leave the annuli R_{2q+s+1} .. R_{3q} empty
+        raise DepthError("hole word %r of %d letters n needs larger (p, q)"
+                         % (j, s))
     jp = j[s:]
     out = []
     out.extend(rdiff(ctx, (i,), q, 2 * q - 1))
@@ -251,6 +256,11 @@ def hole_diff_right(ctx, i, kp, j):
                          % (kp + len(j)))
     u = j[:-1] + (j[-1] + 1,)
     s = _leading_run(j, 1)
+    if s >= p - 1:
+        # k' = 0 and j = 1...1 of length p - 1 pass the bound above, but
+        # leave the annuli L_{2p+s+1} .. L_{3p} empty
+        raise DepthError("hole word %r of %d letters 1 needs larger (p, q)"
+                         % (j, s))
     jp = j[s:]
     out = []
     out.extend(ldiff(ctx, (i + 1,), p, 2 * p - 1))

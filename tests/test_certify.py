@@ -81,6 +81,43 @@ class TestSimilarityMemo:
                     verify_cert_doc(one45, d)
         verify_cert_doc(one45, doc)
 
+    def test_equal_rule_tuples_share_one_list(self, one45):
+        cert = build_certificate(one45)
+        doc = cert_to_doc(one45, cert)
+        lists = {}
+        for ed in doc["edges"]:
+            for pd in ed["pieces"]:
+                for name in ("t_rules", "d_rules"):
+                    rules = json.dumps(pd[name])
+                    assert lists.setdefault(rules, pd[name]) is pd[name]
+        assert len(lists) < sum(2 * len(e.pieces)
+                                for e in cert.edges.values())
+        assert doc == json.loads(json.dumps(doc))
+
+    def test_every_stored_string_of_every_piece_compared(self, one45):
+        # the strings of a rule set are formatted once, for the first
+        # piece that uses it; a wrong string on any later piece with the
+        # same rule sets is still found
+        doc = json.loads(json.dumps(cert_to_doc(one45,
+                                                build_certificate(one45))))
+        seen = set()
+        later = []
+        for ei, ed in enumerate(doc["edges"]):
+            for pi, pd in enumerate(ed["pieces"]):
+                key = json.dumps([pd["t_rules"], pd["d_rules"]])
+                if key in seen:
+                    later.append((ei, pi))
+                seen.add(key)
+        assert later
+        for name in lipeq.certify.PIECE_STRINGS:
+            for ei, pi in later:
+                d = copy.deepcopy(doc)
+                d["edges"][ei]["pieces"][pi][name] = "7/11"
+                with pytest.raises(CertificateError,
+                                   match="stored %s mismatches" % name):
+                    verify_cert_doc(one45, d)
+        verify_cert_doc(one45, doc)
+
     def test_disagreeing_rules_raise_on_every_call(self, one45):
         # equal ratios 1/5, offsets 0 and 3/5
         rules = (((), (1,)), ((), (2,)))

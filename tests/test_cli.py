@@ -43,7 +43,11 @@ def notequiv_file(tmp_path):
     return str(path)
 
 
-ONE45_CERT = cert_to_doc(make_one45(), build_certificate(make_one45()))
+# read back from its JSON text, as a certificate file is: ``cert_to_doc``
+# shares one rule list between the pieces that use it, and the malformed
+# documents below must each differ from the intact one at one node
+ONE45_CERT = json.loads(json.dumps(
+    cert_to_doc(make_one45(), build_certificate(make_one45()))))
 ONE45_DEPTH5_REPORT = """{
  "certificate_valid": true,
  "depth": 5,

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipeq import SpecError
-from lipeq.ifs import words_touch
+from lipeq.exactnum import ExactRatio
+from lipeq.ifs import canonical_dust, words_touch
 from lipeq.cylsets import (canonicalize, union_equal, word_subset,
                            sort_spatial, check_disjoint_groups, set_distance,
                            set_diam, sigma_L_star, sigma_R_star)
@@ -499,6 +500,38 @@ class TestDisjointGroups:
                 assert _outcome(hull_check, system, groups) == want, groups
                 ref = _outcome(ref_check_disjoint_groups, system, groups)
                 assert ref == (None if ref_misses else want), groups
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(group_families())
+    def test_returns_the_canonical_union(self, case):
+        # whenever the groups pass, the result is their union in
+        # canonical form, duplicate and nested words included
+        spec, groups = case
+        try:
+            got = check_disjoint_groups(spec, groups)
+        except SpecError:
+            return
+        assert got == canonicalize(spec.n, [w for g in groups for w in g])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 5).flatmap(
+        lambda n: word_lists(n).map(lambda ws: (n, ws))),
+        st.integers(1, 3), st.randoms())
+    def test_union_of_any_words_on_a_dust(self, case, count, rng):
+        # words of one list dealt out to groups on a dust with the same
+        # alphabet: complete sibling families several levels deep merge
+        # as in canonicalize, and a word below another stays out
+        n, words = case
+        dust = canonical_dust([ExactRatio(Fraction(1, 2 * n))] * n)
+        groups = [[] for _ in range(count)]
+        for w in words:
+            groups[rng.randrange(count)].append(w)
+        try:
+            got = check_disjoint_groups(dust, groups)
+        except SpecError:
+            return
+        assert got == canonicalize(n, words)
 
 
 class TestSeparateness:

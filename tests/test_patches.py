@@ -15,7 +15,7 @@ from lipeq.patches import (tau, c_set_words, c_family, c_family_sizes,
                            simple_decomposition, PartitionPiece,
                            gap_partition, _e_parents, _max_level1_gap,
                            _cmp_vals)
-from lipeq import cylsets
+from lipeq import cylsets, patches
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
                       random_equal_spec, random_unequal_spec,
@@ -279,6 +279,21 @@ class TestSimpleDecomposition:
         for piece in partition_S(spec, 3)[-1]:
             assert piece.lo == min(spec.cyl_lo(w) for w in piece.words)
             assert piece.hi == max(spec.cyl_hi(w) for w in piece.words)
+
+    def test_lost_atom_does_not_cover_the_parent(self, monkeypatch):
+        # an atom dropped from the refinement leaves pieces that are
+        # disjoint but miss part of the parent
+        spec = make_one45()
+        real = patches._refine_past
+
+        def lossy(n, w, mark_words, mark_of, out):
+            real(n, w, mark_words, mark_of, out)
+            if w == ():         # the parent word, after its refinement
+                out.pop()
+
+        monkeypatch.setattr(patches, "_refine_past", lossy)
+        with pytest.raises(SpecError, match="does not cover the parent"):
+            simple_decomposition(spec, [()], [c_set_words(spec, 1)])
 
     def test_cover_is_exact(self):
         spec = make_one45()

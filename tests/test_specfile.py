@@ -184,6 +184,59 @@ class TestDumpDoc:
         assert dump_doc(doc) == stdlib_text(doc)
         assert passes == [True]
 
+    def test_shared_lists_at_several_places_and_indents(self):
+        # one rule list object written at two indents and twice at each,
+        # next to a shared word list and a shared int list; a shared list
+        # that fails the item check sends the tree to the slow pass
+        rules = [[[], [1, 2]], [[3], [4]]]
+        words = [[1], [2, 3]]
+        ints = [5, 6]
+        doc = {"a": rules, "b": [rules, {"c": rules, "d": words}],
+               "e": {"f": rules, "g": [words, ints, rules]}, "h": ints}
+        assert dump_doc(doc) == stdlib_text(doc)
+        assert dump_doc([rules, rules, [rules]]) == \
+            stdlib_text([rules, rules, [rules]])
+        bad = [[[1], [True]]]
+        doc = {"a": bad, "b": [bad, bad], "c": {"d": bad}}
+        assert dump_doc(doc) == stdlib_text(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.lists(NEARLY_INTS, max_size=3), max_size=3),
+                    min_size=1, max_size=3),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                              st.booleans()), max_size=8))
+    def test_shared_lists_anywhere(self, shared, places):
+        # each place holds one of a few list objects under 0 to 3 levels
+        # of dicts or lists, so the same object recurs at other indents
+        doc = {}
+        for at, (which, depth, in_list) in enumerate(places):
+            x = shared[which % len(shared)]
+            for _ in range(depth):
+                x = [x, at] if in_list else {"k": x}
+            doc["p%d" % at] = x
+        assert dump_doc(doc) == stdlib_text(doc)
+
+    def test_edit_in_place_between_dumps(self):
+        # the memo lives for one call: a shared rule list edited in place
+        # after a dump, or replaced at one place, is written as it is now
+        spec = make_one45()
+        doc = cert_to_doc(spec, build_certificate(spec))
+        assert dump_doc(doc) == stdlib_text(doc)
+        piece = doc["edges"][0]["pieces"][0]
+        assert piece["t_rules"] is piece["d_rules"]
+        piece["t_rules"][0][1].append(3)
+        assert dump_doc(doc) == stdlib_text(doc)
+        piece["d_rules"] = [[[], [2]]]
+        assert dump_doc(doc) == stdlib_text(doc)
+        piece["t_rules"].append([[1], [True]])
+        assert dump_doc(doc) == stdlib_text(doc)
+        rules = [[[1], [2]]]
+        small = {"a": rules, "b": [rules]}
+        assert dump_doc(small) == stdlib_text(small)
+        rules[0][0].append(4)
+        rules.append([[], []])
+        assert dump_doc(small) == stdlib_text(small)
+
     def test_save_doc(self, tmp_path):
         doc = {"words": [[1, 2], []], "name": "x"}
         path = tmp_path / "d.json"

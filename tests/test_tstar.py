@@ -191,6 +191,32 @@ class TestHoleDiff:
         with pytest.raises(DepthError):
             hole_diff_right(ctx, 2, 0, (2, 1))
 
+    # k' = 0 with j = n...n (left) or 1...1 (right) of length q - 1 or
+    # p - 1 passes the depth bound k' + |j| < min(p, q) but leaves the
+    # last annuli empty.  It must be a DepthError, on which
+    # build_certificate retries at the next multiple of (p, q), here
+    # (q + 1, q + 1), where the same word tiles its target.
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_left_run_of_q_minus_1_letters_n_is_too_deep(self, q):
+        spec = make_one45().mirror()
+        j = (spec.n,) * (q - 1)
+        with pytest.raises(DepthError):
+            hole_diff_left(Context(spec, q, q), 1, 0, j)
+        ctx = Context(spec, q + 1, q + 1)
+        assert cover_fault(ctx, hole_diff_left(ctx, 1, 0, j),
+                           hole_left_target(spec, q + 1, 1, 0, j)) is None
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_right_run_of_p_minus_1_letters_1_is_too_deep(self, p):
+        spec = make_one45()
+        j = (1,) * (p - 1)
+        with pytest.raises(DepthError):
+            hole_diff_right(Context(spec, p, p), 2, 0, j)
+        ctx = Context(spec, p + 1, p + 1)
+        assert cover_fault(ctx, hole_diff_right(ctx, 2, 0, j),
+                           hole_right_target(spec, p + 1, 2, 0, j)) is None
+
 
 class TestBlockDecompose:
     def test_single_letter_block(self):
