@@ -82,11 +82,6 @@ def word_subset(n, a, b):
     return all(covered(b, w) for w in a)
 
 
-def sort_spatial(words):
-    """Lexicographic order; for prefix-free families this is spatial order."""
-    return sorted(words)
-
-
 def check_disjoint_groups(spec, groups):
     """Verify that the unions in ``groups`` are pairwise disjoint as point
     sets, and return their union in canonical form.  Words within one

@@ -77,20 +77,17 @@ def verify_witness(spec, w):
         raise SpecError("negative exponent in witness")
     last = w.word[-1]
     rj = spec.ratio_word(w.word)
+    if w.side not in ("left", "right"):
+        raise SpecError("unknown side %r" % w.side)
+    if not _admissible(spec, w.side, last):
+        raise SpecError("inadmissible final letter %d for a %s witness"
+                        % (last, w.side))
     if w.side == "left":
-        if last == 1 or (last - 1) in st.letters:
-            raise SpecError("inadmissible final letter %d for a left "
-                            "witness" % last)
         lhs = rho[i] * rho[0].pow_int(w.k)          # rho_{i+1} rho_1^k
         rhs = rho[i - 1] * rho[0].pow_int(w.kp) * rj
-    elif w.side == "right":
-        if last == spec.n or last in st.letters:
-            raise SpecError("inadmissible final letter %d for a right "
-                            "witness" % last)
+    else:
         lhs = rho[i - 1] * rho[spec.n - 1].pow_int(w.k)
         rhs = rho[i] * rho[spec.n - 1].pow_int(w.kp) * rj
-    else:
-        raise SpecError("unknown side %r" % w.side)
     if lhs != rhs:
         raise SpecError("witness identity fails exactly: %r" % w)
     return True

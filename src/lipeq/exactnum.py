@@ -11,6 +11,11 @@ Two kinds of exact numbers appear in this package:
   Interval endpoints (translations, cylinder endpoints) live here when a
   spec involves declared bases; purely rational specs just use ``Fraction``.
 
+This module is the one place that knows the exact-value types.  A
+``SymValue`` meets ``Fraction`` and ``int`` in ``+``, ``-``, ``*`` and
+every comparison from either side, and takes nonnegative ``int`` powers,
+so code elsewhere writes plain operators on whichever type it holds.
+
 Comparisons on symbolic values are certified with rational interval
 arithmetic built from the declared decimal enclosures.  When an enclosure
 cannot separate two values and the values are not structurally identical,
@@ -294,10 +299,10 @@ def ratio_cmp(a, b, env=None):
 class SymValue:
     """Finite sum of rational multiples of base monomials.
 
-    Supports +, -, * with other SymValues, Fractions and ints, and
-    certified comparisons.  Equality of identical canonical forms is exact;
-    otherwise the difference's enclosure must separate from zero or an
-    UncertifiableComparisonError is raised.
+    Supports +, -, * with other SymValues, Fractions and ints, nonnegative
+    int powers, and certified comparisons.  Equality of identical
+    canonical forms is exact; otherwise the difference's enclosure must
+    separate from zero or an UncertifiableComparisonError is raised.
     """
 
     __slots__ = ("terms", "env")
@@ -352,6 +357,15 @@ class SymValue:
         return SymValue(terms, self.env or o.env)
 
     __rmul__ = __mul__
+
+    def __pow__(self, e):
+        """``self`` multiplied ``e`` times into 1, for an int e >= 0."""
+        if type(e) is not int or e < 0:
+            return NotImplemented
+        out = SymValue({(): Fraction(1)}, self.env)
+        for _ in range(e):
+            out = out * self
+        return out
 
     def interval(self):
         lo = hi = Fraction(0)

@@ -1,4 +1,4 @@
-"""Self-similar systems on [0,1]: validation, cylinders, components.
+"""Self-similar systems on [0,1]: validation, cylinders, level-1 blocks.
 
 A system is a list of orientation-preserving contractions
 ``psi_i(x) = r_i * x + t_i`` whose images tile [0,1] from left to right
@@ -30,7 +30,7 @@ same recursion with q = 1 over its own exact values.
 from fractions import Fraction
 from math import lcm
 
-from .exactnum import ExactRatio, SymValue
+from .exactnum import ExactRatio
 
 
 class SpecError(Exception):
@@ -66,7 +66,8 @@ class IfsSpec:
     """Validated self-similar system.
 
     ratios: tuple of ExactRatio.
-    translations: tuple of exact values (Fraction or SymValue).
+    translations: tuple of exact values (Fraction, or a symbolic sum
+    from exactnum).
     bases: dict name -> DeclaredBase for any symbolic constants.
     role: "touching" or "dust".
     """
@@ -91,7 +92,7 @@ class IfsSpec:
         self._validate()
         self.touching = TouchingStructure(
             [i for i in range(1, self.n)
-             if self._eq(self.t[i - 1] + self.rho[i - 1], self.t[i])],
+             if self.t[i - 1] + self.rho[i - 1] == self.t[i]],
             self.n)
 
     def _init_grid(self):
@@ -113,11 +114,6 @@ class IfsSpec:
             self._T = self.t
             self._grid = {(): (Fraction(1), Fraction(0))}
 
-    def _eq(self, a, b):
-        if isinstance(a, SymValue) or isinstance(b, SymValue):
-            return SymValue.wrap(a, self.bases) == SymValue.wrap(b, self.bases)
-        return a == b
-
     def _validate(self):
         n = self.n
         if n < 3:
@@ -126,24 +122,16 @@ class IfsSpec:
             lo, hi = r.interval(self.bases)
             if not (lo > 0 and hi < 1):
                 raise SpecError("ratio %d not certainly in (0,1)" % (i + 1))
-        if not self._eq(self.t[0], 0):
+        if self.t[0] != 0:
             raise SpecError("first map must fix 0")
-        if not self._eq(self.t[n - 1] + self.rho[n - 1], 1):
+        if self.t[n - 1] + self.rho[n - 1] != 1:
             raise SpecError("last map must send 1 to 1")
         gaps = []
         for i in range(n - 1):
             g = self.t[i + 1] - (self.t[i] + self.rho[i])
-            if isinstance(g, SymValue):
-                if g.is_zero():
-                    gaps.append(0)
-                elif g > 0:
-                    gaps.append(1)
-                else:
-                    raise SpecError("images %d and %d overlap" % (i + 1, i + 2))
-            else:
-                if g < 0:
-                    raise SpecError("images %d and %d overlap" % (i + 1, i + 2))
-                gaps.append(0 if g == 0 else 1)
+            if g < 0:
+                raise SpecError("images %d and %d overlap" % (i + 1, i + 2))
+            gaps.append(0 if g == 0 else 1)
         if self.role == "touching":
             if all(g > 0 for g in gaps):
                 raise SpecError("touching system needs a shared endpoint")
@@ -247,27 +235,6 @@ class IfsSpec:
                 b = i + 1
         return out
 
-    def components(self, m=1):
-        """Connected components of the level-m cylinder picture.
-
-        Returns a list of (interval, words) with interval the component's
-        hull and words the level-m words it comprises, left to right.
-        """
-        words = [()]
-        for _ in range(m):
-            words = [w + (a,) for w in words for a in range(1, self.n + 1)]
-        out = []
-        cur = [words[0]]
-        for w in words[1:]:
-            if words_touch(self, cur[-1], w):
-                cur.append(w)
-            else:
-                out.append(cur)
-                cur = [w]
-        out.append(cur)
-        return [((self.cyl_lo(c[0]), self.cyl_hi(c[-1])), tuple(c))
-                for c in out]
-
     def mirror(self):
         """The left-right reflection about 1/2, same role."""
         n = self.n
@@ -313,8 +280,7 @@ def canonical_dust(ratios, bases=None):
     for v in rho[1:]:
         total = total + v
     slack = 1 - total
-    bad = (slack <= 0) if not isinstance(slack, SymValue) else not (slack > 0)
-    if bad:
+    if slack <= 0:
         raise SpecError("ratios sum to 1 or more; no dust counterpart")
     gap = slack * Fraction(1, n - 1)
     ts = []

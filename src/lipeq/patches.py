@@ -32,35 +32,22 @@ def right_patch_words(spec, word, k):
     return tuple(stem + (j,) for j in range(n - b + 1, n + 1))
 
 
-def _cmp_vals(a, b):
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
 def tau(spec, k):
     """The unique m with rho_n**k * rho_1 < rho_1**m <= rho_n**k.
 
     Defined when rho_1 >= rho_n; equivalently the least m with
     rho_1**m <= rho_n**k.
     """
-    if _cmp_vals(spec.rho[0], spec.rho[-1]) < 0:
-        raise SpecError("tau needs rho_1 >= rho_n; mirror the spec first")
     r1, rn = spec.rho[0], spec.rho[-1]
-    target = rn ** k if isinstance(rn, Fraction) else _powv(rn, k)
+    if r1 < rn:
+        raise SpecError("tau needs rho_1 >= rho_n; mirror the spec first")
+    target = rn ** k
     m = k
-    cur = r1 ** m if isinstance(r1, Fraction) else _powv(r1, m)
+    cur = r1 ** m
     while not (cur <= target):
         m += 1
         cur = cur * r1
     return m
-
-
-def _powv(v, k):
-    out = 1
-    for _ in range(k):
-        out = v * out
-    return out
 
 
 def c_set_words(spec, j):
@@ -110,15 +97,19 @@ def simple_decomposition(spec, parent_words, marked):
     parent.  The remainder between consecutive marked hulls is grouped into
     one piece per maximal run.  Preconditions are verified exactly.
 
-    The parent and the marked sets are canonicalized once, at entry.  A
-    run of the remainder is canonical as it comes: its atoms are sorted
-    and prefix-free; no complete sibling family lies above a parent word,
-    since the parent is canonical; and a split word has a marked word
-    below it, which is not in the run, so its children never all are.
+    The parent and the marked sets must be canonical, and are not
+    canonicalized here.  The one caller, ``partition_S``, passes the
+    words of a piece, canonical when the piece is made, and ``c_family``
+    sets: prefixed copies of the canonical ``c_set_words``, and a common
+    prefix keeps a set sorted, prefix-free and free of complete sibling
+    families.  A run of the remainder is canonical as it comes: its atoms
+    are sorted and prefix-free; no complete sibling family lies above a
+    parent word, since the parent is canonical; and a split word has a
+    marked word below it, which is not in the run, so its children never
+    all are.
     """
     n = spec.n
-    parent_words = cylsets.canonicalize(n, parent_words)
-    marked = [cylsets.canonicalize(n, m) for m in marked]
+    parent_words = tuple(parent_words)
     for m in marked:
         if not all(cylsets.covered(parent_words, w) for w in m):
             raise SpecError("marked set not inside parent")
@@ -256,18 +247,9 @@ def partition_S(spec, k):
 
 def delta_k(spec, k):
     """Largest diameter of a touching-zone set of combined depth k."""
-    rmax = spec.rho[0]
-    for v in spec.rho[1:]:
-        if _cmp_vals(v, rmax) > 0:
-            rmax = v
-    best = None
-    for j in range(1, k + 1):
-        d = cylsets.set_diam(spec, c_set_words(spec, j))
-        scale = _powv(rmax, k - j)
-        cand = scale * d
-        if best is None or _cmp_vals(cand, best) > 0:
-            best = cand
-    return best
+    rmax = max(spec.rho)
+    return max(rmax ** (k - j) * cylsets.set_diam(spec, c_set_words(spec, j))
+               for j in range(1, k + 1))
 
 
 def _level1_gaps(spec):
@@ -282,13 +264,8 @@ def _max_level1_gap(spec):
     that every gap refinement asks for, so it is kept on the spec."""
     if spec._level1_gap is not None:
         return spec._level1_gap
-    g1 = [g for g in _level1_gaps(spec) if _cmp_vals(g, 0) > 0]
-    gmax = g1[0]
-    for v in g1[1:]:
-        if _cmp_vals(v, gmax) > 0:
-            gmax = v
-    spec._level1_gap = gmax
-    return gmax
+    spec._level1_gap = max(g for g in _level1_gaps(spec) if g > 0)
+    return spec._level1_gap
 
 
 def gap_partition(spec, words, delta):
@@ -308,10 +285,13 @@ def gap_partition(spec, words, delta):
     end of T_u to the left end of T_v.  Every test is in product form,
     since a declared-base value has no division.
 
-    Each run of atoms between two qualifying gaps is canonical: the
-    input is, so no complete sibling family lies above an input word,
-    and an expanded cylinder has its qualifying gap between children
-    argmax g and argmax g + 1, so its children never all share a run.
+    ``words`` must be canonical; it is not canonicalized here.  The one
+    caller, ``partition_T``, passes the words of an S_k piece, canonical
+    when the piece is made.  Each run of atoms between two qualifying
+    gaps is then canonical: no complete sibling family lies above an
+    input word, and an expanded cylinder has its qualifying gap between
+    children argmax g and argmax g + 1, so its children never all share
+    a run.
     """
     n = spec.n
     gmax = _max_level1_gap(spec)
@@ -333,7 +313,7 @@ def gap_partition(spec, words, delta):
         walk(w + (n,))
 
     prev = None
-    for w in cylsets.canonicalize(n, words):
+    for w in words:
         if prev is not None and spec.cyl_lo(w) - spec.cyl_hi(prev) >= delta:
             pieces.append(PartitionPiece(spec, run))
             run = []
@@ -356,12 +336,7 @@ def partition_T(spec, k):
 
 def partition_norm(spec, pieces):
     """Largest piece diameter, exact."""
-    best = pieces[0].diam()
-    for p in pieces[1:]:
-        d = p.diam()
-        if _cmp_vals(d, best) > 0:
-            best = d
-    return best
+    return max(p.diam() for p in pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +372,8 @@ def e_family(spec, k):
         for a, drop in ((2, drop2), (3, drop3)):
             for m in cur:
                 shifted = tuple((a,) + w for w in m)
-                if cylsets.union_equal(4, shifted, drop):
+                # both sides are canonical, so equal sets are equal tuples
+                if shifted == drop:
                     continue
                 nxt.append(shifted)
         nxt.append(cylsets.canonicalize(4, e_bridge_words(j)))

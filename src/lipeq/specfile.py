@@ -223,9 +223,12 @@ def spec_from_doc(doc):
                     for s in _string_list(doc, "translations")]
     if len(ratios) != len(translations):
         raise ParseError("ratio and translation counts differ")
+    mu_independent = doc.get("mu_independent", False)
+    if mu_independent is not True and mu_independent is not False:
+        raise ParseError("'mu_independent' must be true or false, got %r"
+                         % (mu_independent,))
     return IfsSpec(ratios, translations, role=doc.get("role", "touching"),
-                   bases=bases,
-                   mu_independent=bool(doc.get("mu_independent", False)))
+                   bases=bases, mu_independent=mu_independent)
 
 
 def spec_to_doc(spec):

@@ -17,6 +17,7 @@ hold each engine to its target word set with an exact oracle.
 
 from .ifs import SpecError
 from . import cylsets
+from .patches import left_patch_words, right_patch_words
 
 
 class DecompositionError(SpecError):
@@ -61,26 +62,19 @@ class Context:
         self.touch = st.letters
 
     def family_words(self, fam, idx):
-        """Relative (prefix ()) canonical words of a family member."""
-        spec = self.spec
-        n = spec.n
+        """Relative (prefix ()) canonical words of a family member: a
+        level-1 block, or R_k(T_i) union L_k'(T_{i+1}) with (k, k') = (0, 0)
+        for family 2 and (q, p) for family 3."""
         if fam == 1:
             b, e = self.blocks[idx - 1]
             return tuple((a,) for a in range(b, e + 1))
-        if fam == 2:
-            if idx not in self.touch:
-                raise DecompositionError("family 2 index must touch")
-            return tuple([(idx, l) for l in range(n - self.beta + 1, n + 1)]
-                         + [(idx + 1, l) for l in range(1, self.alpha + 1)])
-        if fam == 3:
-            if idx not in self.touch:
-                raise DecompositionError("family 3 index must touch")
-            return tuple(
-                [(idx,) + (n,) * self.q + (l,)
-                 for l in range(n - self.beta + 1, n + 1)]
-                + [(idx + 1,) + (1,) * self.p + (l,)
-                   for l in range(1, self.alpha + 1)])
-        raise DecompositionError("unknown family %d" % fam)
+        if fam not in (2, 3):
+            raise DecompositionError("unknown family %d" % fam)
+        if idx not in self.touch:
+            raise DecompositionError("family %d index must touch" % fam)
+        k, kp = (0, 0) if fam == 2 else (self.q, self.p)
+        return (right_patch_words(self.spec, (idx,), k)
+                + left_patch_words(self.spec, (idx + 1,), kp))
 
 
 # ---------------------------------------------------------------------------

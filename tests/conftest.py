@@ -58,6 +58,16 @@ def make_declared_spec():
                    bases={"g": g})
 
 
+def four_map_doc(**fields):
+    """Spec document with ratios 1/5, 1/7, 1/9, 1/5 at translations 0,
+    1/3, 10/21, 4/5: equal end ratios and letter 2 the one touching
+    letter, the shape of the four-map obstruction.  ``fields`` are
+    added to the document."""
+    return dict({"format": "lipeq-spec", "version": 1, "role": "touching",
+                 "ratios": ["1/5", "1/7", "1/9", "1/5"],
+                 "translations": ["0", "1/3", "10/21", "4/5"]}, **fields)
+
+
 @pytest.fixture
 def one45():
     return make_one45()

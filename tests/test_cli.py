@@ -16,7 +16,8 @@ from lipeq.certify import build_certificate, cert_to_doc, cert_from_doc
 from lipeq.cli import main
 from lipeq.specfile import spec_to_doc, save_doc
 
-from conftest import make_one45, make_endratio_spec, make_equal_spec
+from conftest import (make_one45, make_endratio_spec, make_equal_spec,
+                      four_map_doc)
 from fractions import Fraction
 
 
@@ -165,6 +166,26 @@ class TestAnalyze:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         assert main(["analyze", str(path)]) == 3
+
+    @pytest.mark.parametrize("flag, verdict", [(True, "not_equivalent"),
+                                               (False, "unknown")])
+    def test_mu_independent_decides_four_map_obstruction(self, tmp_path,
+                                                          flag, verdict):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(four_map_doc(mu_independent=flag)))
+        out = tmp_path / "r.json"
+        main(["analyze", str(path), "--budget", "4,8", "-o", str(out)])
+        assert json.loads(out.read_text())["verdict"] == verdict
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, [0], None])
+    def test_non_boolean_mu_independent_is_error(self, tmp_path, capsys,
+                                                 value):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(four_map_doc(mu_independent=value)))
+        assert main(["analyze", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "mu_independent" in err
 
     def test_spec_that_is_a_list_is_error(self, tmp_path):
         path = tmp_path / "s.json"

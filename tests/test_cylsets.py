@@ -17,7 +17,7 @@ from lipeq import SpecError
 from lipeq.exactnum import ExactRatio
 from lipeq.ifs import canonical_dust, words_touch
 from lipeq.cylsets import (canonicalize, union_equal, word_subset,
-                           sort_spatial, check_disjoint_groups, set_distance,
+                           check_disjoint_groups, set_distance,
                            set_diam, sigma_L_star, sigma_R_star)
 
 from conftest import make_one45, random_equal_spec
@@ -418,7 +418,7 @@ class TestComplement:
         assert ref_complement_words(3, [()]) == ()
 
     def test_single_cylinder(self):
-        assert sort_spatial(ref_complement_words(3, [(2,)])) == [(1,), (3,)]
+        assert sorted(ref_complement_words(3, [(2,)])) == [(1,), (3,)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32))

@@ -2,6 +2,7 @@
 ratios and values, multiplicative dependence, dimension solver."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,50 @@ class TestSymValue:
         assert g > Fraction(1, 2)
         assert g < Fraction(7, 10)
         assert not g.is_zero()
+
+    COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le,
+                   operator.gt, operator.ge)
+
+    @pytest.mark.parametrize("other", [0, 1, Fraction(1, 2), Fraction(3, 5),
+                                       Fraction(5, 8)])
+    def test_mixed_comparisons_from_either_side(self, other):
+        # g lies within 10**-30 of 0.6180339887; a constant SymValue
+        # and a zero one compare as their Fractions
+        env = golden_env()
+        g = ExactRatio(Fraction(1), (("g", 1),)).value(env)
+        ref = Fraction("0.6180339887")
+        for x, want in ((g, ref), (SymValue({(): Fraction(1, 2)}, env),
+                                   Fraction(1, 2)),
+                        (g - g, Fraction(0))):
+            for op in self.COMPARISONS:
+                assert op(x, other) == op(want, other)
+                assert op(other, x) == op(other, want)
+
+    def test_power_is_repeated_multiplication(self):
+        env = golden_env()
+        g = ExactRatio(Fraction(1), (("g", 1),)).value(env)
+        x = Fraction(1, 3) - g
+        prod = 1
+        for e in range(5):
+            assert (x ** e).terms == SymValue.wrap(prod, env).terms
+            assert x ** e == prod
+            prod = prod * x
+        assert g ** 2 == ExactRatio(Fraction(1), (("g", 2),)).value(env)
+        for e in (-1, 1.0):
+            with pytest.raises(TypeError):
+                x ** e
+
+    def test_unseparable_pair_raises_from_either_side(self):
+        # g + g^2 == 1 exactly, which no enclosure can certify
+        env = golden_env()
+        s = (ExactRatio(Fraction(1), (("g", 1),)).value(env)
+             + ExactRatio(Fraction(1), (("g", 2),)).value(env))
+        for other in (1, Fraction(1)):
+            for op in self.COMPARISONS:
+                with pytest.raises(UncertifiableComparisonError):
+                    op(s, other)
+                with pytest.raises(UncertifiableComparisonError):
+                    op(other, s)
 
 
 # ---------------------------------------------------------------------------

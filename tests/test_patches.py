@@ -13,8 +13,7 @@ from lipeq.patches import (tau, c_set_words, c_family, c_family_sizes,
                            e_family, e_family_sizes, e_ratio_set,
                            measure_words,
                            simple_decomposition, PartitionPiece,
-                           gap_partition, _e_parents, _max_level1_gap,
-                           _cmp_vals)
+                           gap_partition, _e_parents, _max_level1_gap)
 from lipeq import cylsets, patches
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
@@ -52,7 +51,7 @@ def ref_gap_partition(spec, words, delta):
 
     def expand(w):
         s, _ = spec.affine(w)
-        if _cmp_vals(s * gmax, delta) < 0:
+        if s * gmax < delta:
             return [w]
         out = []
         for c in range(1, spec.n + 1):
@@ -66,7 +65,7 @@ def ref_gap_partition(spec, words, delta):
     runs = []
     buf = [atoms[0]]
     for u, v in zip(atoms, atoms[1:]):
-        if _cmp_vals(spec.cyl_lo(v) - spec.cyl_hi(u), delta) >= 0:
+        if spec.cyl_lo(v) - spec.cyl_hi(u) >= delta:
             runs.append(buf)
             buf = []
         buf.append(v)
@@ -155,8 +154,8 @@ class TestPartitionS:
             pieces = partition_S(spec, k)[-1]
             for ws in c_family(spec, k):
                 target = cylsets.canonicalize(spec.n, ws)
-                assert any(tuple(cylsets.sort_spatial(p.words))
-                           == tuple(cylsets.sort_spatial(target))
+                assert any(tuple(sorted(p.words))
+                           == tuple(sorted(target))
                            for p in pieces)
 
 
@@ -249,13 +248,49 @@ class TestPiecesCanonical:
                     assert p.words == cylsets.canonicalize(spec.n, p.words)
 
 
+ACCEPTANCE5_SPECS = (make_one45, lambda: make_equal_spec(4, 9, [0, 3, 4, 8]),
+                     lambda: make_endratio_spec(Fraction(1, 4),
+                                                Fraction(1, 8),
+                                                r2=Fraction(1, 3)))
+
+
+class TestCanonicalInputs:
+    @pytest.mark.parametrize("make", ACCEPTANCE5_SPECS,
+                             ids=["one45", "ninths", "endratio"])
+    def test_partition_passes_canonical_sets(self, make, monkeypatch):
+        # simple_decomposition and gap_partition do not canonicalize their
+        # input; every set the partition builders pass them must already
+        # be canonical, and so must every c_family set
+        spec = make()
+        seen = []
+        decompose, split = simple_decomposition, gap_partition
+
+        def simple(spec_, parent, marked):
+            seen.append(parent)
+            seen.extend(marked)
+            return decompose(spec_, parent, marked)
+
+        def gaps(spec_, words, delta):
+            seen.append(words)
+            return split(spec_, words, delta)
+
+        monkeypatch.setattr(patches, "simple_decomposition", simple)
+        monkeypatch.setattr(patches, "gap_partition", gaps)
+        for k in range(1, 6):
+            partition_T(spec, k)
+            seen.extend(c_family(spec, k))
+        assert seen
+        for ws in seen:
+            assert ws == cylsets.canonicalize(spec.n, ws)
+
+
 class TestSimpleDecomposition:
     def test_marked_sets_become_pieces(self):
         spec = make_one45()
         marked = [c_set_words(spec, 1)]
         pieces = simple_decomposition(spec, [()], marked)
-        sorted_marked = tuple(cylsets.sort_spatial(marked[0]))
-        assert any(tuple(cylsets.sort_spatial(p.words)) == sorted_marked
+        sorted_marked = tuple(sorted(marked[0]))
+        assert any(tuple(sorted(p.words)) == sorted_marked
                    for p in pieces)
 
     def test_hull_must_meet_parent_only_in_marked_set(self):

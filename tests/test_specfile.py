@@ -13,9 +13,9 @@ from lipeq.exactnum import ExactRatio, DeclaredBase
 from lipeq.specfile import (parse_ratio, parse_value, format_ratio,
                             format_value, spec_to_doc, spec_from_doc,
                             canonical_json, doc_digest, load_spec,
-                            save_doc, dump_doc)
+                            save_doc, dump_doc, ParseError)
 
-from conftest import make_one45
+from conftest import make_one45, four_map_doc
 
 
 class TestValueGrammar:
@@ -79,6 +79,18 @@ class TestSpecDocs:
         doc["surprise"] = 1
         with pytest.raises(SpecError):
             spec_from_doc(doc)
+
+    def test_mu_independent_is_a_boolean(self):
+        assert spec_from_doc(four_map_doc()).mu_independent is False
+        for flag in (True, False):
+            spec = spec_from_doc(four_map_doc(mu_independent=flag))
+            assert spec.mu_independent is flag
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, [0], None])
+    def test_non_boolean_mu_independent_rejected(self, value):
+        # read with bool(), "false" and [0] would assert independence
+        with pytest.raises(ParseError, match="mu_independent"):
+            spec_from_doc(four_map_doc(mu_independent=value))
 
     def test_bad_format_rejected(self):
         doc = spec_to_doc(make_one45())

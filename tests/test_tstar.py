@@ -108,6 +108,31 @@ class TestContext:
         # the level-2 neighbourhood joins the facing patches
         assert set(ctx.family_words(2, 2)) == {(2, 2), (2, 3), (3, 1)}
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32), st.booleans(),
+           st.integers(1, 4), st.integers(1, 4))
+    def test_touching_families_are_patch_unions(self, seed, equal, p, q):
+        # family 2 is R_0(T_i) + L_0(T_{i+1}) and family 3 is
+        # R_q(T_i) + L_p(T_{i+1}), spelled here letter by letter
+        rng = random.Random(seed)
+        spec = (random_equal_spec(rng) if equal
+                else random_unequal_spec(rng))
+        ctx = Context(spec, p, q)
+        n, a, b = spec.n, ctx.alpha, ctx.beta
+        for i in sorted(ctx.touch):
+            for fam, k, kp in ((2, 0, 0), (3, q, p)):
+                want = (tuple((i,) + (n,) * k + (l,)
+                              for l in range(n - b + 1, n + 1))
+                        + tuple((i + 1,) + (1,) * kp + (l,)
+                                for l in range(1, a + 1)))
+                assert want == (right_patch_words(spec, (i,), k)
+                                + left_patch_words(spec, (i + 1,), kp))
+                assert ctx.family_words(fam, i) == want
+        free = next(i for i in range(1, n) if i not in ctx.touch)
+        for fam in (2, 3):
+            with pytest.raises(SpecError, match="must touch"):
+                ctx.family_words(fam, free)
+
     def test_patches(self):
         spec = make_one45()
         assert right_patch_words(spec, (2,), 2) == ((2, 3, 3, 2),
