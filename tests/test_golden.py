@@ -13,8 +13,13 @@ standard output of ``lipeq partition --family F --k K`` for F in S, T, C
 and K = 1..4 on {1,4,5}, 1/9*{0,3,4,8} and the end-ratio spec that
 certifies at (9, 6), and for F in S, T and K = 1..3 on the declared-base
 spec, keyed ``label/FK``, recorded before cylinder maps moved to an
-integer grid.  A change that only makes certification, verification or
-partitioning faster must leave every digest as it is.  Regenerate the
+integer grid.  ``golden_certify_left.json`` holds both the ``lipeq
+certify`` digest and the ``lipeq verify --depth 2`` digest (keyed
+``label@2``) of three specs whose certificates use left witnesses
+(``left_specs``), recorded before the two sides of the construction
+became one code path.  A change that only makes certification,
+verification or partitioning faster, or that merges code paths, must
+leave every digest as it is.  Regenerate the
 files only for a deliberate change of a document format:
 
     PYTHONPATH=src python3 tests/test_golden.py certify \
@@ -23,6 +28,8 @@ files only for a deliberate change of a document format:
         > tests/golden_verify.json
     PYTHONPATH=src python3 tests/test_golden.py partition \
         > tests/golden_partition.json
+    PYTHONPATH=src python3 tests/test_golden.py left \
+        > tests/golden_certify_left.json
 """
 
 import contextlib
@@ -36,6 +43,7 @@ from fractions import Fraction
 
 import pytest
 
+from lipeq import IfsSpec
 from lipeq.cli import main
 from lipeq.specfile import save_doc, spec_to_doc
 
@@ -47,6 +55,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_certify.json")
 GOLDEN_VERIFY = os.path.join(HERE, "golden_verify.json")
 GOLDEN_PARTITION = os.path.join(HERE, "golden_partition.json")
+GOLDEN_LEFT = os.path.join(HERE, "golden_certify_left.json")
 # (label, depth) of every recorded ``lipeq verify --depth`` report
 VERIFY_CASES = (("one45", 5), ("endratio64", 3), ("eq31-00", 2),
                 ("eq31-02", 2), ("eq31-03", 2), ("eq31-07", 2))
@@ -60,6 +69,35 @@ def golden_specs():
     rng = random.Random(31)
     out += [("eq31-%02d" % i, random_equal_spec(rng)) for i in range(20)]
     return out
+
+
+def left_specs():
+    """(label, spec) of the specs whose certificates hold left witnesses:
+    a closed-form left witness at letter 1 (word (2, 3), (p, q) = (3, 3)),
+    a searched one at letter 2 (word (4,)), and a left witness at letter
+    1 beside a right one at letter 4."""
+    def spec(ratios, translations):
+        return IfsSpec([Fraction(r) for r in ratios],
+                       [Fraction(t) for t in translations], role="touching")
+    return [("left-closed", spec(["1/4", "1/3", "1/4"], ["0", "1/4", "3/4"])),
+            ("left-search", spec(["1/27", "1/6", "1/2", "1/9"],
+                                 ["0", "7/54", "8/27", "8/9"])),
+            ("left-and-right", spec(["1/3", "1/8", "1/9", "1/8", "1/27"],
+                                    ["0", "1/3", "16/27", "181/216",
+                                     "26/27"]))]
+
+
+def left_cases():
+    """(key, spec, depth) of every digest in ``golden_certify_left.json``:
+    depth None for ``lipeq certify``, 2 for ``lipeq verify --depth 2``."""
+    return ([(label, spec, None) for label, spec in left_specs()]
+            + [("%s@2" % label, spec, 2) for label, spec in left_specs()])
+
+
+def left_digest(spec, depth, directory):
+    if depth is None:
+        return certify_digest(spec, os.path.join(directory, "spec.json"))
+    return verify_digest(spec, depth, directory)
 
 
 def stdout_digest(argv):
@@ -146,6 +184,20 @@ def test_verify_output_unchanged(key, spec, depth, tmp_path):
     assert verify_digest(spec, depth, str(tmp_path)) == want
 
 
+def test_golden_left_file_covers_every_case():
+    with open(GOLDEN_LEFT) as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == sorted(key for key, _, _ in left_cases())
+
+
+@pytest.mark.parametrize("key,spec,depth", left_cases(),
+                         ids=[key for key, _, _ in left_cases()])
+def test_left_witness_output_unchanged(key, spec, depth, tmp_path):
+    with open(GOLDEN_LEFT) as fh:
+        want = json.load(fh)[key]
+    assert left_digest(spec, depth, str(tmp_path)) == want
+
+
 def test_golden_partition_file_covers_every_case():
     with open(GOLDEN_PARTITION) as fh:
         golden = json.load(fh)
@@ -167,6 +219,9 @@ if __name__ == "__main__":
         if sys.argv[1:] == ["verify"]:
             digests = {key: verify_digest(spec, depth, d)
                        for key, spec, depth in verify_cases()}
+        elif sys.argv[1:] == ["left"]:
+            digests = {key: left_digest(spec, depth, d)
+                       for key, spec, depth in left_cases()}
         elif sys.argv[1:] == ["partition"]:
             digests = {key: partition_digest(spec, fam, k,
                                              os.path.join(d, "spec.json"))
