@@ -20,7 +20,7 @@ import random
 from .exactnum import ExactRatio, mult_dependence
 from .ifs import SpecError
 from . import cylsets, specfile
-from .decide import decide, verify_witness, Witness
+from .decide import decide, verify_witness, witness_letters, Witness
 from .patches import left_patch_words, right_patch_words
 from .tstar import (Context, Placement, DecompositionError, DepthError,
                     ldiff, rdiff, hole_diff_left, hole_diff_right,
@@ -177,6 +177,15 @@ def _std_piece(pl):
 # ---------------------------------------------------------------------------
 # (p, q) selection
 
+def _along(letter, p, q):
+    """(patch words, patch-difference engine, depth) of the patches that
+    descend along ``letter``, which is 1 or n: L_k, ``ldiff`` and p along
+    1, R_k, ``rdiff`` and q along n."""
+    if letter == 1:
+        return left_patch_words, ldiff, p
+    return right_patch_words, rdiff, q
+
+
 def check_pq_restrictions(spec, dust, witnesses, p, q):
     """The displayed patch-disjointness conditions for a candidate (p, q).
 
@@ -186,23 +195,17 @@ def check_pq_restrictions(spec, dust, witnesses, p, q):
         kp, j = w.kp, w.word
         if min(p, q) <= w.kp + len(j):
             raise DepthError("p, q must exceed %d" % (w.kp + len(j)))
-        if w.side == "left":
-            hole_t = left_patch_words(spec, (i,) + (n,) * (2 * q) + j, kp)
-            tail_t = right_patch_words(spec, (i,), 3 * q)
-            cylsets.check_disjoint_groups(spec, [hole_t, tail_t])
-            cylsets.check_disjoint_groups(dust, [hole_t, tail_t])
-            hole_d = left_patch_words(spec, (i,) + j, kp)
-            near_d = right_patch_words(spec, (i,), q)
-            cylsets.check_disjoint_groups(dust, [hole_d, near_d])
-        else:
-            hole_t = right_patch_words(spec, (i + 1,) + (1,) * (2 * p) + j,
-                                       kp)
-            tail_t = left_patch_words(spec, (i + 1,), 3 * p)
-            cylsets.check_disjoint_groups(spec, [hole_t, tail_t])
-            cylsets.check_disjoint_groups(dust, [hole_t, tail_t])
-            hole_d = right_patch_words(spec, (i + 1,) + j, kp)
-            near_d = left_patch_words(spec, (i + 1,), p)
-            cylsets.check_disjoint_groups(dust, [hole_d, near_d])
+        near, _, end = witness_letters(w.side, i, n)
+        opp = n + 1 - end
+        hole_patch = _along(end, p, q)[0]
+        near_patch, _, depth = _along(opp, p, q)
+        hole_t = hole_patch(spec, (near,) + (opp,) * (2 * depth) + j, kp)
+        tail_t = near_patch(spec, (near,), 3 * depth)
+        cylsets.check_disjoint_groups(spec, [hole_t, tail_t])
+        cylsets.check_disjoint_groups(dust, [hole_t, tail_t])
+        hole_d = hole_patch(spec, (near,) + j, kp)
+        near_d = near_patch(spec, (near,), depth)
+        cylsets.check_disjoint_groups(dust, [hole_d, near_d])
 
 
 def _pq_floor(witnesses):
@@ -236,8 +239,8 @@ def choose_pq(spec, witnesses):
 # ---------------------------------------------------------------------------
 # vertices and edges
 
-def build_vertices(spec, witnesses, p, q):
-    ctx = Context(spec, p, q)
+def build_vertices(ctx, witnesses):
+    spec = ctx.spec
     n = spec.n
     out = {}
     out[("whole",)] = Vertex(("whole",), ((),), ((),))
@@ -250,16 +253,12 @@ def build_vertices(spec, witnesses, p, q):
         w3 = ctx.family_words(3, i)
         out[("touch3", i)] = Vertex(("touch3", i), w3, w3)
         wit = witnesses[i]
-        if wit.side == "left":
-            t4 = (right_patch_words(spec, (i,), q)
-                  + left_patch_words(spec, (i + 1,), wit.k))
-            d4 = (right_patch_words(spec, (i,), q)
-                  + left_patch_words(spec, (i,) + wit.word, wit.kp))
-        else:
-            t4 = (right_patch_words(spec, (i,), wit.k)
-                  + left_patch_words(spec, (i + 1,), p))
-            d4 = (right_patch_words(spec, (i + 1,) + wit.word, wit.kp)
-                  + left_patch_words(spec, (i + 1,), p))
+        near, far, end = witness_letters(wit.side, i, n)
+        hole_patch = _along(end, ctx.p, ctx.q)[0]
+        near_patch, _, depth = _along(n + 1 - end, ctx.p, ctx.q)
+        near_words = near_patch(spec, (near,), depth)
+        t4 = near_words + hole_patch(spec, (far,), wit.k)
+        d4 = near_words + hole_patch(spec, (near,) + wit.word, wit.kp)
         out[("touch4", i)] = Vertex(("touch4", i),
                                     cylsets.canonicalize(n, t4),
                                     cylsets.canonicalize(n, d4))
@@ -277,6 +276,10 @@ def decompose_vertex(ctx, witnesses, vkey):
     disjoint pieces within each vertex, the contract under which ``lipeq
     verify`` accepts a stored certificate, and not the separateness of a
     block piece from the rest of the attractor.
+
+    The touch3 and touch4 edges of a witness follow from its letters
+    (``witness_letters``): the near patch descends along the boundary
+    letter opposite ``end``, the far side and the hole along ``end``.
     """
     spec = ctx.spec
     n, p, q, c1 = spec.n, ctx.p, ctx.q, ctx.c1
@@ -297,55 +300,36 @@ def decompose_vertex(ctx, witnesses, vkey):
                + [Placement((), 3, i)])
         return Edge(vkey, [_std_piece(pl) for pl in pls])
 
-    if wit.side == "left":
-        rec_t = (((i,), (i,) + (n,) * (2 * q)),
-                 ((i + 1,), (i + 1,) + (1,) * (2 * p)))
-        rec_d = (((i,), (i,) + (n,) * (2 * q)),)
-        hole = hole_diff_left(ctx, i, kp, j)
-        sub_t = (i,) + (n,) * (2 * q) + j + (1,) * kp  # the replaced patch
-        if kind == "touch3":
-            pieces = [_std_piece(pl) for pl in hole]
-            pieces += [_std_piece(pl) for pl in
-                       ldiff(ctx, (i + 1,), p, 2 * p + k)]
-            pieces.append(Piece(("comp1", 1), (((), sub_t),),
-                                (((), (i + 1,) + (1,) * (2 * p + k)),)))
-            pieces.append(Piece(("touch4", i), rec_t, rec_d))
-            return Edge(vkey, pieces)
-        # touch4, left
-        pieces = [_std_piece(pl) for pl in hole]
-        for pl in ldiff(ctx, (), 0, 2 * p):
+    near, far, end = witness_letters(wit.side, i, n)
+    opp = n + 1 - end
+    _, diff, depth = _along(end, p, q)
+    near_depth = _along(opp, p, q)[2]
+    if end == 1:
+        hole_diff, block = hole_diff_left, 1
+    else:
+        hole_diff, block = hole_diff_right, c1
+    near_rule = ((near,), (near,) + (opp,) * (2 * near_depth))
+    rec_t = (near_rule, ((far,), (far,) + (end,) * (2 * depth)))
+    rec_d = (near_rule,)
+    pieces = [_std_piece(pl) for pl in hole_diff(ctx, i, kp, j)]
+    sub_t = near_rule[1] + j + (end,) * kp  # the replaced patch
+    if kind == "touch3":
+        # the pieces in spatial order: the hole lies on the near side
+        diff_pieces = [_std_piece(pl) for pl in
+                       diff(ctx, (far,), depth, 2 * depth + k)]
+        if near < far:
+            pieces += diff_pieces
+        else:
+            pieces = diff_pieces + pieces
+        sub_d = (far,) + (end,) * (2 * depth + k)
+    else:
+        for pl in diff(ctx, (), 0, 2 * depth):
             pieces.append(Piece(
                 _fam_key(pl),
-                (((), (i + 1,) + (1,) * k + pl.prefix),),
-                (((), (i,) + j + (1,) * kp + pl.prefix),)))
-        pieces.append(Piece(("comp1", 1), (((), sub_t),),
-                            (((), (i,) + j + (1,) * (2 * p + kp)),)))
-        pieces.append(Piece(("touch4", i), rec_t, rec_d))
-        return Edge(vkey, pieces)
-
-    # right-substitutable witness
-    rec_t = (((i + 1,), (i + 1,) + (1,) * (2 * p)),
-             ((i,), (i,) + (n,) * (2 * q)))
-    rec_d = (((i + 1,), (i + 1,) + (1,) * (2 * p)),)
-    hole = hole_diff_right(ctx, i, kp, j)
-    sub_t = (i + 1,) + (1,) * (2 * p) + j + (n,) * kp
-    if kind == "touch3":
-        pieces = [_std_piece(pl) for pl in
-                  rdiff(ctx, (i,), q, 2 * q + k)]
-        pieces += [_std_piece(pl) for pl in hole]
-        pieces.append(Piece(("comp1", c1), (((), sub_t),),
-                            (((), (i,) + (n,) * (2 * q + k)),)))
-        pieces.append(Piece(("touch4", i), rec_t, rec_d))
-        return Edge(vkey, pieces)
-    # touch4, right
-    pieces = [_std_piece(pl) for pl in hole]
-    for pl in rdiff(ctx, (), 0, 2 * q):
-        pieces.append(Piece(
-            _fam_key(pl),
-            (((), (i,) + (n,) * k + pl.prefix),),
-            (((), (i + 1,) + j + (n,) * kp + pl.prefix),)))
-    pieces.append(Piece(("comp1", c1), (((), sub_t),),
-                        (((), (i + 1,) + j + (n,) * (2 * q + kp)),)))
+                (((), (far,) + (end,) * k + pl.prefix),),
+                (((), (near,) + j + (end,) * kp + pl.prefix),)))
+        sub_d = (near,) + j + (end,) * (2 * depth + kp)
+    pieces.append(Piece(("comp1", block), (((), sub_t),), (((), sub_d),)))
     pieces.append(Piece(("touch4", i), rec_t, rec_d))
     return Edge(vkey, pieces)
 
@@ -365,7 +349,7 @@ def build_certificate(spec, verdict=None):
     for attempt in range(6):
         ctx = Context(spec, p, q)
         try:
-            vertices = build_vertices(spec, witnesses, p, q)
+            vertices = build_vertices(ctx, witnesses)
             edges = {}
             for key in vertices:
                 edges[key] = decompose_vertex(ctx, witnesses, key)
@@ -417,11 +401,12 @@ def _check_pq(spec, cert):
 def verify_certificate(spec, cert):
     """Re-verify every certificate invariant from scratch.
 
-    Checks: the stored (p0, q0) and (p, q) against the end ratios and the
-    witnesses, vertex keys and 1 + c1 + 3|touching| count, exact edge
-    tilings on the T and D sides, per-piece ratio equality, and
-    contraction around every cycle.  Raises CertificateError (or the
-    SpecError of a failed disjointness check) on the first violation.
+    Checks: one witness per touching letter, the stored (p0, q0) and
+    (p, q) against the end ratios and the witnesses, vertex keys and
+    1 + c1 + 3|touching| count, exact edge tilings on the T and D sides,
+    per-piece ratio equality, and contraction around every cycle.
+    Raises CertificateError (or the SpecError of a failed disjointness
+    check) on the first violation.
     This is the one exact validator of a certificate: ``build_certificate``
     runs it on everything it builds, and the tiling engines only
     construct.
@@ -446,8 +431,12 @@ def verify_certificate(spec, cert):
         raise CertificateError("certificate was built for a different spec")
     if cert.dust_digest != specfile.doc_digest(specfile.spec_to_doc(dust)):
         raise CertificateError("dust digest mismatch")
-    _check_pq(spec, cert)
     ctx = Context(spec, cert.p, cert.q)
+    if set(cert.witnesses) != ctx.touch:
+        raise CertificateError("witness letters %s are not the touching "
+                               "letters %s" % (sorted(cert.witnesses),
+                                               sorted(ctx.touch)))
+    _check_pq(spec, cert)
     expected = 1 + ctx.c1 + 3 * len(ctx.touch)
     if spec.role == "touching" and len(cert.vertices) != expected:
         raise CertificateError("expected %d vertices, found %d"
@@ -531,10 +520,10 @@ def _check_ratio1_acyclic(pairs):
 
 class ExpandPiece:
     __slots__ = ("vkey", "t_words", "d_words", "t_scale", "t_offset",
-                 "d_scale", "d_offset", "ratio")
+                 "d_scale", "d_offset")
 
     def __init__(self, vkey, t_words, d_words, t_scale, t_offset,
-                 d_scale, d_offset, ratio):
+                 d_scale, d_offset):
         self.vkey = vkey
         self.t_words = t_words
         self.d_words = d_words
@@ -542,7 +531,6 @@ class ExpandPiece:
         self.t_offset = t_offset
         self.d_scale = d_scale
         self.d_offset = d_offset
-        self.ratio = ratio
 
 
 def expand_map(spec, cert, depth):
@@ -578,13 +566,13 @@ def expand_map(spec, cert, depth):
     out = []
     for vkey, tr, dr in leaves:
         v = cert.vertices[vkey]
-        rt, ts, to = rules_affine(spec, tr, "expand")
+        ts, to = rules_affine(spec, tr, "expand")[1:]
         ds, do = rules_affine(dust, dr, "expand")[1:]
         out.append(ExpandPiece(
             vkey,
             _piece_images(tr, v.t_words),
             _piece_images(dr, v.d_words),
-            ts, to, ds, do, rt))
+            ts, to, ds, do))
     return out
 
 
@@ -882,8 +870,9 @@ PIECE_STRINGS = ("ratio", "t_scale", "t_offset", "d_scale", "d_offset")
 def cert_from_doc(doc, n=None):
     """Read a certificate document.  Its shape is checked first: every
     field present with its JSON type, nonempty word and rule lists, vertex
-    keys and edge sources unique, and every letter of a word, rule or
-    witness an int (not ``true``, not ``1.0``) in 1..n (when n is given).
+    keys, edge sources and witness letters unique, and every letter of a
+    word, rule or witness an int (not ``true``, not ``1.0``) in 1..n (when
+    n is given).
     Any violation raises CertificateError.
 
     The checks cost few Python calls per piece: a word is one
@@ -901,6 +890,9 @@ def cert_from_doc(doc, n=None):
               if "witnesses" in doc else []):
         where = "witness"
         letter = _field(w, "letter", int, where)
+        if letter in witnesses:
+            raise CertificateError("witness for letter %d appears twice"
+                                   % letter)
         witnesses[letter] = Witness(
             _field(w, "side", str, where), letter,
             _field(w, "k", int, where), _field(w, "k_prime", int, where),

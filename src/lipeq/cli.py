@@ -69,9 +69,9 @@ def analyze_report(spec, budget):
         "n": spec.n,
         "role": spec.role,
         "ratios": [specfile.format_ratio(r) for r in spec.ratios],
-        "touching_letters": sorted(st.letters) if st else [],
-        "first_free_letter": st.alpha if st else None,
-        "last_free_letter": st.beta if st else None,
+        "touching_letters": sorted(st.letters),
+        "first_free_letter": st.alpha,
+        "last_free_letter": st.beta,
         "dimension": {"value": moran_dimension(spec.ratios,
                                                env=spec.bases),
                       "exactness": "approx(%g)" % MORAN_TOL},
@@ -280,10 +280,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, CertificateError, ExactError) as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 3
-    except OSError as e:
+    except (SpecError, ExactError, OSError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 3
 

@@ -38,10 +38,12 @@ from .ifs import SpecError
 
 
 class Witness:
-    """An exact substitution identity for touching letter ``i``.
+    """An exact substitution identity for touching letter ``i``:
 
-    side "left":  rho_{i+1} * rho_1**k == rho_i * rho_1**kp * rho_word
-    side "right": rho_i * rho_n**k == rho_{i+1} * rho_n**kp * rho_word
+        rho_far * rho_end**k == rho_near * rho_end**kp * rho_word
+
+    with (near, far, end) = ``witness_letters(side, i, n)``, that is
+    (i, i+1, 1) on side "left" and (i+1, i, n) on side "right".
     """
 
     def __init__(self, side, i, k, kp, word, source):
@@ -63,31 +65,37 @@ class Witness:
                    self.source))
 
 
+def witness_letters(side, i, n):
+    """(near, far, end) of a ``side`` witness for touching letter ``i``:
+    the letter whose cylinder carries the substitute word (near), the
+    neighbour whose patch the word replaces (far), and the boundary letter
+    that the replaced patches descend along (end).  The two sides are
+    mirror images: (i, i+1, 1) and (i+1, i, n)."""
+    if side == "left":
+        return i, i + 1, 1
+    if side == "right":
+        return i + 1, i, n
+    raise SpecError("unknown side %r" % side)
+
+
 def verify_witness(spec, w):
     """Exact check of the substitution identity; also the admissibility of
     the last letter.  Returns True or raises SpecError."""
-    st = spec.touching
     rho = spec.ratios
-    i = w.i
-    if i not in st.letters:
-        raise SpecError("letter %d does not touch its neighbour" % i)
+    if w.i not in spec.touching.letters:
+        raise SpecError("letter %d does not touch its neighbour" % w.i)
     if not w.word:
         raise SpecError("witness word must be nonempty")
     if w.k < 0 or w.kp < 0:
         raise SpecError("negative exponent in witness")
     last = w.word[-1]
     rj = spec.ratio_word(w.word)
-    if w.side not in ("left", "right"):
-        raise SpecError("unknown side %r" % w.side)
+    near, far, end = witness_letters(w.side, w.i, spec.n)
     if not _admissible(spec, w.side, last):
         raise SpecError("inadmissible final letter %d for a %s witness"
                         % (last, w.side))
-    if w.side == "left":
-        lhs = rho[i] * rho[0].pow_int(w.k)          # rho_{i+1} rho_1^k
-        rhs = rho[i - 1] * rho[0].pow_int(w.kp) * rj
-    else:
-        lhs = rho[i - 1] * rho[spec.n - 1].pow_int(w.k)
-        rhs = rho[i] * rho[spec.n - 1].pow_int(w.kp) * rj
+    lhs = rho[far - 1] * rho[end - 1].pow_int(w.k)
+    rhs = rho[near - 1] * rho[end - 1].pow_int(w.kp) * rj
     if lhs != rhs:
         raise SpecError("witness identity fails exactly: %r" % w)
     return True
@@ -214,10 +222,8 @@ def find_witness(spec, i, side, budget=None):
     budget = budget or SearchBudget()
     vecs = [to_exponent_vector(r) for r in spec.ratios]
     n = spec.n
-    if side == "left":
-        upper, lower, end = vecs[i], vecs[i - 1], vecs[0]
-    else:
-        upper, lower, end = vecs[i - 1], vecs[i], vecs[n - 1]
+    near, far, end = witness_letters(side, i, n)
+    upper, lower, end = vecs[far - 1], vecs[near - 1], vecs[end - 1]
     adm = [_admissible(spec, side, t) for t in range(1, n + 1)]
     if not any(adm):
         return (None, "none")
@@ -324,43 +330,32 @@ def _all_dependent(ratios):
 def closed_form_witnesses(spec):
     """Closed-form witnesses when enough ratios share a common power.
 
-    Right-side witnesses exist for every touching letter when rho_1, rho_n,
-    rho_alpha and every rho_{i+1} (i touching) are pairwise multiplicatively
-    dependent; the mirror condition yields left-side witnesses.  Returns a
-    dict letter -> Witness, or None when neither condition holds.
+    Witnesses of one side exist for every touching letter when rho_1,
+    rho_n, rho_anchor and rho_near of every touching letter are pairwise
+    multiplicatively dependent: with (near, far, end) from
+    ``witness_letters``, the word is far, near^(w-1), anchor^u, where
+    rho_near**w and rho_anchor**u are the powers of rho_end that match.
+    The right side, anchor alpha, is tried before the left, anchor
+    n - beta + 1.  Returns a dict letter -> Witness, or None when neither
+    condition holds.
     """
     st = spec.touching
     n = spec.n
     rho = spec.ratios
-
-    # right-side family
-    cond1 = [rho[0], rho[n - 1], rho[st.alpha - 1]] + \
-            [rho[i] for i in sorted(st.letters)]
-    if _all_dependent(cond1):
+    for side, anchor in (("right", st.alpha), ("left", n - st.beta + 1)):
+        subs = [(i,) + witness_letters(side, i, n) for i in sorted(st.letters)]
+        if not _all_dependent([rho[0], rho[n - 1], rho[anchor - 1]]
+                              + [rho[near - 1] for _, near, _, _ in subs]):
+            continue
         out = {}
-        for i in sorted(st.letters):
-            ua, va = mult_dependence(rho[st.alpha - 1], rho[n - 1])
-            wb, vb = mult_dependence(rho[i], rho[n - 1])
+        for i, near, far, end in subs:
+            ua, va = mult_dependence(rho[anchor - 1], rho[end - 1])
+            wb, vb = mult_dependence(rho[near - 1], rho[end - 1])
             v = va * vb // math.gcd(va, vb)
             u = ua * (v // va)
             wexp = wb * (v // vb)
-            word = (i,) + (i + 1,) * (wexp - 1) + (st.alpha,) * u
-            w = Witness("right", i, 2 * v, 0, word, "fastpath")
-            verify_witness(spec, w)
-            out[i] = w
-        return out
-    cond2 = [rho[0], rho[n - 1], rho[n - st.beta]] + \
-            [rho[i - 1] for i in sorted(st.letters)]
-    if _all_dependent(cond2):
-        out = {}
-        for i in sorted(st.letters):
-            ua, va = mult_dependence(rho[n - st.beta], rho[0])
-            wb, vb = mult_dependence(rho[i - 1], rho[0])
-            v = va * vb // math.gcd(va, vb)
-            u = ua * (v // va)
-            wexp = wb * (v // vb)
-            word = (i + 1,) + (i,) * (wexp - 1) + (n - st.beta + 1,) * u
-            w = Witness("left", i, 2 * v, 0, word, "fastpath")
+            word = (far,) + (near,) * (wexp - 1) + (anchor,) * u
+            w = Witness(side, i, 2 * v, 0, word, "fastpath")
             verify_witness(spec, w)
             out[i] = w
         return out

@@ -160,28 +160,23 @@ class DeclaredBase:
         return "DeclaredBase(%r, %r)" % (self.name, self.value_str)
 
 
-# interval helpers: closed rational intervals (lo, hi)
+# interval helpers: closed rational intervals (lo, hi).  Every interval
+# that reaches them is positive.  ``_mono_interval`` is their one caller,
+# and it builds each interval as a product of integer powers of declared
+# enclosures, which ``DeclaredBase`` makes positive (it rejects lo <= 0).
+# A power of a positive interval is positive, and so is a product of
+# positive intervals; the product's ends are the products of the ends.
 
 def _iv_mul(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(ps), max(ps))
+    return (a[0] * b[0], a[1] * b[1])
 
 
 def _iv_pow(iv, e):
-    if e == 0:
-        return (Fraction(1), Fraction(1))
-    if e < 0:
-        lo, hi = _iv_pow(iv, -e)
-        if lo <= 0:
-            raise ExactError("interval reciprocal through zero")
-        return (1 / hi, 1 / lo)
+    """iv**e, exactly; for e < 0 the reciprocal swaps the ends."""
     lo, hi = iv
-    if lo >= 0:
-        return (lo ** e, hi ** e)
-    if e % 2 == 1:
-        return (lo ** e, hi ** e)
-    m = max(-lo, hi)
-    return (Fraction(0), m ** e)
+    if e < 0:
+        return (hi ** e, lo ** e)
+    return (lo ** e, hi ** e)
 
 
 def _mono_interval(mono, env):

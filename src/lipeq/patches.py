@@ -259,15 +259,6 @@ def _level1_gaps(spec):
             for c in range(1, spec.n)]
 
 
-def _max_level1_gap(spec):
-    """The longest level-1 gap of ``spec``.  It is a constant of the spec
-    that every gap refinement asks for, so it is kept on the spec."""
-    if spec._level1_gap is not None:
-        return spec._level1_gap
-    spec._level1_gap = max(g for g in _level1_gaps(spec) if g > 0)
-    return spec._level1_gap
-
-
 def gap_partition(spec, words, delta):
     """Split union(words) at every gap of length >= delta.
 
@@ -294,8 +285,8 @@ def gap_partition(spec, words, delta):
     a run.
     """
     n = spec.n
-    gmax = _max_level1_gap(spec)
     g = _level1_gaps(spec)
+    gmax = max(g)
     pieces = []
     run = []
 

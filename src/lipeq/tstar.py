@@ -17,6 +17,7 @@ hold each engine to its target word set with an exact oracle.
 
 from .ifs import SpecError
 from . import cylsets
+from .decide import _admissible
 from .patches import left_patch_words, right_patch_words
 
 
@@ -215,7 +216,7 @@ def hole_diff_left(ctx, i, kp, j):
     """Placements tiling R_q(T_i) minus (R_3q(T_i) union
     L_kp(T_{i [n]^2q j})), for a left-substitution word j."""
     n, q = ctx.spec.n, ctx.q
-    if j[-1] == 1 or (j[-1] - 1) in ctx.touch:
+    if not _admissible(ctx.spec, "left", j[-1]):
         raise DecompositionError("inadmissible final letter in %r" % (j,))
     if kp + len(j) >= min(ctx.p, ctx.q):
         raise DepthError("hole at depth %d needs larger (p, q)"
@@ -243,7 +244,7 @@ def hole_diff_right(ctx, i, kp, j):
     """Placements tiling L_p(T_{i+1}) minus (L_3p(T_{i+1}) union
     R_kp(T_{(i+1) [1]^2p j})), for a right-substitution word j."""
     n, p = ctx.spec.n, ctx.p
-    if j[-1] == n or j[-1] in ctx.touch:
+    if not _admissible(ctx.spec, "right", j[-1]):
         raise DecompositionError("inadmissible final letter in %r" % (j,))
     if kp + len(j) >= min(ctx.p, ctx.q):
         raise DepthError("hole at depth %d needs larger (p, q)"

@@ -409,6 +409,26 @@ class TestVerifyMalformed:
         doc["witnesses"][0]["word"] = [2, 0]
         assert verify_doc(one45_file, tmp_path, doc) == 3
 
+    @pytest.mark.parametrize("change", [
+        # a record whose identity fails exactly, ahead of the valid one
+        lambda doc: doc["witnesses"].insert(0, {
+            "side": "right", "letter": 2, "k": 0, "k_prime": 0,
+            "word": [1, 1, 1], "source": "file"}),
+        # no witnesses, so no depth bound on the (3, 3)-built (p, q)
+        lambda doc: (doc.pop("witnesses"), doc.update(p=1, q=1)),
+        lambda doc: doc.update(witnesses=[])],
+        ids=["bogus-duplicate", "missing-p1", "empty"])
+    def test_one_witness_per_touching_letter(self, one45_file, tmp_path,
+                                             capsys, change):
+        doc = copy.deepcopy(ONE45_CERT)
+        change(doc)
+        with pytest.raises(lipeq.certify.CertificateError):
+            lipeq.certify.verify_cert_doc(make_one45(), doc)
+        capsys.readouterr()
+        assert verify_doc(one45_file, tmp_path, doc) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_not_json(self, one45_file, tmp_path):
         cert = tmp_path / "c.json"
         cert.write_text(json.dumps(ONE45_CERT)[:-3])

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: factorization, declared bases, symbolic
 ratios and values, multiplicative dependence, dimension solver."""
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -81,6 +82,25 @@ class TestExactRatio:
         v = Fraction("0.61803398874989484820458683436563811772") ** 2 / 2
         assert lo <= v <= hi
         assert hi - lo < Fraction(1, 10 ** 30)
+
+    @pytest.mark.parametrize("sym", [
+        (("g", 3),), (("g", -2),), (("g", 0),), (("g", 2), ("h", -3)),
+        (("g", -1), ("h", -1)), (("g", 5), ("h", 1))])
+    def test_interval_is_the_extreme_corners(self, sym):
+        # a monomial is monotone in each base, so its interval over the
+        # box of enclosures is the least and greatest value at a corner
+        env = {"g": DeclaredBase("g", "0.618", digits=3),
+               "h": DeclaredBase("h", "1.5", digits=1)}
+        r = ExactRatio(Fraction(2, 7), sym)
+        corners = [Fraction(2, 7) * math.prod(
+            env[name].interval()[end] ** e for (name, e), end
+            in zip(sym, ends)) for ends in
+            itertools.product((0, 1), repeat=len(sym))]
+        assert r.interval(env) == (min(corners), max(corners))
+
+    def test_declared_base_must_be_positive(self):
+        with pytest.raises(ValueError):
+            DeclaredBase("g", "0.05", digits=1)
 
     def test_ratio_cmp(self):
         env = golden_env()

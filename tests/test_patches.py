@@ -13,7 +13,7 @@ from lipeq.patches import (tau, c_set_words, c_family, c_family_sizes,
                            e_family, e_family_sizes, e_ratio_set,
                            measure_words,
                            simple_decomposition, PartitionPiece,
-                           gap_partition, _e_parents, _max_level1_gap)
+                           gap_partition, _e_parents, _level1_gaps)
 from lipeq import cylsets, patches
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
@@ -47,7 +47,7 @@ def ref_gap_partition(spec, words, delta):
     """gap_partition by refining into atoms and scanning the hull ends of
     every pair of neighbouring atoms, the reference for the walk that
     reads the gaps off the scales.  Returns (words, lo, hi) per piece."""
-    gmax = _max_level1_gap(spec)
+    gmax = max(_level1_gaps(spec))
 
     def expand(w):
         s, _ = spec.affine(w)
@@ -173,17 +173,12 @@ class TestPartitionS:
 
 class TestPartitionT:
     def test_level1_gap_bound_kept_on_spec(self):
-        # the bound is the longest level-1 gap, found once and kept on the
-        # spec; a spec that has partitioned before partitions like a new one
+        # a spec that has partitioned before partitions like a new one
         makers = [lambda: make_equal_spec(4, 9, [0, 3, 4, 8]),
                   lambda: make_endratio_spec(Fraction(1, 4), Fraction(1, 8),
                                              r2=Fraction(1, 3))]
         for make in makers:
             warm = make()
-            want = max(warm.t[i + 1] - warm.t[i] - warm.rho[i]
-                       for i in range(warm.n - 1))
-            assert _max_level1_gap(warm) == want
-            assert warm._level1_gap == want
             for k in (1, 2, 3):
                 assert ([(p.words, p.lo, p.hi)
                          for p in partition_T(warm, k)]
