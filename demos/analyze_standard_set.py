@@ -11,7 +11,7 @@ decision.
 from fractions import Fraction
 
 from lipeq import IfsSpec, decide, canonical_dust, moran_dimension
-from lipeq.decide import check_necessary
+from lipeq.decide import check_necessary, witness_letters
 
 spec = IfsSpec([Fraction(1, 5)] * 3,
                [Fraction(0), Fraction(3, 5), Fraction(4, 5)],
@@ -35,7 +35,8 @@ print("reason:", verdict.reason)
 for letter, w in sorted(verdict.witnesses.items()):
     print("witness for touching letter %d: %r" % (letter, w))
     # the witness certifies the diameter identity
-    lhs = (letter,) + (spec.n,) * w.k
-    rhs = (letter + 1,) + (spec.n,) * w.kp + w.word
+    near, far, end = witness_letters(w.side, letter, spec.n)
+    lhs = (far,) + (end,) * w.k
+    rhs = (near,) + (end,) * w.kp + w.word
     print("  |T_%s| == |T_%s|  (checked exactly)"
           % ("".join(map(str, lhs)), "".join(map(str, rhs))))

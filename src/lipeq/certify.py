@@ -193,8 +193,8 @@ def check_pq_restrictions(spec, dust, witnesses, p, q):
     n = spec.n
     for i, w in sorted(witnesses.items()):
         kp, j = w.kp, w.word
-        if min(p, q) <= w.kp + len(j):
-            raise DepthError("p, q must exceed %d" % (w.kp + len(j)))
+        if min(p, q) <= w.depth:
+            raise DepthError("p, q must exceed %d" % w.depth)
         near, _, end = witness_letters(w.side, i, n)
         opp = n + 1 - end
         hole_patch = _along(end, p, q)[0]
@@ -209,8 +209,8 @@ def check_pq_restrictions(spec, dust, witnesses, p, q):
 
 
 def _pq_floor(witnesses):
-    """min(p, q) must exceed this: the deepest k' + |word| of a witness."""
-    return max((w.kp + len(w.word) for w in witnesses.values()), default=0)
+    """min(p, q) must exceed this: the deepest witness."""
+    return max((w.depth for w in witnesses.values()), default=0)
 
 
 def choose_pq(spec, witnesses):
@@ -280,6 +280,8 @@ def decompose_vertex(ctx, witnesses, vkey):
     The touch3 and touch4 edges of a witness follow from its letters
     (``witness_letters``): the near patch descends along the boundary
     letter opposite ``end``, the far side and the hole along ``end``.
+    Both edges hold the same hole pieces, which the hole engine computes
+    once per letter into ``ctx.holes``.
     """
     spec = ctx.spec
     n, p, q, c1 = spec.n, ctx.p, ctx.q, ctx.c1
@@ -304,14 +306,14 @@ def decompose_vertex(ctx, witnesses, vkey):
     opp = n + 1 - end
     _, diff, depth = _along(end, p, q)
     near_depth = _along(opp, p, q)[2]
-    if end == 1:
-        hole_diff, block = hole_diff_left, 1
-    else:
-        hole_diff, block = hole_diff_right, c1
+    block = 1 if end == 1 else c1
     near_rule = ((near,), (near,) + (opp,) * (2 * near_depth))
     rec_t = (near_rule, ((far,), (far,) + (end,) * (2 * depth)))
     rec_d = (near_rule,)
-    pieces = [_std_piece(pl) for pl in hole_diff(ctx, i, kp, j)]
+    if i not in ctx.holes:
+        hole_diff = hole_diff_left if end == 1 else hole_diff_right
+        ctx.holes[i] = [_std_piece(pl) for pl in hole_diff(ctx, i, kp, j)]
+    pieces = list(ctx.holes[i])
     sub_t = near_rule[1] + j + (end,) * kp  # the replaced patch
     if kind == "touch3":
         # the pieces in spatial order: the hole lies on the near side

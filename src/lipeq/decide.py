@@ -19,11 +19,18 @@ the minimal witness length, and a greedy walk over the tables recovers
 the lexicographically first multiset of that length: the one that an
 enumeration of multisets in length-then-lexicographic order meets first.
 Time and memory follow the number of distinct sums, not of multisets, and
-while the length is sought only the tables of two lengths are live.  At
-the default budget (40, 60), an exhausted search on a six-map spec over
-five primes (ratios 1/4, 1/6, 1/10, 1/14, 1/22, 1/8) takes about 4 s and
-a traced peak of 261 MB on a 2-core x86-64 host; enumerating its 9.4 M
+while the length is sought each length's tables are dropped as the next
+length's are built.  The tables depend on the spec and the side only, so
+``decide`` shares them across the touching letters, keeping the lengths
+that found witnesses have walked.  At the default budget (40, 60), an
+exhausted search on a six-map spec over five primes (ratios 1/4, 1/6,
+1/10, 1/14, 1/22, 1/8) takes about 2.7 s, a traced peak of 189 MB and a
+peak RSS of 268 MB on a 2-core x86-64 host; enumerating its 9.4 M
 multisets would take an estimated 270-350 s.
+
+``decide`` gives each touching letter the cheaper of its closed-form
+witness and the search's, by k' + |word|, the depth that the certificate's
+(p, q) must exceed.
 
 A definitive "no witness exists" answer is only produced when the
 rational relaxation of the lattice problem is infeasible, shown by
@@ -53,6 +60,11 @@ class Witness:
         self.kp = kp
         self.word = tuple(word)
         self.source = source
+
+    @property
+    def depth(self):
+        """k' + |word|: min(p, q) of a certificate must exceed it."""
+        return self.kp + len(self.word)
 
     def as_dict(self):
         return {"side": self.side, "letter": self.i, "k": self.k,
@@ -176,26 +188,96 @@ def _arrange_word(spec, side, multiset):
     return None
 
 
-def _longer_sums(prev, codes, adm):
+def _longer_sums(prev, codes, adm, consume=False):
     """Suffix tables one length up.
 
     ``prev[a]`` is the pair (sums without an admissible letter, sums with
     one) over the multisets of length r - 1 drawn from letters a+1..n
     (0-based ``a``); the result holds the same pairs for length r.  A
     multiset from a+1..n either has no letter a+1, or it is letter a+1
-    added to a shorter multiset from a+1..n."""
+    added to a shorter multiset from a+1..n.  With ``consume``, each
+    ``prev[a]`` is dropped from ``prev`` once it has been read, so the
+    two lengths are never both whole in memory."""
     n = len(codes)
     out = [None] * n + [(frozenset(), frozenset())]
     for a in range(n - 1, -1, -1):
         plain, flagged = out[a + 1]
         e = codes[a]
-        plain_up = {x + e for x in prev[a][0]}
-        flagged_up = {x + e for x in prev[a][1]}
+        below = prev[a]
+        if consume:
+            prev[a] = None
+        plain_up = {x + e for x in below[0]}
+        flagged_up = {x + e for x in below[1]}
+        below = None
         if adm[a]:
             out[a] = (plain, flagged | plain_up | flagged_up)
         else:
             out[a] = (plain | plain_up, flagged | flagged_up)
     return out
+
+
+class _SideTables:
+    """What the witness search needs of one (spec, side), whatever the
+    touching letter: the exponent vectors of the ratios, their packing into
+    ints, each letter's code and admissibility, and the suffix tables of
+    the lengths that found witnesses have walked (``levels[r]`` for
+    r = 0, 1, ...).  ``decide`` shares one per side across the letters.
+
+    Each exponent vector becomes one int: its digits in the balanced base
+    B = 2*bound + 1.  The packing is linear, and it maps a vector to 0 only
+    if every entry, lying in [-bound, bound], is 0.  Every test of the
+    search asks whether a sum s of at most max_word letters equals a goal
+    g = target + delta*anchor, |delta| <= max_exp, where the target is the
+    difference of two letters' vectors and the anchor is one letter's
+    vector (the walk asks it as "is g - t in a table" for s = t + a table
+    sum); so each entry of s - g is within bound = (max_word + 2 +
+    max_exp) * (the largest exponent), and equal codes mean equal vectors.
+    Two goals may share a code, but then no sum has it.
+    """
+
+    def __init__(self, spec, side, budget):
+        self.spec = spec
+        self.side = side
+        self.budget = budget
+        vecs = [to_exponent_vector(r) for r in spec.ratios]
+        keys = sorted({k for v in vecs for k in v}, key=str)
+        self.exps = [[v.get(k, 0) for k in keys] for v in vecs]
+        top = max(abs(x) for e in self.exps for x in e)
+        self.base = 2 * (budget.max_word + 2 + budget.max_exp) * top + 1
+        self.codes = [self.pack(e) for e in self.exps]
+        self.adm = [_admissible(spec, side, t) for t in range(1, spec.n + 1)]
+        self.levels = [[({0}, frozenset())] * (spec.n + 1)]
+
+    def pack(self, vec):
+        code = 0
+        for x in reversed(vec):
+            code = code * self.base + x
+        return code
+
+    def first_length(self, goal, cap):
+        """The least length r <= ``cap`` at which a multiset holding an
+        admissible letter sums to a code in ``goal``, or None.
+
+        On success ``levels`` holds the lengths below r, which the walk
+        reads.  Beyond the levels already kept, each length is built from
+        the one before, which it consumes, so an exhausted search keeps
+        nothing new and holds at most one length and a part of the next.
+        """
+        levels, codes, adm = self.levels, self.codes, self.adm
+        level = levels[0]
+        for r in range(1, cap + 1):
+            if r < len(levels):
+                level = levels[r]
+            else:  # consume the level before, unless it is a kept one
+                level = _longer_sums(level, codes, adm, r > len(levels))
+            if not goal.keys().isdisjoint(level[0][1]):
+                break
+        else:
+            return None
+        del level
+        while len(levels) < r:
+            levels.append(_longer_sums(levels[-1], codes, adm))
+        return r
 
 
 def find_witness(spec, i, side, budget=None):
@@ -217,66 +299,40 @@ def find_witness(spec, i, side, budget=None):
     smallest letter that still has a completion, which is the
     lexicographically first multiset of length L.  Time and memory follow
     the number of distinct sums, not of multisets; while L is sought only
-    the tables of two lengths are live.
+    the tables of one length and a part of the next are live.
     """
     budget = budget or SearchBudget()
-    vecs = [to_exponent_vector(r) for r in spec.ratios]
-    n = spec.n
-    near, far, end = witness_letters(side, i, n)
-    upper, lower, end = vecs[far - 1], vecs[near - 1], vecs[end - 1]
-    adm = [_admissible(spec, side, t) for t in range(1, n + 1)]
-    if not any(adm):
-        return (None, "none")
+    return _search(_SideTables(spec, side, budget), i, budget.max_word)
 
-    keys = sorted({k for v in vecs for k in v}, key=str)
-    exps = [[v.get(k, 0) for k in keys] for v in vecs]
-    target = [upper.get(k, 0) - lower.get(k, 0) for k in keys]
-    anchor = [end.get(k, 0) for k in keys]
+
+def _search(tab, i, cap):
+    """``find_witness`` for letter ``i`` on the shared tables ``tab`` of
+    its (spec, side), over words of at most ``cap`` letters."""
+    spec, side, max_exp = tab.spec, tab.side, tab.budget.max_exp
+    n = spec.n
+    if not any(tab.adm):
+        return (None, "none")
+    near, far, end = witness_letters(side, i, n)
+    exps = tab.exps
+    target = [a - b for a, b in zip(exps[far - 1], exps[near - 1])]
+    anchor = exps[end - 1]
 
     # rational relaxation: sum m_t e_t - delta*anchor == target,
     # m_t >= 0, sum m_t >= 1 (an equality with a nonnegative slack).
     # Infeasible => no witness at any budget.
     eqs = [([-anchor[j]] + [e[j] for e in exps] + [0], target[j])
-           for j in range(len(keys))]
+           for j in range(len(target))]
     eqs.append(([0] + [-1] * n + [1], -1))
     if not _fm_feasible(eqs, nonneg=list(range(1, n + 2)), nvars=n + 2):
         return (None, "none")
 
-    # Each exponent vector becomes one int: its digits in the balanced base
-    # B = 2*bound + 1.  The packing is linear, and it maps a vector to 0
-    # only if every entry, lying in [-bound, bound], is 0.  Every test
-    # below asks whether a sum s of at most max_word letters equals a goal
-    # g = target + delta*anchor, |delta| <= max_exp (the walk asks it as
-    # "is g - t in a table" for s = t + a table sum); each entry of s - g
-    # is within bound, so equal codes mean equal vectors.  Two goals may
-    # share a code, but then no sum has it.
-    bound = (budget.max_word * max(abs(x) for e in exps for x in e)
-             + max(map(abs, target))
-             + budget.max_exp * max(map(abs, anchor)))
-    base = 2 * bound + 1
-
-    def pack(vec):
-        code = 0
-        for x in reversed(vec):
-            code = code * base + x
-        return code
-
-    codes = [pack(e) for e in exps]
-    goal = {pack(target) + d * pack(anchor): d
-            for d in range(-budget.max_exp, budget.max_exp + 1)}
-    empty = [({0}, frozenset())] * (n + 1)
-
-    level = empty
-    for length in range(1, budget.max_word + 1):
-        level = _longer_sums(level, codes, adm)
-        if not goal.keys().isdisjoint(level[0][1]):
-            break
-    else:
+    t, a = tab.pack(target), tab.pack(anchor)
+    goal = {t + d * a: d for d in range(-max_exp, max_exp + 1)}
+    length = tab.first_length(goal, cap)
+    if length is None:
         return (None, "exhausted")
 
-    tables = [empty]
-    for _ in range(1, length):
-        tables.append(_longer_sums(tables[-1], codes, adm))
+    tables, codes, adm = tab.levels, tab.codes, tab.adm
     s, flagged, b, multi = 0, False, 0, []
     for left in range(length - 1, -1, -1):
         while True:
@@ -401,6 +457,12 @@ def decide(spec, budget=None):
     "equivalent" always comes with one verified witness per touching
     letter; "not_equivalent" only from the necessary condition or the
     four-map obstruction; anything else is "unknown".
+
+    Each touching letter gets the cheaper of its closed-form witness and
+    the search's (left first, then right), by ``Witness.depth``, which
+    (p, q) must exceed; a tie goes to the closed form.  Where a closed
+    form exists, the search only looks for words short enough to win.
+    The searches of one side share one ``_SideTables``.
     """
     if spec.role != "touching":
         raise SpecError("decision applies to touching systems")
@@ -411,19 +473,21 @@ def decide(spec, budget=None):
     reason4 = branch4_obstruction(spec)
     if reason4:
         return Verdict("not_equivalent", reason4, nec, {}, [])
-    fast = closed_form_witnesses(spec)
-    if fast is not None:
-        return Verdict("equivalent",
-                       "every touching letter substitutable (closed-form "
-                       "witnesses)", nec, fast, [])
+    fast = closed_form_witnesses(spec) or {}
+    tables = {}
     witnesses = {}
     unresolved = []
     for i in sorted(spec.touching.letters):
-        w = None
+        w = fast.get(i)
+        cap = budget.max_word if w is None else min(budget.max_word,
+                                                    w.depth - 1)
         for side in ("left", "right"):
-            got, status = find_witness(spec, i, side, budget)
+            if side not in tables:
+                tables[side] = _SideTables(spec, side, budget)
+            got, _ = _search(tables[side], i, cap)
             if got is not None:
-                w = got
+                if w is None or got.depth < w.depth:
+                    w = got
                 break
         if w is None:
             unresolved.append(i)

@@ -61,6 +61,7 @@ class Context:
         self.alpha = st.alpha
         self.beta = st.beta
         self.touch = st.letters
+        self.holes = {}  # touching letter -> its hole pieces (certify)
 
     def family_words(self, fam, idx):
         """Relative (prefix ()) canonical words of a family member: a

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lipeq import IfsSpec
+from lipeq import IfsSpec, Verdict, build_certificate
+from lipeq.decide import check_necessary, closed_form_witnesses
 from lipeq.exactnum import DeclaredBase, ExactRatio
 
 
@@ -71,6 +72,21 @@ def four_map_doc(**fields):
 @pytest.fixture
 def one45():
     return make_one45()
+
+
+def closed_form_verdict(spec):
+    """The "equivalent" verdict whose witnesses are the closed-form ones
+    of every touching letter, whatever ``decide`` would pick.  The
+    golden files and the tests that pin the closed-form construction
+    build their certificates from it."""
+    return Verdict("equivalent",
+                   "every touching letter substitutable (closed-form "
+                   "witnesses)", check_necessary(spec),
+                   closed_form_witnesses(spec), [])
+
+
+def closed_form_certificate(spec):
+    return build_certificate(spec, closed_form_verdict(spec))
 
 
 def random_unequal_spec(rng, role="touching"):

@@ -18,6 +18,7 @@ from lipeq import (IfsSpec, decide, verify_witness, build_certificate,
                    expand_map, verify_expansion, distortion_report,
                    canonical_dust, moran_dimension)
 from lipeq import cylsets
+from lipeq.decide import closed_form_witnesses
 from lipeq.exactnum import ExactRatio, DeclaredBase
 from lipeq.patches import (partition_S, partition_T, partition_norm,
                            c_family, e_ratio_set)
@@ -31,17 +32,25 @@ def report(num, name):
 
 
 def test_criterion_1_standard_instance():
-    """{1,4,5}-set analyzes to Equivalent with the exact right witness."""
+    """{1,4,5}-set analyzes to Equivalent with exact witnesses: the
+    closed-form right one, and the shorter left one that decide picks."""
     start = time.time()
     spec = make_one45()
-    verdict = decide(spec)
-    assert verdict.status == "equivalent"
-    w = verdict.witnesses[2]
+    w = closed_form_witnesses(spec)[2]
     assert w.side == "right"
     # the witness identity rho_2 rho_3^k = rho_3 rho_3^k' rho_w, exactly
     verify_witness(spec, w)
     lhs = spec.ratio_word((2,) + (3,) * w.k)
     rhs = spec.ratio_word((3,) + (3,) * w.kp + w.word)
+    assert lhs == rhs
+    verdict = decide(spec)
+    assert verdict.status == "equivalent"
+    w = verdict.witnesses[2]
+    assert (w.side, w.k, w.kp, w.word) == ("left", 1, 0, (2,))
+    # the witness identity rho_3 rho_1^k = rho_2 rho_1^k' rho_w, exactly
+    verify_witness(spec, w)
+    lhs = spec.ratio_word((3,) + (1,) * w.k)
+    rhs = spec.ratio_word((2,) + (1,) * w.kp + w.word)
     assert lhs == rhs
     elapsed = time.time() - start
     assert elapsed < 5.0
@@ -197,6 +206,11 @@ def test_criterion_7_dimension_solver():
     report(7, "dimension solver, 1000 random lists")
 
 
+def _other(rng, values, cur):
+    """A value of ``values`` other than ``cur``, so the field changes."""
+    return rng.choice([v for v in values if Fraction(v) != Fraction(cur)])
+
+
 def test_criterion_8_mutation_regression():
     """100 random single-field certificate mutations, 100 detections."""
     spec = make_one45()
@@ -209,11 +223,14 @@ def test_criterion_8_mutation_regression():
         kind = rng.choice(["ratio", "offset", "target"])
         edge = rng.choice(d["edges"])
         piece = rng.choice(edge["pieces"])
+        # every new value differs from the current one, so that no draw
+        # leaves the certificate intact
         if kind == "ratio":
-            piece["ratio"] = rng.choice(["1/7", "2/5", "1/125"])
+            piece["ratio"] = _other(rng, ["1/7", "2/5", "1/125"],
+                                    piece["ratio"])
         elif kind == "offset":
-            piece[rng.choice(["t_offset", "d_offset"])] = \
-                rng.choice(["3/11", "1/2", "7/25"])
+            field = rng.choice(["t_offset", "d_offset"])
+            piece[field] = _other(rng, ["3/11", "1/2", "7/25"], piece[field])
         else:
             cur = tuple(piece["target"])
             piece["target"] = rng.choice(

@@ -18,12 +18,13 @@ from lipeq import cylsets, tstar
 from lipeq.certify import (compose_rules, apply_rules, choose_pq,
                            rules_affine, rule_affine, leaf_counts,
                            leaf_hulls, Edge, Piece)
+from lipeq.decide import SearchBudget, closed_form_witnesses
 from lipeq.exactnum import SymValue
 from lipeq.specfile import format_value
 from lipeq.tstar import Context, Placement
 
 from conftest import (make_one45, make_endratio_spec, random_equal_spec,
-                      make_declared_spec)
+                      make_declared_spec, closed_form_certificate)
 from test_tstar import cover_fault
 
 
@@ -127,8 +128,11 @@ class TestSimilarityMemo:
 
 
 class TestOne45Certificate:
+    """The certificate of {1,4,5} from its closed-form witness, right
+    (2, 1) with k = 2, and the one from the witness ``decide`` picks."""
+
     def test_shape(self, one45):
-        cert = build_certificate(one45)
+        cert = closed_form_certificate(one45)
         assert (cert.p, cert.q) == (3, 3)
         assert len(cert.vertices) == 6
         keys = set(cert.vertices)
@@ -136,7 +140,7 @@ class TestOne45Certificate:
                         ("touch2", 2), ("touch3", 2), ("touch4", 2)}
 
     def test_piece_counts(self, one45):
-        cert = build_certificate(one45)
+        cert = closed_form_certificate(one45)
         counts = {k: len(e.pieces) for k, e in cert.edges.items()}
         assert counts[("whole",)] == 2
         assert counts[("comp1", 1)] == 2
@@ -144,18 +148,18 @@ class TestOne45Certificate:
         assert counts[("touch2", 2)] == 10
 
     def test_touch2_level2_words(self, one45):
-        cert = build_certificate(one45)
+        cert = closed_form_certificate(one45)
         v = cert.vertices[("touch2", 2)]
         assert set(v.t_words) == {(2, 2), (2, 3), (3, 1)}
 
     def test_validates(self, one45):
-        cert = build_certificate(one45)
+        cert = closed_form_certificate(one45)
         assert verify_certificate(one45, cert)
 
     def test_touch4_self_piece_ratio(self, one45):
         # the recursion around the touching point steps down by
         # rho^(p + q) = (1/5)^6
-        cert = build_certificate(one45)
+        cert = closed_form_certificate(one45)
         edge = cert.edges[("touch4", 2)]
         self_pieces = [p for p in edge.pieces if p.target == ("touch4", 2)]
         assert len(self_pieces) == 1
@@ -163,13 +167,51 @@ class TestOne45Certificate:
         r = one45.ratio_word(add) / one45.ratio_word(strip)
         assert r.as_fraction() == Fraction(1, 5 ** 6)
 
+    def test_decided_witness_certificate(self, one45):
+        # left (2,) with k = 1 has k' + |word| = 1, so (p, q) = (2, 2)
+        # passes the depth bound; the closed form's 2 needs (3, 3)
+        cert = build_certificate(one45)
+        w = cert.witnesses[2]
+        assert (w.side, w.k, w.kp, w.word) == ("left", 1, 0, (2,))
+        assert (cert.p, cert.q) == (2, 2)
+        assert sum(len(e.pieces) for e in cert.edges.values()) == 65
+        assert sum(len(e.pieces) for e in
+                   closed_form_certificate(one45).edges.values()) == 111
+        assert verify_certificate(one45, cert)
+
+
+def _spec(ratios, translations):
+    return IfsSpec([Fraction(r) for r in ratios],
+                   [Fraction(t) for t in translations], role="touching")
+
+
+# Their closed-form witnesses are words of 4 to 9 letters, whose trace
+# ranges pass tstar's cap, so ``lipeq certify --budget 12,40`` exited 3
+# with "trace range too large" while they were the witnesses used.
+GEN5_18 = _spec(["1/8", "1/32", "1/15", "1/36", "1/32", "1/4"],
+                ["0", "1/8", "1349/4320", "2311/4320", "23/32", "3/4"])
+TRACE_CAP_EXAMPLE = _spec(["1/27", "1/3", "2/11", "1/9"],
+                          ["0", "133/891", "430/891", "8/9"])
+
+
+@pytest.mark.parametrize("spec", [GEN5_18, GEN5_18.mirror(),
+                                  TRACE_CAP_EXAMPLE,
+                                  TRACE_CAP_EXAMPLE.mirror()],
+                         ids=["gen5-18", "gen5-18-mirror", "trace-cap",
+                              "trace-cap-mirror"])
+def test_cheapest_witnesses_certify(spec):
+    verdict = decide(spec, SearchBudget(12, 40))
+    assert verdict.status == "equivalent"
+    cert = build_certificate(spec, verdict)
+    verify_cert_doc(spec, json.loads(json.dumps(cert_to_doc(spec, cert))))
+
 
 class TestChoosePq:
     def test_one45(self, one45):
-        v = decide(one45)
-        p, q, p0, q0 = choose_pq(one45, v.witnesses)
+        p, q, p0, q0 = choose_pq(one45, closed_form_witnesses(one45))
         assert (p0, q0) == (1, 1)
         assert (p, q) == (3, 3)
+        assert choose_pq(one45, decide(one45).witnesses) == (2, 2, 1, 1)
 
     def test_unequal_end_ratios(self):
         spec = make_endratio_spec(Fraction(1, 4), Fraction(1, 8),
@@ -342,7 +384,7 @@ class TestExpansion:
             assert next(counts) == len(expand_map(spec, cert, depth))
 
     def test_leaf_counts_of_one45(self, one45):
-        counts = leaf_counts(build_certificate(one45))
+        counts = leaf_counts(closed_form_certificate(one45))
         assert [next(counts) for _ in range(11)] == [
             1, 2, 5, 20, 131, 940, 6837, 49830, 363273, 2648448, 19308655]
 

@@ -17,7 +17,7 @@ from lipeq.cli import main
 from lipeq.specfile import spec_to_doc, save_doc
 
 from conftest import (make_one45, make_endratio_spec, make_equal_spec,
-                      four_map_doc)
+                      four_map_doc, closed_form_certificate)
 from fractions import Fraction
 
 
@@ -49,6 +49,10 @@ def notequiv_file(tmp_path):
 # documents below must each differ from the intact one at one node
 ONE45_CERT = json.loads(json.dumps(
     cert_to_doc(make_one45(), build_certificate(make_one45()))))
+# the certificate from the closed-form witness, right (2, 1) with k = 2,
+# which the tests below that pin its numbers read
+ONE45_CF_CERT = json.loads(json.dumps(
+    cert_to_doc(make_one45(), closed_form_certificate(make_one45()))))
 ONE45_DEPTH5_REPORT = """{
  "certificate_valid": true,
  "depth": 5,
@@ -63,6 +67,14 @@ ONE45_DEPTH5_REPORT = """{
  "vertices": 6
 }
 """
+
+
+def closed_form_cert_file(directory):
+    """Path of the closed-form {1,4,5} certificate, written to
+    ``directory``."""
+    cert = os.path.join(str(directory), "c.json")
+    save_doc(ONE45_CF_CERT, cert)
+    return cert
 
 
 def verify_doc(spec_file, directory, doc):
@@ -134,7 +146,19 @@ class TestAnalyze:
         assert report["verdict"] == "equivalent"
         w = report["witnesses"][0]
         assert (w["letter"], w["side"], w["k"], w["k_prime"],
+                tuple(w["word"])) == (2, "left", 1, 0, (2,))
+        # the closed form, which the search's shorter witness beat
+        w = ONE45_CF_CERT["witnesses"][0]
+        assert (w["letter"], w["side"], w["k"], w["k_prime"],
                 tuple(w["word"])) == (2, "right", 2, 0, (2, 1))
+
+    def test_reports_the_witness_certify_uses(self, one45_file, tmp_path):
+        out = tmp_path / "report.json"
+        cert = tmp_path / "c.json"
+        assert main(["analyze", one45_file, "-o", str(out)]) == 0
+        assert main(["certify", one45_file, "-o", str(cert)]) == 0
+        assert (json.loads(out.read_text())["witnesses"]
+                == json.loads(cert.read_text())["witnesses"])
 
     def test_not_equivalent_exit_one(self, notequiv_file, tmp_path):
         out = tmp_path / "report.json"
@@ -282,8 +306,7 @@ class TestVerify:
 
     def test_depth_report_expands_once(self, one45_file, tmp_path, capsys,
                                        monkeypatch):
-        cert = tmp_path / "c.json"
-        main(["certify", one45_file, "-o", str(cert)])
+        cert = closed_form_cert_file(tmp_path)
         calls = []
 
         def counting(real):
@@ -325,8 +348,7 @@ class TestVerify:
 
     def test_depth_over_leaf_budget_refused(self, one45_file, tmp_path,
                                             capsys, monkeypatch):
-        cert = tmp_path / "c.json"
-        main(["certify", one45_file, "-o", str(cert)])
+        cert = closed_form_cert_file(tmp_path)
         expanded = []
         monkeypatch.setattr(lipeq.cli, "expand_map",
                             lambda *args: expanded.append(args))
@@ -414,7 +436,7 @@ class TestVerifyMalformed:
         lambda doc: doc["witnesses"].insert(0, {
             "side": "right", "letter": 2, "k": 0, "k_prime": 0,
             "word": [1, 1, 1], "source": "file"}),
-        # no witnesses, so no depth bound on the (3, 3)-built (p, q)
+        # no witnesses, so no depth bound on the (2, 2)-built (p, q)
         lambda doc: (doc.pop("witnesses"), doc.update(p=1, q=1)),
         lambda doc: doc.update(witnesses=[])],
         ids=["bogus-duplicate", "missing-p1", "empty"])
@@ -441,7 +463,7 @@ class TestVerifyMalformed:
         {"p": 2, "q": 2}],
         ids=lambda c: ",".join("%s=%s" % kv for kv in c.items()))
     def test_stored_exponents_checked(self, one45_file, tmp_path, change):
-        doc = dict(ONE45_CERT, **change)
+        doc = dict(ONE45_CF_CERT, **change)
         assert verify_doc(one45_file, tmp_path, doc) == 3
 
     def test_intact_document_accepted(self, one45_file, tmp_path):

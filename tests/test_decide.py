@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 from lipeq import IfsSpec, decide, verify_witness, Witness, SearchBudget
 from lipeq.decide import (check_necessary, find_witness,
                           closed_form_witnesses, branch4_obstruction,
-                          _admissible, _arrange_word, _fm_feasible)
+                          _admissible, _arrange_word, _fm_feasible,
+                          _SideTables, _search)
 from lipeq.exactnum import ExactRatio, DeclaredBase, to_exponent_vector
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
-                      random_equal_spec)
+                      random_equal_spec, random_unequal_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +382,119 @@ class TestSearchAgreesWithReference:
         assert (w.k, w.kp, w.word) == (4, 0, (1, 4, 1))
         assert outcome((w, status)) == outcome(
             ref_find_witness(spec, 4, "right"))
+
+
+def cost(w):
+    return w.kp + len(w.word)
+
+
+def expected_witness(spec, i, budget):
+    """The witness that ``decide`` must pick for letter ``i``, from
+    ``find_witness`` and ``closed_form_witnesses`` alone."""
+    fast = (closed_form_witnesses(spec) or {}).get(i)
+    cap = budget.max_word if fast is None else min(budget.max_word,
+                                                   cost(fast) - 1)
+    for side in ("left", "right"):
+        got, _ = find_witness(spec, i, side,
+                              SearchBudget(cap, budget.max_exp))
+        if got is not None:
+            return got if fast is None or cost(got) < cost(fast) else fast
+    return fast
+
+
+class TestCheapestWitness:
+    def test_one45_takes_the_shorter_left_witness(self, one45):
+        w = decide(one45).witnesses[2]
+        assert (w.side, w.k, w.kp, w.word, w.source) == (
+            "left", 1, 0, (2,), "search")
+        assert cost(closed_form_witnesses(one45)[2]) == 2
+
+    def test_tie_goes_to_the_closed_form(self):
+        spec = IfsSpec([Fraction(1, 4), Fraction(1, 20), Fraction(1, 16)],
+                       [Fraction(0), Fraction(71, 80), Fraction(15, 16)],
+                       role="touching")
+        fast = closed_form_witnesses(spec)[2]
+        assert (fast.side, fast.k, fast.kp, fast.word) == (
+            "right", 2, 0, (2, 1, 1))
+        # the uncapped search finds another witness of the same cost
+        assert find_witness(spec, 2, "left") == (None, "none")
+        got, status = find_witness(spec, 2, "right")
+        assert status == "found" and got.word == (1, 2, 1)
+        assert cost(got) == cost(fast)
+        assert decide(spec).witnesses[2].as_dict() == fast.as_dict()
+
+    def test_closed_form_when_the_search_finds_nothing(self):
+        # the search budget admits no word at all
+        w = decide(make_one45(), SearchBudget(1, 0)).witnesses[2]
+        assert w.source == "fastpath"
+
+    def test_choice_on_generated_specs(self):
+        rng = random.Random(23)
+        picked = set()
+        for k in range(45):
+            spec = (random_equal_spec, random_decide_spec,
+                    random_unequal_spec)[k % 3](rng)
+            budget = SearchBudget(10, 30)
+            v = decide(spec, budget)
+            if v.status == "not_equivalent":
+                continue
+            for i in sorted(spec.touching.letters):
+                want = expected_witness(spec, i, budget)
+                got = v.witnesses.get(i)
+                assert (got and got.as_dict()) == (want and want.as_dict())
+                if got:
+                    verify_witness(spec, got)
+                    picked.add(got.source)
+        assert picked == {"search", "fastpath"}
+
+
+class TestSharedTables:
+    def test_shared_tables_agree_with_fresh_searches(self):
+        # letters, sides and caps in a random order over one table per
+        # side, each answer checked against a search on fresh tables
+        rng = random.Random(29)
+        statuses = set()
+        for k in range(16):
+            spec = (random_decide_spec if k % 2 else random_equal_spec)(rng)
+            budget = SearchBudget(9, 20)
+            tables = {side: _SideTables(spec, side, budget)
+                      for side in ("left", "right")}
+            queries = [(i, side, cap)
+                       for i in sorted(spec.touching.letters)
+                       for side in ("left", "right")
+                       for cap in (1, 3, 9)]
+            rng.shuffle(queries)
+            for i, side, cap in queries:
+                got = outcome(_search(tables[side], i, cap))
+                assert got == outcome(find_witness(
+                    spec, i, side, SearchBudget(cap, budget.max_exp)))
+                statuses.add(got[0])
+        assert statuses == {"found", "none", "exhausted"}
+
+    def test_only_walked_levels_kept(self):
+        # {1,4,5}: a right witness for letter 2 has length 1 at the least
+        # (rho_2 rho_3 == rho_3 rho_1), so its walk reads the length-0
+        # level alone; an exhausted search keeps no level
+        spec = make_one45()
+        tab = _SideTables(spec, "right", SearchBudget(3, 0))
+        assert _search(tab, 2, 3) == (None, "exhausted")
+        assert len(tab.levels) == 1
+        tab = _SideTables(spec, "right", SearchBudget(3, 1))
+        w, status = _search(tab, 2, 3)
+        assert status == "found" and w.word == (1,)
+        assert len(tab.levels) == 1
+        spec = IfsSpec([Fraction(1, 8), Fraction(1, 15), Fraction(1, 8),
+                        Fraction(1, 20), Fraction(1, 4)],
+                       [Fraction(0), Fraction(19, 60), Fraction(23, 40),
+                        Fraction(7, 10), Fraction(3, 4)], role="touching")
+        tab = _SideTables(spec, "right", SearchBudget())
+        w, status = _search(tab, 4, 40)
+        assert status == "found" and len(w.word) == 3
+        assert len(tab.levels) == 3
+        # a search that reads them, or one capped below them, keeps them
+        assert _search(tab, 4, 40)[0].as_dict() == w.as_dict()
+        assert _search(tab, 4, 2) == (None, "exhausted")
+        assert len(tab.levels) == 3
 
 
 class TestIntegerFourierMotzkin:

@@ -1,25 +1,29 @@
 """Byte-identity of ``lipeq certify`` and ``lipeq verify --depth`` output.
 
-``golden_certify.json`` holds the SHA-256 of the standard output of
-``lipeq certify`` on {1,4,5}, the end-ratio spec that certifies at
-(p, q) = (6, 4), and the 20 seed-31 equal-ratio specs of acceptance
-criterion 3, recorded before validation moved off the tiling engines.
-``golden_verify.json`` holds the SHA-256 of the standard output of
-``lipeq verify --depth D`` on certificates of {1,4,5} (D = 5), the (6, 4)
-end-ratio spec (D = 3) and four seed-31 specs (D = 2), keyed
-``label@D``, recorded before the depth report took its points from the
-leaves' similarities.  ``golden_partition.json`` holds the SHA-256 of the
-standard output of ``lipeq partition --family F --k K`` for F in S, T, C
-and K = 1..4 on {1,4,5}, 1/9*{0,3,4,8} and the end-ratio spec that
-certifies at (9, 6), and for F in S, T and K = 1..3 on the declared-base
-spec, keyed ``label/FK``, recorded before cylinder maps moved to an
-integer grid.  ``golden_certify_left.json`` holds both the ``lipeq
-certify`` digest and the ``lipeq verify --depth 2`` digest (keyed
-``label@2``) of three specs whose certificates use left witnesses
-(``left_specs``), recorded before the two sides of the construction
-became one code path.  A change that only makes certification,
-verification or partitioning faster, or that merges code paths, must
-leave every digest as it is.  Regenerate the
+``golden_certify.json`` holds the SHA-256 of the certificate text that
+``lipeq certify`` writes from the closed-form witnesses (the verdict of
+``conftest.closed_form_verdict``) on {1,4,5}, the end-ratio spec that
+certifies at (p, q) = (6, 4), and the 20 seed-31 equal-ratio specs of
+acceptance criterion 3, recorded before validation moved off the tiling
+engines.  ``golden_verify.json`` holds the SHA-256 of the standard output
+of ``lipeq verify --depth D`` on those closed-form certificates of
+{1,4,5} (D = 5), the (6, 4) end-ratio spec (D = 3) and four seed-31 specs
+(D = 2), keyed ``label@D``, recorded before the depth report took its
+points from the leaves' similarities.  ``golden_certify_decided.json``
+holds, for the same specs and cases, the digests of ``lipeq certify``
+and of ``lipeq verify --depth D`` on the certificate it writes, which
+uses the witnesses that ``decide`` picks (``decided_cases``).
+``golden_partition.json`` holds the SHA-256 of the standard output of
+``lipeq partition --family F --k K`` for F in S, T, C and K = 1..4 on
+{1,4,5}, 1/9*{0,3,4,8} and the end-ratio spec that certifies at (9, 6),
+and for F in S, T and K = 1..3 on the declared-base spec, keyed
+``label/FK``, recorded before cylinder maps moved to an integer grid.
+``golden_certify_left.json`` holds both the ``lipeq certify`` digest and
+the ``lipeq verify --depth 2`` digest (keyed ``label@2``) of three specs
+whose certificates use left witnesses (``left_specs``), recorded before
+the two sides of the construction became one code path.  A change that
+only makes certification, verification or partitioning faster, or that
+merges code paths, must leave every digest as it is.  Regenerate the
 files only for a deliberate change of a document format:
 
     PYTHONPATH=src python3 tests/test_golden.py certify \
@@ -30,6 +34,8 @@ files only for a deliberate change of a document format:
         > tests/golden_partition.json
     PYTHONPATH=src python3 tests/test_golden.py left \
         > tests/golden_certify_left.json
+    PYTHONPATH=src python3 tests/test_golden.py decided \
+        > tests/golden_certify_decided.json
 """
 
 import contextlib
@@ -43,19 +49,21 @@ from fractions import Fraction
 
 import pytest
 
-from lipeq import IfsSpec
+from lipeq import IfsSpec, cert_to_doc
 from lipeq.cli import main
-from lipeq.specfile import save_doc, spec_to_doc
+from lipeq.specfile import dump_doc, save_doc, spec_to_doc
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import (make_one45, make_endratio_spec,  # noqa
-                      random_equal_spec, make_equal_spec, make_declared_spec)
+                      random_equal_spec, make_equal_spec, make_declared_spec,
+                      closed_form_certificate)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_certify.json")
 GOLDEN_VERIFY = os.path.join(HERE, "golden_verify.json")
 GOLDEN_PARTITION = os.path.join(HERE, "golden_partition.json")
 GOLDEN_LEFT = os.path.join(HERE, "golden_certify_left.json")
+GOLDEN_DECIDED = os.path.join(HERE, "golden_certify_decided.json")
 # (label, depth) of every recorded ``lipeq verify --depth`` report
 VERIFY_CASES = (("one45", 5), ("endratio64", 3), ("eq31-00", 2),
                 ("eq31-02", 2), ("eq31-03", 2), ("eq31-07", 2))
@@ -94,7 +102,17 @@ def left_cases():
             + [("%s@2" % label, spec, 2) for label, spec in left_specs()])
 
 
-def left_digest(spec, depth, directory):
+def decided_cases():
+    """(key, spec, depth) of every digest in ``golden_certify_decided.json``:
+    ``lipeq certify`` on every spec of ``golden_specs`` (depth None) and
+    ``lipeq verify --depth`` on the cases of ``VERIFY_CASES``."""
+    return ([(label, spec, None) for label, spec in golden_specs()]
+            + verify_cases())
+
+
+def cli_digest(spec, depth, directory):
+    """The ``lipeq certify`` digest (depth None) or the ``lipeq verify
+    --depth`` digest of ``spec``, through the command line."""
     if depth is None:
         return certify_digest(spec, os.path.join(directory, "spec.json"))
     return verify_digest(spec, depth, directory)
@@ -122,6 +140,28 @@ def verify_digest(spec, depth, directory):
     cert = os.path.join(directory, "cert.json")
     save_doc(spec_to_doc(spec), path)
     assert main(["certify", path, "-o", cert]) == 0
+    return stdout_digest(["verify", path, "--cert", cert,
+                          "--depth", str(depth)])
+
+
+def closed_form_text(spec):
+    """What ``lipeq certify`` writes to standard output when the verdict
+    holds the closed-form witnesses."""
+    return dump_doc(cert_to_doc(spec, closed_form_certificate(spec))) + "\n"
+
+
+def closed_form_certify_digest(spec):
+    return hashlib.sha256(closed_form_text(spec).encode()).hexdigest()
+
+
+def closed_form_verify_digest(spec, depth, directory):
+    """SHA-256 of the standard output of ``lipeq verify --depth`` on the
+    closed-form certificate of ``spec``."""
+    path = os.path.join(directory, "spec.json")
+    cert = os.path.join(directory, "cert.json")
+    save_doc(spec_to_doc(spec), path)
+    with open(cert, "w") as fh:
+        fh.write(closed_form_text(spec))
     return stdout_digest(["verify", path, "--cert", cert,
                           "--depth", str(depth)])
 
@@ -167,7 +207,7 @@ def test_golden_file_covers_every_spec():
 def test_certify_output_unchanged(label, spec, tmp_path):
     with open(GOLDEN) as fh:
         want = json.load(fh)[label]
-    assert certify_digest(spec, str(tmp_path / "spec.json")) == want
+    assert closed_form_certify_digest(spec) == want
 
 
 def test_golden_verify_file_covers_every_case():
@@ -181,7 +221,7 @@ def test_golden_verify_file_covers_every_case():
 def test_verify_output_unchanged(key, spec, depth, tmp_path):
     with open(GOLDEN_VERIFY) as fh:
         want = json.load(fh)[key]
-    assert verify_digest(spec, depth, str(tmp_path)) == want
+    assert closed_form_verify_digest(spec, depth, str(tmp_path)) == want
 
 
 def test_golden_left_file_covers_every_case():
@@ -195,7 +235,21 @@ def test_golden_left_file_covers_every_case():
 def test_left_witness_output_unchanged(key, spec, depth, tmp_path):
     with open(GOLDEN_LEFT) as fh:
         want = json.load(fh)[key]
-    assert left_digest(spec, depth, str(tmp_path)) == want
+    assert cli_digest(spec, depth, str(tmp_path)) == want
+
+
+def test_golden_decided_file_covers_every_case():
+    with open(GOLDEN_DECIDED) as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == sorted(key for key, _, _ in decided_cases())
+
+
+@pytest.mark.parametrize("key,spec,depth", decided_cases(),
+                         ids=[key for key, _, _ in decided_cases()])
+def test_decided_witness_output_unchanged(key, spec, depth, tmp_path):
+    with open(GOLDEN_DECIDED) as fh:
+        want = json.load(fh)[key]
+    assert cli_digest(spec, depth, str(tmp_path)) == want
 
 
 def test_golden_partition_file_covers_every_case():
@@ -217,17 +271,17 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as d:
         if sys.argv[1:] == ["verify"]:
-            digests = {key: verify_digest(spec, depth, d)
+            digests = {key: closed_form_verify_digest(spec, depth, d)
                        for key, spec, depth in verify_cases()}
-        elif sys.argv[1:] == ["left"]:
-            digests = {key: left_digest(spec, depth, d)
-                       for key, spec, depth in left_cases()}
+        elif sys.argv[1:] in (["left"], ["decided"]):
+            cases = left_cases() if sys.argv[1] == "left" else decided_cases()
+            digests = {key: cli_digest(spec, depth, d)
+                       for key, spec, depth in cases}
         elif sys.argv[1:] == ["partition"]:
             digests = {key: partition_digest(spec, fam, k,
                                              os.path.join(d, "spec.json"))
                        for key, spec, fam, k in partition_cases()}
         else:
-            digests = {label: certify_digest(spec,
-                                             os.path.join(d, "spec.json"))
+            digests = {label: closed_form_certify_digest(spec)
                        for label, spec in golden_specs()}
     print(json.dumps(digests, indent=1, sort_keys=True))
