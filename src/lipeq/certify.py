@@ -22,9 +22,9 @@ from .ifs import SpecError
 from . import cylsets, specfile
 from .decide import decide, verify_witness, witness_letters, Witness
 from .patches import left_patch_words, right_patch_words
-from .tstar import (Context, Placement, DecompositionError, DepthError,
-                    ldiff, rdiff, hole_diff_left, hole_diff_right,
-                    block_decompose)
+from .tstar import (Context, Placement, DepthError, ldiff, rdiff,
+                    hole_diff_left, hole_diff_right, block_decompose,
+                    _hole_fits)
 
 CERT_FORMAT = "lipeq-certificate"
 CERT_VERSION = 1
@@ -187,15 +187,16 @@ def _along(letter, p, q):
 
 
 def check_pq_restrictions(spec, dust, witnesses, p, q):
-    """The displayed patch-disjointness conditions for a candidate (p, q).
+    """The displayed patch-disjointness conditions for a candidate (p, q),
+    after the depth conditions of the hole engines (``tstar._hole_fits``).
 
     Exact word-level verification; raises on any violation."""
     n = spec.n
     for i, w in sorted(witnesses.items()):
         kp, j = w.kp, w.word
-        if min(p, q) <= w.depth:
-            raise DepthError("p, q must exceed %d" % w.depth)
         near, _, end = witness_letters(w.side, i, n)
+        if not _hole_fits(n, p, q, end, kp, j):
+            raise DepthError("witness %r needs larger (p, q)" % (w,))
         opp = n + 1 - end
         hole_patch = _along(end, p, q)[0]
         near_patch, _, depth = _along(opp, p, q)
@@ -214,23 +215,26 @@ def _pq_floor(witnesses):
 
 
 def choose_pq(spec, witnesses):
-    """Smallest multiple of the base dependence (p0, q0) satisfying the
-    depth bound and the patch-disjointness restrictions, all verified
-    exactly."""
+    """Smallest multiple (p, q) of the base dependence (p0, q0) past the
+    witnesses' depth that passes ``check_pq_restrictions``, exactly.
+
+    This is the one place where (p, q) is decided; ``build_certificate``
+    builds at it once.  The hole engines accept it, as it passes their
+    own condition (``tstar._hole_fits``), and so does the joint guard of
+    ``tstar.trace``, which they call: each joint inside a hole's trace
+    ranges has at most max(k' + |j|, 1) < min(p, q) trailing letters."""
     pq0 = mult_dependence(spec.ratios[0], spec.ratios[-1])
     if pq0 is None:
         raise CertificateError("end ratios are multiplicatively independent")
     p0, q0 = pq0
     dust = spec.dust()
-    need = _pq_floor(witnesses)
-    for m in range(1, MAX_PQ_MULTIPLE + 1):
+    for m in range(_pq_floor(witnesses) // min(p0, q0) + 1,
+                   MAX_PQ_MULTIPLE + 1):
         p, q = m * p0, m * q0
-        if min(p, q) <= need:
-            continue
         try:
             check_pq_restrictions(spec, dust, witnesses, p, q)
             return p, q, p0, q0
-        except (SpecError, DepthError):
+        except SpecError:
             continue
     raise CertificateError("no admissible (p, q) within %d multiples"
                            % MAX_PQ_MULTIPLE)
@@ -346,28 +350,14 @@ def build_certificate(spec, verdict=None):
                                % (verdict.status, verdict.reason))
     witnesses = verdict.witnesses
     p, q, p0, q0 = choose_pq(spec, witnesses)
-    dust = spec.dust()
-    last_err = None
-    for attempt in range(6):
-        ctx = Context(spec, p, q)
-        try:
-            vertices = build_vertices(ctx, witnesses)
-            edges = {}
-            for key in vertices:
-                edges[key] = decompose_vertex(ctx, witnesses, key)
-            cert = Certificate(
-                p, q, p0, q0, witnesses, vertices, edges,
-                specfile.doc_digest(specfile.spec_to_doc(spec)),
-                specfile.doc_digest(specfile.spec_to_doc(dust)))
-            verify_certificate(spec, cert)
-            return cert
-        except DepthError as e:
-            last_err = e
-            p += p0
-            q += q0
-            check_pq_restrictions(spec, dust, witnesses, p, q)
-    raise CertificateError("construction kept hitting depth limits: %s"
-                           % last_err)
+    ctx = Context(spec, p, q)
+    vertices = build_vertices(ctx, witnesses)
+    edges = {key: decompose_vertex(ctx, witnesses, key) for key in vertices}
+    cert = Certificate(p, q, p0, q0, witnesses, vertices, edges,
+                       specfile.doc_digest(specfile.spec_to_doc(spec)),
+                       specfile.doc_digest(specfile.spec_to_doc(spec.dust())))
+    verify_certificate(spec, cert)
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,10 @@ Fourier-Motzkin elimination over integer rows; budget exhaustion yields
 "unknown".
 """
 
+from collections import Counter
 import math
 
-from .exactnum import (ExactRatio, to_exponent_vector, mult_dependence)
+from .exactnum import to_exponent_vector, mult_dependence
 from .ifs import SpecError
 
 
@@ -92,7 +93,9 @@ def witness_letters(side, i, n):
 
 def verify_witness(spec, w):
     """Exact check of the substitution identity; also the admissibility of
-    the last letter.  Returns True or raises SpecError."""
+    the last letter.  Returns True or raises SpecError.  The sides are
+    compared as exponent vectors (``to_exponent_vector``), where
+    rho_end**k is k times a vector: linear in the digits of k and k'."""
     rho = spec.ratios
     if w.i not in spec.touching.letters:
         raise SpecError("letter %d does not touch its neighbour" % w.i)
@@ -101,14 +104,18 @@ def verify_witness(spec, w):
     if w.k < 0 or w.kp < 0:
         raise SpecError("negative exponent in witness")
     last = w.word[-1]
-    rj = spec.ratio_word(w.word)
     near, far, end = witness_letters(w.side, w.i, spec.n)
     if not _admissible(spec, w.side, last):
         raise SpecError("inadmissible final letter %d for a %s witness"
                         % (last, w.side))
-    lhs = rho[far - 1] * rho[end - 1].pow_int(w.k)
-    rhs = rho[near - 1] * rho[end - 1].pow_int(w.kp) * rj
-    if lhs != rhs:
+    terms = Counter({far: 1})  # the letters of lhs / rhs, with exponents
+    terms.subtract((near,) + w.word)
+    terms[end] += w.k - w.kp
+    quotient = Counter()
+    for letter, m in terms.items():
+        for key, e in to_exponent_vector(rho[letter - 1]).items():
+            quotient[key] += m * e
+    if any(quotient.values()):
         raise SpecError("witness identity fails exactly: %r" % w)
     return True
 
@@ -280,7 +287,7 @@ class _SideTables:
         return r
 
 
-def find_witness(spec, i, side, budget=None):
+def find_witness(spec, i, side, budget=None, *, tables=None, cap=None):
     """Search a substitution witness for touching letter ``i``.
 
     Returns (witness, status) where status is "found", "none" (proved
@@ -300,15 +307,13 @@ def find_witness(spec, i, side, budget=None):
     lexicographically first multiset of length L.  Time and memory follow
     the number of distinct sums, not of multisets; while L is sought only
     the tables of one length and a part of the next are live.
+
+    ``decide`` shares one ``_SideTables`` of (spec, side) and its budget
+    across letters as ``tables``; ``cap`` bounds words below max_word.
     """
-    budget = budget or SearchBudget()
-    return _search(_SideTables(spec, side, budget), i, budget.max_word)
-
-
-def _search(tab, i, cap):
-    """``find_witness`` for letter ``i`` on the shared tables ``tab`` of
-    its (spec, side), over words of at most ``cap`` letters."""
-    spec, side, max_exp = tab.spec, tab.side, tab.budget.max_exp
+    tab = tables or _SideTables(spec, side, budget or SearchBudget())
+    cap = tab.budget.max_word if cap is None else cap
+    max_exp = tab.budget.max_exp
     n = spec.n
     if not any(tab.adm):
         return (None, "none")
@@ -484,7 +489,8 @@ def decide(spec, budget=None):
         for side in ("left", "right"):
             if side not in tables:
                 tables[side] = _SideTables(spec, side, budget)
-            got, _ = _search(tables[side], i, cap)
+            got, _ = find_witness(spec, i, side, tables=tables[side],
+                                  cap=cap)
             if got is not None:
                 if w is None or got.depth < w.depth:
                     w = got

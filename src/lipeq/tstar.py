@@ -213,22 +213,29 @@ def _leading_run(word, letter):
     return s
 
 
+def _hole_fits(n, p, q, end, kp, j):
+    """Whether the hole engine along ``end`` (``hole_diff_left`` for 1,
+    ``hole_diff_right`` for n) tiles its target at (p, q): k' + |j| <
+    min(p, q), and j does not open with depth - 1 copies of the letter
+    opposite ``end`` (depth q along n, p along 1), which with k' = 0
+    would leave the last annuli of the hole's side empty."""
+    opp = n + 1 - end
+    depth = q if opp == n else p
+    return (kp + len(j) < min(p, q)
+            and j[:depth - 1] != (opp,) * (depth - 1))
+
+
 def hole_diff_left(ctx, i, kp, j):
     """Placements tiling R_q(T_i) minus (R_3q(T_i) union
     L_kp(T_{i [n]^2q j})), for a left-substitution word j."""
     n, q = ctx.spec.n, ctx.q
     if not _admissible(ctx.spec, "left", j[-1]):
         raise DecompositionError("inadmissible final letter in %r" % (j,))
-    if kp + len(j) >= min(ctx.p, ctx.q):
-        raise DepthError("hole at depth %d needs larger (p, q)"
-                         % (kp + len(j)))
+    if not _hole_fits(n, ctx.p, q, 1, kp, j):
+        raise DepthError("hole word %r with k' = %d needs larger (p, q)"
+                         % (j, kp))
     u = j[:-1] + (j[-1] - 1,)
     s = _leading_run(j, n)
-    if s >= q - 1:
-        # k' = 0 and j = n...n of length q - 1 pass the bound above, but
-        # leave the annuli R_{2q+s+1} .. R_{3q} empty
-        raise DepthError("hole word %r of %d letters n needs larger (p, q)"
-                         % (j, s))
     jp = j[s:]
     out = []
     out.extend(rdiff(ctx, (i,), q, 2 * q - 1))
@@ -247,16 +254,11 @@ def hole_diff_right(ctx, i, kp, j):
     n, p = ctx.spec.n, ctx.p
     if not _admissible(ctx.spec, "right", j[-1]):
         raise DecompositionError("inadmissible final letter in %r" % (j,))
-    if kp + len(j) >= min(ctx.p, ctx.q):
-        raise DepthError("hole at depth %d needs larger (p, q)"
-                         % (kp + len(j)))
+    if not _hole_fits(n, p, ctx.q, n, kp, j):
+        raise DepthError("hole word %r with k' = %d needs larger (p, q)"
+                         % (j, kp))
     u = j[:-1] + (j[-1] + 1,)
     s = _leading_run(j, 1)
-    if s >= p - 1:
-        # k' = 0 and j = 1...1 of length p - 1 pass the bound above, but
-        # leave the annuli L_{2p+s+1} .. L_{3p} empty
-        raise DepthError("hole word %r of %d letters 1 needs larger (p, q)"
-                         % (j, s))
     jp = j[s:]
     out = []
     out.extend(ldiff(ctx, (i + 1,), p, 2 * p - 1))

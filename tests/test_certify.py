@@ -16,15 +16,18 @@ from lipeq import (IfsSpec, decide, build_certificate, verify_certificate,
 import lipeq.certify
 from lipeq import cylsets, tstar
 from lipeq.certify import (compose_rules, apply_rules, choose_pq,
-                           rules_affine, rule_affine, leaf_counts,
-                           leaf_hulls, Edge, Piece)
-from lipeq.decide import SearchBudget, closed_form_witnesses
+                           check_pq_restrictions, rules_affine, rule_affine,
+                           leaf_counts, leaf_hulls, Edge, Piece)
+from lipeq.decide import (SearchBudget, Witness, closed_form_witnesses,
+                          verify_witness)
 from lipeq.exactnum import SymValue
 from lipeq.specfile import format_value
 from lipeq.tstar import Context, Placement
 
 from conftest import (make_one45, make_endratio_spec, random_equal_spec,
-                      make_declared_spec, closed_form_certificate)
+                      random_unequal_spec, make_declared_spec,
+                      closed_form_certificate)
+from test_golden import golden_specs
 from test_tstar import cover_fault
 
 
@@ -222,6 +225,50 @@ class TestChoosePq:
         assert p % 3 == 0 and q % 2 == 0
         assert min(p, q) > max(w.kp + len(w.word)
                                for w in v.witnesses.values())
+
+    # choose_pq is the one owner of (p, q), and build_certificate builds
+    # once at the multiple it returns.  On these six specs the first
+    # multiple past the witnesses' depth fails the hole engines' own
+    # condition: endratio64's left witness (3,) with k' = 0 at (3, 2) is
+    # q - 1 letters n, and so is the seed-31 specs' word at (2, 2).
+    @pytest.mark.parametrize("label, pq", [
+        ("endratio64", (6, 4)), ("eq31-00", (3, 3)), ("eq31-07", (3, 3)),
+        ("eq31-14", (3, 3)), ("eq31-15", (3, 3)), ("eq31-16", (3, 3))])
+    def test_certificate_built_at_chosen_pq(self, label, pq):
+        spec = dict(golden_specs())[label]
+        v = decide(spec)
+        assert choose_pq(spec, v.witnesses)[:2] == pq
+        cert = build_certificate(spec, v)
+        assert (cert.p, cert.q) == pq
+
+    def test_generated_certificates_built_at_chosen_pq(self):
+        rng = random.Random(13)
+        built = past_floor = 0
+        for k in range(20):
+            spec = (random_unequal_spec if k % 2 else random_equal_spec)(rng)
+            for s in (spec, spec.mirror()):
+                v = decide(s, SearchBudget(12, 40))
+                if v.status != "equivalent":
+                    continue
+                p, q, p0, q0 = choose_pq(s, v.witnesses)
+                cert = build_certificate(s, v)
+                assert (cert.p, cert.q) == (p, q)
+                built += 1
+                need = max(w.depth for w in v.witnesses.values())
+                past_floor += p // p0 > need // min(p0, q0) + 1
+        assert built == 20 and past_floor >= 1
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_restrictions_refuse_what_the_hole_engine_refuses(self, q):
+        # mirrored {1,4,5}: a left witness for letter 1 whose word is
+        # q - 1 letters n with k' = 0 passes the depth bound at (q, q),
+        # where hole_diff_left refuses it, and tiles at (q + 1, q + 1)
+        spec = make_one45().mirror()
+        w = Witness("left", 1, q - 1, 0, (spec.n,) * (q - 1), "search")
+        verify_witness(spec, w)
+        with pytest.raises(tstar.DepthError):
+            check_pq_restrictions(spec, spec.dust(), {1: w}, q, q)
+        check_pq_restrictions(spec, spec.dust(), {1: w}, q + 1, q + 1)
 
 
 class TestSerialization:

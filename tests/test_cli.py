@@ -466,6 +466,26 @@ class TestVerifyMalformed:
         doc = dict(ONE45_CF_CERT, **change)
         assert verify_doc(one45_file, tmp_path, doc) == 3
 
+    # a power of rho_end with a huge exponent would take time and memory
+    # that grow with the exponent; a huge k' needs a stored (p, q) past
+    # it to reach the witness check
+    @pytest.mark.parametrize("witness, pq", [
+        ({"k": 10 ** 9}, {}),
+        ({"k": 10 ** 18}, {}),
+        ({"k_prime": 10 ** 9}, {"p": 10 ** 9 + 2, "q": 10 ** 9 + 2})],
+        ids=["k=1e9", "k=1e18", "k_prime=1e9"])
+    def test_huge_witness_exponent_refused_at_once(self, one45_file,
+                                                   tmp_path, capsys,
+                                                   witness, pq):
+        doc = copy.deepcopy(ONE45_CERT)
+        doc["witnesses"][0].update(witness)
+        doc.update(pq)
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert verify_doc(one45_file, tmp_path, doc) == 3
+        assert time.perf_counter() - t0 < 1
+        assert "witness identity fails exactly" in capsys.readouterr().err
+
     def test_intact_document_accepted(self, one45_file, tmp_path):
         assert verify_doc(one45_file, tmp_path, ONE45_CERT) == 0
 

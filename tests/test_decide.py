@@ -17,7 +17,7 @@ from lipeq import IfsSpec, decide, verify_witness, Witness, SearchBudget
 from lipeq.decide import (check_necessary, find_witness,
                           closed_form_witnesses, branch4_obstruction,
                           _admissible, _arrange_word, _fm_feasible,
-                          _SideTables, _search)
+                          _SideTables)
 from lipeq.exactnum import ExactRatio, DeclaredBase, to_exponent_vector
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
@@ -465,7 +465,8 @@ class TestSharedTables:
                        for cap in (1, 3, 9)]
             rng.shuffle(queries)
             for i, side, cap in queries:
-                got = outcome(_search(tables[side], i, cap))
+                got = outcome(find_witness(spec, i, side,
+                                           tables=tables[side], cap=cap))
                 assert got == outcome(find_witness(
                     spec, i, side, SearchBudget(cap, budget.max_exp)))
                 statuses.add(got[0])
@@ -477,10 +478,11 @@ class TestSharedTables:
         # level alone; an exhausted search keeps no level
         spec = make_one45()
         tab = _SideTables(spec, "right", SearchBudget(3, 0))
-        assert _search(tab, 2, 3) == (None, "exhausted")
+        assert find_witness(spec, 2, "right", tables=tab) == (
+            None, "exhausted")
         assert len(tab.levels) == 1
         tab = _SideTables(spec, "right", SearchBudget(3, 1))
-        w, status = _search(tab, 2, 3)
+        w, status = find_witness(spec, 2, "right", tables=tab)
         assert status == "found" and w.word == (1,)
         assert len(tab.levels) == 1
         spec = IfsSpec([Fraction(1, 8), Fraction(1, 15), Fraction(1, 8),
@@ -488,12 +490,14 @@ class TestSharedTables:
                        [Fraction(0), Fraction(19, 60), Fraction(23, 40),
                         Fraction(7, 10), Fraction(3, 4)], role="touching")
         tab = _SideTables(spec, "right", SearchBudget())
-        w, status = _search(tab, 4, 40)
+        w, status = find_witness(spec, 4, "right", tables=tab)
         assert status == "found" and len(w.word) == 3
         assert len(tab.levels) == 3
         # a search that reads them, or one capped below them, keeps them
-        assert _search(tab, 4, 40)[0].as_dict() == w.as_dict()
-        assert _search(tab, 4, 2) == (None, "exhausted")
+        again, _ = find_witness(spec, 4, "right", tables=tab)
+        assert again.as_dict() == w.as_dict()
+        assert find_witness(spec, 4, "right", tables=tab, cap=2) == (
+            None, "exhausted")
         assert len(tab.levels) == 3
 
 

@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from lipeq import SpecError, cylsets
 from lipeq.patches import left_patch_words, right_patch_words
+from lipeq.decide import _admissible
 from lipeq.tstar import (Context, Placement, DepthError, ldiff, rdiff,
                          trace, hole_diff_left, hole_diff_right,
-                         block_decompose)
+                         block_decompose, _hole_fits)
 
 from conftest import make_one45, random_equal_spec, random_unequal_spec
 from test_cylsets import is_separate, ref_subtract
@@ -218,8 +219,9 @@ class TestHoleDiff:
 
     # k' = 0 with j = n...n (left) or 1...1 (right) of length q - 1 or
     # p - 1 passes the depth bound k' + |j| < min(p, q) but leaves the
-    # last annuli empty.  It must be a DepthError, on which
-    # build_certificate retries at the next multiple of (p, q), here
+    # last annuli empty.  The engine raises DepthError there, and
+    # certify.check_pq_restrictions refuses such a (p, q) by the same
+    # condition, so choose_pq moves on to a larger multiple, here
     # (q + 1, q + 1), where the same word tiles its target.
 
     @pytest.mark.parametrize("q", [2, 3])
@@ -241,6 +243,41 @@ class TestHoleDiff:
         ctx = Context(spec, p + 1, p + 1)
         assert cover_fault(ctx, hole_diff_right(ctx, 2, 0, j),
                            hole_right_target(spec, p + 1, 2, 0, j)) is None
+
+    # _hole_fits is the one depth condition of both engines, and
+    # certify.check_pq_restrictions applies it too.  Where it holds, the
+    # engine tiles its target, so neither its own guard nor the joint
+    # guard of ``trace`` fires on the build path; elsewhere the engine
+    # raises DepthError.
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_engines_tile_exactly_where_the_hole_fits(self, mirror):
+        spec = make_one45().mirror() if mirror else make_one45()
+        n = spec.n
+        i = min(spec.touching.letters)
+        words = [(c,) for c in range(1, n + 1)]
+        words += [(a, c) for a in range(1, n + 1) for c in range(1, n + 1)]
+        seen = set()
+        for p, q, kp, side, j in itertools.product(
+                (2, 3, 4), (2, 3, 4), (0, 1), ("left", "right"), words):
+            if not _admissible(spec, side, j[-1]):
+                continue
+            ctx = Context(spec, p, q)
+            end, engine = ((1, hole_diff_left) if side == "left"
+                           else (n, hole_diff_right))
+            fits = _hole_fits(n, p, q, end, kp, j)
+            seen.add(fits)
+            if not fits:
+                with pytest.raises(DepthError):
+                    engine(ctx, i, kp, j)
+            elif side == "left":
+                assert cover_fault(ctx, engine(ctx, i, kp, j),
+                                   hole_left_target(spec, q, i, kp, j)) \
+                    is None
+            else:
+                assert cover_fault(ctx, engine(ctx, i, kp, j),
+                                   hole_right_target(spec, p, i, kp, j)) \
+                    is None
+        assert seen == {True, False}
 
 
 class TestBlockDecompose:
