@@ -57,10 +57,6 @@ def _merge_siblings(n, out):
         out.append(w)
 
 
-def union_equal(n, a, b):
-    return canonicalize(n, a) == canonicalize(n, b)
-
-
 def covered(ws, w):
     """Is some word of canonical ``ws`` a prefix of w (w included)?  Only
     the last word not after w can be: a prefix u of w sorts before w, and

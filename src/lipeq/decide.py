@@ -249,7 +249,7 @@ class _SideTables:
         vecs = [to_exponent_vector(r) for r in spec.ratios]
         keys = sorted({k for v in vecs for k in v}, key=str)
         self.exps = [[v.get(k, 0) for k in keys] for v in vecs]
-        top = max(abs(x) for e in self.exps for x in e)
+        self.top = top = max(abs(x) for e in self.exps for x in e)
         self.base = 2 * (budget.max_word + 2 + budget.max_exp) * top + 1
         self.codes = [self.pack(e) for e in self.exps]
         self.adm = [_admissible(spec, side, t) for t in range(1, spec.n + 1)]
@@ -331,6 +331,12 @@ def find_witness(spec, i, side, budget=None, *, tables=None, cap=None):
     if not _fm_feasible(eqs, nonneg=list(range(1, n + 2)), nvars=n + 2):
         return (None, "none")
 
+    # a sum of at most cap letters has every entry within cap * top, so
+    # it can equal target + delta * anchor only if, for every j with
+    # anchor_j != 0, |delta * anchor_j| <= cap * top + |target_j|: the
+    # goals beyond that are never met, and are left out
+    max_exp = min([max_exp] + [(cap * tab.top + abs(x)) // abs(y)
+                               for x, y in zip(target, anchor) if y])
     t, a = tab.pack(target), tab.pack(anchor)
     goal = {t + d * a: d for d in range(-max_exp, max_exp + 1)}
     length = tab.first_length(goal, cap)

@@ -208,15 +208,6 @@ class ExactRatio:
         self.scalar = scalar
         self.sym = _norm_sym(dict(sym))
 
-    @property
-    def is_rational(self):
-        return not self.sym
-
-    def as_fraction(self):
-        if self.sym:
-            raise ExactError("not a rational value: %r" % (self,))
-        return self.scalar
-
     def __mul__(self, other):
         if not isinstance(other, ExactRatio):
             return NotImplemented

@@ -158,6 +158,17 @@ class IfsSpec:
             grid[word] = res
         return res
 
+    def grid(self, word):
+        """(S, O, D) with psi_word(x) = (S * x + O) / D, D = q**|word|.
+
+        On a rational system S, O and D are the integers of the module
+        docstring, and q >= 2, since the ratios lie strictly between 0
+        and 1.  A declared-base system has q = 1, so D = 1 and S, O are
+        its exact values.  For a letter c, ``grid((c,))`` is
+        (R_c, T_c, q)."""
+        s, o = self._grid.get(word) or self._cell(word)
+        return s, o, self._q ** len(word)
+
     def affine(self, word):
         """(scale, offset) of psi_word, exact.
 

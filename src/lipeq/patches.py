@@ -79,9 +79,6 @@ class PartitionPiece:
         self.lo = spec.cyl_lo(self.words[0])
         self.hi = spec.cyl_hi(self.words[-1])
 
-    def diam(self):
-        return self.hi - self.lo
-
     def __repr__(self):
         return "PartitionPiece(%d words, hull=[%s, %s])" % (
             len(self.words), self.lo, self.hi)
@@ -239,7 +236,9 @@ def partition_S(spec, k):
                 nxt.append(piece)
             else:
                 nxt.extend(simple_decomposition(spec, piece.words, marks))
-        nxt.sort(key=lambda p: p.lo)
+        # the pieces' words are prefix-free, so on their first words
+        # lexicographic order is spatial order (see ``cylsets``)
+        nxt.sort(key=lambda p: p.words[0])
         levels.append(nxt)
         current = nxt
     return levels
@@ -252,64 +251,95 @@ def delta_k(spec, k):
                for j in range(1, k + 1))
 
 
-def _level1_gaps(spec):
-    """g_c = psi_{c+1}(0) - psi_c(1) for c = 1..n-1; zero after a
-    touching letter."""
-    return [spec.t[c] - (spec.t[c - 1] + spec.rho[c - 1])
-            for c in range(1, spec.n)]
-
-
 def gap_partition(spec, words, delta):
     """Split union(words) at every gap of length >= delta.
 
     A gap is a maximal open interval of the hull disjoint from the set.
+    The walk runs on the grid of ``IfsSpec``: psi_w(x) = (S_w x + O_w) /
+    q**|w|, and a child wc has S_wc = S_w R_c.  The level-1 gaps are the
+    grid integers G_c = T_{c+1} - T_c - R_c, the gap psi_c(1)..psi_{c+1}(0)
+    times q, so psi_w of gap c has length S_w G_c / q**(|w| + 1), and it
+    qualifies iff S_w G_c >= delta q**(|w| + 1).  That threshold is
+    computed once per word length; on a rational system S_w G_c is an
+    integer, so the threshold is rounded up and every test compares two
+    ints.  A declared-base system has q = 1 and runs the same walk over
+    its exact values.
+
     The canonical words are walked once, left to right.  A cylinder w
-    with scale(w) * gmax < delta, gmax the longest level-1 gap, hides no
-    qualifying gap and is kept whole as an atom; any other is expanded
-    into its children.  Between the last atom below child c of an
-    expanded w and the first atom below child c + 1 lies exactly
-    psi_w of the level-1 gap g_c, of length scale(w) * g_c: the last
-    atom below wc is w c n...n, whose right end is psi_wc(1) because
-    psi_n(1) = 1, and the first below w(c+1) is w (c+1) 1...1, whose
-    left end is psi_w(c+1)(0) because psi_1(0) = 0.  For the same reason
-    the gap between two neighbouring input words u, v runs from the right
-    end of T_u to the left end of T_v.  Every test is in product form,
-    since a declared-base value has no division.
+    with S_w Gmax below the threshold, Gmax the longest level-1 gap,
+    hides no qualifying gap and is kept whole as an atom; any other is
+    expanded into its children.  Between the last atom below child c of
+    an expanded w and the first atom below child c + 1 lies exactly
+    psi_w of the level-1 gap c: the last atom below wc is w c n...n,
+    whose right end is psi_wc(1) because psi_n(1) = 1, and the first
+    below w(c+1) is w (c+1) 1...1, whose left end is psi_w(c+1)(0)
+    because psi_1(0) = 0.  For the same reason the gap between two
+    neighbouring input words u, v runs from the right end of T_u,
+    (O_u + S_u) / q**|u|, to the left end of T_v, O_v / q**|v|; both ends
+    are scaled to the longer word's length m and the difference is
+    tested against the threshold of length m.
 
     ``words`` must be canonical; it is not canonicalized here.  The one
     caller, ``partition_T``, passes the words of an S_k piece, canonical
     when the piece is made.  Each run of atoms between two qualifying
     gaps is then canonical: no complete sibling family lies above an
     input word, and an expanded cylinder has its qualifying gap between
-    children argmax g and argmax g + 1, so its children never all share
+    children argmax G and argmax G + 1, so its children never all share
     a run.
     """
     n = spec.n
-    g = _level1_gaps(spec)
-    gmax = max(g)
+    letters = [spec.grid((c,)) for c in range(1, n + 1)]
+    q = letters[0][2]
+    scale = [r for r, _, _ in letters]
+    gaps = [letters[c][1] - letters[c - 1][1] - letters[c - 1][0]
+            for c in range(1, n)]
+    gmax = max(gaps)
+    if q > 1:
+        # an integer grid (``IfsSpec.grid``), where only ints are
+        # compared with a threshold: round it up
+        a, b = delta.numerator, delta.denominator
+
+        def threshold(m):
+            return -(-a * q ** m // b)      # ceil(delta * q**m)
+    else:
+        def threshold(m):
+            return delta * q ** m
+    levels = []
+
+    def level(m):
+        """The threshold for words of length m, computed once."""
+        while len(levels) <= m:
+            levels.append(threshold(len(levels)))
+        return levels[m]
+
     pieces = []
     run = []
 
-    def walk(w):
+    def walk(w, s, m):
         nonlocal run
-        s = spec.affine(w)[0]
-        if s * gmax < delta:
+        t = level(m + 1)
+        if s * gmax < t:
             run.append(w)
             return
         for c in range(1, n):
-            walk(w + (c,))
-            if s * g[c - 1] >= delta:
+            walk(w + (c,), s * scale[c - 1], m + 1)
+            if s * gaps[c - 1] >= t:
                 pieces.append(PartitionPiece(spec, run))
                 run = []
-        walk(w + (n,))
+        walk(w + (n,), s * scale[n - 1], m + 1)
 
     prev = None
     for w in words:
-        if prev is not None and spec.cyl_lo(w) - spec.cyl_hi(prev) >= delta:
-            pieces.append(PartitionPiece(spec, run))
-            run = []
-        walk(w)
-        prev = w
+        s, o, d = spec.grid(w)
+        if prev is not None:
+            ps, po, pd, pm = prev
+            top = max(d, pd)
+            if (o * (top // d) - (po + ps) * (top // pd)
+                    >= level(max(len(w), pm))):
+                pieces.append(PartitionPiece(spec, run))
+                run = []
+        walk(w, s, len(w))
+        prev = (s, o, d, len(w))
     pieces.append(PartitionPiece(spec, run))
     return pieces
 
@@ -321,13 +351,29 @@ def partition_T(spec, k):
     out = []
     for piece in levels[-1]:
         out.extend(gap_partition(spec, piece.words, d))
-    out.sort(key=lambda p: p.lo)
+    out.sort(key=lambda p: p.words[0])
     return out
 
 
 def partition_norm(spec, pieces):
-    """Largest piece diameter, exact."""
-    return max(p.diam() for p in pieces)
+    """Largest piece diameter, exact.
+
+    A piece runs from the left end of its first word to the right end of
+    its last, O_u / q**|u| to (O_v + S_v) / q**|v| on the grid of
+    ``IfsSpec``.  Over the common denominator D = q**m, m the longest of
+    these words, every diameter is one numerator, so the pieces compare
+    as integers on a rational system and one ``Fraction`` is built at
+    the end.  A declared-base system has D = 1 and compares its exact
+    values."""
+    ends = [(spec.grid(p.words[0]), spec.grid(p.words[-1]))
+            for p in pieces]
+    top = max(max(u[2], v[2]) for u, v in ends)
+    best = None
+    for (_, ou, du), (sv, ov, dv) in ends:
+        x = (ov + sv) * (top // dv) - ou * (top // du)
+        if best is None or x > best:
+            best = x
+    return best * Fraction(1, top)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lipeq.decide
 from lipeq import IfsSpec, decide, verify_witness, Witness, SearchBudget
 from lipeq.decide import (check_necessary, find_witness,
                           closed_form_witnesses, branch4_obstruction,
@@ -446,6 +447,41 @@ class TestCheapestWitness:
                     verify_witness(spec, got)
                     picked.add(got.source)
         assert picked == {"search", "fastpath"}
+
+
+class TestGoalClip:
+    def test_exponent_budget_beyond_reach(self, one45, monkeypatch):
+        # a sum of at most 2 letters has small exponents, so only a few
+        # deltas can match a goal; max_exp 10**9 finds what 10**4 does
+        # over as few goals.  The guard fails a search that would build
+        # 2 * 10**9 + 1 goals, rather than let it exhaust memory.
+        def small_range(*args):
+            got = range(*args)
+            assert len(got) <= 10 ** 5, "goal table of %d deltas" % len(got)
+            return got
+
+        monkeypatch.setattr(lipeq.decide, "range", small_range,
+                            raising=False)
+        want = decide(one45, SearchBudget(2, 10 ** 4))
+        got = decide(one45, SearchBudget(2, 10 ** 9))
+        assert got.status == want.status == "equivalent"
+        assert ({i: w.as_dict() for i, w in got.witnesses.items()}
+                == {i: w.as_dict() for i, w in want.witnesses.items()})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.booleans(),
+           st.integers(1, 6), st.integers(0, 99))
+    def test_clipped_search_agrees_with_reference(self, seed, equal,
+                                                  max_word, pick):
+        # the reference enumerates multisets, whatever max_exp is
+        rng = random.Random(seed)
+        spec = random_equal_spec(rng) if equal else random_decide_spec(rng)
+        letters = sorted(spec.touching.letters)
+        i = letters[pick % len(letters)]
+        side = ("left", "right")[pick // len(letters) % 2]
+        budget = SearchBudget(max_word, 10 ** 9)
+        assert (outcome(find_witness(spec, i, side, budget))
+                == outcome(ref_find_witness(spec, i, side, budget)))
 
 
 class TestSharedTables:

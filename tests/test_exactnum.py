@@ -271,7 +271,7 @@ class TestMoranDimension:
         rs = [ExactRatio(Fraction(1, 4)), ExactRatio(Fraction(1, 3)),
               ExactRatio(Fraction(1, 8))]
         s = moran_dimension(rs)
-        total = sum(float(r.as_fraction()) ** s for r in rs)
+        total = sum(float(r.value()) ** s for r in rs)
         assert abs(total - 1.0) <= 1e-12
 
     @settings(max_examples=200, deadline=None)

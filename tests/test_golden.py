@@ -18,6 +18,10 @@ uses the witnesses that ``decide`` picks (``decided_cases``).
 {1,4,5}, 1/9*{0,3,4,8} and the end-ratio spec that certifies at (9, 6),
 and for F in S, T and K = 1..3 on the declared-base spec, keyed
 ``label/FK``, recorded before cylinder maps moved to an integer grid.
+``golden_partition_k5.json`` holds the same digests for F in S, T at
+K = 5 on {1,4,5} and the (9, 6) end-ratio spec, the deepest levels the
+partition benchmark runs, recorded before ``gap_partition`` and
+``partition_norm`` moved to the grid.
 ``golden_certify_left.json`` holds both the ``lipeq certify`` digest and
 the ``lipeq verify --depth 2`` digest (keyed ``label@2``) of three specs
 whose certificates use left witnesses (``left_specs``), recorded before
@@ -32,6 +36,8 @@ files only for a deliberate change of a document format:
         > tests/golden_verify.json
     PYTHONPATH=src python3 tests/test_golden.py partition \
         > tests/golden_partition.json
+    PYTHONPATH=src python3 tests/test_golden.py partition5 \
+        > tests/golden_partition_k5.json
     PYTHONPATH=src python3 tests/test_golden.py left \
         > tests/golden_certify_left.json
     PYTHONPATH=src python3 tests/test_golden.py decided \
@@ -62,6 +68,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_certify.json")
 GOLDEN_VERIFY = os.path.join(HERE, "golden_verify.json")
 GOLDEN_PARTITION = os.path.join(HERE, "golden_partition.json")
+GOLDEN_PARTITION_K5 = os.path.join(HERE, "golden_partition_k5.json")
 GOLDEN_LEFT = os.path.join(HERE, "golden_certify_left.json")
 GOLDEN_DECIDED = os.path.join(HERE, "golden_certify_decided.json")
 # (label, depth) of every recorded ``lipeq verify --depth`` report
@@ -172,20 +179,34 @@ def verify_cases():
             for label, depth in VERIFY_CASES]
 
 
+def partition_specs():
+    """(label, spec) of the rational specs of ``lipeq partition``
+    reports."""
+    return [("one45", make_one45()),
+            ("ninths", make_equal_spec(4, 9, [0, 3, 4, 8])),
+            ("endratio96", make_endratio_spec(Fraction(1, 4),
+                                              Fraction(1, 8),
+                                              r2=Fraction(1, 3)))]
+
+
 def partition_cases():
-    """(key, spec, family, k) of every recorded ``lipeq partition``
-    report."""
-    rational = [("one45", make_one45()),
-                ("ninths", make_equal_spec(4, 9, [0, 3, 4, 8])),
-                ("endratio96", make_endratio_spec(Fraction(1, 4),
-                                                  Fraction(1, 8),
-                                                  r2=Fraction(1, 3)))]
+    """(key, spec, family, k) of every report in
+    ``golden_partition.json``."""
     out = [("%s/%s%d" % (label, fam, k), spec, fam, k)
-           for label, spec in rational
+           for label, spec in partition_specs()
            for fam in ("S", "T", "C") for k in range(1, 5)]
     out += [("declared/%s%d" % (fam, k), make_declared_spec(), fam, k)
             for fam in ("S", "T") for k in range(1, 4)]
     return out
+
+
+def partition_k5_cases():
+    """(key, spec, family, k) of every report in
+    ``golden_partition_k5.json``."""
+    return [("%s/%s5" % (label, fam), spec, fam, 5)
+            for label, spec in partition_specs()
+            if label in ("one45", "endratio96")
+            for fam in ("S", "T")]
 
 
 def partition_digest(spec, family, k, path):
@@ -267,6 +288,22 @@ def test_partition_output_unchanged(key, spec, family, k, tmp_path):
                             str(tmp_path / "spec.json")) == want
 
 
+def test_golden_partition_k5_file_covers_every_case():
+    with open(GOLDEN_PARTITION_K5) as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == sorted(key for key, _, _, _
+                                    in partition_k5_cases())
+
+
+@pytest.mark.parametrize("key,spec,family,k", partition_k5_cases(),
+                         ids=[key for key, _, _, _ in partition_k5_cases()])
+def test_partition_k5_output_unchanged(key, spec, family, k, tmp_path):
+    with open(GOLDEN_PARTITION_K5) as fh:
+        want = json.load(fh)[key]
+    assert partition_digest(spec, family, k,
+                            str(tmp_path / "spec.json")) == want
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as d:
@@ -277,10 +314,12 @@ if __name__ == "__main__":
             cases = left_cases() if sys.argv[1] == "left" else decided_cases()
             digests = {key: cli_digest(spec, depth, d)
                        for key, spec, depth in cases}
-        elif sys.argv[1:] == ["partition"]:
+        elif sys.argv[1:] in (["partition"], ["partition5"]):
+            cases = (partition_cases() if sys.argv[1] == "partition"
+                     else partition_k5_cases())
             digests = {key: partition_digest(spec, fam, k,
                                              os.path.join(d, "spec.json"))
-                       for key, spec, fam, k in partition_cases()}
+                       for key, spec, fam, k in cases}
         else:
             digests = {label: closed_form_certify_digest(spec)
                        for label, spec in golden_specs()}

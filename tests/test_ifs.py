@@ -107,7 +107,7 @@ class TestCylinders:
     def test_ratio_word(self):
         spec = make_one45()
         r = spec.ratio_word((1, 2, 3))
-        assert r.as_fraction() == Fraction(1, 125)
+        assert r.value() == Fraction(1, 125)
 
     @given(st.lists(st.lists(st.integers(min_value=1, max_value=3),
                              max_size=8).map(tuple),

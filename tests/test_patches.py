@@ -13,13 +13,13 @@ from lipeq.patches import (tau, c_set_words, c_family, c_family_sizes,
                            e_family, e_family_sizes, e_ratio_set,
                            measure_words,
                            simple_decomposition, PartitionPiece,
-                           gap_partition, _e_parents, _level1_gaps)
+                           gap_partition, _e_parents)
 from lipeq import cylsets, patches
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
                       random_equal_spec, random_unequal_spec,
                       make_declared_spec)
-from test_cylsets import random_canonical_set
+from test_cylsets import random_canonical_set, union_equal
 
 
 def ref_partition_S(spec, k):
@@ -43,11 +43,18 @@ def ref_partition_S(spec, k):
     return levels
 
 
+def level1_gaps(spec):
+    """g_c = psi_{c+1}(0) - psi_c(1) for c = 1..n-1, exact values."""
+    return [spec.t[c] - (spec.t[c - 1] + spec.rho[c - 1])
+            for c in range(1, spec.n)]
+
+
 def ref_gap_partition(spec, words, delta):
     """gap_partition by refining into atoms and scanning the hull ends of
-    every pair of neighbouring atoms, the reference for the walk that
-    reads the gaps off the scales.  Returns (words, lo, hi) per piece."""
-    gmax = max(_level1_gaps(spec))
+    every pair of neighbouring atoms, the reference for the walk on the
+    grid.  Exact values throughout: scales from ``affine``, ends from
+    ``cyl_lo`` and ``cyl_hi``.  Returns (words, lo, hi) per piece."""
+    gmax = max(level1_gaps(spec))
 
     def expand(w):
         s, _ = spec.affine(w)
@@ -75,6 +82,16 @@ def ref_gap_partition(spec, words, delta):
         ws = cylsets.canonicalize(spec.n, run)
         out.append((ws, spec.cyl_lo(ws[0]), spec.cyl_hi(ws[-1])))
     return out
+
+
+SPEC_KINDS = ["equal", "unequal", "declared"]
+
+
+def spec_of_kind(rng, kind):
+    """A random equal-ratio or unequal spec, or the declared-base one."""
+    return {"equal": lambda: random_equal_spec(rng),
+            "unequal": lambda: random_unequal_spec(rng),
+            "declared": make_declared_spec}[kind]()
 
 
 def left_heavy(spec):
@@ -135,8 +152,8 @@ class TestPartitionS:
         for pieces in partition_S(spec, 3):
             groups = [p.words for p in pieces]
             cylsets.check_disjoint_groups(spec, groups)
-            assert cylsets.union_equal(
-                spec.n, [w for g in groups for w in g], [()])
+            assert union_equal(spec.n, [w for g in groups for w in g],
+                               [()])
 
     def test_refinement(self):
         spec = make_one45()
@@ -197,20 +214,17 @@ class TestPartitionT:
             pieces = partition_T(spec, k)
             groups = [p.words for p in pieces]
             cylsets.check_disjoint_groups(spec, groups)
-            assert cylsets.union_equal(
-                spec.n, [w for g in groups for w in g], [()])
+            assert union_equal(spec.n, [w for g in groups for w in g],
+                               [()])
 
 
 class TestGapPartition:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32),
-           st.sampled_from(["equal", "unequal", "declared"]),
-           st.booleans())
+           st.sampled_from(SPEC_KINDS), st.booleans())
     def test_walk_matches_atom_scan(self, seed, kind, on_a_gap):
         rng = random.Random(seed)
-        spec = {"equal": lambda: random_equal_spec(rng),
-                "unequal": lambda: random_unequal_spec(rng),
-                "declared": make_declared_spec}[kind]()
+        spec = spec_of_kind(rng, kind)
         words = random_canonical_set(rng, spec.n, max_depth=3)
         if on_a_gap:
             # a delta equal to a gap of some cylinder, where >= decides
@@ -225,6 +239,51 @@ class TestGapPartition:
         got = [(p.words, p.lo, p.hi)
                for p in gap_partition(spec, words, delta)]
         assert got == ref_gap_partition(spec, words, delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32),
+           st.sampled_from(SPEC_KINDS))
+    def test_delta_equal_to_a_gap_between_input_words(self, seed, kind):
+        # two input words of different lengths, whose ends the walk
+        # scales to the longer length; the gap between them qualifies at
+        # delta equal to it and not above
+        rng = random.Random(seed)
+        spec = spec_of_kind(rng, kind)
+        while True:
+            u, v = sorted(tuple(rng.randrange(1, spec.n + 1)
+                                for _ in range(m))
+                          for m in rng.sample(range(1, 4), 2))
+            if v[:len(u)] != u and spec.cyl_lo(v) > spec.cyl_hi(u):
+                break
+        words = (u, v)
+        gap = spec.cyl_lo(v) - spec.cyl_hi(u)
+        for delta, split in ((gap, True), (gap * Fraction(1001, 1000),
+                                           False)):
+            got = [(p.words, p.lo, p.hi)
+                   for p in gap_partition(spec, words, delta)]
+            assert got == ref_gap_partition(spec, words, delta)
+            joined = any(any(w[:len(u)] == u for w in ws)
+                         and any(w[:len(v)] == v for w in ws)
+                         for ws, _, _ in got)
+            assert joined != split
+
+
+class TestLevelsOnTheGrid:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32),
+           st.sampled_from(SPEC_KINDS))
+    def test_spatial_order_and_norm(self, seed, kind):
+        # the levels are sorted by first word, which on disjoint canonical
+        # pieces is sorting by left end, and the norm read off the grid
+        # is the largest diameter
+        spec = left_heavy(spec_of_kind(random.Random(seed), kind))
+        levels = partition_S(spec, 3)
+        for k in (1, 2, 3):
+            for pieces in (levels[k - 1], partition_T(spec, k)):
+                assert all(p.lo < r.lo for p, r in zip(pieces, pieces[1:]))
+                want = max(p.hi - p.lo for p in pieces)
+                got = partition_norm(spec, pieces)
+                assert got == want and type(got) is type(want)
 
 
 class TestPiecesCanonical:
@@ -330,8 +389,7 @@ class TestSimpleDecomposition:
         pieces = simple_decomposition(spec, [()], [c_set_words(spec, 1)])
         groups = [p.words for p in pieces]
         cylsets.check_disjoint_groups(spec, groups)
-        assert cylsets.union_equal(spec.n,
-                                   [w for g in groups for w in g], [()])
+        assert union_equal(spec.n, [w for g in groups for w in g], [()])
 
 
 def four_map_spec():

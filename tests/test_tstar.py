@@ -21,7 +21,7 @@ from lipeq.tstar import (Context, Placement, DepthError, ldiff, rdiff,
                          block_decompose, _hole_fits)
 
 from conftest import make_one45, random_equal_spec, random_unequal_spec
-from test_cylsets import is_separate, ref_subtract
+from test_cylsets import is_separate, ref_subtract, union_equal
 
 
 def ctx45(p=3, q=3):
@@ -48,8 +48,7 @@ def cover_fault(ctx, placements, target):
         cylsets.check_disjoint_groups(spec, groups)
     except SpecError as e:
         return str(e)
-    if not cylsets.union_equal(spec.n, [w for g in groups for w in g],
-                               target):
+    if not union_equal(spec.n, [w for g in groups for w in g], target):
         return "union differs from the target"
     return None
 
