@@ -18,8 +18,7 @@ from .patches import (partition_S, partition_T, c_family, e_family,
                       e_ratio_set, gap_partition, partition_norm, delta_k)
 from .certify import (Certificate, CertificateError, build_certificate,
                       verify_certificate, verify_cert_doc, cert_to_doc,
-                      cert_from_doc, expand_map, verify_expansion,
-                      distortion_report, identity_certificate)
+                      cert_from_doc, expand_map, distortion_report)
 from .specfile import (load_spec, save_doc, spec_from_doc, spec_to_doc,
                        canonical_json, doc_digest)
 
@@ -35,8 +34,7 @@ __all__ = [
     "gap_partition", "partition_norm", "delta_k",
     "Certificate", "CertificateError", "build_certificate",
     "verify_certificate", "verify_cert_doc", "cert_to_doc",
-    "cert_from_doc", "expand_map", "verify_expansion",
-    "distortion_report", "identity_certificate",
+    "cert_from_doc", "expand_map", "distortion_report",
     "load_spec", "save_doc", "spec_from_doc", "spec_to_doc",
     "canonical_json", "doc_digest",
 ]

@@ -1,167 +1,34 @@
-"""Graph-directed decomposition certificates and their expansion.
+"""Graph-directed decomposition certificates: build, expand, serialize.
 
 A certificate pairs the touching attractor T with its equally spaced dust
 counterpart D through a finite vertex family: the whole sets, the level-1
 connected blocks, and three nested neighbourhoods of each touching point.
 Every vertex carries a T-side and a D-side cylinder set and exactly one
 edge whose pieces tile both sides by similar copies of other vertices
-with identical ratios piece by piece.  Matching tilings with equal ratios
-force the two sides to be bi-Lipschitz equivalent, so a certificate that
-validates is a machine-checkable witness of equivalence.
-
-Everything is constructed *and* re-verified with exact arithmetic; any
-mismatch raises instead of producing an unsound certificate.
+with identical ratios piece by piece.  The kernel in ``check`` states
+what that proves and checks it exactly over the pair (spec, spec.dust());
+``verify_certificate`` adds the paper's template checks.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 import math
 import random
 
-from .exactnum import ExactRatio, mult_dependence
+from .exactnum import mult_dependence
 from .ifs import SpecError
-from . import cylsets, specfile
+from . import check, cylsets, specfile
+from .check import (Certificate, CertificateError, Edge, Piece, Vertex,
+                    piece_images, read_field, read_records, read_word,
+                    rules_affine)
 from .decide import decide, verify_witness, witness_letters, Witness
 from .patches import left_patch_words, right_patch_words
 from .tstar import (Context, Placement, DepthError, ldiff, rdiff,
                     hole_diff_left, hole_diff_right, block_decompose,
                     _hole_fits)
 
-CERT_FORMAT = "lipeq-certificate"
-CERT_VERSION = 1
 # the most multiples of the end-ratio dependence that ``choose_pq`` tries
 MAX_PQ_MULTIPLE = 16
-
-
-class CertificateError(SpecError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# word rewrite rules
-
-def apply_rules(rules, word):
-    for strip, add in rules:
-        if word[:len(strip)] == strip:
-            return add + word[len(strip):]
-    raise CertificateError("no rule matches word %r" % (word,))
-
-
-def compose_rules(outer, inner):
-    """Rules applying ``inner`` then ``outer``."""
-    out = []
-    for s2, a2 in inner:
-        for s1, a1 in outer:
-            if len(a2) >= len(s1):
-                if a2[:len(s1)] == s1:
-                    out.append((s2, a1 + a2[len(s1):]))
-            else:
-                if s1[:len(a2)] == a2:
-                    out.append((s2 + s1[len(a2):], a1))
-    if not out:
-        raise CertificateError("rule composition has empty domain")
-    # drop rules shadowed by an identical earlier strip
-    seen = set()
-    res = []
-    for s, a in out:
-        if s not in seen:
-            seen.add(s)
-            res.append((s, a))
-    return tuple(res)
-
-
-def rule_affine(system, rule):
-    """Exact (ratio, scale, offset) of x -> psi_add(psi_strip^(-1)(x)).
-
-    The usual rule ((), add) with a rational ratio is psi_add itself: its
-    scale is the ratio's scalar and its offset psi_add(0).  Symbolic
-    ratios take the general formula, which keeps the type, and so the
-    formatted string, of a symbolic offset."""
-    strip, add = rule
-    if not strip:
-        r = system.ratio_word(add)
-        if not r.sym:
-            return r, r.scalar, system.cyl_lo(add)
-    r = system.ratio_word(add) / system.ratio_word(strip)
-    scale = r.value(system.bases)
-    offset = system.cyl_lo(add) - scale * system.cyl_lo(strip)
-    return r, scale, offset
-
-
-def rules_affine(system, rules, where=""):
-    """Common affine of a rule set; all rules must agree exactly.
-
-    Results are kept on ``system``, keyed by the rule tuple, so each
-    piece's similarity is derived once per system; a rule set whose rules
-    disagree is never stored and raises on every call.  ``where`` names
-    the rule set in that error: a label, or the (vertex key, piece index)
-    of a certificate piece, formatted only when the error is raised."""
-    cache = system._rules_cache
-    got = cache.get(rules)
-    if got is not None:
-        return got
-    r0, s0, o0 = rule_affine(system, rules[0])
-    for rule in rules[1:]:
-        r, s, o = rule_affine(system, rule)
-        if r != r0 or s != s0 or o != o0:
-            raise CertificateError(
-                "%s: rules describe different similarities" % _label(where))
-    if len(cache) < 400000:
-        cache[rules] = (r0, s0, o0)
-    return r0, s0, o0
-
-
-def _label(where):
-    if isinstance(where, tuple):
-        return "%r piece %d" % where
-    return where
-
-
-# ---------------------------------------------------------------------------
-# data model
-
-class Vertex:
-    def __init__(self, key, t_words, d_words):
-        self.key = tuple(key)
-        self.t_words = tuple(t_words)
-        self.d_words = tuple(d_words)
-
-    def hulls(self, spec, dust):
-        t_lo = min(spec.cyl_lo(w) for w in self.t_words)
-        t_hi = max(spec.cyl_hi(w) for w in self.t_words)
-        d_lo = min(dust.cyl_lo(w) for w in self.d_words)
-        d_hi = max(dust.cyl_hi(w) for w in self.d_words)
-        return t_lo, t_hi, d_lo, d_hi
-
-
-class Piece:
-    """One piece of an edge: a copy of vertex ``target`` placed by the
-    rule sets ``t_rules`` and ``d_rules``, each a sequence of (strip, add)
-    pairs of word tuples.  A tuple of rules is kept as it is."""
-
-    def __init__(self, target, t_rules, d_rules):
-        self.target = tuple(target)
-        self.t_rules = tuple(t_rules)
-        self.d_rules = tuple(d_rules)
-
-
-class Edge:
-    def __init__(self, source, pieces):
-        self.source = tuple(source)
-        self.pieces = list(pieces)
-
-
-class Certificate:
-    def __init__(self, p, q, p0, q0, witnesses, vertices, edges,
-                 spec_digest, dust_digest):
-        self.p = p
-        self.q = q
-        self.p0 = p0
-        self.q0 = q0
-        self.witnesses = dict(witnesses)   # letter -> Witness
-        self.vertices = dict(vertices)     # key -> Vertex
-        self.edges = dict(edges)           # key -> Edge
-        self.spec_digest = spec_digest
-        self.dust_digest = dust_digest
 
 
 def _fam_key(pl):
@@ -273,13 +140,11 @@ def decompose_vertex(ctx, witnesses, vkey):
     """The Edge for one vertex, per the constructive decompositions.
 
     Every placement the tiling engines return becomes a piece of this
-    edge, unchecked.  ``verify_certificate``, which ``build_certificate``
-    runs on every certificate it returns, checks that the edge's pieces
-    are pairwise point-disjoint with union the source vertex, on the T
-    and on the D side.  That alone suffices: validity needs only pairwise
-    disjoint pieces within each vertex, the contract under which ``lipeq
-    verify`` accepts a stored certificate, and not the separateness of a
-    block piece from the rest of the attractor.
+    edge, unchecked: ``verify_certificate``, which ``build_certificate``
+    runs on every certificate, checks that on each side the pieces are
+    pairwise point-disjoint with union the source.  Validity needs no
+    more; not, in particular, the separateness of a block piece from the
+    rest of the attractor.
 
     The touch3 and touch4 edges of a witness follow from its letters
     (``witness_letters``): the near patch descends along the boundary
@@ -291,9 +156,9 @@ def decompose_vertex(ctx, witnesses, vkey):
     n, p, q, c1 = spec.n, ctx.p, ctx.q, ctx.c1
     kind = vkey[0]
     if kind == "whole":
-        pieces = [Piece(("comp1", j), (((), ()),), (((), ()),))
-                  for j in range(1, c1 + 1)]
-        return Edge(vkey, pieces)
+        ident = (((), ()),)
+        return Edge(vkey, [Piece(("comp1", j), ident, ident)
+                           for j in range(1, c1 + 1)])
     if kind == "comp1":
         return Edge(vkey, [_std_piece(pl) for pl in
                            block_decompose(ctx, vkey[1])])
@@ -353,24 +218,15 @@ def build_certificate(spec, verdict=None):
     ctx = Context(spec, p, q)
     vertices = build_vertices(ctx, witnesses)
     edges = {key: decompose_vertex(ctx, witnesses, key) for key in vertices}
-    cert = Certificate(p, q, p0, q0, witnesses, vertices, edges,
-                       specfile.doc_digest(specfile.spec_to_doc(spec)),
-                       specfile.doc_digest(specfile.spec_to_doc(spec.dust())))
+    cert = Certificate(vertices, edges, *map(check.system_digest,
+                                             (spec, spec.dust())),
+                       p=p, q=q, p0=p0, q0=q0, witnesses=witnesses)
     verify_certificate(spec, cert)
     return cert
 
 
 # ---------------------------------------------------------------------------
-# validation
-
-def _piece_images(rules, words):
-    """The words of ``words`` rewritten by ``rules``.  The usual single
-    rule ((), add) prefixes every word with ``add``."""
-    if len(rules) == 1 and not rules[0][0]:
-        add = rules[0][1]
-        return tuple([add + w for w in words])
-    return tuple([apply_rules(rules, w) for w in words])
-
+# the template profile
 
 def _check_pq(spec, cert):
     """The stored exponents are those the construction chooses from:
@@ -391,159 +247,64 @@ def _check_pq(spec, cert):
 
 
 def verify_certificate(spec, cert):
-    """Re-verify every certificate invariant from scratch.
-
-    Checks: one witness per touching letter, the stored (p0, q0) and
-    (p, q) against the end ratios and the witnesses, vertex keys and
-    1 + c1 + 3|touching| count, exact edge tilings on the T and D sides,
-    per-piece ratio equality, and contraction around every cycle.
-    Raises CertificateError (or the SpecError of a failed disjointness
-    check) on the first violation.
-    This is the one exact validator of a certificate: ``build_certificate``
-    runs it on everything it builds, and the tiling engines only
-    construct.
-
-    The measure identity at the similarity dimension s, that the natural
-    measure of each source is the sum over its pieces of r^s times the
-    measure of the piece's target, is implied and not checked.
-    ``rules_affine`` makes every rule of a piece describe one similarity
-    phi of ratio r, and a rule (strip, add) maps the cylinder of a target
-    word w to phi(T_w), so the piece's T-side image is phi(target) and has
-    r^s times the target's measure.  The exact T-side tiling makes the
-    images of an edge's pieces pairwise point-disjoint with union equal
-    to the source, so their measures add up to the source's.
-
-    Each piece's similarity is derived from its rules once per command:
-    ``rules_affine`` keeps the result on ``spec`` and on ``spec.dust()``,
-    where serialization (``cert_to_doc``) and the stored-string comparison
-    of ``verify_cert_doc`` find it again.
-    """
-    dust = spec.dust()
-    if cert.spec_digest != specfile.doc_digest(specfile.spec_to_doc(spec)):
-        raise CertificateError("certificate was built for a different spec")
-    if cert.dust_digest != specfile.doc_digest(specfile.spec_to_doc(dust)):
-        raise CertificateError("dust digest mismatch")
-    ctx = Context(spec, cert.p, cert.q)
-    if set(cert.witnesses) != ctx.touch:
+    """Validate ``cert`` for ``spec``: the kernel ``check.check_certificate``
+    on (spec, spec.dust()), which alone carries what a valid certificate
+    proves (first, so a certificate for another spec fails on its
+    digests), then the paper's template: one witness per touching letter,
+    each passing ``verify_witness``; the stored (p0, q0) and (p, q); and,
+    for a touching spec, 1 + c1 + 3|touching| vertices.  Raises on the
+    first violation.  ``build_certificate`` runs this on all it builds."""
+    check.check_certificate((spec, spec.dust()), cert)
+    touch = spec.touching.letters
+    if set(cert.witnesses) != touch:
         raise CertificateError("witness letters %s are not the touching "
                                "letters %s" % (sorted(cert.witnesses),
-                                               sorted(ctx.touch)))
+                                               sorted(touch)))
+    for w in cert.witnesses.values():
+        verify_witness(spec, w)
     _check_pq(spec, cert)
-    expected = 1 + ctx.c1 + 3 * len(ctx.touch)
+    expected = 1 + len(spec.blocks()) + 3 * len(touch)
     if spec.role == "touching" and len(cert.vertices) != expected:
         raise CertificateError("expected %d vertices, found %d"
                                % (expected, len(cert.vertices)))
-    if set(cert.edges) != set(cert.vertices):
-        raise CertificateError("every vertex needs exactly one edge")
-    if ("whole",) not in cert.vertices or \
-            cert.vertices[("whole",)].t_words != ((),):
-        raise CertificateError("missing or malformed whole-set vertex")
-    for i, w in cert.witnesses.items():
-        verify_witness(spec, w)
-
-    n = spec.n
-    one = ExactRatio(1)
-    vertices = cert.vertices
-    ratio1_edges = []
-    # id(ratio) -> (ratio, is it 1?): the rule sets of a system share
-    # their ratio objects through ``rules_affine``, so each is tested once
-    checked_ratios = {}
-    for key, edge in cert.edges.items():
-        if edge.source != key:
-            raise CertificateError("edge source mismatch at %r" % (key,))
-        src = vertices[key]
-        if len(edge.pieces) < 2:
-            raise CertificateError("edge at %r has fewer than 2 pieces"
-                                   % (key,))
-        t_groups, d_groups = [], []
-        for pi, piece in enumerate(edge.pieces):
-            tgt = vertices.get(piece.target)
-            if tgt is None:
-                raise CertificateError("unknown target %r" % (piece.target,))
-            rt = rules_affine(spec, piece.t_rules, (key, pi))[0]
-            rd = rules_affine(dust, piece.d_rules, (key, pi))[0]
-            # a spec and its dust share one ratio-word table, so equal
-            # ratios of the usual rules are one object
-            if rt is not rd and rt != rd:
-                raise CertificateError("%s: T and D ratios differ"
-                                       % _label((key, pi)))
-            seen = checked_ratios.get(id(rt))
-            if seen is None:
-                if rt.interval(spec.bases)[1] > 1:
-                    raise CertificateError("%s: expanding piece"
-                                           % _label((key, pi)))
-                seen = checked_ratios[id(rt)] = (rt, rt == one)
-            if seen[1]:
-                ratio1_edges.append((key, piece.target))
-            t_groups.append(_piece_images(piece.t_rules, tgt.t_words))
-            d_groups.append(_piece_images(piece.d_rules, tgt.d_words))
-        if (cylsets.check_disjoint_groups(spec, t_groups)
-                != cylsets.canonicalize(n, src.t_words)):
-            raise CertificateError("T-side tiling mismatch at %r" % (key,))
-        if (cylsets.check_disjoint_groups(dust, d_groups)
-                != cylsets.canonicalize(n, src.d_words)):
-            raise CertificateError("D-side tiling mismatch at %r" % (key,))
-    _check_ratio1_acyclic(ratio1_edges)
     return True
-
-
-def _check_ratio1_acyclic(pairs):
-    graph = {}
-    for a, b in pairs:
-        graph.setdefault(a, []).append(b)
-    state = {}
-
-    def dfs(v):
-        state[v] = 1
-        for w in graph.get(v, ()):
-            if state.get(w) == 1:
-                raise CertificateError("cycle of ratio-1 pieces")
-            if w not in state:
-                dfs(w)
-        state[v] = 2
-
-    for v in list(graph):
-        if v not in state:
-            dfs(v)
 
 
 # ---------------------------------------------------------------------------
 # expansion and distortion
 
-class ExpandPiece:
-    __slots__ = ("vkey", "t_words", "d_words", "t_scale", "t_offset",
-                 "d_scale", "d_offset")
+def compose_rules(outer, inner):
+    """Rules applying ``inner`` then ``outer``."""
+    out = []
+    for s2, a2 in inner:
+        for s1, a1 in outer:
+            if a2[:len(s1)] == s1:
+                out.append((s2, a1 + a2[len(s1):]))
+            elif s1[:len(a2)] == a2:
+                out.append((s2 + s1[len(a2):], a1))
+    if not out:
+        raise CertificateError("rule composition has empty domain")
+    # drop rules shadowed by an identical earlier strip
+    res = {}
+    for s, a in out:
+        res.setdefault(s, a)
+    return tuple(res.items())
 
-    def __init__(self, vkey, t_words, d_words, t_scale, t_offset,
-                 d_scale, d_offset):
-        self.vkey = vkey
-        self.t_words = t_words
-        self.d_words = d_words
-        self.t_scale = t_scale
-        self.t_offset = t_offset
-        self.d_scale = d_scale
-        self.d_offset = d_offset
+
+ExpandPiece = namedtuple("ExpandPiece", "vkey t_words d_words t_scale "
+                                        "t_offset d_scale d_offset")
 
 
 def expand_map(spec, cert, depth):
-    """Unroll the certificate recursion ``depth`` times.
-
-    Returns the list of leaf pieces, each pairing a T-side cylinder union
-    with a D-side one through explicit increasing similarities.
-
-    ``cert`` must have passed ``verify_certificate``, and then the leaves
-    tile T and D with equal ratios on both sides, so neither is checked
-    here.  Validation shows that on each side the piece images of every
-    edge are pairwise point-disjoint and their union is the source.  All
-    rules of a rule set describe one injective similarity
-    (``rules_affine``).  ``compose_rules`` rewrites each word as the two
-    rule sets do in turn.  So, by induction on the depth, the leaves tile
-    T and D: at depth 0 the one leaf is the whole set on both sides, and
-    the children of a leaf are the images of its vertex's pieces under
-    the leaf's injective similarity, pairwise point-disjoint with union
-    the leaf.  Each leaf's two ratios are products of equal piece ratios.
-    ``verify_expansion`` checks the tiling of a result directly.
-    """
+    """Unroll the certificate recursion ``depth`` times: the leaf pieces,
+    each pairing a T-side cylinder union with a D-side one through
+    explicit increasing similarities.  ``cert`` must have passed
+    ``verify_certificate``; then the leaves tile T and D with equal
+    ratios, so neither is checked here.  By induction: at depth 0 the one
+    leaf is the whole set on both sides, and the children of a leaf are
+    the images of its vertex's pieces under the leaf's similarity
+    (``compose_rules``), which the kernel's tiling check makes pairwise
+    point-disjoint with union the leaf."""
     dust = spec.dust()
     ident = (((), ()),)
     leaves = [(("whole",), ident, ident)]
@@ -551,20 +312,17 @@ def expand_map(spec, cert, depth):
         nxt = []
         for vkey, tr, dr in leaves:
             for piece in cert.edges[vkey].pieces:
-                nxt.append((piece.target,
-                            compose_rules(tr, piece.t_rules),
-                            compose_rules(dr, piece.d_rules)))
+                pt, pd = piece.rules
+                nxt.append((piece.target, compose_rules(tr, pt),
+                            compose_rules(dr, pd)))
         leaves = nxt
     out = []
     for vkey, tr, dr in leaves:
-        v = cert.vertices[vkey]
+        tw, dw = cert.vertices[vkey].words
         ts, to = rules_affine(spec, tr, "expand")[1:]
         ds, do = rules_affine(dust, dr, "expand")[1:]
-        out.append(ExpandPiece(
-            vkey,
-            _piece_images(tr, v.t_words),
-            _piece_images(dr, v.d_words),
-            ts, to, ds, do))
+        out.append(ExpandPiece(vkey, piece_images(tr, tw),
+                               piece_images(dr, dw), ts, to, ds, do))
     return out
 
 
@@ -584,39 +342,23 @@ def leaf_counts(cert):
         counts = nxt
 
 
-def verify_expansion(spec, cert, pieces):
-    """Exact piecewise bijectivity: leaf T-sets tile T, leaf D-sets tile
-    D, with no shared points across pieces."""
-    dust = spec.dust()
-    if cylsets.check_disjoint_groups(spec, [p.t_words for p in pieces]) \
-            != ((),):
-        raise CertificateError("expansion T-side does not tile T")
-    if cylsets.check_disjoint_groups(dust, [p.d_words for p in pieces]) \
-            != ((),):
-        raise CertificateError("expansion D-side does not tile D")
-    return True
-
-
-def leaf_hulls(spec, cert, pieces):
+def leaf_hulls(pair, cert, pieces):
     """(t_lo, t_hi, d_lo, d_hi), the T-hull and D-hull of each leaf of
-    ``pieces`` (an ``expand_map`` result), from its similarities.
+    ``pieces`` (an ``expand_map`` result on ``pair`` = (spec,
+    spec.dust())), from its similarities.
 
     A leaf's T-hull is (t_scale*t_lo + t_offset, t_scale*t_hi + t_offset)
-    for the T-hull (t_lo, t_hi) of its vertex, and its D-hull likewise.
-    This is an exact identity.  ``rules_affine`` makes every rule of the
-    leaf describe one increasing similarity phi, and a rule (strip, add)
-    maps the cylinder of a vertex word w = strip + u, psi_strip(T_u), to
-    psi_add(T_u) = phi(T_w).  So ``cyl_lo`` and ``cyl_hi`` of every image
-    word are phi of those of w, and phi, being increasing, maps the least
-    and greatest of them to the least and greatest of the images.  Each
-    vertex's hulls are found once, by ``Vertex.hulls``."""
-    dust = spec.dust()
+    for the T-hull (t_lo, t_hi) of its vertex (``Vertex.hulls``, once per
+    vertex), and its D-hull likewise, exactly: a rule (strip, add) of the
+    leaf maps the cylinder of a vertex word w to phi(T_w) for the leaf's
+    one increasing similarity phi, which keeps the least and greatest
+    ends."""
     hulls = {}
     out = []
     for pc in pieces:
         h = hulls.get(pc.vkey)
         if h is None:
-            h = hulls[pc.vkey] = cert.vertices[pc.vkey].hulls(spec, dust)
+            h = hulls[pc.vkey] = cert.vertices[pc.vkey].hulls(pair)
         t_lo, t_hi, d_lo, d_hi = h
         ts, to, ds, do = pc.t_scale, pc.t_offset, pc.d_scale, pc.d_offset
         out.append((ts * t_lo + to, ts * t_hi + to,
@@ -648,8 +390,9 @@ def distortion_report(spec, cert, depth, sample_pairs=4000, seed=7,
     """
     if pieces is None:
         pieces = expand_map(spec, cert, depth)
+    pair = (spec, spec.dust())
     pts = set()
-    for t_lo, t_hi, d_lo, d_hi in leaf_hulls(spec, cert, pieces):
+    for t_lo, t_hi, d_lo, d_hi in leaf_hulls(pair, cert, pieces):
         pts.add((t_lo, d_lo))
         pts.add((t_hi, d_hi))
     pts = list(pts)
@@ -695,19 +438,6 @@ def distortion_report(spec, cert, depth, sample_pairs=4000, seed=7,
     return (c_low, c_high)
 
 
-def identity_certificate(spec):
-    """The trivial self-certificate of a dust spec (sanity baseline)."""
-    if spec.role != "dust":
-        raise CertificateError("identity certificate needs a dust spec")
-    whole = Vertex(("whole",), ((),), ((),))
-    pieces = [Piece(("whole",), (((), (i,)),), (((), (i,)),))
-              for i in range(1, spec.n + 1)]
-    digest = specfile.doc_digest(specfile.spec_to_doc(spec))
-    return Certificate(1, 1, 1, 1, {}, {("whole",): whole},
-                       {("whole",): Edge(("whole",), pieces)},
-                       digest, digest)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -722,47 +452,34 @@ def cert_to_doc(spec, cert):
     one piece's rules therefore changes every piece that shares the list:
     copy the document through JSON text first (``copy.deepcopy`` keeps the
     sharing), as a certificate read from a file already is."""
-    dust = spec.dust()
+    pair = (spec, spec.dust())
     vertices = []
     for key in sorted(cert.vertices):
         v = cert.vertices[key]
-        t_lo, t_hi, d_lo, d_hi = v.hulls(spec, dust)
-        vertices.append({
-            "key": list(key),
-            "t_words": [list(w) for w in v.t_words],
-            "d_words": [list(w) for w in v.d_words],
-            "t_lo": specfile.format_value(t_lo),
-            "t_hi": specfile.format_value(t_hi),
-            "d_lo": specfile.format_value(d_lo),
-            "d_hi": specfile.format_value(d_hi),
-        })
-    rule_lists, t_text, d_text = {}, {}, {}
+        t_lo, t_hi, d_lo, d_hi = map(specfile.format_value, v.hulls(pair))
+        vertices.append({"key": list(key), "t_lo": t_lo, "t_hi": t_hi,
+                         "d_lo": d_lo, "d_hi": d_hi,
+                         "t_words": [list(w) for w in v.t_words],
+                         "d_words": [list(w) for w in v.d_words]})
+    rule_lists, memos = {}, ({}, {})
     edges = []
     for key in sorted(cert.edges):
-        edge = cert.edges[key]
         pieces = []
-        for piece in edge.pieces:
-            tr, dr = piece.t_rules, piece.d_rules
-            ratio, t_scale, t_offset = _piece_strings(spec, tr, t_text,
-                                                      "serialize")
-            d_scale, d_offset = _piece_strings(dust, dr, d_text,
-                                               "serialize")[1:]
+        for piece in cert.edges[key].pieces:
+            tr, dr = piece.rules
+            ratio, t_scale, t_offset, d_scale, d_offset = (
+                check.piece_strings(pair, piece, memos, "serialize"))
             t_list = _rule_list(tr, rule_lists)
             pieces.append({
-                "target": list(piece.target),
-                "ratio": ratio,
+                "target": list(piece.target), "ratio": ratio,
                 "t_rules": t_list,
-                "d_rules": t_list if dr is tr else _rule_list(dr,
-                                                              rule_lists),
-                "t_scale": t_scale,
-                "t_offset": t_offset,
-                "d_scale": d_scale,
-                "d_offset": d_offset,
-            })
+                "d_rules": t_list if dr is tr else _rule_list(dr, rule_lists),
+                "t_scale": t_scale, "t_offset": t_offset,
+                "d_scale": d_scale, "d_offset": d_offset})
         edges.append({"source": list(key), "pieces": pieces})
     return {
-        "format": CERT_FORMAT,
-        "version": CERT_VERSION,
+        "format": check.CERT_FORMAT,
+        "version": check.CERT_VERSION,
         "spec_digest": cert.spec_digest,
         "dust_digest": cert.dust_digest,
         "p": cert.p, "q": cert.q, "p0": cert.p0, "q0": cert.q0,
@@ -781,146 +498,29 @@ def _rule_list(rules, memo):
     return got
 
 
-def _piece_strings(system, rules, memo, where):
-    """The exact strings (ratio, scale, offset) of the similarity that
-    ``rules`` describe on ``system``, formatted once per rule set in
-    ``memo``, a dict kept for one side of one document."""
-    got = memo.get(rules)
-    if got is None:
-        r, scale, offset = rules_affine(system, rules, where)
-        got = memo[rules] = (specfile.format_ratio(r),
-                             specfile.format_value(scale),
-                             specfile.format_value(offset))
-    return got
-
-
-def _field(d, name, kind, where):
-    """``d[name]``, which must hold a value of JSON type ``kind``."""
-    v = d.get(name)
-    if not isinstance(v, kind) or isinstance(v, bool):
-        raise CertificateError("%s: %r must be %s" % (
-            where, name, {int: "an integer", str: "a string",
-                          list: "a list", dict: "an object"}[kind]))
-    return v
-
-
-def _records(d, name, where):
-    """``d[name]`` as a list of JSON objects."""
-    out = _field(d, name, list, where)
-    if not all(isinstance(r, dict) for r in out):
-        raise CertificateError("%s: every entry of %r must be an object"
-                               % (where, name))
-    return out
-
-
-def _word(v, n, where):
-    """A word: a list of letters in 1..n (n None: any positive letter).
-    A JSON letter is an int; ``true`` and ``1.0`` are not letters."""
-    if type(v) is list and (not v or (
-            set(map(type, v)) <= {int} and min(v) >= 1
-            and (n is None or max(v) <= n))):
-        return tuple(v)
-    raise CertificateError("%s: %r is not a word over the letters 1..%s"
-                           % (where, v, n if n else "n"))
-
-
-def _words(d, name, n, where):
-    ws = _field(d, name, list, where)
-    if not ws:
-        raise CertificateError("%s: %r is empty" % (where, name))
-    return [_word(w, n, where) for w in ws]
-
-
-def _rules(d, name, n, where, seen):
-    """A nonempty tuple of (strip, add) word pairs: the one in ``seen``
-    equal to it, if any, so equal rule sets of a document share a tuple."""
-    rules = _field(d, name, list, where)
-    if not rules:
-        raise CertificateError("%s: %r is empty" % (where, name))
-    out = []
-    for r in rules:
-        if type(r) is not list or len(r) != 2:
-            raise CertificateError("%s: a rule is a [strip, add] pair"
-                                   % where)
-        out.append((_word(r[0], n, where), _word(r[1], n, where)))
-    out = tuple(out)
-    return seen.setdefault(out, out)
-
-
-def _key(d, name, where):
-    key = _field(d, name, list, where)
-    if not key or not all(isinstance(k, (str, int)) for k in key):
-        raise CertificateError("%s: %r must be a nonempty list of names "
-                               "and numbers" % (where, name))
-    return tuple(key)
-
-
-# the exact strings stored with each piece, compared by verify_cert_doc
-PIECE_STRINGS = ("ratio", "t_scale", "t_offset", "d_scale", "d_offset")
-
-
 def cert_from_doc(doc, n=None):
-    """Read a certificate document.  Its shape is checked first: every
-    field present with its JSON type, nonempty word and rule lists, vertex
-    keys, edge sources and witness letters unique, and every letter of a
-    word, rule or witness an int (not ``true``, not ``1.0``) in 1..n (when
-    n is given).
-    Any violation raises CertificateError.
-
-    The checks cost few Python calls per piece: a word is one
-    ``set(map(type, ...))`` and one ``min``/``max``, the five exact
-    strings of a piece are tested in one pass (``_field`` runs only to
-    name a failure), and the rule tuples built here are the ones the
-    ``Piece`` keeps.  Equal rule lists, which most pieces repeat, become
-    one tuple, as ``cert_to_doc`` wrote them from one list."""
-    if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
-        raise CertificateError("not a certificate document")
-    if doc.get("version") != CERT_VERSION:
-        raise CertificateError("unsupported certificate version")
-    witnesses = {}
-    for w in (_records(doc, "witnesses", "certificate")
+    """Read a certificate document: the graph by ``check.cert_from_doc``,
+    then p, q, p0, q0 and the witness records, checked as the graph is:
+    letters unique and every letter of a word an int in 1..n."""
+    cert = check.cert_from_doc(doc, n)
+    witnesses = cert.witnesses
+    where = "witness"
+    for w in (read_records(doc, "witnesses", "certificate")
               if "witnesses" in doc else []):
-        where = "witness"
-        letter = _field(w, "letter", int, where)
+        letter = read_field(w, "letter", int, where)
         if letter in witnesses:
             raise CertificateError("witness for letter %d appears twice"
                                    % letter)
         witnesses[letter] = Witness(
-            _field(w, "side", str, where), letter,
-            _field(w, "k", int, where), _field(w, "k_prime", int, where),
-            _word(w.get("word"), n, where),
-            _field(w, "source", str, where) if "source" in w else "file")
-    vertices = {}
-    for v in _records(doc, "vertices", "certificate"):
-        key = _key(v, "key", "vertex")
-        where = "vertex %r" % (key,)
-        if key in vertices:
-            raise CertificateError("%s appears twice" % where)
-        for name in ("t_lo", "t_hi", "d_lo", "d_hi"):
-            _field(v, name, str, where)
-        vertices[key] = Vertex(key, _words(v, "t_words", n, where),
-                               _words(v, "d_words", n, where))
-    edges = {}
-    rule_sets = {}
-    for e in _records(doc, "edges", "certificate"):
-        key = _key(e, "source", "edge")
-        where = "edge %r" % (key,)
-        if key in edges:
-            raise CertificateError("%s appears twice" % where)
-        pieces = []
-        for pd in _records(e, "pieces", where):
-            if not all(type(pd.get(name)) is str for name in PIECE_STRINGS):
-                for name in PIECE_STRINGS:
-                    _field(pd, name, str, where)
-            pieces.append(Piece(_key(pd, "target", where),
-                                _rules(pd, "t_rules", n, where, rule_sets),
-                                _rules(pd, "d_rules", n, where, rule_sets)))
-        edges[key] = Edge(key, pieces)
-    p, q, p0, q0 = (_field(doc, name, int, "certificate")
-                    for name in ("p", "q", "p0", "q0"))
-    return Certificate(p, q, p0, q0, witnesses, vertices, edges,
-                       _field(doc, "spec_digest", str, "certificate"),
-                       _field(doc, "dust_digest", str, "certificate"))
+            read_field(w, "side", str, where), letter,
+            read_field(w, "k", int, where),
+            read_field(w, "k_prime", int, where),
+            read_word(w.get("word"), n, where),
+            read_field(w, "source", str, where) if "source" in w else "file")
+    cert.p, cert.q, cert.p0, cert.q0 = (
+        read_field(doc, name, int, "certificate")
+        for name in ("p", "q", "p0", "q0"))
+    return cert
 
 
 def verify_cert_doc(spec, doc):
@@ -928,28 +528,5 @@ def verify_cert_doc(spec, doc):
     strings (hulls, scales, offsets, ratios) against recomputation."""
     cert = cert_from_doc(doc, spec.n)
     verify_certificate(spec, cert)
-    dust = spec.dust()
-    for vd in doc["vertices"]:
-        v = cert.vertices[tuple(vd["key"])]
-        t_lo, t_hi, d_lo, d_hi = v.hulls(spec, dust)
-        for name, val in (("t_lo", t_lo), ("t_hi", t_hi),
-                          ("d_lo", d_lo), ("d_hi", d_hi)):
-            if vd[name] != specfile.format_value(val):
-                raise CertificateError("stored %s of %r does not match"
-                                       % (name, vd["key"]))
-    t_text, d_text = {}, {}
-    for ed in doc["edges"]:
-        edge = cert.edges[tuple(ed["source"])]
-        for pd, piece in zip(ed["pieces"], edge.pieces):
-            want = (_piece_strings(spec, piece.t_rules, t_text, "verify")
-                    + _piece_strings(dust, piece.d_rules, d_text,
-                                     "verify")[1:])
-            stored = (pd["ratio"], pd["t_scale"], pd["t_offset"],
-                      pd["d_scale"], pd["d_offset"])
-            if stored != want:
-                name = next(name for name, a, b in
-                            zip(PIECE_STRINGS, stored, want) if a != b)
-                raise CertificateError(
-                    "stored %s mismatches recomputation in edge %r"
-                    % (name, ed["source"]))
+    check.check_stored((spec, spec.dust()), doc, cert)
     return cert

@@ -84,7 +84,7 @@ class IfsSpec:
         self.t = tuple(translations)
         self._init_grid()
         self._ratio_cache = {(): ExactRatio(1)}
-        # certify.rules_affine results, keyed by rule tuple (successes only)
+        # check.rules_affine results, keyed by rule tuple (successes only)
         self._rules_cache = {}
         self._dust = None
         self._validate()

@@ -287,6 +287,8 @@ def gap_partition(spec, words, delta):
     children argmax G and argmax G + 1, so its children never all share
     a run.
     """
+    if delta <= 0:
+        raise SpecError("gap_partition needs delta > 0, got %s" % delta)
     n = spec.n
     letters = [spec.grid((c,)) for c in range(1, n + 1)]
     q = letters[0][2]

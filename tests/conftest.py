@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from lipeq import IfsSpec, Verdict, build_certificate
+from lipeq import IfsSpec, Verdict, build_certificate, cylsets
+from lipeq.check import (Certificate, Edge, Piece, Vertex,
+                         check_certificate, system_digest)
 from lipeq.decide import check_necessary, closed_form_witnesses
 from lipeq.exactnum import DeclaredBase, ExactRatio
 
@@ -87,6 +89,29 @@ def closed_form_verdict(spec):
 
 def closed_form_certificate(spec):
     return build_certificate(spec, closed_form_verdict(spec))
+
+
+def identity_certificate(system):
+    """The identity certificate over the pair (system, system): the whole
+    set tiled by its n level-1 cylinders, checked by the kernel alone."""
+    pieces = [Piece(("whole",), (((), (i,)),), (((), (i,)),))
+              for i in range(1, system.n + 1)]
+    digest = system_digest(system)
+    cert = Certificate({("whole",): Vertex(("whole",), ((),), ((),))},
+                       {("whole",): Edge(("whole",), pieces)},
+                       digest, digest)
+    check_certificate((system, system), cert)
+    return cert
+
+
+def verify_expansion(spec, pieces):
+    """Exact piecewise bijectivity of an ``expand_map`` result: the leaf
+    T-sets tile T and the leaf D-sets tile D, with no shared points across
+    pieces."""
+    for system, side in ((spec, "t_words"), (spec.dust(), "d_words")):
+        words = [getattr(pc, side) for pc in pieces]
+        assert cylsets.check_disjoint_groups(system, words) == ((),), side
+    return True
 
 
 def random_unequal_spec(rng, role="touching"):

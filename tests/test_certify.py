@@ -10,14 +10,14 @@ import pytest
 
 from lipeq import (IfsSpec, decide, build_certificate, verify_certificate,
                    cert_to_doc, cert_from_doc, verify_cert_doc,
-                   expand_map, verify_expansion, distortion_report,
-                   identity_certificate, canonical_json,
+                   expand_map, distortion_report, canonical_json,
                    CertificateError, SpecError, canonical_dust)
 import lipeq.certify
-from lipeq import cylsets, tstar
-from lipeq.certify import (compose_rules, apply_rules, choose_pq,
-                           check_pq_restrictions, rules_affine, rule_affine,
-                           leaf_counts, leaf_hulls, Edge, Piece)
+from lipeq import check, cylsets, tstar
+from lipeq.certify import (compose_rules, choose_pq, check_pq_restrictions,
+                           leaf_counts, leaf_hulls)
+from lipeq.check import (apply_rules, rules_affine, rule_affine, Certificate,
+                         Edge, Piece, Vertex)
 from lipeq.decide import (SearchBudget, Witness, closed_form_witnesses,
                           verify_witness)
 from lipeq.exactnum import SymValue
@@ -26,7 +26,8 @@ from lipeq.tstar import Context, Placement
 
 from conftest import (make_one45, make_endratio_spec, random_equal_spec,
                       random_unequal_spec, make_declared_spec,
-                      closed_form_certificate)
+                      closed_form_certificate, identity_certificate,
+                      verify_expansion)
 from test_golden import golden_specs
 from test_tstar import cover_fault
 
@@ -113,7 +114,7 @@ class TestSimilarityMemo:
                     later.append((ei, pi))
                 seen.add(key)
         assert later
-        for name in lipeq.certify.PIECE_STRINGS:
+        for name in check.PIECE_STRINGS:
             for ei, pi in later:
                 d = copy.deepcopy(doc)
                 d["edges"][ei]["pieces"][pi][name] = "7/11"
@@ -412,7 +413,7 @@ class TestExpansion:
         cert = build_certificate(one45)
         for depth in (1, 2, 3):
             pieces = expand_map(one45, cert, depth)
-            assert verify_expansion(one45, cert, pieces)
+            assert verify_expansion(one45, pieces)
 
     def test_leaf_count_growth(self, one45):
         cert = build_certificate(one45)
@@ -443,7 +444,7 @@ class TestLeafHulls:
                                               deepest):
         for depth in range(1, deepest + 1):
             pieces = expand_map(spec, cert, depth)
-            assert (leaf_hulls(spec, cert, pieces)
+            assert (leaf_hulls((spec, spec.dust()), cert, pieces)
                     == word_scan_hulls(spec, pieces)), depth
 
     @pytest.mark.parametrize("make,depth,seed,pairs", [
@@ -508,7 +509,9 @@ class TestOtherSpecs:
             build_certificate(spec)
 
     def test_identity_needs_dust(self, one45):
-        with pytest.raises(CertificateError):
+        # the level-1 cylinders of a touching spec share points, so the
+        # kernel's tiling check refuses its identity certificate
+        with pytest.raises(SpecError, match="touch at a point"):
             identity_certificate(one45)
 
 
@@ -588,6 +591,52 @@ class TestMeasureIdentityImplied:
             with pytest.raises(SpecError):
                 verify_certificate(one45, m)
         assert kinds == {"retarget", "longer", "drop", "duplicate"}
+
+
+# ---------------------------------------------------------------------------
+# the kernel over the pair (spec, spec.dust())
+
+def with_sides(cert, vertex, piece, digests):
+    """``cert`` with every vertex and piece replaced by ``vertex(v)`` and
+    ``piece(p)``, and the digests ``digests``; the template is kept."""
+    return Certificate(
+        {k: vertex(v) for k, v in cert.vertices.items()},
+        {k: Edge(k, [piece(p) for p in e.pieces])
+         for k, e in cert.edges.items()}, *digests,
+        p=cert.p, q=cert.q, p0=cert.p0, q0=cert.q0,
+        witnesses=cert.witnesses)
+
+
+def test_whole_vertex_checked_on_the_d_side(one45):
+    # every D word, and both halves of every D rule, prefixed with (1,):
+    # a certificate of T against psi_1(D), whose whole vertex is ((1,),)
+    # on the D side
+    cert = build_certificate(one45)
+    pre = (1,)
+    bad = with_sides(
+        cert, lambda v: Vertex(v.key, v.t_words,
+                               [pre + w for w in v.d_words]),
+        lambda p: Piece(p.target, p.t_rules,
+                        [(pre + s, pre + a) for s, a in p.d_rules]),
+        (cert.spec_digest, cert.dust_digest))
+    assert bad.vertices[("whole",)].d_words == ((1,),)
+    with pytest.raises(CertificateError, match="whole-set vertex on the D"):
+        verify_certificate(one45, bad)
+
+
+@pytest.mark.parametrize("make", [make_one45, make_endratio64,
+                                  make_declared_spec],
+                         ids=["one45", "endratio64", "declared"])
+def test_swapped_sides_check_on_the_swapped_pair(make):
+    spec = make()
+    cert = build_certificate(spec)
+    swapped = with_sides(
+        cert, lambda v: Vertex(v.key, v.d_words, v.t_words),
+        lambda p: Piece(p.target, p.d_rules, p.t_rules),
+        (cert.dust_digest, cert.spec_digest))
+    assert check.check_certificate((spec.dust(), spec), swapped)
+    with pytest.raises(CertificateError, match="different T-side"):
+        check.check_certificate((spec, spec.dust()), swapped)
 
 
 def test_disjointness_checked_on_both_sides_of_every_edge(one45,

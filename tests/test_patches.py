@@ -267,6 +267,14 @@ class TestGapPartition:
                          for ws, _, _ in got)
             assert joined != split
 
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(-1)],
+                             ids=["zero", "negative"])
+    def test_nonpositive_delta_is_refused(self, delta):
+        # every cylinder holds a gap >= delta, so the walk would descend
+        # without end
+        with pytest.raises(SpecError, match="delta > 0"):
+            gap_partition(make_one45(), ((),), delta)
+
 
 class TestLevelsOnTheGrid:
     @settings(max_examples=30, deadline=None)
