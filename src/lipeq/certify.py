@@ -88,8 +88,12 @@ def choose_pq(spec, witnesses):
     This is the one place where (p, q) is decided; ``build_certificate``
     builds at it once.  The hole engines accept it, as it passes their
     own condition (``tstar._hole_fits``), and so does the joint guard of
-    ``tstar.trace``, which they call: each joint inside a hole's trace
-    ranges has at most max(k' + |j|, 1) < min(p, q) trailing letters."""
+    ``tstar.trace``, which they call.  A joint of a trace's cover lies
+    between cylinders P g n^s_a and P (g+1) 1^s_b, prefixes of the
+    consecutive words P g n^s and P (g+1) 1^s of the range, so each
+    side's trailing count is at most the word's: s_a, s_b <= s.  Inside a
+    hole's trace ranges s <= max(k' + |j|, 1) < min(p, q), so s_a < q
+    and s_b < p."""
     pq0 = mult_dependence(spec.ratios[0], spec.ratios[-1])
     if pq0 is None:
         raise CertificateError("end ratios are multiplicatively independent")

@@ -125,31 +125,42 @@ def rdiff(ctx, base, u, v):
 # ---------------------------------------------------------------------------
 # interval traces
 
-_TRACE_CAP = 60000
+def _cover(n, u, v):
+    """The cylinders C_1 < ... < C_r that tile the words from u to v at
+    their common length L: the maximal ones below the common prefix P of
+    u and v (u itself when u = v), in lexicographic order.
 
-
-def _lex_range(n, u, v):
-    """Words from u to v inclusive at their common length, lexicographic."""
+    Each side of the range adds one cylinder and at most n - 1 per level
+    below the letter after P, and the letters strictly between u's and
+    v's letters after P add at most n - 2: so r <= n + 2(n - 1)(L - |P| -
+    1) <= 2(n - 1)L, where the range can hold n^(L - |P|) words.
+    Consecutive cylinders read P' g n^s_a and P' (g+1) 1^s_b, P' their
+    common prefix.
+    """
     if len(u) != len(v):
         raise DecompositionError("trace words must have equal length")
     if u > v:
         raise DecompositionError("trace range reversed: %r > %r" % (u, v))
-    out = [u]
-    w = list(u)
-    count = 0
-    while tuple(w) != v:
-        # increment with carry
-        i = len(w) - 1
-        while w[i] == n:
-            w[i] = 1
-            i -= 1
-            if i < 0:
-                raise DecompositionError("trace range escaped the tree")
-        w[i] += 1
-        out.append(tuple(w))
-        count += 1
-        if count > _TRACE_CAP:
-            raise DecompositionError("trace range too large")
+    m = 0
+    while m < len(u) and u[m] == v[m]:
+        m += 1
+    if m == len(u):
+        return [u]
+    # u[:i] and v[:j]: u without its trailing 1s, v without its trailing
+    # ns, each keeping its letter after P
+    i = len(u)
+    while i > m + 1 and u[i - 1] == 1:
+        i -= 1
+    j = len(v)
+    while j > m + 1 and v[j - 1] == n:
+        j -= 1
+    out = [u[:i]]
+    for k in range(i - 1, m, -1):
+        out.extend(u[:k] + (x,) for x in range(u[k] + 1, n + 1))
+    out.extend(u[:m] + (x,) for x in range(u[m] + 1, v[m]))
+    for k in range(m + 1, j):
+        out.extend(v[:k] + (x,) for x in range(1, v[k]))
+    out.append(v[:j])
     return out
 
 
@@ -159,7 +170,18 @@ def trace(ctx, u, v):
     u and v are words; the shorter one is padded (u along letter 1, v
     along letter n, neither changing its relevant endpoint).  The segment
     must itself be separated from the rest of T, which holds for every
-    call site; block separateness is still asserted piece by piece.
+    call site; only its two ends are checked here, and no block piece is
+    checked for separateness (the tests hold the engine to its target
+    with an exact oracle).
+
+    The segment is the union of T_C over the maximal cylinders C of
+    [u, v] (``_cover``), so the pieces grow with the cover and not with
+    the range.  Each C adds blocks 2..c1-1 of psi_C, the first C its
+    block 1 and the last its block c1.  At the joint of C = P g n^s_a
+    and C' = P (g+1) 1^s_b: block c1 of C and block 1 of C' if g does
+    not touch; else the family-2 piece at P if s_a = s_b = 0; else the
+    family-3 piece at P with R_s_a(T_Pg) minus R_q(T_Pg) and
+    L_s_b(T_P(g+1)) minus L_p(T_P(g+1)).
     """
     spec = ctx.spec
     n = spec.n
@@ -167,39 +189,36 @@ def trace(ctx, u, v):
         u = u + (1,) * (len(v) - len(u))
     elif len(v) < len(u):
         v = v + (n,) * (len(u) - len(v))
-    words = _lex_range(n, u, v)
-    out = [Placement(words[0], 1, 1)]
-    if cylsets.sigma_L_star(spec, words[0]):
+    cyls = _cover(n, u, v)
+    if cylsets.sigma_L_star(spec, u):
         raise DecompositionError("trace start %r shares its left endpoint "
-                                 "outside the segment" % (words[0],))
-    for w in words:
+                                 "outside the segment" % (u,))
+    out = [Placement(cyls[0], 1, 1)]
+    for w in cyls:
         out.extend(Placement(w, 1, j) for j in range(2, ctx.c1))
-    for a, b in zip(words, words[1:]):
+    for a, b in zip(cyls, cyls[1:]):
         m = 0
         while a[m] == b[m]:
             m += 1
-        g, h = a[m], b[m]
-        s = len(a) - m - 1
-        touching = (h == g + 1 and g in ctx.touch
-                    and all(x == n for x in a[m + 1:])
-                    and all(x == 1 for x in b[m + 1:]))
-        if touching and s == 0:
-            out.append(Placement(a[:m], 2, g))
-        elif touching:
-            if s >= ctx.q or s >= ctx.p:
-                raise DepthError(
-                    "joint pair with %d trailing letters needs p, q > %d"
-                    % (s, s))
-            out.extend(rdiff(ctx, a, 0, ctx.q - s))
-            out.extend(ldiff(ctx, b, 0, ctx.p - s))
-            out.append(Placement(a[:m], 3, g))
-        else:
+        g = a[m]
+        sa, sb = len(a) - m - 1, len(b) - m - 1
+        if g not in ctx.touch:
             out.append(Placement(a, 1, ctx.c1))
             out.append(Placement(b, 1, 1))
-    out.append(Placement(words[-1], 1, ctx.c1))
-    if cylsets.sigma_R_star(spec, words[-1]):
+        elif sa == sb == 0:
+            out.append(Placement(a[:m], 2, g))
+        else:
+            if sa >= ctx.q or sb >= ctx.p:
+                raise DepthError(
+                    "joint pair with %d and %d trailing letters needs "
+                    "q > %d and p > %d" % (sa, sb, sa, sb))
+            out.extend(rdiff(ctx, a, 0, ctx.q - sa))
+            out.extend(ldiff(ctx, b, 0, ctx.p - sb))
+            out.append(Placement(a[:m], 3, g))
+    out.append(Placement(cyls[-1], 1, ctx.c1))
+    if cylsets.sigma_R_star(spec, v):
         raise DecompositionError("trace end %r shares its right endpoint "
-                                 "outside the segment" % (words[-1],))
+                                 "outside the segment" % (v,))
     return out
 
 

@@ -129,12 +129,44 @@ def random_unequal_spec(rng, role="touching"):
             touch = [rng.random() < 0.5 for _ in range(n - 1)]
             if all(touch) or not any(touch):
                 continue
-        slack = 1 - sum(ratios)
-        if slack <= 0:
+        spec = _gapped_spec(rng, ratios, touch, role)
+        if spec is not None:
+            return spec
+
+
+def random_fuzz_spec(rng):
+    """Random touching spec with n in 3..5 whose end ratios are powers of
+    one integer in {2, 3, 5}, so that they are multiplicatively dependent.
+    The middle ratios are random a/b, each letter but the last touches the
+    next or leaves a random gap (at least one of each), and half of the
+    specs are mirrored."""
+    while True:
+        n = rng.randrange(3, 6)
+        base = rng.choice((2, 3, 5))
+        first, last = (Fraction(1, base ** rng.randrange(1, 4))
+                       for _ in range(2))
+        ratios = ([first]
+                  + [Fraction(rng.randrange(1, 4), rng.randrange(4, 28))
+                     for _ in range(n - 2)]
+                  + [last])
+        touch = [rng.random() < 0.5 for _ in range(n - 1)]
+        if all(touch) or not any(touch):
             continue
-        weights = [0 if t else rng.randrange(1, 5) for t in touch]
-        ts = [Fraction(0)]
-        for i in range(n - 1):
-            ts.append(ts[-1] + ratios[i]
-                      + slack * Fraction(weights[i], sum(weights)))
-        return IfsSpec(ratios, ts, role=role)
+        spec = _gapped_spec(rng, ratios, touch, "touching")
+        if spec is not None:
+            return spec.mirror() if rng.random() < 0.5 else spec
+
+
+def _gapped_spec(rng, ratios, touch, role):
+    """The spec with these ratios laid out from 0 to 1: letter i touches
+    letter i + 1 where touch[i] holds, and is followed by a random share
+    of the slack 1 - sum(ratios) elsewhere.  None when there is no
+    slack."""
+    slack = 1 - sum(ratios)
+    if slack <= 0:
+        return None
+    weights = [0 if t else rng.randrange(1, 5) for t in touch]
+    ts = [Fraction(0)]
+    for r, w in zip(ratios, weights):
+        ts.append(ts[-1] + r + slack * Fraction(w, sum(weights)))
+    return IfsSpec(ratios, ts, role=role)

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipeq import (IfsSpec, decide, build_certificate, verify_certificate,
                    cert_to_doc, cert_from_doc, verify_cert_doc,
@@ -25,9 +26,9 @@ from lipeq.specfile import format_value
 from lipeq.tstar import Context, Placement
 
 from conftest import (make_one45, make_endratio_spec, random_equal_spec,
-                      random_unequal_spec, make_declared_spec,
-                      closed_form_certificate, identity_certificate,
-                      verify_expansion)
+                      random_unequal_spec, random_fuzz_spec,
+                      make_declared_spec, closed_form_certificate,
+                      identity_certificate, verify_expansion)
 from test_golden import golden_specs
 from test_tstar import cover_fault
 
@@ -178,9 +179,9 @@ class TestOne45Certificate:
         w = cert.witnesses[2]
         assert (w.side, w.k, w.kp, w.word) == ("left", 1, 0, (2,))
         assert (cert.p, cert.q) == (2, 2)
-        assert sum(len(e.pieces) for e in cert.edges.values()) == 65
+        assert sum(len(e.pieces) for e in cert.edges.values()) == 63
         assert sum(len(e.pieces) for e in
-                   closed_form_certificate(one45).edges.values()) == 111
+                   closed_form_certificate(one45).edges.values()) == 83
         assert verify_certificate(one45, cert)
 
 
@@ -189,25 +190,91 @@ def _spec(ratios, translations):
                    [Fraction(t) for t in translations], role="touching")
 
 
-# Their closed-form witnesses are words of 4 to 9 letters, whose trace
-# ranges pass tstar's cap, so ``lipeq certify --budget 12,40`` exited 3
-# with "trace range too large" while they were the witnesses used.
+# Their closed-form witnesses are words of 4 to 9 letters.  Traced word
+# by word, their hole traces ranged over more than 60,000 words, so
+# ``lipeq certify --budget 12,40`` exited 3 with "trace range too large"
+# while they were the witnesses used; their covers hold a few dozen
+# cylinders.
 GEN5_18 = _spec(["1/8", "1/32", "1/15", "1/36", "1/32", "1/4"],
                 ["0", "1/8", "1349/4320", "2311/4320", "23/32", "3/4"])
 TRACE_CAP_EXAMPLE = _spec(["1/27", "1/3", "2/11", "1/9"],
                           ["0", "133/891", "430/891", "8/9"])
+CAP_SPECS = [GEN5_18, GEN5_18.mirror(), TRACE_CAP_EXAMPLE,
+             TRACE_CAP_EXAMPLE.mirror()]
+CAP_IDS = ["gen5-18", "gen5-18-mirror", "trace-cap", "trace-cap-mirror"]
 
 
-@pytest.mark.parametrize("spec", [GEN5_18, GEN5_18.mirror(),
-                                  TRACE_CAP_EXAMPLE,
-                                  TRACE_CAP_EXAMPLE.mirror()],
-                         ids=["gen5-18", "gen5-18-mirror", "trace-cap",
-                              "trace-cap-mirror"])
-def test_cheapest_witnesses_certify(spec):
+def _certifies(spec):
+    """``lipeq certify --budget 12,40`` then ``lipeq verify`` on the
+    certificate's JSON text; returns the certificate."""
     verdict = decide(spec, SearchBudget(12, 40))
     assert verdict.status == "equivalent"
     cert = build_certificate(spec, verdict)
     verify_cert_doc(spec, json.loads(json.dumps(cert_to_doc(spec, cert))))
+    return cert
+
+
+@pytest.mark.parametrize("spec", CAP_SPECS, ids=CAP_IDS)
+def test_cheapest_witnesses_certify(spec):
+    _certifies(spec)
+
+
+@pytest.mark.parametrize("spec", CAP_SPECS, ids=CAP_IDS)
+def test_closed_form_witnesses_certify(spec):
+    assert verify_certificate(spec, closed_form_certificate(spec))
+
+
+# Ten specs of a fuzz run like ``conftest.random_fuzz_spec`` whose
+# ``lipeq certify --budget 12,40`` exited 3 with "trace range too large"
+# while traces went word by word: each has a witness of 7 to 10 letters.
+LONG_WITNESS_SPECS = [
+    _spec(["1/9", "2/9", "1/16", "1/6", "1/27"],
+          ["0", "1/9", "317/432", "43/54", "26/27"]),
+    _spec(["1/125", "2/15", "1/4", "2/25", "1/125"],
+          ["0", "1/125", "53/375", "391/600", "124/125"]),
+    _spec(["1/5", "2/27", "1/4", "3/25", "1/5"],
+          ["0", "1/5", "1901/5400", "17/25", "4/5"]),
+    _spec(["1/125", "2/5", "1/22", "1/8", "1/25"],
+          ["0", "1/125", "51/125", "167/200", "24/25"]),
+    _spec(["1/9", "2/27", "1/25", "3/16", "1/9"],
+          ["0", "8743/32400", "8143/16200", "8791/16200", "8/9"]),
+    _spec(["1/125", "1/4", "2/5", "1/125"],
+          ["0", "171/500", "74/125", "124/125"]),
+    _spec(["1/8", "3/16", "1/9", "1/8"], ["0", "83/144", "55/72", "7/8"]),
+    _spec(["1/125", "3/16", "1/2", "2/25", "1/125"],
+          ["0", "1/125", "2039/6000", "114/125", "124/125"]),
+    _spec(["1/25", "2/5", "1/9", "1/8", "1/5"],
+          ["0", "1/25", "11/25", "27/40", "4/5"]),
+    _spec(["1/27", "1/6", "2/19", "2/27", "1/27"],
+          ["0", "211/342", "134/171", "8/9", "26/27"]),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", LONG_WITNESS_SPECS + [s.mirror() for s in LONG_WITNESS_SPECS],
+    ids=(["long-%d" % k for k in range(10)]
+         + ["long-%d-mirror" % k for k in range(10)]))
+def test_long_witness_specs_certify(spec):
+    _certifies(spec)
+
+
+def test_certificate_grows_with_the_cover():
+    # traced word by word, this certificate held 391,738 pieces
+    spec = _spec(["1/2", "3/16", "1/24", "1/14", "1/8"],
+                 ["0", "1/2", "11/16", "45/56", "7/8"])
+    cert = _certifies(spec)
+    assert (cert.p, cert.q) == (18, 6)
+    assert sum(len(e.pieces) for e in cert.edges.values()) <= 10000
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_fuzz_equivalent_verdicts_certify(seed):
+    # time-boxed by the example count: over the 2,400 specs of fuzz
+    # seeds 1-6, decide took at most 0.01 s and a build at most 0.4 s
+    spec = random_fuzz_spec(random.Random(seed))
+    if decide(spec, SearchBudget(12, 40)).status == "equivalent":
+        _certifies(spec)
 
 
 class TestChoosePq:
@@ -434,7 +501,7 @@ class TestExpansion:
     def test_leaf_counts_of_one45(self, one45):
         counts = leaf_counts(closed_form_certificate(one45))
         assert [next(counts) for _ in range(11)] == [
-            1, 2, 5, 20, 131, 940, 6837, 49830, 363273, 2648448, 19308655]
+            1, 2, 5, 20, 117, 734, 4657, 29608, 188297, 1197562, 7616509]
 
 
 class TestLeafHulls:

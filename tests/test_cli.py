@@ -62,7 +62,7 @@ ONE45_DEPTH5_REPORT = """{
   "exactness": "approx(float64)"
  },
  "format": "lipeq-report",
- "leaf_pieces": 940,
+ "leaf_pieces": 734,
  "version": 1,
  "vertices": 6
 }
@@ -359,14 +359,14 @@ class TestVerify:
         assert time.perf_counter() - t0 < 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1
-        assert out.err == ("error: --depth 9 needs at least 2648448 leaf "
-                           "pieces (2648448 at depth 9), over the limit of "
+        assert out.err == ("error: --depth 9 needs at least 1197562 leaf "
+                           "pieces (1197562 at depth 9), over the limit of "
                            "1000000\n")
         assert main(["verify", one45_file, "--cert", str(cert),
                      "--depth", "1000000000"]) == 3
         assert capsys.readouterr().err == (
-            "error: --depth 1000000000 needs at least 2648448 leaf pieces "
-            "(2648448 at depth 9), over the limit of 1000000\n")
+            "error: --depth 1000000000 needs at least 1197562 leaf pieces "
+            "(1197562 at depth 9), over the limit of 1000000\n")
         assert expanded == []
 
     def test_depth_under_leaf_budget_expands(self, one45_file, tmp_path,

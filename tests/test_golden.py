@@ -25,10 +25,21 @@ partition benchmark runs, recorded before ``gap_partition`` and
 ``golden_certify_left.json`` holds both the ``lipeq certify`` digest and
 the ``lipeq verify --depth 2`` digest (keyed ``label@2``) of three specs
 whose certificates use left witnesses (``left_specs``), recorded before
-the two sides of the construction became one code path.  A change that
-only makes certification, verification or partitioning faster, or that
-merges code paths, must leave every digest as it is.  Regenerate the
-files only for a deliberate change of a document format:
+the two sides of the construction became one code path.
+
+These four certificate files pin certificates whose traces list every
+word of a range, as ``tstar.trace`` did before it walked the range's
+maximal cylinders; their tests and regeneration modes build with
+``test_tstar.ref_trace`` in its place (fixture ``word_trace``).
+``golden_certify_cover.json`` holds the digest of every case of the four
+files (``certificate_cases``, keyed ``file/key``) as the cover trace
+builds it; 42 of its 62 digests differ from the word-by-word ones.
+
+A change that only makes certification, verification or partitioning
+faster, or that merges code paths, must leave every digest as it is.
+Regenerate the files only for a deliberate change of a document format;
+a deliberate change of the certificates built keeps the old digests
+checked, as above, and records the new ones in a new file:
 
     PYTHONPATH=src python3 tests/test_golden.py certify \
         > tests/golden_certify.json
@@ -42,6 +53,8 @@ files only for a deliberate change of a document format:
         > tests/golden_certify_left.json
     PYTHONPATH=src python3 tests/test_golden.py decided \
         > tests/golden_certify_decided.json
+    PYTHONPATH=src python3 tests/test_golden.py cover \
+        > tests/golden_certify_cover.json
 """
 
 import contextlib
@@ -55,6 +68,7 @@ from fractions import Fraction
 
 import pytest
 
+import lipeq.tstar
 from lipeq import IfsSpec, cert_to_doc
 from lipeq.cli import main
 from lipeq.specfile import dump_doc, save_doc, spec_to_doc
@@ -63,6 +77,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import (make_one45, make_endratio_spec,  # noqa
                       random_equal_spec, make_equal_spec, make_declared_spec,
                       closed_form_certificate)
+from test_tstar import ref_trace  # noqa
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_certify.json")
@@ -71,6 +86,7 @@ GOLDEN_PARTITION = os.path.join(HERE, "golden_partition.json")
 GOLDEN_PARTITION_K5 = os.path.join(HERE, "golden_partition_k5.json")
 GOLDEN_LEFT = os.path.join(HERE, "golden_certify_left.json")
 GOLDEN_DECIDED = os.path.join(HERE, "golden_certify_decided.json")
+GOLDEN_COVER = os.path.join(HERE, "golden_certify_cover.json")
 # (label, depth) of every recorded ``lipeq verify --depth`` report
 VERIFY_CASES = (("one45", 5), ("endratio64", 3), ("eq31-00", 2),
                 ("eq31-02", 2), ("eq31-03", 2), ("eq31-07", 2))
@@ -217,6 +233,32 @@ def partition_digest(spec, family, k, path):
                           "--family", family])
 
 
+def certificate_cases():
+    """(file, key, spec, depth) of every digest of the four certificate
+    files, ``certify``, ``verify``, ``left`` and ``decided``."""
+    return ([("certify", label, spec, None) for label, spec in golden_specs()]
+            + [("verify",) + case for case in verify_cases()]
+            + [("left",) + case for case in left_cases()]
+            + [("decided",) + case for case in decided_cases()])
+
+
+def certificate_digest(name, spec, depth, directory):
+    """The digest that the certificate file ``name`` records for one
+    case."""
+    if name == "certify":
+        return closed_form_certify_digest(spec)
+    if name == "verify":
+        return closed_form_verify_digest(spec, depth, directory)
+    return cli_digest(spec, depth, directory)
+
+
+@pytest.fixture
+def word_trace(monkeypatch):
+    """Build traces word by word, as ``tstar.trace`` did when the four
+    certificate files were recorded."""
+    monkeypatch.setattr(lipeq.tstar, "trace", ref_trace)
+
+
 def test_golden_file_covers_every_spec():
     with open(GOLDEN) as fh:
         golden = json.load(fh)
@@ -225,7 +267,7 @@ def test_golden_file_covers_every_spec():
 
 @pytest.mark.parametrize("label,spec", golden_specs(),
                          ids=[label for label, _ in golden_specs()])
-def test_certify_output_unchanged(label, spec, tmp_path):
+def test_certify_output_unchanged(label, spec, tmp_path, word_trace):
     with open(GOLDEN) as fh:
         want = json.load(fh)[label]
     assert closed_form_certify_digest(spec) == want
@@ -239,7 +281,7 @@ def test_golden_verify_file_covers_every_case():
 
 @pytest.mark.parametrize("key,spec,depth", verify_cases(),
                          ids=[key for key, _, _ in verify_cases()])
-def test_verify_output_unchanged(key, spec, depth, tmp_path):
+def test_verify_output_unchanged(key, spec, depth, tmp_path, word_trace):
     with open(GOLDEN_VERIFY) as fh:
         want = json.load(fh)[key]
     assert closed_form_verify_digest(spec, depth, str(tmp_path)) == want
@@ -253,7 +295,7 @@ def test_golden_left_file_covers_every_case():
 
 @pytest.mark.parametrize("key,spec,depth", left_cases(),
                          ids=[key for key, _, _ in left_cases()])
-def test_left_witness_output_unchanged(key, spec, depth, tmp_path):
+def test_left_witness_output_unchanged(key, spec, depth, tmp_path, word_trace):
     with open(GOLDEN_LEFT) as fh:
         want = json.load(fh)[key]
     assert cli_digest(spec, depth, str(tmp_path)) == want
@@ -267,10 +309,28 @@ def test_golden_decided_file_covers_every_case():
 
 @pytest.mark.parametrize("key,spec,depth", decided_cases(),
                          ids=[key for key, _, _ in decided_cases()])
-def test_decided_witness_output_unchanged(key, spec, depth, tmp_path):
+def test_decided_witness_output_unchanged(key, spec, depth, tmp_path,
+                                          word_trace):
     with open(GOLDEN_DECIDED) as fh:
         want = json.load(fh)[key]
     assert cli_digest(spec, depth, str(tmp_path)) == want
+
+
+def test_golden_cover_file_covers_every_case():
+    with open(GOLDEN_COVER) as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == sorted("%s/%s" % (name, key)
+                                    for name, key, _, _
+                                    in certificate_cases())
+
+
+@pytest.mark.parametrize("name,key,spec,depth", certificate_cases(),
+                         ids=["%s/%s" % (name, key) for name, key, _, _
+                              in certificate_cases()])
+def test_cover_trace_output_unchanged(name, key, spec, depth, tmp_path):
+    with open(GOLDEN_COVER) as fh:
+        want = json.load(fh)["%s/%s" % (name, key)]
+    assert certificate_digest(name, spec, depth, str(tmp_path)) == want
 
 
 def test_golden_partition_file_covers_every_case():
@@ -307,13 +367,10 @@ def test_partition_k5_output_unchanged(key, spec, family, k, tmp_path):
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as d:
-        if sys.argv[1:] == ["verify"]:
-            digests = {key: closed_form_verify_digest(spec, depth, d)
-                       for key, spec, depth in verify_cases()}
-        elif sys.argv[1:] in (["left"], ["decided"]):
-            cases = left_cases() if sys.argv[1] == "left" else decided_cases()
-            digests = {key: cli_digest(spec, depth, d)
-                       for key, spec, depth in cases}
+        if sys.argv[1:] == ["cover"]:
+            digests = {"%s/%s" % (name, key):
+                       certificate_digest(name, spec, depth, d)
+                       for name, key, spec, depth in certificate_cases()}
         elif sys.argv[1:] in (["partition"], ["partition5"]):
             cases = (partition_cases() if sys.argv[1] == "partition"
                      else partition_k5_cases())
@@ -321,6 +378,11 @@ if __name__ == "__main__":
                                              os.path.join(d, "spec.json"))
                        for key, spec, fam, k in cases}
         else:
-            digests = {label: closed_form_certify_digest(spec)
-                       for label, spec in golden_specs()}
+            want = (sys.argv[1] if sys.argv[1:] in (["verify"], ["left"],
+                                                     ["decided"])
+                    else "certify")
+            lipeq.tstar.trace = ref_trace
+            digests = {key: certificate_digest(name, spec, depth, d)
+                       for name, key, spec, depth in certificate_cases()
+                       if name == want}
     print(json.dumps(digests, indent=1, sort_keys=True))

@@ -18,7 +18,7 @@ from lipeq.patches import left_patch_words, right_patch_words
 from lipeq.decide import _admissible
 from lipeq.tstar import (Context, Placement, DepthError, ldiff, rdiff,
                          trace, hole_diff_left, hole_diff_right,
-                         block_decompose, _hole_fits)
+                         block_decompose, _cover, _hole_fits)
 
 from conftest import make_one45, random_equal_spec, random_unequal_spec
 from test_cylsets import is_separate, ref_subtract, union_equal
@@ -78,6 +78,43 @@ def trace_target(spec, u, v):
     return [u[:c] + w
             for w in itertools.product(range(1, n + 1), repeat=m - c)
             if u[c:] <= w <= v[c:]]
+
+
+def ref_trace(ctx, u, v):
+    """The trace word by word: every word of [u, v] at their common
+    length adds blocks 2..c1-1, and each pair of consecutive words a joint
+    with one trailing count s for both sides.  Certificates were built
+    this way before ``trace`` walked the range's maximal cylinders; the
+    golden files that pin those certificates build them with it."""
+    n = ctx.spec.n
+    if len(u) < len(v):
+        u = u + (1,) * (len(v) - len(u))
+    elif len(v) < len(u):
+        v = v + (n,) * (len(u) - len(v))
+    words = trace_target(ctx.spec, u, v)
+    out = [Placement(words[0], 1, 1)]
+    for w in words:
+        out.extend(Placement(w, 1, j) for j in range(2, ctx.c1))
+    for a, b in zip(words, words[1:]):
+        m = 0
+        while a[m] == b[m]:
+            m += 1
+        g = a[m]
+        s = len(a) - m - 1
+        if g not in ctx.touch:
+            out.append(Placement(a, 1, ctx.c1))
+            out.append(Placement(b, 1, 1))
+        elif s == 0:
+            out.append(Placement(a[:m], 2, g))
+        else:
+            if s >= ctx.q or s >= ctx.p:
+                raise DepthError("joint pair with %d trailing letters "
+                                 "needs p, q > %d" % (s, s))
+            out.extend(rdiff(ctx, a, 0, ctx.q - s))
+            out.extend(ldiff(ctx, b, 0, ctx.p - s))
+            out.append(Placement(a[:m], 3, g))
+    out.append(Placement(words[-1], 1, ctx.c1))
+    return out
 
 
 def hole_left_target(spec, q, i, kp, j):
@@ -187,13 +224,41 @@ class TestTrace:
         assert cover_fault(ctx, pls, trace_target(ctx.spec, (2, 1),
                                                   (2, 3, 1))) is None
 
-    def test_depth_error_on_close_touch(self):
+    def test_close_touch_range_tiles_by_its_cover(self):
         ctx = ctx45(2, 2)
-        # words meeting at a touching point deeper than min(p, q)
-        # the interior pair (2,3,3) | (3,1,1) joins two trailing levels
-        # below the touching point, more than p = q = 2 can absorb
+        # word by word, the pair (2,3,3) | (3,1,1) joins two trailing
+        # levels below the touching point, more than p = q = 2 absorb;
+        # the cover joins (2,) to (3,1), with trailing counts 0 and 1
+        u, v = (2, 1), (3, 2, 1)
+        assert _cover(3, (2, 1, 1), v) == [(2,), (3, 1), (3, 2, 1)]
         with pytest.raises(DepthError):
-            trace(ctx, (2, 1), (3, 2, 1))
+            ref_trace(ctx, u, v)
+        assert cover_fault(ctx, trace(ctx, u, v),
+                           trace_target(ctx.spec, u, v)) is None
+
+    def test_depth_error_on_close_touch(self):
+        # the cover (2,3,2) < (2,3,3) < (3,1) meets the touching point
+        # with s_a = 2 letters n on the left and s_b = 1 letter 1 on the
+        # right: the joint needs q > 2 and p > 1
+        u, v = (2, 3, 2), (3, 1)
+        assert _cover(3, u, (3, 1, 3)) == [(2, 3, 2), (2, 3, 3), (3, 1)]
+        for p, q in ((2, 2), (3, 2)):
+            with pytest.raises(DepthError):
+                trace(ctx45(p, q), u, v)
+        ctx = ctx45(2, 3)
+        assert cover_fault(ctx, trace(ctx, u, v),
+                           trace_target(ctx.spec, u, v)) is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32), st.booleans())
+    def test_cover_and_word_traces_tile_their_target(self, seed, equal):
+        rng = random.Random(seed)
+        spec = random_equal_spec(rng) if equal else random_unequal_spec(rng)
+        ctx = Context(spec, 3, 3)
+        for u, v in (_trace_args(rng, ctx), _mixed_trace_args(rng, ctx)):
+            target = trace_target(spec, u, v)
+            for engine in (trace, ref_trace):
+                assert cover_fault(ctx, engine(ctx, u, v), target) is None
 
 
 class TestHoleDiff:
@@ -317,6 +382,28 @@ def _trace_args(rng, ctx):
                 or cylsets.sigma_R_star(spec, y)):
             return x, y
     return (b,), (e,)
+
+
+def _mixed_trace_args(rng, ctx):
+    """A word range whose cover mixes cylinder lengths: from P b t to
+    P e, for a random prefix P, a block b..e of two or more letters and
+    a tail t that is not all 1s, so that the cover opens with a cylinder
+    longer than |P| + 1 and closes with P e.  Neither end shares an
+    endpoint with the rest of T."""
+    spec = ctx.spec
+    n = spec.n
+    b, e = rng.choice([(b, e) for b, e in ctx.blocks if b < e])
+    while True:
+        prefix = _word(rng, n, 0, 2)
+        u = prefix + (b,) + _word(rng, n, 1, 3)
+        v = prefix + (e,)
+        if (any(x != 1 for x in u[len(prefix) + 1:])
+                and not cylsets.sigma_L_star(spec, u)
+                and not cylsets.sigma_R_star(spec, v)):
+            break
+    lengths = {len(c) for c in _cover(n, u, v + (n,) * (len(u) - len(v)))}
+    assert len(lengths) > 1
+    return u, v
 
 
 def _hole_word(rng, spec, admissible):
