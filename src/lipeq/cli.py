@@ -10,6 +10,7 @@ codes of analyze: 0 equivalent, 1 not equivalent, 2 unknown, 3 error.
 import argparse
 from fractions import Fraction
 import json
+from math import gcd
 import os
 import sys
 
@@ -175,6 +176,28 @@ def _weights(raw):
     return mu
 
 
+def _grid_text(num, den):
+    """The text of num / den for two grid values of ``IfsSpec.grid``:
+    ``str(Fraction(num, den))``, with one ``gcd`` of the integers and
+    no ``Fraction``, on a rational system; ``specfile.format_value`` of
+    the exact value on a declared-base system, where den == 1."""
+    if den == 1:
+        return specfile.format_value(num)
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return "%d/%d" % (num // g, den // g)
+
+
+def _piece_doc(spec, piece):
+    """A piece of family S or T with its hull, the left end of its first
+    word to the right end of its last (``PartitionPiece``)."""
+    _, lo, dlo = spec.grid(piece.words[0])
+    s, o, dhi = spec.grid(piece.words[-1])
+    return {"words": [list(w) for w in piece.words],
+            "lo": _grid_text(lo, dlo), "hi": _grid_text(o + s, dhi)}
+
+
 def cmd_partition(args):
     spec = specfile.load_spec(args.specfile)
     k = args.k
@@ -202,10 +225,7 @@ def cmd_partition(args):
             pieces = patches.partition_S(spec, k)[-1]
         else:
             pieces = patches.partition_T(spec, k)
-        doc["pieces"] = [{"words": [list(w) for w in p.words],
-                          "lo": specfile.format_value(p.lo),
-                          "hi": specfile.format_value(p.hi)}
-                         for p in pieces]
+        doc["pieces"] = [_piece_doc(spec, p) for p in pieces]
         doc["norm"] = {"value": specfile.format_value(
             patches.partition_norm(spec, pieces)), "exactness": "exact"}
     _emit(doc, args.output)

@@ -203,12 +203,24 @@ class IfsSpec:
         return o + s
 
     def ratio_word(self, word):
-        """Contraction ratio of psi_word as an ExactRatio, cached along
-        prefixes: one product per prefix not seen before."""
+        """Contraction ratio of psi_word as an ExactRatio, cached by word.
+
+        On a rational system it is read off the grid, S_word / q**|word|
+        (the module docstring), one ``ExactRatio`` per new word.  A
+        declared-base system multiplies the letter ratios along the
+        prefixes, one product per prefix not seen before.  Both give the
+        product of the letter ratios, so a system and its dust, which
+        share this cache (``dust``), may fill it in either order."""
         cache = self._ratio_cache
         got = cache.get(word)
         if got is not None:
             return got
+        if self._on_grid:
+            s, _ = self._grid.get(word) or self._cell(word)
+            r = ExactRatio(Fraction(s, self._q ** len(word)))
+            if len(cache) < 400000:
+                cache[word] = r
+            return r
         k = len(word) - 1
         while word[:k] not in cache:
             k -= 1

@@ -6,8 +6,12 @@ right patch ``R_k(T_w)`` the mirror image along letter n.  ``c_set(j)`` is
 the two-sided neighbourhood of the distinguished touching point at depth j,
 the building block of the nested partitions computed here.
 
-All partitions are families of :class:`PartitionPiece`; construction is
-exact and every decomposition step re-verifies itself.
+All partitions are families of :class:`PartitionPiece`, which hold
+their canonical words only; a piece's hull is read off the cylinder grid
+of ``IfsSpec`` when asked, so a level that is refined again, or split at
+its gaps, never builds one.  Construction is exact and every
+decomposition step re-verifies itself.  ``partition_T`` splits all S_k
+pieces with one gap walk per (spec, delta), set up by ``_gap_splitter``.
 """
 
 from bisect import bisect_right
@@ -54,7 +58,11 @@ def c_set_words(spec, j):
     """Words of the touching-zone set at depth j around the point
     psi_{i0}(1) == psi_{i0+1}(0), i0 the smallest touching letter: right
     patch at depth j on the left side, left patch at depth tau(j) on the
-    right side."""
+    right side.  A system with no touching letter has no such point,
+    so the C, S and T families refuse it."""
+    if not spec.touching.letters:
+        raise SpecError("the touching-zone families C, S and T need a "
+                        "touching letter; this system has none")
     i0 = min(spec.touching.letters)
     return tuple(cylsets.canonicalize(
         spec.n,
@@ -63,21 +71,32 @@ def c_set_words(spec, j):
 
 
 class PartitionPiece:
-    """A finite cylinder union with its hull, member of a partition.
+    """A finite cylinder union, member of a partition: its canonical
+    words and nothing else.
 
     ``words`` must be a canonical word set.  Every piece built here is
     canonical when it is made (each builder says why), so none is
-    canonicalized again."""
+    canonicalized again.  The hull [lo, hi] is read from the grid of
+    ``IfsSpec`` when asked: canonical words are in spatial order, so it
+    runs from the left end of the first word to the right end of the
+    last.  A piece of an intermediate level, or an S_k piece that
+    ``partition_T`` splits, never builds it."""
 
-    __slots__ = ("words", "lo", "hi")
+    __slots__ = ("spec", "words")
 
     def __init__(self, spec, words):
+        self.spec = spec
         self.words = tuple(words)
         if not self.words:
             raise SpecError("empty piece")
-        # canonical words are in spatial order
-        self.lo = spec.cyl_lo(self.words[0])
-        self.hi = spec.cyl_hi(self.words[-1])
+
+    @property
+    def lo(self):
+        return self.spec.cyl_lo(self.words[0])
+
+    @property
+    def hi(self):
+        return self.spec.cyl_hi(self.words[-1])
 
     def __repr__(self):
         return "PartitionPiece(%d words, hull=[%s, %s])" % (
@@ -279,14 +298,25 @@ def gap_partition(spec, words, delta):
     are scaled to the longer word's length m and the difference is
     tested against the threshold of length m.
 
-    ``words`` must be canonical; it is not canonicalized here.  The one
-    caller, ``partition_T``, passes the words of an S_k piece, canonical
-    when the piece is made.  Each run of atoms between two qualifying
-    gaps is then canonical: no complete sibling family lies above an
-    input word, and an expanded cylinder has its qualifying gap between
-    children argmax G and argmax G + 1, so its children never all share
-    a run.
+    ``words`` must be canonical; it is not canonicalized here.
+    ``partition_T`` passes the words of each S_k piece, canonical when
+    the piece is made, to one walk set up by ``_gap_splitter``, and this
+    function runs that same walk on one set.  Each run of atoms between
+    two qualifying gaps is then canonical: no complete sibling family
+    lies above an input word, and an expanded cylinder has its
+    qualifying gap between children argmax G and argmax G + 1, so its
+    children never all share a run.
     """
+    return _gap_splitter(spec, delta)(words)
+
+
+def _gap_splitter(spec, delta):
+    """The walk of ``gap_partition`` for one (spec, delta): the letter
+    scales, the gaps, Gmax and the threshold of each word length are
+    computed once, and the returned ``split(words)`` walks one canonical
+    set with them.  A threshold depends only on (spec, delta) and the
+    length, so the table is shared by every set; each call keeps its
+    atoms and pieces to itself."""
     if delta <= 0:
         raise SpecError("gap_partition needs delta > 0, got %s" % delta)
     n = spec.n
@@ -314,45 +344,49 @@ def gap_partition(spec, words, delta):
             levels.append(threshold(len(levels)))
         return levels[m]
 
-    pieces = []
-    run = []
+    def split(words):
+        pieces = []
+        run = []
 
-    def walk(w, s, m):
-        nonlocal run
-        t = level(m + 1)
-        if s * gmax < t:
-            run.append(w)
-            return
-        for c in range(1, n):
-            walk(w + (c,), s * scale[c - 1], m + 1)
-            if s * gaps[c - 1] >= t:
-                pieces.append(PartitionPiece(spec, run))
-                run = []
-        walk(w + (n,), s * scale[n - 1], m + 1)
+        def walk(w, s, m):
+            nonlocal run
+            t = level(m + 1)
+            if s * gmax < t:
+                run.append(w)
+                return
+            for c in range(1, n):
+                walk(w + (c,), s * scale[c - 1], m + 1)
+                if s * gaps[c - 1] >= t:
+                    pieces.append(PartitionPiece(spec, run))
+                    run = []
+            walk(w + (n,), s * scale[n - 1], m + 1)
 
-    prev = None
-    for w in words:
-        s, o, d = spec.grid(w)
-        if prev is not None:
-            ps, po, pd, pm = prev
-            top = max(d, pd)
-            if (o * (top // d) - (po + ps) * (top // pd)
-                    >= level(max(len(w), pm))):
-                pieces.append(PartitionPiece(spec, run))
-                run = []
-        walk(w, s, len(w))
-        prev = (s, o, d, len(w))
-    pieces.append(PartitionPiece(spec, run))
-    return pieces
+        prev = None
+        for w in words:
+            s, o, d = spec.grid(w)
+            if prev is not None:
+                ps, po, pd, pm = prev
+                top = max(d, pd)
+                if (o * (top // d) - (po + ps) * (top // pd)
+                        >= level(max(len(w), pm))):
+                    pieces.append(PartitionPiece(spec, run))
+                    run = []
+            walk(w, s, len(w))
+            prev = (s, o, d, len(w))
+        pieces.append(PartitionPiece(spec, run))
+        return pieces
+
+    return split
 
 
 def partition_T(spec, k):
-    """Refinement of S_k splitting every piece at gaps >= delta_k."""
+    """Refinement of S_k splitting every piece at gaps >= delta_k, all
+    pieces by one walk (``_gap_splitter``)."""
     levels = partition_S(spec, k)
-    d = delta_k(spec, k)
+    split = _gap_splitter(spec, delta_k(spec, k))
     out = []
     for piece in levels[-1]:
-        out.extend(gap_partition(spec, piece.words, d))
+        out.extend(split(piece.words))
     out.sort(key=lambda p: p.words[0])
     return out
 

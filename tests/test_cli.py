@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import random
 import time
 
 import pytest
@@ -14,10 +15,12 @@ import lipeq.patches
 import lipeq.specfile
 from lipeq.certify import build_certificate, cert_to_doc, cert_from_doc
 from lipeq.cli import main
-from lipeq.specfile import spec_to_doc, save_doc
+from lipeq.specfile import spec_to_doc, save_doc, format_value
 
 from conftest import (make_one45, make_endratio_spec, make_equal_spec,
-                      four_map_doc, closed_form_certificate)
+                      four_map_doc, closed_form_certificate,
+                      make_declared_spec, random_equal_spec,
+                      random_unequal_spec)
 from fractions import Fraction
 
 
@@ -503,6 +506,23 @@ class TestVerifyMalformed:
             assert proof_part(bad) == proof_part(ONE45_CERT)
 
 
+def left_heavy_random(kind, seed):
+    """A seeded random spec of ``kind``, mirrored if need be so that
+    rho_1 >= rho_n, as the partition families need."""
+    rng = random.Random(seed)
+    spec = (random_equal_spec(rng) if kind == "equal"
+            else random_unequal_spec(rng))
+    return spec if spec.rho[0] >= spec.rho[-1] else spec.mirror()
+
+
+HULL_SPECS = [make_one45, make_declared_spec] + [
+    (lambda kind=kind, seed=seed: left_heavy_random(kind, seed))
+    for kind in ("equal", "unequal") for seed in range(3)]
+HULL_IDS = ["one45", "declared"] + ["%s%d" % (kind, seed)
+                                    for kind in ("equal", "unequal")
+                                    for seed in range(3)]
+
+
 class TestPartition:
     def test_s_family(self, one45_file, tmp_path):
         out = tmp_path / "p.json"
@@ -563,6 +583,38 @@ class TestPartition:
         monkeypatch.setattr(lipeq.cli, "MAX_EXPAND_LEAVES", 10)
         assert main(["partition", ninths_file, "--k", "2",
                      "--family", "E"] + mu) == 3
+
+    @pytest.mark.parametrize("family", ["C", "S", "T"])
+    def test_system_without_touching_letter_is_error(self, tmp_path,
+                                                     capsys, family):
+        path = tmp_path / "dust.json"
+        save_doc({"format": "lipeq-spec", "version": 1, "role": "dust",
+                  "ratios": ["1/5"] * 3,
+                  "translations": ["0", "2/5", "4/5"]}, str(path))
+        assert main(["partition", str(path), "--k", "2",
+                     "--family", family]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "error: the touching-zone families C, S and T need a touching "
+            "letter; this system has none\n")
+
+    @pytest.mark.parametrize("make", HULL_SPECS, ids=HULL_IDS)
+    @pytest.mark.parametrize("family", ["S", "T"])
+    def test_hull_text(self, tmp_path, capsys, make, family):
+        # the "lo" and "hi" strings are written from the grid integers;
+        # they are the text of the exact hull ends
+        spec = make()
+        path = tmp_path / "spec.json"
+        save_doc(spec_to_doc(spec), str(path))
+        for k in (1, 2, 3):
+            assert main(["partition", str(path), "--k", str(k),
+                         "--family", family]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            for piece in doc["pieces"]:
+                first, last = (tuple(w) for w in (piece["words"][0],
+                                                  piece["words"][-1]))
+                assert piece["lo"] == format_value(spec.cyl_lo(first))
+                assert piece["hi"] == format_value(spec.cyl_hi(last))
 
     def test_k_zero_is_error(self, one45_file):
         assert main(["partition", one45_file, "--k", "0",

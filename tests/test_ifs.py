@@ -126,6 +126,29 @@ class TestCylinders:
             assert spec.ratio_word(w) == r
 
     @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32), st.booleans())
+    def test_ratio_word_shared_with_dust(self, seed, declared):
+        # a system and its dust share one ratio_word cache: a rational
+        # system reads each ratio off its own grid, whose q the dust does
+        # not share, and a declared-base one multiplies letter ratios;
+        # either system may ask for a word first
+        rng = random.Random(seed)
+        spec = make_declared_spec() if declared else random_unequal_spec(rng)
+        pair = [spec, spec.dust()]
+        words = [tuple(rng.randrange(1, spec.n + 1)
+                       for _ in range(rng.randrange(0, 9)))
+                 for _ in range(10)]
+        for w in words + [w[:len(w) // 2] for w in words] + words:
+            r = ExactRatio(1)
+            for a in w:
+                r = r * spec.ratios[a - 1]
+            rng.shuffle(pair)
+            for system in pair:
+                got = system.ratio_word(w)
+                assert got == r and got.scalar == r.scalar, w
+                assert type(got.scalar) is Fraction
+
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32),
            st.sampled_from(["touching", "dust", "declared",
                             "declared-dust"]))

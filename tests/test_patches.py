@@ -218,6 +218,25 @@ class TestPartitionT:
                                [()])
 
 
+class TestPartitionTOneWalk:
+    @pytest.mark.parametrize("kind,seed",
+                             [(kind, seed) for kind in ("equal", "unequal")
+                              for seed in range(8)] + [("declared", 0)])
+    def test_pieces_equal_reference_per_S_piece(self, kind, seed):
+        # partition_T splits every S_k piece with one walk and one
+        # threshold table; piece for piece it is the reference split of
+        # each S_k piece on its own, so no piece sees another's state
+        spec = left_heavy(spec_of_kind(random.Random(seed), kind))
+        for k in (1, 2, 3):
+            d = delta_k(spec, k)
+            want = sorted((ref for piece in partition_S(spec, k)[-1]
+                           for ref in ref_gap_partition(spec, piece.words,
+                                                        d)),
+                          key=lambda r: r[0][0])
+            got = [(p.words, p.lo, p.hi) for p in partition_T(spec, k)]
+            assert got == want
+
+
 class TestGapPartition:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32),
@@ -320,24 +339,28 @@ class TestCanonicalInputs:
     @pytest.mark.parametrize("make", ACCEPTANCE5_SPECS,
                              ids=["one45", "ninths", "endratio"])
     def test_partition_passes_canonical_sets(self, make, monkeypatch):
-        # simple_decomposition and gap_partition do not canonicalize their
+        # simple_decomposition and the gap walk do not canonicalize their
         # input; every set the partition builders pass them must already
         # be canonical, and so must every c_family set
         spec = make()
         seen = []
-        decompose, split = simple_decomposition, gap_partition
+        decompose, splitter = simple_decomposition, patches._gap_splitter
 
         def simple(spec_, parent, marked):
             seen.append(parent)
             seen.extend(marked)
             return decompose(spec_, parent, marked)
 
-        def gaps(spec_, words, delta):
-            seen.append(words)
-            return split(spec_, words, delta)
+        def gaps(spec_, delta):
+            walk = splitter(spec_, delta)
+
+            def split(words):
+                seen.append(words)
+                return walk(words)
+            return split
 
         monkeypatch.setattr(patches, "simple_decomposition", simple)
-        monkeypatch.setattr(patches, "gap_partition", gaps)
+        monkeypatch.setattr(patches, "_gap_splitter", gaps)
         for k in range(1, 6):
             partition_T(spec, k)
             seen.extend(c_family(spec, k))
