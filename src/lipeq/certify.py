@@ -16,16 +16,14 @@ import math
 import random
 
 from .exactnum import mult_dependence
-from .ifs import SpecError
 from . import check, cylsets, specfile
 from .check import (Certificate, CertificateError, Edge, Piece, Vertex,
                     piece_images, read_field, read_records, read_word,
                     rules_affine)
 from .decide import decide, verify_witness, witness_letters, Witness
 from .patches import left_patch_words, right_patch_words
-from .tstar import (Context, Placement, DepthError, ldiff, rdiff,
-                    hole_diff_left, hole_diff_right, block_decompose,
-                    _hole_fits)
+from .tstar import (Context, Placement, ldiff, rdiff, hole_diff_left,
+                    hole_diff_right, block_decompose, _hole_fits)
 
 # the most multiples of the end-ratio dependence that ``choose_pq`` tries
 MAX_PQ_MULTIPLE = 16
@@ -53,29 +51,6 @@ def _along(letter, p, q):
     return right_patch_words, rdiff, q
 
 
-def check_pq_restrictions(spec, dust, witnesses, p, q):
-    """The displayed patch-disjointness conditions for a candidate (p, q),
-    after the depth conditions of the hole engines (``tstar._hole_fits``).
-
-    Exact word-level verification; raises on any violation."""
-    n = spec.n
-    for i, w in sorted(witnesses.items()):
-        kp, j = w.kp, w.word
-        near, _, end = witness_letters(w.side, i, n)
-        if not _hole_fits(n, p, q, end, kp, j):
-            raise DepthError("witness %r needs larger (p, q)" % (w,))
-        opp = n + 1 - end
-        hole_patch = _along(end, p, q)[0]
-        near_patch, _, depth = _along(opp, p, q)
-        hole_t = hole_patch(spec, (near,) + (opp,) * (2 * depth) + j, kp)
-        tail_t = near_patch(spec, (near,), 3 * depth)
-        cylsets.check_disjoint_groups(spec, [hole_t, tail_t])
-        cylsets.check_disjoint_groups(dust, [hole_t, tail_t])
-        hole_d = hole_patch(spec, (near,) + j, kp)
-        near_d = near_patch(spec, (near,), depth)
-        cylsets.check_disjoint_groups(dust, [hole_d, near_d])
-
-
 def _pq_floor(witnesses):
     """min(p, q) must exceed this: the deepest witness."""
     return max((w.depth for w in witnesses.values()), default=0)
@@ -83,30 +58,45 @@ def _pq_floor(witnesses):
 
 def choose_pq(spec, witnesses):
     """Smallest multiple (p, q) of the base dependence (p0, q0) past the
-    witnesses' depth that passes ``check_pq_restrictions``, exactly.
+    witnesses' depth at which every witness passes the hole engines' own
+    depth condition ``tstar._hole_fits``, exactly.
 
     This is the one place where (p, q) is decided; ``build_certificate``
-    builds at it once.  The hole engines accept it, as it passes their
-    own condition (``tstar._hole_fits``), and so does the joint guard of
-    ``tstar.trace``, which they call.  A joint of a trace's cover lies
-    between cylinders P g n^s_a and P (g+1) 1^s_b, prefixes of the
-    consecutive words P g n^s and P (g+1) 1^s of the range, so each
-    side's trailing count is at most the word's: s_a, s_b <= s.  Inside a
-    hole's trace ranges s <= max(k' + |j|, 1) < min(p, q), so s_a < q
-    and s_b < p."""
+    builds at it once.  The hole engines accept it, and so does the joint
+    guard of ``tstar.trace``, which they call.  A joint of a trace's cover
+    lies between cylinders P g n^s_a and P (g+1) 1^s_b, prefixes of the
+    consecutive words P g n^s and P (g+1) 1^s of the range, so each side's
+    trailing count is at most the word's: s_a, s_b <= s.  Inside a hole's
+    trace ranges s <= max(k' + |j|, 1) < min(p, q), so s_a < q and
+    s_b < p.
+
+    The condition also keeps each hole patch clear of the boundary patches
+    around it, which the paper asks of (p, q).  Take a left witness for
+    touching letter i (near i, end 1, opp n, depth q; a right witness is
+    the mirror image, opp 1 and depth p).  The pairs are L_k'(T_{i n^2q j})
+    against R_3q(T_i), on T and on D, and L_k'(T_{i j}) against R_q(T_i),
+    on D.  Past the common prefix (i n^2q, or i) a hole word is j 1^k' x
+    with x <= alpha, at most k' + |j| + 1 <= q letters, and a patch word
+    is n^q y with y >= n - beta + 1, q + 1 letters.  A touching system
+    leaves a gap, so alpha, beta <= n - 1: x != n, the hole word is not
+    all n, and neither word is a prefix of the other.  They first differ
+    where the hole word has c < n and the patch word n; a shared endpoint
+    (``ifs.words_touch``) would need the patch word to go on with 1s only,
+    and it goes on with n or ends in y >= 2.  So the cylinder sets are
+    disjoint on both systems, whatever the witness identity and the
+    ratios."""
     pq0 = mult_dependence(spec.ratios[0], spec.ratios[-1])
     if pq0 is None:
         raise CertificateError("end ratios are multiplicatively independent")
     p0, q0 = pq0
-    dust = spec.dust()
+    n = spec.n
     for m in range(_pq_floor(witnesses) // min(p0, q0) + 1,
                    MAX_PQ_MULTIPLE + 1):
         p, q = m * p0, m * q0
-        try:
-            check_pq_restrictions(spec, dust, witnesses, p, q)
+        if all(_hole_fits(n, p, q, witness_letters(w.side, i, n)[2],
+                          w.kp, w.word)
+               for i, w in witnesses.items()):
             return p, q, p0, q0
-        except SpecError:
-            continue
     raise CertificateError("no admissible (p, q) within %d multiples"
                            % MAX_PQ_MULTIPLE)
 

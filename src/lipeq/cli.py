@@ -9,6 +9,7 @@ codes of analyze: 0 equivalent, 1 not equivalent, 2 unknown, 3 error.
 
 import argparse
 from fractions import Fraction
+from itertools import accumulate, count
 import json
 from math import gcd
 import os
@@ -27,6 +28,9 @@ REPORT_VERSION = 1
 # the most leaf pieces ``lipeq verify --depth`` expands, and the most sets
 # of one level that ``lipeq partition --k`` builds
 MAX_EXPAND_LEAVES = 1_000_000
+# the widest drawing, in pixels, that ``lipeq render --width`` draws; bar
+# positions are floats, and the examples draw at most 1000
+MAX_RENDER_WIDTH = 10_000
 
 
 def _budget(args):
@@ -237,8 +241,14 @@ def cmd_render(args):
     if args.levels < 0:
         raise SpecError("--levels must be nonnegative, got %d"
                         % args.levels)
-    if args.width < 1:
-        raise SpecError("--width must be positive, got %d" % args.width)
+    if not 1 <= args.width <= MAX_RENDER_WIDTH:
+        raise SpecError("--width must be in 1..%d, got %d"
+                        % (MAX_RENDER_WIDTH, args.width))
+    # each row draws n^l bars at level l, and --with-dust draws two rows
+    rows = 2 if args.with_dust else 1
+    _check_limit("--levels", args.levels, 0,
+                 accumulate(rows * spec.n ** level for level in count()),
+                 "bars", "level")
     svg = render.render_svg(spec, levels=args.levels, width=args.width,
                             with_dust=args.with_dust)
     if args.output:

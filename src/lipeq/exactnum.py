@@ -129,6 +129,13 @@ def factorize(n):
 # ---------------------------------------------------------------------------
 # declared symbolic bases
 
+# the most decimal digits of a declared enclosure.  Validation raises
+# enclosures to the exponents of the ratios, so this bounds the size of
+# those powers together with ``specfile.MAX_EXPONENT`` and
+# ``specfile.MAX_BASES``.
+MAX_DIGITS = 50
+
+
 class DeclaredBase:
     """A named positive constant with a decimal enclosure.
 
@@ -143,9 +150,12 @@ class DeclaredBase:
     def __init__(self, name, value_str, digits=None):
         self.name = name
         self.value_str = value_str
-        v = Fraction(value_str)
         if digits is None:
             digits = len(value_str.split(".")[1]) if "." in value_str else 0
+        if digits > MAX_DIGITS:
+            raise ValueError("an enclosure of %d digits is over the limit "
+                             "of %d" % (digits, MAX_DIGITS))
+        v = Fraction(value_str)
         self.digits = digits
         eps = Fraction(1, 10 ** digits) if digits else Fraction(1)
         self.lo = v - eps

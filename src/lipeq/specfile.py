@@ -21,6 +21,12 @@ _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)"
                     r"|(\^)|(\*)|(\+)|(-))")
 
 
+# the largest |exponent| of a declared base in one product term, and the
+# most declared bases of a system; see ``exactnum.MAX_DIGITS``
+MAX_EXPONENT = 50
+MAX_BASES = 8
+
+
 class ParseError(SpecError):
     pass
 
@@ -98,6 +104,10 @@ def _parse_terms(s):
             break
         if not got:
             raise ParseError("empty term in %r" % s)
+        for name, e in mono.items():
+            if abs(e) > MAX_EXPONENT:
+                raise ParseError("exponent %d of %s in %r is over the limit "
+                                 "of %d" % (e, name, s, MAX_EXPONENT))
         terms.append((sign * coeff, mono))
         if i < n:
             if toks[i][0] == "+":
@@ -204,6 +214,9 @@ def spec_from_doc(doc):
         raise ParseError("unknown fields: %s" % ", ".join(sorted(extra)))
     if not isinstance(doc.get("bases", []), list):
         raise ParseError("'bases' must be a list")
+    if len(doc.get("bases", [])) > MAX_BASES:
+        raise ParseError("%d declared bases, over the limit of %d"
+                         % (len(doc["bases"]), MAX_BASES))
     bases = {}
     for b in doc.get("bases", []):
         if not isinstance(b, dict) or not isinstance(b.get("name"), str) \

@@ -2,6 +2,7 @@
 distortion estimation."""
 
 import copy
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -15,15 +16,16 @@ from lipeq import (IfsSpec, decide, build_certificate, verify_certificate,
                    CertificateError, SpecError, canonical_dust)
 import lipeq.certify
 from lipeq import check, cylsets, tstar
-from lipeq.certify import (compose_rules, choose_pq, check_pq_restrictions,
+from lipeq.certify import (MAX_PQ_MULTIPLE, compose_rules, choose_pq,
                            leaf_counts, leaf_hulls)
 from lipeq.check import (apply_rules, rules_affine, rule_affine, Certificate,
                          Edge, Piece, Vertex)
 from lipeq.decide import (SearchBudget, Witness, closed_form_witnesses,
-                          verify_witness)
-from lipeq.exactnum import SymValue
+                          verify_witness, witness_letters, _admissible)
+from lipeq.exactnum import SymValue, mult_dependence
+from lipeq.patches import left_patch_words, right_patch_words
 from lipeq.specfile import format_value
-from lipeq.tstar import Context, Placement
+from lipeq.tstar import Context, Placement, _hole_fits
 
 from conftest import (make_one45, make_endratio_spec, random_equal_spec,
                       random_unequal_spec, random_fuzz_spec,
@@ -334,9 +336,122 @@ class TestChoosePq:
         spec = make_one45().mirror()
         w = Witness("left", 1, q - 1, 0, (spec.n,) * (q - 1), "search")
         verify_witness(spec, w)
-        with pytest.raises(tstar.DepthError):
-            check_pq_restrictions(spec, spec.dust(), {1: w}, q, q)
-        check_pq_restrictions(spec, spec.dust(), {1: w}, q + 1, q + 1)
+        assert choose_pq(spec, {1: w})[:2] == (q + 1, q + 1)
+
+    def test_matches_the_selection_with_patch_checks(self):
+        rng = random.Random(1)
+        chosen = 0
+        for _ in range(60):
+            spec = random_fuzz_spec(rng)
+            v = decide(spec, SearchBudget(12, 40))
+            if v.status == "equivalent":
+                assert choose_pq(spec, v.witnesses) == \
+                    choose_pq_with_patch_checks(spec, v.witnesses)
+                chosen += 1
+        assert chosen >= 20
+
+
+def patch_disjointness(spec, side, i, kp, j, p, q):
+    """The paper's patch-disjointness conditions on the hole of a ``side``
+    witness for touching letter ``i`` with (k', j) at (p, q), checked word
+    by word: the hole patch against the boundary patches around it, on T
+    and on D.  Raises SpecError on an overlap or a shared endpoint."""
+    n = spec.n
+    near, _, end = witness_letters(side, i, n)
+    opp = n + 1 - end
+    hole_patch, near_patch, depth = (
+        (left_patch_words, right_patch_words, q) if end == 1
+        else (right_patch_words, left_patch_words, p))
+    dust = spec.dust()
+    hole_t = hole_patch(spec, (near,) + (opp,) * (2 * depth) + j, kp)
+    tail_t = near_patch(spec, (near,), 3 * depth)
+    cylsets.check_disjoint_groups(spec, [hole_t, tail_t])
+    cylsets.check_disjoint_groups(dust, [hole_t, tail_t])
+    hole_d = hole_patch(spec, (near,) + j, kp)
+    near_d = near_patch(spec, (near,), depth)
+    cylsets.check_disjoint_groups(dust, [hole_d, near_d])
+
+
+def choose_pq_with_patch_checks(spec, witnesses):
+    """The selection as it stood with the patch-disjointness conditions
+    checked after ``_hole_fits`` at every candidate (p, q)."""
+    p0, q0 = mult_dependence(spec.ratios[0], spec.ratios[-1])
+    need = max(w.depth for w in witnesses.values())
+    for m in range(need // min(p0, q0) + 1, MAX_PQ_MULTIPLE + 1):
+        p, q = m * p0, m * q0
+        try:
+            for i, w in sorted(witnesses.items()):
+                end = witness_letters(w.side, i, spec.n)[2]
+                if not _hole_fits(spec.n, p, q, end, w.kp, w.word):
+                    raise tstar.DepthError("needs larger (p, q)")
+                patch_disjointness(spec, w.side, i, w.kp, w.word, p, q)
+            return p, q, p0, q0
+        except SpecError:
+            continue
+    raise CertificateError("no admissible (p, q)")
+
+
+# choose_pq admits (p, q) by ``_hole_fits`` alone; its docstring argues
+# that the patch-disjointness conditions then hold on every witness,
+# whatever the witness identity and the ratios.  These tests check that
+# on words that need not be witnesses, at the first six multiples.
+class TestHoleFitsImpliesPatchDisjointness:
+    def _holes(self, spec, rng):
+        """(side, i, k', j, p, q) over both sides and every touching
+        letter at m = 1..6: random words j with an admissible last letter
+        and k' in 0..3 where ``_hole_fits`` holds, and the boundary words
+        opp^(depth - 2) and opp^(depth - 1) with k' = 0."""
+        n = spec.n
+        p0, q0 = mult_dependence(spec.ratios[0], spec.ratios[-1])
+        fits = refused = 0
+        for m, side, i in itertools.product(range(1, 7), ("left", "right"),
+                                            sorted(spec.touching.letters)):
+            p, q = m * p0, m * q0
+            end = witness_letters(side, i, n)[2]
+            opp = n + 1 - end
+            depth = q if opp == n else p
+            if depth >= 3:
+                short, long_ = (opp,) * (depth - 2), (opp,) * (depth - 1)
+                assert _hole_fits(n, p, q, end, 0, short) == \
+                    (depth - 2 < min(p, q))
+                assert not _hole_fits(n, p, q, end, 0, long_)
+                refused += 1
+                if depth - 2 < min(p, q):
+                    yield side, i, 0, short, p, q
+            last = [c for c in range(1, n + 1) if _admissible(spec, side, c)]
+            for _ in range(6):
+                kp = rng.randrange(4)
+                j = tuple(rng.randrange(1, n + 1)
+                          for _ in range(rng.randrange(min(p, q) + 1)))
+                j += (rng.choice(last),)
+                if _hole_fits(n, p, q, end, kp, j):
+                    fits += 1
+                    yield side, i, kp, j, p, q
+        assert fits > 0 and refused > 0
+
+    def _check(self, spec, rng):
+        checked = 0
+        for hole in self._holes(spec, rng):
+            patch_disjointness(spec, *hole)
+            checked += 1
+        return checked
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_one45(self, mirror):
+        spec = make_one45().mirror() if mirror else make_one45()
+        assert self._check(spec, random.Random(5)) > 0
+
+    def test_unequal_end_ratios(self):
+        spec = make_endratio_spec(Fraction(1, 4), Fraction(1, 8),
+                                  r2=Fraction(1, 3))
+        for s in (spec, spec.mirror()):
+            assert self._check(s, random.Random(7)) > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fuzz_specs(self, seed):
+        rng = random.Random(seed)
+        for _ in range(8):
+            assert self._check(random_fuzz_spec(rng), rng) > 0
 
 
 class TestSerialization:

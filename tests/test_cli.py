@@ -240,6 +240,23 @@ class TestAnalyze:
         path.write_text(json.dumps(doc))
         assert main(["analyze", str(path)]) == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("bases", [{"name": "g", "value": "0.6", "digits": 10 ** 9}]),
+        ("ratios", ["1/5*g^1000000000", "1/5", "1/5"]),
+    ])
+    def test_unbounded_spec_integer_refused_at_once(self, tmp_path, capsys,
+                                                    field, value):
+        # 10**digits and g^exponent would not finish
+        doc = dict(SPEC_WITH_BASE, **{field: value})
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert main(["analyze", str(path)]) == 3
+        assert time.perf_counter() - t0 < 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert "over the limit" in out.err
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(0, len(SPEC_PATHS) - 1),
@@ -666,6 +683,30 @@ class TestRender:
         assert main(["render", one45_file, "--width", width]) == 3
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("error:") == 1
+
+    def test_width_over_the_limit_is_error(self, one45_file, capsys):
+        # a float bar position overflowed at this width
+        width = "1" + "0" * 400
+        assert main(["render", one45_file, "--width", width]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "error: --width must be in 1..%d, got %s\n"
+            % (lipeq.cli.MAX_RENDER_WIDTH, width))
+        assert main(["render", one45_file, "--levels", "1", "--width",
+                     str(lipeq.cli.MAX_RENDER_WIDTH)]) == 0
+
+    @pytest.mark.parametrize("dust, bars, level", [
+        ([], 2391484, 13), (["--with-dust"], 1594322, 12)])
+    def test_levels_over_the_limit_is_error(self, one45_file, capsys,
+                                            dust, bars, level):
+        # a row draws 1 + 3 + ... + 3^L bars at levels 0..L on {1,4,5}
+        t0 = time.perf_counter()
+        assert main(["render", one45_file, "--levels", "40"] + dust) == 3
+        assert time.perf_counter() - t0 < 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "error: --levels 40 needs at least %d bars (%d at level %d), "
+            "over the limit of 1000000\n" % (bars, bars, level))
 
     def test_deterministic(self, one45_file, tmp_path):
         a = tmp_path / "a.svg"

@@ -1,6 +1,7 @@
 """Spec document parsing, formatting, digests."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from lipeq import IfsSpec, SpecError
 from lipeq import specfile
 from lipeq.certify import build_certificate, cert_to_doc
-from lipeq.exactnum import ExactRatio, DeclaredBase
+from lipeq.exactnum import ExactRatio, DeclaredBase, MAX_DIGITS
 from lipeq.specfile import (parse_ratio, parse_value, format_ratio,
                             format_value, spec_to_doc, spec_from_doc,
                             canonical_json, doc_digest, load_spec,
-                            save_doc, dump_doc, ParseError)
+                            save_doc, dump_doc, ParseError, MAX_BASES,
+                            MAX_EXPONENT)
 
 from conftest import make_one45, four_map_doc
 
@@ -149,6 +151,51 @@ JSON_TREES = st.recursive(
                    | st.dictionaries(st.text(max_size=4), inner,
                                      max_size=4)),
     max_leaves=30)
+
+
+def declared_doc(digits=MAX_DIGITS, exponent=MAX_EXPONENT, count=1,
+                 value=None):
+    """Ratios B, 1/5, B laid out from 0 to 1, where B is the product of
+    ``count`` declared bases of ``digits`` digits, each to ``exponent``."""
+    names = ["b%d" % k for k in range(count)]
+    mono = "*".join("%s^%d" % (b, exponent) for b in names)
+    value = value or "0.5" + "1" * (min(digits, MAX_DIGITS) - 1)
+    return {"format": "lipeq-spec", "version": 1, "role": "touching",
+            "ratios": [mono, "1/5", mono],
+            "translations": ["0", mono, "1-" + mono],
+            "bases": [{"name": b, "value": value, "digits": digits}
+                      for b in names]}
+
+
+class TestReadingLimits:
+    """Validation raises declared enclosures to the ratios' exponents, so
+    the digits, the exponents and the number of bases are bounded; over a
+    bound, a system is refused before any power is taken."""
+
+    def test_largest_admitted_system_loads(self):
+        t0 = time.perf_counter()
+        spec = spec_from_doc(declared_doc(count=MAX_BASES))
+        assert time.perf_counter() - t0 < 1
+        assert len(spec.bases) == MAX_BASES
+
+    @pytest.mark.parametrize("doc", [
+        declared_doc(digits=MAX_DIGITS + 1),
+        declared_doc(digits=10 ** 9),
+        declared_doc(digits=None, value="0." + "5" * (MAX_DIGITS + 1)),
+        declared_doc(exponent=MAX_EXPONENT + 1),
+        declared_doc(exponent=10 ** 9),
+        declared_doc(exponent=-10 ** 9),
+        declared_doc(count=MAX_BASES + 1, exponent=1),
+    ])
+    def test_over_a_limit_refused_at_once(self, doc):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="over the limit"):
+            spec_from_doc(doc)
+        assert time.perf_counter() - t0 < 1
+
+    def test_exponent_limit_is_on_the_product(self):
+        with pytest.raises(ParseError, match="exponent 100 of g"):
+            parse_value("g^50*g^50", {"g": DeclaredBase("g", "0.5")})
 
 
 class TestDumpDoc:

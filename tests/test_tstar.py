@@ -284,9 +284,9 @@ class TestHoleDiff:
     # k' = 0 with j = n...n (left) or 1...1 (right) of length q - 1 or
     # p - 1 passes the depth bound k' + |j| < min(p, q) but leaves the
     # last annuli empty.  The engine raises DepthError there, and
-    # certify.check_pq_restrictions refuses such a (p, q) by the same
-    # condition, so choose_pq moves on to a larger multiple, here
-    # (q + 1, q + 1), where the same word tiles its target.
+    # certify.choose_pq refuses such a (p, q) by the same condition, so
+    # it moves on to a larger multiple, here (q + 1, q + 1), where the
+    # same word tiles its target.
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_left_run_of_q_minus_1_letters_n_is_too_deep(self, q):
@@ -309,7 +309,7 @@ class TestHoleDiff:
                            hole_right_target(spec, p + 1, 2, 0, j)) is None
 
     # _hole_fits is the one depth condition of both engines, and
-    # certify.check_pq_restrictions applies it too.  Where it holds, the
+    # certify.choose_pq admits (p, q) by it alone.  Where it holds, the
     # engine tiles its target, so neither its own guard nor the joint
     # guard of ``trace`` fires on the build path; elsewhere the engine
     # raises DepthError.
