@@ -21,9 +21,9 @@ from .check import (Certificate, CertificateError, Edge, Piece, Vertex,
                     piece_images, read_field, read_records, read_word,
                     rules_affine)
 from .decide import decide, verify_witness, witness_letters, Witness
-from .patches import left_patch_words, right_patch_words
-from .tstar import (Context, Placement, ldiff, rdiff, hole_diff_left,
-                    hole_diff_right, block_decompose, _hole_fits)
+from .patches import patch_words
+from .tstar import (Context, Placement, ldiff, rdiff, hole_diff,
+                    block_decompose, _hole_fits)
 
 # the most multiples of the end-ratio dependence that ``choose_pq`` tries
 MAX_PQ_MULTIPLE = 16
@@ -41,15 +41,6 @@ def _std_piece(pl):
 
 # ---------------------------------------------------------------------------
 # (p, q) selection
-
-def _along(letter, p, q):
-    """(patch words, patch-difference engine, depth) of the patches that
-    descend along ``letter``, which is 1 or n: L_k, ``ldiff`` and p along
-    1, R_k, ``rdiff`` and q along n."""
-    if letter == 1:
-        return left_patch_words, ldiff, p
-    return right_patch_words, rdiff, q
-
 
 def _pq_floor(witnesses):
     """min(p, q) must exceed this: the deepest witness."""
@@ -119,11 +110,10 @@ def build_vertices(ctx, witnesses):
         out[("touch3", i)] = Vertex(("touch3", i), w3, w3)
         wit = witnesses[i]
         near, far, end = witness_letters(wit.side, i, n)
-        hole_patch = _along(end, ctx.p, ctx.q)[0]
-        near_patch, _, depth = _along(n + 1 - end, ctx.p, ctx.q)
-        near_words = near_patch(spec, (near,), depth)
-        t4 = near_words + hole_patch(spec, (far,), wit.k)
-        d4 = near_words + hole_patch(spec, (near,) + wit.word, wit.kp)
+        opp = n + 1 - end
+        near_words = patch_words(spec, (near,), ctx.along(opp)[1], opp)
+        t4 = near_words + patch_words(spec, (far,), wit.k, end)
+        d4 = near_words + patch_words(spec, (near,) + wit.word, wit.kp, end)
         out[("touch4", i)] = Vertex(("touch4", i),
                                     cylsets.canonicalize(n, t4),
                                     cylsets.canonicalize(n, d4))
@@ -167,15 +157,15 @@ def decompose_vertex(ctx, witnesses, vkey):
 
     near, far, end = witness_letters(wit.side, i, n)
     opp = n + 1 - end
-    _, diff, depth = _along(end, p, q)
-    near_depth = _along(opp, p, q)[2]
+    diff, depth = ctx.along(end)
+    near_depth = ctx.along(opp)[1]
     block = 1 if end == 1 else c1
     near_rule = ((near,), (near,) + (opp,) * (2 * near_depth))
     rec_t = (near_rule, ((far,), (far,) + (end,) * (2 * depth)))
     rec_d = (near_rule,)
     if i not in ctx.holes:
-        hole_diff = hole_diff_left if end == 1 else hole_diff_right
-        ctx.holes[i] = [_std_piece(pl) for pl in hole_diff(ctx, i, kp, j)]
+        ctx.holes[i] = [_std_piece(pl)
+                        for pl in hole_diff(ctx, end, i, kp, j)]
     pieces = list(ctx.holes[i])
     sub_t = near_rule[1] + j + (end,) * kp  # the replaced patch
     if kind == "touch3":

@@ -25,8 +25,9 @@ from .certify import (build_certificate, cert_to_doc, verify_cert_doc,
 
 REPORT_FORMAT = "lipeq-report"
 REPORT_VERSION = 1
-# the most leaf pieces ``lipeq verify --depth`` expands, and the most sets
-# of one level that ``lipeq partition --k`` builds
+# the most leaf pieces ``lipeq verify --depth`` expands, the most pairs
+# its ``--pairs`` samples, and the most sets of one level that ``lipeq
+# partition --k`` builds
 MAX_EXPAND_LEAVES = 1_000_000
 # the widest drawing, in pixels, that ``lipeq render --width`` draws; bar
 # positions are floats, and the examples draw at most 1000
@@ -134,8 +135,9 @@ def _check_limit(flag, value, first, counts, unit, stage):
 def cmd_verify(args):
     if args.depth < 0:
         raise SpecError("--depth must be nonnegative, got %d" % args.depth)
-    if args.pairs < 0:
-        raise SpecError("--pairs must be nonnegative, got %d" % args.pairs)
+    if not 0 <= args.pairs <= MAX_EXPAND_LEAVES:
+        raise SpecError("--pairs must be in 0..%d, got %d"
+                        % (MAX_EXPAND_LEAVES, args.pairs))
     spec = specfile.load_spec(args.specfile)
     with open(args.cert) as fh:
         try:

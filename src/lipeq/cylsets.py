@@ -157,25 +157,17 @@ def set_diam(spec, words):
     return spec.cyl_hi(ws[-1]) - spec.cyl_lo(ws[0])
 
 
-def sigma_L_star(spec, word):
-    """Does T_word share its left endpoint with a cylinder outside it?
+def shares_end(spec, word, end):
+    """Does T_word share its endpoint on the side of ``end`` (1 the left,
+    n the right) with a cylinder outside it?
 
-    True iff word = w + (j,) + 1...1 with j-1 a touching letter.
+    True iff word = w + (j,) + end...end with j touching on that side:
+    j - 1 a touching letter for end 1, j one for end n.
     """
     k = len(word)
-    while k and word[k - 1] == 1:
+    while k and word[k - 1] == end:
         k -= 1
     if k == 0:
         return False
-    return (word[k - 1] - 1) in spec.touching.letters
-
-
-def sigma_R_star(spec, word):
-    """Right-endpoint analogue: word = w + (j,) + n...n, j touching."""
-    k = len(word)
-    while k and word[k - 1] == spec.n:
-        k -= 1
-    if k == 0:
-        return False
-    return word[k - 1] in spec.touching.letters
-
+    j = word[k - 1]
+    return (j - 1 if end == 1 else j) in spec.touching.letters

@@ -2,9 +2,10 @@
 
 For a word ``w``, the left patch ``L_k(T_w)`` is the union of the first
 ``alpha`` subcylinders after descending k steps along letter 1, and the
-right patch ``R_k(T_w)`` the mirror image along letter n.  ``c_set(j)`` is
-the two-sided neighbourhood of the distinguished touching point at depth j,
-the building block of the nested partitions computed here.
+right patch ``R_k(T_w)`` the mirror image along letter n, both written by
+``patch_words``.  ``c_set_words(j)`` is the two-sided neighbourhood
+(``zone_words``) of the distinguished touching point at depth j, the
+building block of the nested partitions computed here.
 
 All partitions are families of :class:`PartitionPiece`, which hold
 their canonical words only; a piece's hull is read off the cylinder grid
@@ -24,16 +25,23 @@ from . import cylsets
 DEPTH_CAP = 8
 
 
-def left_patch_words(spec, word, k):
-    a = spec.touching.alpha
-    stem = word + (1,) * k
-    return tuple(stem + (j,) for j in range(1, a + 1))
+def patch_words(spec, word, k, end):
+    """The boundary patch of T_word at depth k along ``end``, 1 or n, in
+    spatial order: L_k(T_word), word 1^k followed by each letter
+    1..alpha, for 1; R_k(T_word), word n^k followed by each letter
+    n-beta+1..n, for n."""
+    n, st = spec.n, spec.touching
+    stem = word + (end,) * k
+    last = (range(1, st.alpha + 1) if end == 1
+            else range(n - st.beta + 1, n + 1))
+    return tuple(stem + (j,) for j in last)
 
 
-def right_patch_words(spec, word, k):
-    n, b = spec.n, spec.touching.beta
-    stem = word + (n,) * k
-    return tuple(stem + (j,) for j in range(n - b + 1, n + 1))
+def zone_words(spec, i, k, kp):
+    """R_k(T_i) union L_kp(T_{i+1}), the neighbourhood of the point
+    psi_i(1) == psi_{i+1}(0), in spatial order."""
+    return (patch_words(spec, (i,), k, spec.n)
+            + patch_words(spec, (i + 1,), kp, 1))
 
 
 def tau(spec, k):
@@ -64,10 +72,7 @@ def c_set_words(spec, j):
         raise SpecError("the touching-zone families C, S and T need a "
                         "touching letter; this system has none")
     i0 = min(spec.touching.letters)
-    return tuple(cylsets.canonicalize(
-        spec.n,
-        right_patch_words(spec, (i0,), j)
-        + left_patch_words(spec, (i0 + 1,), tau(spec, j))))
+    return cylsets.canonicalize(spec.n, zone_words(spec, i0, j, tau(spec, j)))
 
 
 class PartitionPiece:
@@ -111,7 +116,13 @@ def simple_decomposition(spec, parent_words, marked):
     parent with hull meeting the parent exactly in itself, the hulls must
     be pairwise disjoint, and each must be separated from the rest of the
     parent.  The remainder between consecutive marked hulls is grouped into
-    one piece per maximal run.  Preconditions are verified exactly.
+    one piece per maximal run.  Preconditions are verified exactly, and
+    no hull is built: two marked sets in the parent whose hulls share
+    interior points interleave in the spatial order of the atoms, which
+    the run check refuses; hulls that share only an endpoint make two
+    pieces touch, and a marked word below another makes two overlap,
+    which the final check refuses; and a marked set wholly below other
+    marked words is never reached, which the count refuses.
 
     The parent and the marked sets must be canonical, and are not
     canonicalized here.  The one caller, ``partition_S``, passes the
@@ -129,13 +140,8 @@ def simple_decomposition(spec, parent_words, marked):
     for m in marked:
         if not all(cylsets.covered(parent_words, w) for w in m):
             raise SpecError("marked set not inside parent")
-    hulls = [(spec.cyl_lo(m[0]), spec.cyl_hi(m[-1]), m) for m in marked]
-    hulls.sort(key=lambda x: (x[0], x[1]))
-    for (l1, h1, _), (l2, h2, _) in zip(hulls, hulls[1:]):
-        if h1 >= l2:
-            raise SpecError("marked hulls overlap")
-    # all marked words, sorted; disjoint hulls make them prefix-free
-    tagged = sorted((w, k) for k, (_, _, m) in enumerate(hulls) for w in m)
+    # all marked words, sorted
+    tagged = sorted((w, k) for k, m in enumerate(marked) for w in m)
     mark_words = tuple(w for w, _ in tagged)
     mark_of = tuple(k for _, k in tagged)
     # refine parent words so each atom is inside or outside every marked
@@ -161,11 +167,15 @@ def simple_decomposition(spec, parent_words, marked):
             if buf:
                 out_pieces.append(PartitionPiece(spec, buf))
                 buf = []
-            out_pieces.append(PartitionPiece(spec, hulls[o][2]))
+            out_pieces.append(PartitionPiece(spec, marked[o]))
             emitted_marks.add(o)
         prev = o
     if buf:
         out_pieces.append(PartitionPiece(spec, buf))
+    if len(emitted_marks) < len(marked):
+        lost = min(set(range(len(marked))) - emitted_marks)
+        raise SpecError("marked sets overlap: %r lies in another marked "
+                        "set" % (tuple(marked[lost]),))
     # verify: no shared points between pieces, and their union, which
     # the disjointness check returns, is the parent
     if cylsets.check_disjoint_groups(
@@ -178,9 +188,10 @@ def _refine_past(n, w, mark_words, mark_of, out):
     """Split w until it is inside or outside every marked set, appending
     (atom, index of its marked set or None) to ``out`` in order.
 
-    ``mark_words`` is sorted and prefix-free: the marked word above w is
-    the last one not after w, and a marked word below w, if any, is the
-    first one after w."""
+    ``mark_words`` is sorted: the marked word above w is the last one not
+    after w, and a marked word below w, if any, is the first one after w.
+    Where they are not prefix-free, a word below another marked word is
+    never reached."""
     i = bisect_right(mark_words, w)
     if i and w[:len(mark_words[i - 1])] == mark_words[i - 1]:
         out.append((w, mark_of[i - 1]))

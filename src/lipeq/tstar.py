@@ -18,7 +18,7 @@ hold each engine to its target word set with an exact oracle.
 from .ifs import SpecError
 from . import cylsets
 from .decide import _admissible
-from .patches import left_patch_words, right_patch_words
+from .patches import zone_words
 
 
 class DecompositionError(SpecError):
@@ -75,8 +75,15 @@ class Context:
         if idx not in self.touch:
             raise DecompositionError("family %d index must touch" % fam)
         k, kp = (0, 0) if fam == 2 else (self.q, self.p)
-        return (right_patch_words(self.spec, (idx,), k)
-                + left_patch_words(self.spec, (idx + 1,), kp))
+        return zone_words(self.spec, idx, k, kp)
+
+    def along(self, end):
+        """(patch-difference engine, depth) of the patches that descend
+        along ``end``, which is 1 or n: ``ldiff`` and p along 1,
+        ``rdiff`` and q along n."""
+        if end == 1:
+            return ldiff, self.p
+        return rdiff, self.q
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +197,7 @@ def trace(ctx, u, v):
     elif len(v) < len(u):
         v = v + (n,) * (len(u) - len(v))
     cyls = _cover(n, u, v)
-    if cylsets.sigma_L_star(spec, u):
+    if cylsets.shares_end(spec, u, 1):
         raise DecompositionError("trace start %r shares its left endpoint "
                                  "outside the segment" % (u,))
     out = [Placement(cyls[0], 1, 1)]
@@ -216,14 +223,14 @@ def trace(ctx, u, v):
             out.extend(ldiff(ctx, b, 0, ctx.p - sb))
             out.append(Placement(a[:m], 3, g))
     out.append(Placement(cyls[-1], 1, ctx.c1))
-    if cylsets.sigma_R_star(spec, v):
+    if cylsets.shares_end(spec, v, n):
         raise DecompositionError("trace end %r shares its right endpoint "
                                  "outside the segment" % (v,))
     return out
 
 
 # ---------------------------------------------------------------------------
-# the deep-patch difference with a hole (both mirror cases)
+# the deep-patch difference with a hole
 
 def _leading_run(word, letter):
     s = 0
@@ -233,60 +240,47 @@ def _leading_run(word, letter):
 
 
 def _hole_fits(n, p, q, end, kp, j):
-    """Whether the hole engine along ``end`` (``hole_diff_left`` for 1,
-    ``hole_diff_right`` for n) tiles its target at (p, q): k' + |j| <
-    min(p, q), and j does not open with depth - 1 copies of the letter
-    opposite ``end`` (depth q along n, p along 1), which with k' = 0
-    would leave the last annuli of the hole's side empty."""
+    """Whether ``hole_diff`` along ``end`` tiles its target at (p, q):
+    k' + |j| < min(p, q), and j does not open with depth - 1 copies of
+    the letter opposite ``end`` (depth q along n, p along 1), which with
+    k' = 0 would leave the last annuli of the hole's side empty."""
     opp = n + 1 - end
     depth = q if opp == n else p
     return (kp + len(j) < min(p, q)
             and j[:depth - 1] != (opp,) * (depth - 1))
 
 
-def hole_diff_left(ctx, i, kp, j):
-    """Placements tiling R_q(T_i) minus (R_3q(T_i) union
-    L_kp(T_{i [n]^2q j})), for a left-substitution word j."""
-    n, q = ctx.spec.n, ctx.q
-    if not _admissible(ctx.spec, "left", j[-1]):
+def hole_diff(ctx, end, i, kp, j):
+    """Placements tiling the near patch of touching letter i minus its
+    deep copy and the hole of j, a substitution word on the side of
+    ``end`` (``decide.witness_letters``): along 1, R_q(T_i) minus
+    (R_3q(T_i) union L_kp(T_{i [n]^2q j})); along n the mirror image,
+    L_p(T_{i+1}) minus (L_3p(T_{i+1}) union R_kp(T_{(i+1) [1]^2p j})).
+    Each trace range is written for end 1 and reversed for end n."""
+    n = ctx.spec.n
+    if not _admissible(ctx.spec, "left" if end == 1 else "right", j[-1]):
         raise DecompositionError("inadmissible final letter in %r" % (j,))
-    if not _hole_fits(n, ctx.p, q, 1, kp, j):
+    if not _hole_fits(n, ctx.p, ctx.q, end, kp, j):
         raise DepthError("hole word %r with k' = %d needs larger (p, q)"
                          % (j, kp))
-    u = j[:-1] + (j[-1] - 1,)
-    s = _leading_run(j, n)
-    jp = j[s:]
-    out = []
-    out.extend(rdiff(ctx, (i,), q, 2 * q - 1))
-    w1 = (i,) + (n,) * (2 * q - 1)
-    out.extend(trace(ctx, w1 + (n - ctx.beta + 1,), w1 + (n,) + u))
-    out.extend(rdiff(ctx, (i,), 2 * q + s + 1, 3 * q))
-    w2 = (i,) + (n,) * (2 * q + s)
-    out.extend(trace(ctx, w2 + jp + (1,) * kp + (ctx.alpha + 1,),
-                     w2 + (n, n - ctx.beta)))
-    return out
-
-
-def hole_diff_right(ctx, i, kp, j):
-    """Placements tiling L_p(T_{i+1}) minus (L_3p(T_{i+1}) union
-    R_kp(T_{(i+1) [1]^2p j})), for a right-substitution word j."""
-    n, p = ctx.spec.n, ctx.p
-    if not _admissible(ctx.spec, "right", j[-1]):
-        raise DecompositionError("inadmissible final letter in %r" % (j,))
-    if not _hole_fits(n, p, ctx.q, n, kp, j):
-        raise DepthError("hole word %r with k' = %d needs larger (p, q)"
-                         % (j, kp))
-    u = j[:-1] + (j[-1] + 1,)
-    s = _leading_run(j, 1)
-    jp = j[s:]
-    out = []
-    out.extend(ldiff(ctx, (i + 1,), p, 2 * p - 1))
-    w1 = (i + 1,) + (1,) * (2 * p - 1)
-    out.extend(trace(ctx, w1 + (1,) + u, w1 + (ctx.alpha,)))
-    out.extend(ldiff(ctx, (i + 1,), 2 * p + s + 1, 3 * p))
-    w2 = (i + 1,) + (1,) * (2 * p + s)
-    out.extend(trace(ctx, w2 + (1, ctx.alpha + 1),
-                     w2 + jp + (n,) * kp + (n - ctx.beta,)))
+    opp = n + 1 - end
+    near = (i,) if end == 1 else (i + 1,)
+    diff, depth = ctx.along(opp)
+    order = 1 if end == 1 else -1
+    u = j[:-1] + (j[-1] - order,)   # the last letter steps toward end
+    s = _leading_run(j, opp)
+    # per boundary letter: its patch letter farthest from it, and the
+    # letter just past its patch
+    rim = {1: (ctx.alpha, ctx.alpha + 1),
+           n: (n - ctx.beta + 1, n - ctx.beta)}
+    inner, past = rim[opp]
+    out = diff(ctx, near, depth, 2 * depth - 1)
+    w1 = near + (opp,) * (2 * depth - 1)
+    out.extend(trace(ctx, *(w1 + (inner,), w1 + (opp,) + u)[::order]))
+    out.extend(diff(ctx, near, 2 * depth + s + 1, 3 * depth))
+    w2 = near + (opp,) * (2 * depth + s)
+    hole = w2 + j[s:] + (end,) * kp + (rim[end][1],)
+    out.extend(trace(ctx, *(hole, w2 + (opp, past))[::order]))
     return out
 
 

@@ -23,7 +23,7 @@ from lipeq.check import (apply_rules, rules_affine, rule_affine, Certificate,
 from lipeq.decide import (SearchBudget, Witness, closed_form_witnesses,
                           verify_witness, witness_letters, _admissible)
 from lipeq.exactnum import SymValue, mult_dependence
-from lipeq.patches import left_patch_words, right_patch_words
+from lipeq.patches import patch_words
 from lipeq.specfile import format_value
 from lipeq.tstar import Context, Placement, _hole_fits
 
@@ -332,7 +332,7 @@ class TestChoosePq:
     def test_restrictions_refuse_what_the_hole_engine_refuses(self, q):
         # mirrored {1,4,5}: a left witness for letter 1 whose word is
         # q - 1 letters n with k' = 0 passes the depth bound at (q, q),
-        # where hole_diff_left refuses it, and tiles at (q + 1, q + 1)
+        # where hole_diff along 1 refuses it, and tiles at (q + 1, q + 1)
         spec = make_one45().mirror()
         w = Witness("left", 1, q - 1, 0, (spec.n,) * (q - 1), "search")
         verify_witness(spec, w)
@@ -359,16 +359,14 @@ def patch_disjointness(spec, side, i, kp, j, p, q):
     n = spec.n
     near, _, end = witness_letters(side, i, n)
     opp = n + 1 - end
-    hole_patch, near_patch, depth = (
-        (left_patch_words, right_patch_words, q) if end == 1
-        else (right_patch_words, left_patch_words, p))
+    depth = q if end == 1 else p
     dust = spec.dust()
-    hole_t = hole_patch(spec, (near,) + (opp,) * (2 * depth) + j, kp)
-    tail_t = near_patch(spec, (near,), 3 * depth)
+    hole_t = patch_words(spec, (near,) + (opp,) * (2 * depth) + j, kp, end)
+    tail_t = patch_words(spec, (near,), 3 * depth, opp)
     cylsets.check_disjoint_groups(spec, [hole_t, tail_t])
     cylsets.check_disjoint_groups(dust, [hole_t, tail_t])
-    hole_d = hole_patch(spec, (near,) + j, kp)
-    near_d = near_patch(spec, (near,), depth)
+    hole_d = patch_words(spec, (near,) + j, kp, end)
+    near_d = patch_words(spec, (near,), depth, opp)
     cylsets.check_disjoint_groups(dust, [hole_d, near_d])
 
 
@@ -856,8 +854,7 @@ ENGINE_FAULTS = {
 }
 
 
-ENGINES = ("ldiff", "rdiff", "hole_diff_left", "hole_diff_right",
-           "block_decompose")
+ENGINES = ("ldiff", "rdiff", "hole_diff", "block_decompose")
 SET_CHECKS = ("canonicalize", "word_subset", "check_disjoint_groups")
 
 
@@ -883,9 +880,13 @@ class TestBuildPath:
                 return real(*args)
             return wrapped
 
+        # certify imports the engines by name; ``Context.along`` and
+        # ``hole_diff`` call ldiff and rdiff in tstar
         for name in ENGINES:
             monkeypatch.setattr(lipeq.certify, name,
                                 engine(getattr(lipeq.certify, name)))
+        for name in ("ldiff", "rdiff"):
+            monkeypatch.setattr(tstar, name, engine(getattr(tstar, name)))
         for name in SET_CHECKS:
             monkeypatch.setattr(cylsets, name,
                                 check(name, getattr(cylsets, name)))

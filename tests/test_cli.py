@@ -358,6 +358,33 @@ class TestVerify:
         assert out.out == ""
         assert out.err.startswith("error: --") and out.err.count("\n") == 1
 
+    def test_pairs_over_limit_refused_at_once(self, one45_file, tmp_path,
+                                              capsys, monkeypatch):
+        # --pairs sets the length of the sampled pair list; it is refused
+        # before the spec is loaded, at any depth
+        cert = tmp_path / "c.json"
+        main(["certify", one45_file, "-o", str(cert)])
+        loaded = []
+        monkeypatch.setattr(lipeq.cli.specfile, "load_spec",
+                            lambda *args: loaded.append(args))
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert main(["verify", one45_file, "--cert", str(cert),
+                     "--depth", "0", "--pairs", str(10 ** 12)]) == 3
+        assert time.perf_counter() - t0 < 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: --pairs must be in 0..1000000, got "
+                           "1000000000000\n")
+        assert loaded == []
+
+    def test_pairs_at_limit_accepted(self, one45_file, tmp_path, capsys):
+        cert = tmp_path / "c.json"
+        main(["certify", one45_file, "-o", str(cert)])
+        capsys.readouterr()
+        assert main(["verify", one45_file, "--cert", str(cert),
+                     "--depth", "0", "--pairs", "1000000"]) == 0
+
     def test_zero_pairs_accepted(self, one45_file, tmp_path, capsys):
         cert = tmp_path / "c.json"
         main(["certify", one45_file, "-o", str(cert)])
@@ -393,12 +420,13 @@ class TestVerify:
                                              monkeypatch):
         cert = tmp_path / "c.json"
         main(["certify", one45_file, "-o", str(cert)])
-        # depth 2 has 5 leaves: a limit of 5 still expands it
+        # depth 2 has 5 leaves: a limit of 5 still expands it (the limit
+        # bounds --pairs too, so the calls sample 5 pairs)
         monkeypatch.setattr(lipeq.cli, "MAX_EXPAND_LEAVES", 5)
         assert main(["verify", one45_file, "--cert", str(cert),
-                     "--depth", "2"]) == 0
+                     "--depth", "2", "--pairs", "5"]) == 0
         assert main(["verify", one45_file, "--cert", str(cert),
-                     "--depth", "3"]) == 3
+                     "--depth", "3", "--pairs", "5"]) == 3
 
     def test_tampered_certificate(self, one45_file, tmp_path):
         cert = tmp_path / "c.json"

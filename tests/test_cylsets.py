@@ -7,6 +7,7 @@ with.  ``ref_subtract``, ``ref_complement_words`` and ``is_separate``
 also build the exact oracle that ``test_tstar`` holds the tiling engines
 to, so they are tested here in their own right."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from lipeq.exactnum import ExactRatio
 from lipeq.ifs import canonical_dust, words_touch
 from lipeq.cylsets import (canonicalize, word_subset,
                            check_disjoint_groups, set_distance,
-                           set_diam, sigma_L_star, sigma_R_star)
+                           set_diam, shares_end)
 
 from conftest import make_one45, random_equal_spec
 
@@ -556,8 +557,8 @@ class TestSeparateness:
         # a copy of a level-1 block at a prefix is separate from the rest
         # of T unless it is the first block and the prefix shares its left
         # endpoint outside, or the last block and the prefix shares its
-        # right endpoint outside: the closed forms sigma_L_star and
-        # sigma_R_star, which ``tstar.trace`` relies on, against the
+        # right endpoint outside: the closed form ``shares_end`` along 1
+        # and along n, which ``tstar.trace`` relies on, against the
         # complement scan
         spec = make_one45()
         blocks = spec.blocks()
@@ -565,7 +566,27 @@ class TestSeparateness:
         for prefix in prefixes:
             for bi, (first, last) in enumerate(blocks, 1):
                 words = [prefix + (a,) for a in range(first, last + 1)]
-                touches = ((bi == 1 and sigma_L_star(spec, prefix))
+                touches = ((bi == 1 and shares_end(spec, prefix, 1))
                            or (bi == len(blocks)
-                               and sigma_R_star(spec, prefix)))
+                               and shares_end(spec, prefix, spec.n)))
                 assert is_separate(spec, words)[0] == (not touches)
+
+    @pytest.mark.parametrize("end", ["1", "n"])
+    def test_shares_end_matches_the_neighbouring_cylinders(self, end):
+        # T_w shares its endpoint on the side of ``end`` with a cylinder
+        # outside it iff a cylinder of the same length ends (end 1) or
+        # begins (end n) exactly there
+        rng = random.Random(17)
+        for spec in [make_one45()] + [random_equal_spec(rng)
+                                      for _ in range(6)]:
+            n = spec.n
+            e = 1 if end == "1" else n
+            for length in range(4):
+                words = list(itertools.product(range(1, n + 1),
+                                               repeat=length))
+                los = {spec.cyl_lo(w) for w in words}
+                his = {spec.cyl_hi(w) for w in words}
+                for w in words:
+                    shared = (spec.cyl_lo(w) in his if e == 1
+                              else spec.cyl_hi(w) in los)
+                    assert shares_end(spec, w, e) == shared

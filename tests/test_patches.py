@@ -391,8 +391,31 @@ class TestSimpleDecomposition:
 
     def test_marked_hulls_must_be_disjoint(self):
         spec = make_one45()
-        with pytest.raises(SpecError, match="overlap"):
+        # interleaved marked sets break a run
+        with pytest.raises(SpecError, match="outside the set"):
             simple_decomposition(spec, [()], [[(1,), (3,)], [(2,)]])
+
+    @pytest.mark.parametrize("marked", [[[(2,)], [(2, 1)]],
+                                        [[(2, 1)], [(2,)]],
+                                        [[(2,)], [(2,)]]],
+                             ids=["nested", "nested-reversed", "repeated"])
+    def test_nested_marked_sets_refused(self, marked):
+        # a marked set below another marked word is never reached
+        spec = make_one45()
+        with pytest.raises(SpecError, match="marked sets overlap"):
+            simple_decomposition(spec, [()], marked)
+
+    @pytest.mark.parametrize("marked, match", [
+        # T_2 and T_3 meet at psi_2(1) = psi_3(0)
+        ([[(2,)], [(3,)]], "pieces touch"),
+        # (1, 2) lies below the other marked word (1,)
+        ([[(1,)], [(1, 2), (2,)]], "piece overlap")],
+        ids=["shared-endpoint", "partly-nested"])
+    def test_marked_sets_that_meet_refused_by_the_final_check(self, marked,
+                                                              match):
+        spec = make_one45()
+        with pytest.raises(SpecError, match=match):
+            simple_decomposition(spec, [()], marked)
 
     def test_hulls_of_pieces(self):
         spec = make_one45()

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipeq import SpecError, cylsets
-from lipeq.patches import left_patch_words, right_patch_words
+from lipeq.patches import patch_words, zone_words
 from lipeq.decide import _admissible
 from lipeq.tstar import (Context, Placement, DepthError, ldiff, rdiff,
-                         trace, hole_diff_left, hole_diff_right,
-                         block_decompose, _cover, _hole_fits)
+                         trace, hole_diff, block_decompose, _cover,
+                         _hole_fits)
 
-from conftest import make_one45, random_equal_spec, random_unequal_spec
+from conftest import (make_one45, random_equal_spec, random_fuzz_spec,
+                      random_unequal_spec)
 from test_cylsets import is_separate, ref_subtract, union_equal
 
 
@@ -56,13 +57,13 @@ def cover_fault(ctx, placements, target):
 # the target word set of each engine call
 
 def ldiff_target(spec, base, u, v):
-    return ref_subtract(spec.n, left_patch_words(spec, base, u),
-                        left_patch_words(spec, base, v))
+    return ref_subtract(spec.n, patch_words(spec, base, u, 1),
+                        patch_words(spec, base, v, 1))
 
 
 def rdiff_target(spec, base, u, v):
-    return ref_subtract(spec.n, right_patch_words(spec, base, u),
-                        right_patch_words(spec, base, v))
+    return ref_subtract(spec.n, patch_words(spec, base, u, spec.n),
+                        patch_words(spec, base, v, spec.n))
 
 
 def trace_target(spec, u, v):
@@ -117,17 +118,33 @@ def ref_trace(ctx, u, v):
     return out
 
 
-def hole_left_target(spec, q, i, kp, j):
+def hole_target(spec, p, q, end, i, kp, j):
+    """The target of ``hole_diff`` along ``end``: R_q(T_i) minus
+    (R_3q(T_i) union L_kp(T_{i n^2q j})) along 1, and its mirror image
+    L_p(T_{i+1}) minus (L_3p(T_{i+1}) union R_kp(T_{(i+1) 1^2p j})) along
+    n."""
     n = spec.n
-    hole = left_patch_words(spec, (i,) + (n,) * (2 * q) + j, kp)
-    return ref_subtract(n, right_patch_words(spec, (i,), q),
-                        right_patch_words(spec, (i,), 3 * q) + hole)
+    if end == 1:
+        near, opp, depth = (i,), n, q
+    else:
+        near, opp, depth = (i + 1,), 1, p
+    hole = patch_words(spec, near + (opp,) * (2 * depth) + j, kp, end)
+    return ref_subtract(n, patch_words(spec, near, depth, opp),
+                        patch_words(spec, near, 3 * depth, opp) + hole)
 
 
-def hole_right_target(spec, p, i, kp, j):
-    hole = right_patch_words(spec, (i + 1,) + (1,) * (2 * p) + j, kp)
-    return ref_subtract(spec.n, left_patch_words(spec, (i + 1,), p),
-                        left_patch_words(spec, (i + 1,), 3 * p) + hole)
+# the two ends of a spec, by name, for tests parametrized over both
+ENDS = ("1", "n")
+
+
+def end_letter(spec, end):
+    return 1 if end == "1" else spec.n
+
+
+def reflect(n, word):
+    """The word of the mirrored spec (``IfsSpec.mirror``) whose cylinder
+    is the reflection of T_word: each letter c becomes n + 1 - c."""
+    return tuple(n + 1 - c for c in word)
 
 
 class TestContext:
@@ -162,8 +179,7 @@ class TestContext:
                               for l in range(n - b + 1, n + 1))
                         + tuple((i + 1,) + (1,) * kp + (l,)
                                 for l in range(1, a + 1)))
-                assert want == (right_patch_words(spec, (i,), k)
-                                + left_patch_words(spec, (i + 1,), kp))
+                assert want == zone_words(spec, i, k, kp)
                 assert ctx.family_words(fam, i) == want
         free = next(i for i in range(1, n) if i not in ctx.touch)
         for fam in (2, 3):
@@ -172,9 +188,32 @@ class TestContext:
 
     def test_patches(self):
         spec = make_one45()
-        assert right_patch_words(spec, (2,), 2) == ((2, 3, 3, 2),
-                                                     (2, 3, 3, 3))
-        assert left_patch_words(spec, (3,), 2) == ((3, 1, 1, 1),)
+        assert patch_words(spec, (2,), 2, 3) == ((2, 3, 3, 2),
+                                                  (2, 3, 3, 3))
+        assert patch_words(spec, (3,), 2, 1) == ((3, 1, 1, 1),)
+
+    @pytest.mark.parametrize("end", ENDS)
+    def test_along(self, end):
+        # the patch-difference engine and depth of the patches along end
+        ctx = ctx45(2, 3)
+        e = end_letter(ctx.spec, end)
+        assert ctx.along(e) == ((ldiff, 2) if e == 1 else (rdiff, 3))
+
+    @pytest.mark.parametrize("end", ENDS)
+    def test_patch_words_spelled_out(self, end):
+        # L_k(T_w) is w 1^k x for x in 1..alpha, R_k(T_w) is w n^k x for
+        # x in n-beta+1..n, both in spatial order
+        rng = random.Random(7)
+        for _ in range(20):
+            spec = random_unequal_spec(rng)
+            n, st = spec.n, spec.touching
+            e = end_letter(spec, end)
+            last = (range(1, st.alpha + 1) if e == 1
+                    else range(n - st.beta + 1, n + 1))
+            w, k = _word(rng, n, 0, 3), rng.randrange(0, 4)
+            got = patch_words(spec, w, k, e)
+            assert got == tuple(w + (e,) * k + (x,) for x in last)
+            assert list(got) == sorted(got)
 
 
 class TestOracle:
@@ -265,21 +304,21 @@ class TestHoleDiff:
     def test_left_on_mirror(self):
         spec = make_one45().mirror()
         ctx = Context(spec, 3, 3)
-        pls = hole_diff_left(ctx, 1, 0, (2, 3))
+        pls = hole_diff(ctx, 1, 1, 0, (2, 3))
         assert cover_fault(ctx, pls,
-                           hole_left_target(spec, 3, 1, 0, (2, 3))) is None
+                           hole_target(spec, 3, 3, 1, 1, 0, (2, 3))) is None
 
     def test_right_on_one45(self):
         ctx = ctx45()
-        pls = hole_diff_right(ctx, 2, 0, (2, 1))
+        pls = hole_diff(ctx, 3, 2, 0, (2, 1))
         assert cover_fault(ctx, pls,
-                           hole_right_target(ctx.spec, 3, 2, 0, (2, 1))) \
+                           hole_target(ctx.spec, 3, 3, 3, 2, 0, (2, 1))) \
             is None
 
     def test_depth_error_when_too_deep(self):
         ctx = ctx45(2, 2)
         with pytest.raises(DepthError):
-            hole_diff_right(ctx, 2, 0, (2, 1))
+            hole_diff(ctx, 3, 2, 0, (2, 1))
 
     # k' = 0 with j = n...n (left) or 1...1 (right) of length q - 1 or
     # p - 1 passes the depth bound k' + |j| < min(p, q) but leaves the
@@ -293,22 +332,24 @@ class TestHoleDiff:
         spec = make_one45().mirror()
         j = (spec.n,) * (q - 1)
         with pytest.raises(DepthError):
-            hole_diff_left(Context(spec, q, q), 1, 0, j)
+            hole_diff(Context(spec, q, q), 1, 1, 0, j)
         ctx = Context(spec, q + 1, q + 1)
-        assert cover_fault(ctx, hole_diff_left(ctx, 1, 0, j),
-                           hole_left_target(spec, q + 1, 1, 0, j)) is None
+        assert cover_fault(ctx, hole_diff(ctx, 1, 1, 0, j),
+                           hole_target(spec, q + 1, q + 1, 1, 1, 0, j)) \
+            is None
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_right_run_of_p_minus_1_letters_1_is_too_deep(self, p):
         spec = make_one45()
         j = (1,) * (p - 1)
         with pytest.raises(DepthError):
-            hole_diff_right(Context(spec, p, p), 2, 0, j)
+            hole_diff(Context(spec, p, p), 3, 2, 0, j)
         ctx = Context(spec, p + 1, p + 1)
-        assert cover_fault(ctx, hole_diff_right(ctx, 2, 0, j),
-                           hole_right_target(spec, p + 1, 2, 0, j)) is None
+        assert cover_fault(ctx, hole_diff(ctx, 3, 2, 0, j),
+                           hole_target(spec, p + 1, p + 1, 3, 2, 0, j)) \
+            is None
 
-    # _hole_fits is the one depth condition of both engines, and
+    # _hole_fits is the depth condition of hole_diff along both ends, and
     # certify.choose_pq admits (p, q) by it alone.  Where it holds, the
     # engine tiles its target, so neither its own guard nor the joint
     # guard of ``trace`` fires on the build path; elsewhere the engine
@@ -326,22 +367,34 @@ class TestHoleDiff:
             if not _admissible(spec, side, j[-1]):
                 continue
             ctx = Context(spec, p, q)
-            end, engine = ((1, hole_diff_left) if side == "left"
-                           else (n, hole_diff_right))
+            end = 1 if side == "left" else n
             fits = _hole_fits(n, p, q, end, kp, j)
             seen.add(fits)
             if not fits:
                 with pytest.raises(DepthError):
-                    engine(ctx, i, kp, j)
-            elif side == "left":
-                assert cover_fault(ctx, engine(ctx, i, kp, j),
-                                   hole_left_target(spec, q, i, kp, j)) \
-                    is None
+                    hole_diff(ctx, end, i, kp, j)
             else:
-                assert cover_fault(ctx, engine(ctx, i, kp, j),
-                                   hole_right_target(spec, p, i, kp, j)) \
+                assert cover_fault(ctx, hole_diff(ctx, end, i, kp, j),
+                                   hole_target(spec, p, q, end, i, kp, j)) \
                     is None
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("end", ENDS)
+    def test_tiles_its_target_on_fuzz_specs(self, end):
+        rng = random.Random(11)
+        for _ in range(4):
+            spec = random_fuzz_spec(rng)
+            e = end_letter(spec, end)
+            side = "left" if e == 1 else "right"
+            n = spec.n
+            ctx = Context(spec, 3, 3)
+            j = _word(rng, n, 0, 2)
+            j += (rng.choice([c for c in range(1, n + 1)
+                              if _admissible(spec, side, c)]),)
+            for i in sorted(spec.touching.letters):
+                assert cover_fault(ctx, hole_diff(ctx, e, i, 0, j),
+                                   hole_target(spec, 3, 3, e, i, 0, j)) \
+                    is None
 
 
 class TestBlockDecompose:
@@ -378,8 +431,8 @@ def _trace_args(rng, ctx):
         x = prefix + (rng.randrange(b, e + 1), rng.randrange(1, spec.n + 1))
         y = prefix + (rng.randrange(b, e + 1), rng.randrange(1, spec.n + 1))
         x, y = min(x, y), max(x, y)
-        if not (cylsets.sigma_L_star(spec, x)
-                or cylsets.sigma_R_star(spec, y)):
+        if not (cylsets.shares_end(spec, x, 1)
+                or cylsets.shares_end(spec, y, spec.n)):
             return x, y
     return (b,), (e,)
 
@@ -398,8 +451,8 @@ def _mixed_trace_args(rng, ctx):
         u = prefix + (b,) + _word(rng, n, 1, 3)
         v = prefix + (e,)
         if (any(x != 1 for x in u[len(prefix) + 1:])
-                and not cylsets.sigma_L_star(spec, u)
-                and not cylsets.sigma_R_star(spec, v)):
+                and not cylsets.shares_end(spec, u, 1)
+                and not cylsets.shares_end(spec, v, n)):
             break
     lengths = {len(c) for c in _cover(n, u, v + (n,) * (len(u) - len(v)))}
     assert len(lengths) > 1
@@ -439,12 +492,90 @@ class TestEnginesAgainstOracle:
         i = rng.choice(touch)
         kp = rng.randrange(0, 2)
         j = _hole_word(rng, spec, lambda c: c != 1 and c - 1 not in touch)
-        calls.append((hole_diff_left(ctx, i, kp, j),
-                      hole_left_target(spec, q, i, kp, j)))
+        calls.append((hole_diff(ctx, 1, i, kp, j),
+                      hole_target(spec, p, q, 1, i, kp, j)))
         j = _hole_word(rng, spec, lambda c: c != n and c not in touch)
-        calls.append((hole_diff_right(ctx, i, kp, j),
-                      hole_right_target(spec, p, i, kp, j)))
+        calls.append((hole_diff(ctx, n, i, kp, j),
+                      hole_target(spec, p, q, n, i, kp, j)))
 
         for placements, target in calls:
             assert placements
             assert cover_fault(ctx, placements, target) is None
+
+
+# ---------------------------------------------------------------------------
+# the two ends are mirror images
+
+MIRROR_SOURCES = ("one45", "fuzz-1", "fuzz-2")
+
+
+def mirror_specs(source):
+    """{1,4,5}, or six draws of ``random_fuzz_spec`` at seed 1 or 2, each
+    followed by its mirror."""
+    if source == "one45":
+        base = [make_one45()]
+    else:
+        rng = random.Random(int(source[-1]))
+        base = [random_fuzz_spec(rng) for _ in range(6)]
+    return [s for b in base for s in (b, b.mirror())]
+
+
+def placed_word_set(ctx, placements):
+    """The canonical words of the union of ``placements``, as a set."""
+    return set(cylsets.canonicalize(
+        ctx.spec.n, [w for pl in placements for w in placement_words(ctx, pl)]))
+
+
+class TestMirror:
+    """Reflecting every letter c to n + 1 - c maps each cylinder of a
+    spec onto the mirrored cylinder of ``spec.mirror()``, and each
+    construction along end 1 onto the same construction along n."""
+
+    @pytest.mark.parametrize("source", MIRROR_SOURCES)
+    def test_patch_words(self, source):
+        rng = random.Random(3)
+        for spec in mirror_specs(source):
+            n, m = spec.n, spec.mirror()
+            for _ in range(10):
+                w, k = _word(rng, n, 0, 3), rng.randrange(0, 4)
+                # reflection reverses the spatial order
+                want = tuple(reflect(n, x)
+                             for x in reversed(patch_words(spec, w, k, 1)))
+                assert patch_words(m, reflect(n, w), k, n) == want
+
+    @pytest.mark.parametrize("source", MIRROR_SOURCES)
+    def test_shares_end(self, source):
+        for spec in mirror_specs(source):
+            n, m = spec.n, spec.mirror()
+            for length in range(4):
+                for w in itertools.product(range(1, n + 1), repeat=length):
+                    for end in (1, n):
+                        assert cylsets.shares_end(spec, w, end) == \
+                            cylsets.shares_end(m, reflect(n, w), n + 1 - end)
+
+    @pytest.mark.parametrize("source", MIRROR_SOURCES)
+    def test_hole_diff(self, source):
+        rng = random.Random(5)
+        tiled = 0
+        for spec in mirror_specs(source):
+            n, m = spec.n, spec.mirror()
+            left = [c for c in range(1, n + 1)
+                    if _admissible(spec, "left", c)]
+            for i in sorted(spec.touching.letters):
+                p, q = rng.randrange(2, 5), rng.randrange(2, 5)
+                kp = rng.randrange(0, 2)
+                j = _word(rng, n, 0, 2) + (rng.choice(left),)
+                # (p, q) swap: along n the near patch descends p, along 1 q
+                ctx, ctx_m = Context(spec, p, q), Context(m, q, p)
+                jm = reflect(n, j)
+                if not _hole_fits(n, p, q, 1, kp, j):
+                    assert not _hole_fits(n, q, p, n, kp, jm)
+                    with pytest.raises(DepthError):
+                        hole_diff(ctx_m, n, n - i, kp, jm)
+                    continue
+                want = {reflect(n, w) for w in placed_word_set(
+                    ctx, hole_diff(ctx, 1, i, kp, j))}
+                assert placed_word_set(
+                    ctx_m, hole_diff(ctx_m, n, n - i, kp, jm)) == want
+                tiled += 1
+        assert tiled
