@@ -246,7 +246,8 @@ def cmd_render(args):
     if not 1 <= args.width <= MAX_RENDER_WIDTH:
         raise SpecError("--width must be in 1..%d, got %d"
                         % (MAX_RENDER_WIDTH, args.width))
-    # each row draws n^l bars at level l, and --with-dust draws two rows
+    # each row draws at most n^l bars at level l, and --with-dust draws
+    # two rows
     rows = 2 if args.with_dust else 1
     _check_limit("--levels", args.levels, 0,
                  accumulate(rows * spec.n ** level for level in count()),

@@ -33,9 +33,12 @@ witness and the search's, by k' + |word|, the depth that the certificate's
 (p, q) must exceed.
 
 A definitive "no witness exists" answer is only produced when the
-rational relaxation of the lattice problem is infeasible, shown by
-Fourier-Motzkin elimination over integer rows; budget exhaustion yields
-"unknown".
+rational relaxation of the lattice problem is infeasible.  An exact
+phase-1 simplex over a fraction-free integer tableau, with Bland's rule,
+decides every relaxation; where it finds none feasible, ``farkas_vector``
+gives the integer vector y that proves it (y.A_j <= 0 on the nonnegative
+columns, y.A_j == 0 on the free one, y.b > 0), computed only when asked
+for.  Budget exhaustion yields "unknown".
 """
 
 from collections import Counter
@@ -121,50 +124,122 @@ def verify_witness(spec, w):
 
 
 # ---------------------------------------------------------------------------
-# exact rational feasibility (Fourier-Motzkin)
+# exact rational feasibility (phase-1 simplex)
 
-def _fm_feasible(eqs, nonneg, nvars):
-    """Feasibility over the rationals of integer rows (coeffs, rhs) meaning
-    sum(c*x) == rhs, with x_j >= 0 for j in nonneg.  Small systems only.
-
-    Fourier-Motzkin elimination on integer inequality rows, each divided
-    by the gcd of its entries and kept in a set, so that scaled copies of
-    one row merge.  Past 4000 rows the answer is "feasible": callers only
-    conclude anything from infeasibility, so giving up stays sound."""
-    def row(c, r):
-        g = math.gcd(*c, r)
-        if g > 1:
-            return tuple(v // g for v in c), r // g
-        return tuple(c), r
-
-    ineqs = set()  # (coeffs, rhs) meaning sum(c*x) <= rhs
+def _standard_form(eqs, nonneg, nvars):
+    """The rows (coeffs + [rhs]) of sum(c*x) == rhs over nonnegative
+    columns only, each with rhs >= 0, and the sign each row was multiplied
+    by.  A free variable x_j (j not in ``nonneg``) becomes x_j+ in column
+    j and x_j- in a column after the first ``nvars``; a row with rhs < 0
+    is negated."""
+    free = [j for j in range(nvars) if j not in nonneg]
+    rows, signs = [], []
     for c, r in eqs:
-        ineqs.add(row(c, r))
-        ineqs.add(row([-v for v in c], -r))
-    for j in nonneg:
-        c = [0] * nvars
-        c[j] = -1
-        ineqs.add((tuple(c), 0))
+        if r < 0:
+            row = [-v for v in c]
+            row += [c[j] for j in free]
+            row.append(-r)
+            signs.append(-1)
+        else:
+            row = list(c)
+            row += [-c[j] for j in free]
+            row.append(r)
+            signs.append(1)
+        rows.append(row)
+    return rows, signs
 
-    for var in range(nvars):
-        pos, neg, new = [], [], set()
-        for c, r in ineqs:
-            if c[var] > 0:
-                pos.append((c, r))
-            elif c[var] < 0:
-                neg.append((c, r))
-            else:
-                new.add((c, r))
-        for cp, rp in pos:
-            a = cp[var]
-            for cn, rn in neg:
-                b = -cn[var]
-                new.add(row([b * u + a * v for u, v in zip(cp, cn)],
-                             b * rp + a * rn))
-        ineqs = new
-        if len(ineqs) > 4000:
-            return True
-    return all(r >= 0 for c, r in ineqs)
+
+def _phase_one(rows, carry=False):
+    """Phase-1 simplex on standard-form ``rows``: None when they have a
+    nonnegative solution, else the final objective row.
+
+    The objective is the sum of one artificial variable per row, and the
+    first basis is the artificials.  Entering column and leaving row
+    follow Bland's rule (Math. Oper. Res. 2, 1977): the lowest column
+    whose entry lowers the objective, and among the rows of least ratio
+    the lowest basic index, the artificial of row i counting as column
+    N + i.  An artificial that leaves never re-enters: forcing it to 0
+    keeps every feasible point, so the answer stands.
+
+    The tableau is fraction-free (Edmonds, J. Res. NBS 71B, 1967; Bareiss,
+    Math. Comp. 22, 1968): it holds D times the true entries, where D > 0
+    is the determinant of the basis, and a pivot on p replaces every other
+    row by (p*row - f*pivot_row) / D, an exact division, and D by p.
+    With ``carry`` the artificial columns ride along, and at an
+    infeasible end the objective row holds D*y' on them, where y' is the
+    phase-1 dual (see ``farkas_vector``); without it they are never
+    stored."""
+    m = len(rows)
+    ncols = len(rows[0]) - 1 if rows else 0
+    if carry:
+        tab = [row[:-1] + [int(i == k) for k in range(m)] + row[-1:]
+               for i, row in enumerate(rows)]
+    else:
+        tab = [list(row) for row in rows]
+    # objective row: the sum of the rows, so that entry j > 0 means x_j
+    # can enter, and the last entry is D times the sum of the artificials
+    obj = [sum(col) for col in zip(*tab)] if tab else [0]
+    tab.append(obj)
+    basis = list(range(ncols, ncols + m))
+    d = 1
+    while obj[-1]:
+        for c in range(ncols):
+            if obj[c] > 0:
+                break
+        else:
+            return obj
+        # the objective is bounded below by 0, so column c has a
+        # positive entry
+        r = None
+        for i in range(m):
+            a = tab[i][c]
+            if a > 0:
+                if r is None:
+                    r, ar, br = i, a, tab[i][-1]
+                    continue
+                lhs, rhs = tab[i][-1] * ar, br * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r, ar, br = i, a, tab[i][-1]
+        pivot = tab[r]
+        for row in tab:
+            if row is not pivot:
+                f = row[c]
+                if f:
+                    row[:] = [(ar * x - f * y) // d
+                              for x, y in zip(row, pivot)]
+                elif ar != d:
+                    row[:] = [ar * x // d for x in row]
+        d = ar
+        basis[r] = c
+    return None
+
+
+def _infeasible(eqs, nonneg, nvars):
+    """True when integer rows (coeffs, rhs), meaning sum(c*x) == rhs with
+    x_j >= 0 for j in ``nonneg``, have no rational solution."""
+    return _phase_one(_standard_form(eqs, set(nonneg), nvars)[0]) is not None
+
+
+def farkas_vector(eqs, nonneg, nvars):
+    """None when the system of ``_infeasible`` has a rational solution,
+    else an integer vector y, one entry per row, proving it has none:
+    y.A_j <= 0 for every column j in ``nonneg``, y.A_j == 0 for every
+    other column, and y.b > 0.  (A solution x would give
+    0 < y.b = sum_j (y.A_j) x_j <= 0.)
+
+    The phase-1 simplex is run again with the artificial columns carried
+    along: at its end, the objective row over column j is D times
+    y'.A'_j <= 0, where y' = c_B B^-1 is its dual and A' the standard
+    form (free columns split, so both y'.A_j and -y'.A_j are <= 0), over
+    the artificial of row i it is D*y'_i, and its last entry is D times
+    the positive objective y'.b'.  y is D*y' with the signs of the
+    negated rows restored."""
+    rows, signs = _standard_form(eqs, set(nonneg), nvars)
+    obj = _phase_one(rows, carry=True)
+    if obj is None:
+        return None
+    ncols = len(rows[0]) - 1
+    return [s * v for s, v in zip(signs, obj[ncols:ncols + len(rows)])]
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +366,18 @@ def find_witness(spec, i, side, budget=None, *, tables=None, cap=None):
     """Search a substitution witness for touching letter ``i``.
 
     Returns (witness, status) where status is "found", "none" (proved
-    impossible over the rationals) or "exhausted".  The witness is the
-    first multiset of letters, in word-length-then-lexicographic order,
-    whose exponent sum equals target + delta * anchor for some
-    |delta| <= max_exp and which holds an admissible letter; its word is
-    the sorted multiset with one admissible letter moved to the end, and
-    its exponents are the minimal nonnegative pair realizing delta.
+    impossible over the rationals) or "exhausted".  "none" means that the
+    rational relaxation, sum_t m_t e_t - delta*anchor == target with
+    m_t >= 0 and sum_t m_t >= 1, is infeasible, which the phase-1 simplex
+    of ``_infeasible`` decides exactly; ``farkas_vector`` of the same rows
+    gives its proof, which the search itself neither needs nor builds.
+
+    The witness is the first multiset of letters, in
+    word-length-then-lexicographic order, whose exponent sum equals
+    target + delta * anchor for some |delta| <= max_exp and which holds an
+    admissible letter; its word is the sorted multiset with one admissible
+    letter moved to the end, and its exponents are the minimal
+    nonnegative pair realizing delta.
 
     The search runs over exponent sums, not multisets.  Suffix table
     R[a][r] holds the sums of the r-letter multisets drawn from letters
@@ -328,7 +409,7 @@ def find_witness(spec, i, side, budget=None, *, tables=None, cap=None):
     eqs = [([-anchor[j]] + [e[j] for e in exps] + [0], target[j])
            for j in range(len(target))]
     eqs.append(([0] + [-1] * n + [1], -1))
-    if not _fm_feasible(eqs, nonneg=list(range(1, n + 2)), nvars=n + 2):
+    if _infeasible(eqs, nonneg=range(1, n + 2), nvars=n + 2):
         return (None, "none")
 
     # a sum of at most cap letters has every entry within cap * top, so

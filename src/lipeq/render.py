@@ -5,8 +5,6 @@ coincide to the pixel and gaps are to scale.  Output is deterministic:
 equal inputs give byte-identical SVG.
 """
 
-from itertools import product
-
 BAR_H = 16
 ROW_GAP = 10
 MARGIN = 12
@@ -20,14 +18,22 @@ def _fmt(x):
     return ("%.4f" % x).rstrip("0").rstrip(".")
 
 
-def _level_bars(spec, level, width):
-    bars = []
-    for word in product(range(1, spec.n + 1), repeat=level):
-        lo, hi = spec.cyl_interval(word)
-        x = float(lo) * width
-        w = float(hi - lo) * width
-        bars.append((x, w))
-    return bars
+def _level_bars(spec, levels, width):
+    """The bars (x, w) of levels 0..``levels``, one list per level, in
+    address order.  A bar narrower than one pixel is neither drawn nor
+    descended into: its descendants are narrower still."""
+    words = [()]
+    for level in range(levels + 1):
+        bars, wide = [], []
+        for word in words:
+            lo, hi = spec.cyl_interval(word)
+            w = float(hi - lo) * width
+            if w >= 1:
+                bars.append((float(lo) * width, w))
+                wide.append(word)
+        yield bars
+        words = [word + (c,) for word in wide
+                 for c in range(1, spec.n + 1)]
 
 
 def _row_svg(out, spec, levels, x0, y0, width, fill, title):
@@ -35,8 +41,8 @@ def _row_svg(out, spec, levels, x0, y0, width, fill, title):
                'font-family="monospace">%s</text>'
                % (_fmt(x0), _fmt(y0 + 12), title))
     y = y0 + LABEL_H
-    for level in range(0, levels + 1):
-        for x, w in _level_bars(spec, level, width):
+    for bars in _level_bars(spec, levels, width):
+        for x, w in bars:
             out.append('<rect x="%s" y="%s" width="%s" height="%s" '
                        'fill="%s"/>'
                        % (_fmt(x0 + x), _fmt(y), _fmt(w), _fmt(BAR_H),
@@ -46,8 +52,9 @@ def _row_svg(out, spec, levels, x0, y0, width, fill, title):
 
 
 def render_svg(spec, levels=2, width=640, with_dust=False):
-    """SVG of construction levels 0..levels; optionally with the dust
-    counterpart drawn underneath for side-by-side comparison."""
+    """SVG of construction levels 0..levels, without the bars narrower
+    than one pixel; optionally with the dust counterpart drawn underneath
+    for side-by-side comparison."""
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     out = []

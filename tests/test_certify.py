@@ -27,7 +27,8 @@ from lipeq.patches import patch_words
 from lipeq.specfile import format_value
 from lipeq.tstar import Context, Placement, _hole_fits
 
-from conftest import (make_one45, make_endratio_spec, random_equal_spec,
+from conftest import (make_one45, make_endratio_spec, make_equal_spec,
+                      random_equal_spec,
                       random_unequal_spec, random_fuzz_spec,
                       make_declared_spec, closed_form_certificate,
                       identity_certificate, verify_expansion)
@@ -277,6 +278,33 @@ def test_fuzz_equivalent_verdicts_certify(seed):
     spec = random_fuzz_spec(random.Random(seed))
     if decide(spec, SearchBudget(12, 40)).status == "equivalent":
         _certifies(spec)
+
+
+def touching_digit_sets(m):
+    """The digit sets D of {0..m-1} holding 0 and m-1, with at least one
+    pair of consecutive digits (a touch) and one gap."""
+    for k in range(1, m - 1):
+        for inner in itertools.combinations(range(1, m - 1), k):
+            digits = (0,) + inner + (m - 1,)
+            steps = {b - a for a, b in zip(digits, digits[1:])}
+            if 1 in steps and max(steps) > 1:
+                yield digits
+
+
+@pytest.mark.parametrize("m, count", [(4, 2), (5, 5), (6, 12), (7, 26),
+                                      (8, 55)])
+def test_xi_xiong_grid_sets_certify(m, count):
+    # Xi and Xiong (C. R. Acad. Sci. Paris 348, 2010): a totally
+    # disconnected set with digits D and equal ratios 1/m is Lipschitz
+    # equivalent to its dust; these are all such sets with hull [0, 1]
+    # and m <= 8, 100 in all
+    sets = list(touching_digit_sets(m))
+    assert len(sets) == count
+    for digits in sets:
+        spec = make_equal_spec(len(digits), m, digits)
+        verdict = decide(spec)
+        assert verdict.status == "equivalent", digits
+        build_certificate(spec, verdict)  # validates what it builds
 
 
 class TestChoosePq:

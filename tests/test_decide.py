@@ -1,10 +1,13 @@
 """Decision pipeline: necessary condition, witness search and
-verification, closed-form fastpath, four-map obstruction.
+verification, closed-form fastpath, four-map obstruction, and the exact
+phase-1 simplex behind every "none".
 
 The ``ref_*`` functions are the earlier witness search, which enumerated
 letter multisets, and its Fourier-Motzkin test over Fractions, kept here
-as the reference the search over exponent sums must agree with."""
+as the references that the search over exponent sums and the simplex
+must agree with."""
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -13,16 +16,20 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import lipeq.decide
 from lipeq import IfsSpec, decide, verify_witness, Witness, SearchBudget
 from lipeq.decide import (check_necessary, find_witness,
                           closed_form_witnesses, branch4_obstruction,
-                          _admissible, _arrange_word, _fm_feasible,
+                          _admissible, _arrange_word, _infeasible,
+                          farkas_vector, _standard_form,
                           _SideTables)
 from lipeq.exactnum import ExactRatio, DeclaredBase, to_exponent_vector
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
-                      random_equal_spec, random_unequal_spec)
+                      random_equal_spec, random_unequal_spec,
+                      random_fuzz_spec)
+
+# the module: ``lipeq.decide`` names the function that the package exports
+decide_module = importlib.import_module("lipeq.decide")
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +69,7 @@ def ref_fm_feasible(eqs, nonneg, nvars):
                 seen.add(key)
                 ineqs.append((c, r))
         if len(ineqs) > 4000:
-            return True
+            raise AssertionError("the reference gives up past 4000 rows")
     return all(r >= 0 for c, r in ineqs)
 
 
@@ -460,7 +467,7 @@ class TestGoalClip:
             assert len(got) <= 10 ** 5, "goal table of %d deltas" % len(got)
             return got
 
-        monkeypatch.setattr(lipeq.decide, "range", small_range,
+        monkeypatch.setattr(decide_module, "range", small_range,
                             raising=False)
         want = decide(one45, SearchBudget(2, 10 ** 4))
         got = decide(one45, SearchBudget(2, 10 ** 9))
@@ -537,10 +544,77 @@ class TestSharedTables:
         assert len(tab.levels) == 3
 
 
-class TestIntegerFourierMotzkin:
+def check_farkas(eqs, nonneg, nvars, y):
+    """y proves that no rational x with x_j >= 0 for j in ``nonneg``
+    solves the rows (coeffs, rhs): y.A_j <= 0 on those columns,
+    y.A_j == 0 on the others, and y.b > 0."""
+    assert len(y) == len(eqs) and all(type(v) is int for v in y)
+    for j in range(nvars):
+        dot = sum(v * c[j] for v, (c, _) in zip(y, eqs))
+        assert dot <= 0 if j in nonneg else dot == 0
+    assert sum(v * r for v, (_, r) in zip(y, eqs)) > 0
+
+
+def simplex_feasible(eqs, nonneg, nvars):
+    """The simplex's answer; on an infeasible system its Farkas vector
+    is built and checked."""
+    feasible = not _infeasible(eqs, nonneg, nvars)
+    y = farkas_vector(eqs, nonneg, nvars)
+    assert (y is None) == feasible
+    if y is not None:
+        check_farkas(eqs, nonneg, nvars, y)
+    return feasible
+
+
+def dantzig_cycles(eqs, steps=50):
+    """Whether the phase-1 simplex of ``_phase_one`` revisits a basis
+    when its entering column is the one of largest objective entry in
+    place of Bland's lowest one (all columns nonnegative; Fraction
+    tableau, same ratio test and tie rule)."""
+    rows = _standard_form(eqs, set(range(len(eqs[0][0]))),
+                          len(eqs[0][0]))[0]
+    ncols = len(rows[0]) - 1
+    tab = [[Fraction(v) for v in row] for row in rows]
+    obj = [sum(col) for col in zip(*tab)]
+    basis = list(range(ncols, ncols + len(tab)))
+    seen = {tuple(basis)}
+    for _ in range(steps):
+        c = max(range(ncols), key=lambda j: (obj[j], -j))
+        if obj[-1] == 0 or obj[c] <= 0:
+            return False
+        r = min((i for i in range(len(tab)) if tab[i][c] > 0),
+                key=lambda i: (tab[i][-1] / tab[i][c], basis[i]))
+        tab[r] = [v / tab[r][c] for v in tab[r]]
+        for row in tab + [obj]:
+            if row is not tab[r]:
+                row[:] = [x - row[c] * y for x, y in zip(row, tab[r])]
+        basis[r] = c
+        if tuple(basis) in seen:
+            return True
+        seen.add(tuple(basis))
+    return False
+
+
+def relaxations(monkeypatch):
+    """A list that collects the rows of every rational test
+    ``find_witness`` makes, with the answer, as (eqs, nonneg, nvars,
+    infeasible)."""
+    calls = []
+    test = decide_module._infeasible
+
+    def record(eqs, nonneg, nvars):
+        got = test(eqs, nonneg, nvars)
+        calls.append((eqs, list(nonneg), nvars, got))
+        return got
+
+    monkeypatch.setattr(decide_module, "_infeasible", record)
+    return calls
+
+
+class TestPhaseOneSimplex:
     def test_agrees_with_fraction_reference(self):
         # at most 3 variables and 3 equations keep every elimination
-        # under the 4000-row cap, so both answers are exact
+        # under the reference's 4000-row limit
         rng = random.Random(11)
         seen = {True: 0, False: 0}
         for _ in range(600):
@@ -549,7 +623,7 @@ class TestIntegerFourierMotzkin:
                     rng.randrange(-4, 5))
                    for _ in range(rng.randrange(1, 4))]
             nonneg = [j for j in range(nvars) if rng.random() < 0.7]
-            got = _fm_feasible(eqs, nonneg, nvars)
+            got = simplex_feasible(eqs, nonneg, nvars)
             ref = ref_fm_feasible(
                 [([Fraction(v) for v in c], Fraction(r)) for c, r in eqs],
                 nonneg, nvars)
@@ -557,8 +631,135 @@ class TestIntegerFourierMotzkin:
             seen[got] += 1
         assert min(seen.values()) > 100
 
-    def test_scaled_rows_merge(self):
+    def test_scaled_and_contradictory_rows(self):
         # 2x + 4y == 6 and x + 2y == 3 are one constraint; x, y >= 0
-        assert _fm_feasible([([2, 4], 6), ([1, 2], 3)], [0, 1], 2)
-        assert not _fm_feasible([([2, 4], 6), ([1, 2], 4)], [0, 1], 2)
-        assert not _fm_feasible([([1, 1], -1)], [0, 1], 2)
+        assert simplex_feasible([([2, 4], 6), ([1, 2], 3)], [0, 1], 2)
+        assert not simplex_feasible([([2, 4], 6), ([1, 2], 4)], [0, 1], 2)
+        assert not simplex_feasible([([1, 1], -1)], [0, 1], 2)
+        # with y free, x + y == -1 has the solution (0, -1)
+        assert simplex_feasible([([1, 1], -1)], [0], 2)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fuzz_relaxations_agree_with_reference(self, seed,
+                                                   monkeypatch):
+        # every rational test that decide makes on 200 fuzz specs
+        calls = relaxations(monkeypatch)
+        rng = random.Random(seed)
+        for _ in range(200):
+            decide(random_fuzz_spec(rng), SearchBudget(12, 40))
+        for eqs, nonneg, nvars, infeasible in calls:
+            assert simplex_feasible(eqs, nonneg, nvars) == (not infeasible)
+            assert ref_fm_feasible(eqs, nonneg, nvars) == (not infeasible)
+        assert min(sum(c[3] for c in calls),
+                   sum(not c[3] for c in calls)) > 100
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_planted_feasible_point(self, data):
+        nvars = data.draw(st.integers(1, 6))
+        nonneg = data.draw(st.sets(st.integers(0, nvars - 1)))
+        den = data.draw(st.integers(1, 4))
+        x = [data.draw(st.integers(0 if j in nonneg else -6, 6))
+             for j in range(nvars)]
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-5, 5), min_size=nvars, max_size=nvars),
+            min_size=1, max_size=4))
+        # A (x / den) == b with A = den * rows and b = rows . x
+        eqs = [([den * v for v in c], sum(v * u for v, u in zip(c, x)))
+               for c in rows]
+        assert simplex_feasible(eqs, nonneg, nvars)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_planted_farkas_vector(self, data):
+        nvars = data.draw(st.integers(1, 6))
+        nonneg = data.draw(st.sets(st.integers(0, nvars - 1)))
+        m = data.draw(st.integers(1, 4))
+        y = data.draw(st.lists(st.integers(-3, 3), min_size=m,
+                               max_size=m))
+        k = data.draw(st.integers(0, m - 1))
+        y[k] = data.draw(st.sampled_from([-1, 1]))
+        # every row but k is free; row k sets y.A_j and y.b to a drawn
+        # value of the right sign, which y_k = +-1 keeps integral
+        eqs = [[[data.draw(st.integers(-5, 5)) for _ in range(nvars)],
+                data.draw(st.integers(-5, 5))] for _ in range(m)]
+        for j in range(nvars):
+            want = data.draw(st.integers(-4, 0)) if j in nonneg else 0
+            rest = sum(y[i] * eqs[i][0][j] for i in range(m) if i != k)
+            eqs[k][0][j] = (want - rest) * y[k]
+        want = data.draw(st.integers(1, 4))
+        rest = sum(y[i] * eqs[i][1] for i in range(m) if i != k)
+        eqs[k][1] = (want - rest) * y[k]
+        check_farkas(eqs, nonneg, nvars, y)
+        assert not simplex_feasible(eqs, nonneg, nvars)
+
+    @pytest.mark.parametrize("eqs, nonneg, nvars", [
+        # zero right-hand sides: x = 0 solves them
+        ([([1, -2, 3], 0), ([2, 1, -1], 0)], [0, 1, 2], 3),
+        ([([1, 1, 1], 0), ([1, -1, 0], 0)], [0, 1], 3),
+        # a zero row with a zero and a nonzero right-hand side
+        ([([0, 0], 0), ([1, -1], 2)], [0, 1], 2),
+        ([([0, 0], 0), ([0, 0], 1)], [0, 1], 2),
+        # repeated rows, consistent and not
+        ([([1, 2, -1], 3), ([1, 2, -1], 3), ([1, 2, -1], 3)], [0, 1, 2], 3),
+        ([([1, 2, -1], 3), ([1, 2, -1], 3), ([-1, -2, 1], 3)], [0, 1, 2],
+         3),
+        ([([1, 1], 2), ([2, 2], 4), ([1, 1], 2), ([1, -1], 0)], [0, 1], 2),
+        # tied ratio tests: x0 enters against rows of equal ratio
+        ([([1, 1, 0], 1), ([1, 0, 1], 1), ([2, 1, 1], 2)], [0, 1, 2], 3),
+        ([([1, 1, 0], 0), ([1, 0, 1], 0), ([1, 1, 1], 1)], [0, 1, 2], 3),
+        ([([1, 1, 0], 1), ([2, 0, 1], 2), ([1, -1, 1], 3)], [0, 1, 2], 3),
+        ([([2, -1, 0], 0), ([3, 0, -1], 0), ([1, 1, 1], -1)], [0, 1, 2],
+         3),
+    ])
+    def test_degenerate_systems(self, eqs, nonneg, nvars):
+        assert (simplex_feasible(eqs, nonneg, nvars)
+                == ref_fm_feasible(eqs, nonneg, nvars))
+
+    def test_terminates_where_the_largest_entry_cycles(self):
+        # Beale's cycling example in Chvatal's form (rows and objective
+        # doubled, slacks x4, x5 explicit) as a phase-1 system: the first
+        # two rows have right-hand side 0, and the third makes the sum of
+        # the rows the doubled objective.  Entering by largest objective
+        # entry, the simplex pivots six times at value 0 and returns to
+        # its basis; Bland's rule terminates.  Fourier-Motzkin gives up
+        # on these 6 variables, so the reference is a planted point.
+        objective = [20, -114, -18, -48, 0, 0]
+        r1 = [1, -11, -5, 18, 2, 0]
+        r2 = [1, -3, -1, 2, 0, 2]
+        r3 = [c - a - b for c, a, b in zip(objective, r1, r2)]
+        eqs = [(r1, 0), (r2, 0), (r3, 1)]
+        x = [Fraction(1, 2), 0, Fraction(1, 2), 0, 1, 0]
+        assert all(sum(v * u for v, u in zip(c, x)) == r for c, r in eqs)
+        assert dantzig_cycles(eqs)
+        assert simplex_feasible(eqs, range(6), 6)
+
+
+# Ten maps like a fuzz draw, with middle ratios a/b for b in [20, 60):
+# Fourier-Motzkin gave up past 4000 rows on the rational test of letter
+# 4 (left), and its search then ran to the budget.
+MANY_BRANCH = IfsSpec(
+    [Fraction(r) for r in ("1/25", "1/22", "1/33", "2/45", "2/59", "1/11",
+                           "1/18", "2/33", "1/28", "1/5")],
+    [Fraction(t) for t in ("0", "1/25", "281429/1362900", "40641/113575",
+                           "411199/1022175", "445849/1022175",
+                           "538774/1022175", "132347/227150", "107/140",
+                           "4/5")],
+    role="touching")
+
+
+class TestManyBranches:
+    def test_given_up_letter_is_none(self, monkeypatch):
+        calls = relaxations(monkeypatch)
+        assert find_witness(MANY_BRANCH, 4, "left",
+                            SearchBudget(12, 40)) == (None, "none")
+        (eqs, nonneg, nvars, infeasible), = calls
+        assert infeasible and not simplex_feasible(eqs, nonneg, nvars)
+
+    def test_decide_stays_unknown(self, monkeypatch):
+        calls = relaxations(monkeypatch)
+        v = decide(MANY_BRANCH, SearchBudget(12, 40))
+        assert v.status == "unknown"
+        assert v.unresolved == [1, 4, 5, 6, 7, 9]
+        for eqs, nonneg, nvars, infeasible in calls:
+            assert simplex_feasible(eqs, nonneg, nvars) == (not infeasible)
