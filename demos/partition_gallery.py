@@ -24,8 +24,10 @@ for k in (1, 2):
     pieces = partition_S(spec, k)[-1]
     print("level %d: %d pieces" % (k, len(pieces)))
     for p in pieces:
-        print("  [%s, %s]  %s" % (p.lo, p.hi,
-                                  " ".join(word_str(w) for w in p.words)))
+        # canonical words are in spatial order: the hull runs from the
+        # left end of the first word to the right end of the last
+        print("  [%s, %s]  %s" % (spec.cyl_lo(p[0]), spec.cyl_hi(p[-1]),
+                                  " ".join(word_str(w) for w in p)))
     print()
 
 print("gap-refined norms (largest piece diameter):")

@@ -22,21 +22,19 @@ from .check import (Certificate, CertificateError, Edge, Piece, Vertex,
                     rules_affine)
 from .decide import decide, verify_witness, witness_letters, Witness
 from .patches import patch_words
-from .tstar import (Context, Placement, ldiff, rdiff, hole_diff,
-                    block_decompose, _hole_fits)
+from .tstar import (Context, ldiff, rdiff, hole_diff, block_decompose,
+                    _hole_fits)
 
 # the most multiples of the end-ratio dependence that ``choose_pq`` tries
 MAX_PQ_MULTIPLE = 16
 
 
-def _fam_key(pl):
-    return {1: ("comp1", pl.idx), 2: ("touch2", pl.idx),
-            3: ("touch3", pl.idx)}[pl.fam]
-
-
-def _std_piece(pl):
-    rules = (((), pl.prefix),)
-    return Piece(_fam_key(pl), rules, rules)
+def _std_piece(pair):
+    """The piece of an engine's (prefix, vertex key) pair: the vertex
+    placed under psi_prefix on both sides."""
+    prefix, key = pair
+    rules = (((), prefix),)
+    return Piece(key, rules, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +99,12 @@ def build_vertices(ctx, witnesses):
     out = {}
     out[("whole",)] = Vertex(("whole",), ((),), ((),))
     for idx in range(1, ctx.c1 + 1):
-        ws = ctx.family_words(1, idx)
+        ws = ctx.family_words(("comp1", idx))
         out[("comp1", idx)] = Vertex(("comp1", idx), ws, ws)
     for i in sorted(ctx.touch):
-        w2 = ctx.family_words(2, i)
-        out[("touch2", i)] = Vertex(("touch2", i), w2, w2)
-        w3 = ctx.family_words(3, i)
-        out[("touch3", i)] = Vertex(("touch3", i), w3, w3)
+        for key in (("touch2", i), ("touch3", i)):
+            ws = ctx.family_words(key)
+            out[key] = Vertex(key, ws, ws)
         wit = witnesses[i]
         near, far, end = witness_letters(wit.side, i, n)
         opp = n + 1 - end
@@ -123,7 +120,7 @@ def build_vertices(ctx, witnesses):
 def decompose_vertex(ctx, witnesses, vkey):
     """The Edge for one vertex, per the constructive decompositions.
 
-    Every placement the tiling engines return becomes a piece of this
+    Every pair the tiling engines return becomes a piece of this
     edge, unchecked: ``verify_certificate``, which ``build_certificate``
     runs on every certificate, checks that on each side the pieces are
     pairwise point-disjoint with union the source.  Validity needs no
@@ -144,16 +141,16 @@ def decompose_vertex(ctx, witnesses, vkey):
         return Edge(vkey, [Piece(("comp1", j), ident, ident)
                            for j in range(1, c1 + 1)])
     if kind == "comp1":
-        return Edge(vkey, [_std_piece(pl) for pl in
+        return Edge(vkey, [_std_piece(pr) for pr in
                            block_decompose(ctx, vkey[1])])
     i = vkey[1]
     wit = witnesses[i]
     k, kp, j = wit.k, wit.kp, wit.word
     if kind == "touch2":
-        pls = (rdiff(ctx, (i,), 0, q)
-               + ldiff(ctx, (i + 1,), 0, p)
-               + [Placement((), 3, i)])
-        return Edge(vkey, [_std_piece(pl) for pl in pls])
+        pairs = (rdiff(ctx, (i,), 0, q)
+                 + ldiff(ctx, (i + 1,), 0, p)
+                 + [((), ("touch3", i))])
+        return Edge(vkey, [_std_piece(pr) for pr in pairs])
 
     near, far, end = witness_letters(wit.side, i, n)
     opp = n + 1 - end
@@ -164,13 +161,13 @@ def decompose_vertex(ctx, witnesses, vkey):
     rec_t = (near_rule, ((far,), (far,) + (end,) * (2 * depth)))
     rec_d = (near_rule,)
     if i not in ctx.holes:
-        ctx.holes[i] = [_std_piece(pl)
-                        for pl in hole_diff(ctx, end, i, kp, j)]
+        ctx.holes[i] = [_std_piece(pr)
+                        for pr in hole_diff(ctx, end, i, kp, j)]
     pieces = list(ctx.holes[i])
     sub_t = near_rule[1] + j + (end,) * kp  # the replaced patch
     if kind == "touch3":
         # the pieces in spatial order: the hole lies on the near side
-        diff_pieces = [_std_piece(pl) for pl in
+        diff_pieces = [_std_piece(pr) for pr in
                        diff(ctx, (far,), depth, 2 * depth + k)]
         if near < far:
             pieces += diff_pieces
@@ -178,11 +175,11 @@ def decompose_vertex(ctx, witnesses, vkey):
             pieces = diff_pieces + pieces
         sub_d = (far,) + (end,) * (2 * depth + k)
     else:
-        for pl in diff(ctx, (), 0, 2 * depth):
+        for prefix, key in diff(ctx, (), 0, 2 * depth):
             pieces.append(Piece(
-                _fam_key(pl),
-                (((), (far,) + (end,) * k + pl.prefix),),
-                (((), (near,) + j + (end,) * kp + pl.prefix),)))
+                key,
+                (((), (far,) + (end,) * k + prefix),),
+                (((), (near,) + j + (end,) * kp + prefix),)))
         sub_d = (near,) + j + (end,) * (2 * depth + kp)
     pieces.append(Piece(("comp1", block), (((), sub_t),), (((), sub_d),)))
     pieces.append(Piece(("touch4", i), rec_t, rec_d))

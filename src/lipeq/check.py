@@ -369,7 +369,8 @@ def _rules(d, name, n, where, seen):
 
 def _key(d, name, where):
     key = read_field(d, name, list, where)
-    if not key or not all(isinstance(k, (str, int)) for k in key):
+    # a bool is an int to isinstance, and no vertex index
+    if not key or not set(map(type, key)) <= {str, int}:
         raise CertificateError("%s: %r must be a nonempty list of names "
                                "and numbers" % (where, name))
     return tuple(key)

@@ -10,7 +10,6 @@ codes of analyze: 0 equivalent, 1 not equivalent, 2 unknown, 3 error.
 import argparse
 from fractions import Fraction
 from itertools import accumulate, count
-import json
 from math import gcd
 import os
 import sys
@@ -139,11 +138,7 @@ def cmd_verify(args):
         raise SpecError("--pairs must be in 0..%d, got %d"
                         % (MAX_EXPAND_LEAVES, args.pairs))
     spec = specfile.load_spec(args.specfile)
-    with open(args.cert) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as e:
-            raise CertificateError("certificate is not JSON: %s" % e)
+    doc = specfile.load_json(args.cert, CertificateError, "certificate")
     cert = verify_cert_doc(spec, doc)
     out = {
         "format": REPORT_FORMAT,
@@ -196,11 +191,13 @@ def _grid_text(num, den):
 
 
 def _piece_doc(spec, piece):
-    """A piece of family S or T with its hull, the left end of its first
-    word to the right end of its last (``PartitionPiece``)."""
-    _, lo, dlo = spec.grid(piece.words[0])
-    s, o, dhi = spec.grid(piece.words[-1])
-    return {"words": [list(w) for w in piece.words],
+    """A piece of family S or T, a canonical word tuple, with its hull:
+    the left end of its first word to the right end of its last, read off
+    the grid of ``IfsSpec``.  Canonical words are in spatial order, so
+    these are the least and greatest ends of all its words."""
+    _, lo, dlo = spec.grid(piece[0])
+    s, o, dhi = spec.grid(piece[-1])
+    return {"words": [list(w) for w in piece],
             "lo": _grid_text(lo, dlo), "hi": _grid_text(o + s, dhi)}
 
 

@@ -7,12 +7,16 @@ right patch ``R_k(T_w)`` the mirror image along letter n, both written by
 (``zone_words``) of the distinguished touching point at depth j, the
 building block of the nested partitions computed here.
 
-All partitions are families of :class:`PartitionPiece`, which hold
-their canonical words only; a piece's hull is read off the cylinder grid
-of ``IfsSpec`` when asked, so a level that is refined again, or split at
-its gaps, never builds one.  Construction is exact and every
-decomposition step re-verifies itself.  ``partition_T`` splits all S_k
-pieces with one gap walk per (spec, delta), set up by ``_gap_splitter``.
+Every family is a list of pieces, and a piece is its canonical word
+tuple, in spatial order; each function that makes pieces says why they
+are canonical as made, so none is canonicalized again.  A piece's hull
+runs from ``cyl_lo`` of its first word to ``cyl_hi`` of its last, and is
+read off the cylinder grid of ``IfsSpec`` only where a document writes
+it, so a level that is refined again, or split at its gaps, never
+builds one.
+Construction is exact and every decomposition step re-verifies itself.
+``partition_T`` splits all S_k pieces with one gap walk per (spec,
+delta), set up by ``_gap_splitter``.
 """
 
 from bisect import bisect_right
@@ -75,42 +79,9 @@ def c_set_words(spec, j):
     return cylsets.canonicalize(spec.n, zone_words(spec, i0, j, tau(spec, j)))
 
 
-class PartitionPiece:
-    """A finite cylinder union, member of a partition: its canonical
-    words and nothing else.
-
-    ``words`` must be a canonical word set.  Every piece built here is
-    canonical when it is made (each builder says why), so none is
-    canonicalized again.  The hull [lo, hi] is read from the grid of
-    ``IfsSpec`` when asked: canonical words are in spatial order, so it
-    runs from the left end of the first word to the right end of the
-    last.  A piece of an intermediate level, or an S_k piece that
-    ``partition_T`` splits, never builds it."""
-
-    __slots__ = ("spec", "words")
-
-    def __init__(self, spec, words):
-        self.spec = spec
-        self.words = tuple(words)
-        if not self.words:
-            raise SpecError("empty piece")
-
-    @property
-    def lo(self):
-        return self.spec.cyl_lo(self.words[0])
-
-    @property
-    def hi(self):
-        return self.spec.cyl_hi(self.words[-1])
-
-    def __repr__(self):
-        return "PartitionPiece(%d words, hull=[%s, %s])" % (
-            len(self.words), self.lo, self.hi)
-
-
 def simple_decomposition(spec, parent_words, marked):
     """Minimal hull-disjoint cover of ``parent_words`` containing the marked
-    subsets as members.
+    subsets as members: a list of canonical word tuples in spatial order.
 
     ``marked`` is a list of word tuples; each must be a subset of the
     parent with hull meeting the parent exactly in itself, the hulls must
@@ -165,21 +136,20 @@ def simple_decomposition(spec, parent_words, marked):
                 raise SpecError("hull of marked set meets the parent "
                                 "outside the set")
             if buf:
-                out_pieces.append(PartitionPiece(spec, buf))
+                out_pieces.append(tuple(buf))
                 buf = []
-            out_pieces.append(PartitionPiece(spec, marked[o]))
+            out_pieces.append(tuple(marked[o]))
             emitted_marks.add(o)
         prev = o
     if buf:
-        out_pieces.append(PartitionPiece(spec, buf))
+        out_pieces.append(tuple(buf))
     if len(emitted_marks) < len(marked):
         lost = min(set(range(len(marked))) - emitted_marks)
         raise SpecError("marked sets overlap: %r lies in another marked "
                         "set" % (tuple(marked[lost]),))
     # verify: no shared points between pieces, and their union, which
     # the disjointness check returns, is the parent
-    if cylsets.check_disjoint_groups(
-            spec, [p.words for p in out_pieces]) != parent_words:
+    if cylsets.check_disjoint_groups(spec, out_pieces) != parent_words:
         raise SpecError("decomposition does not cover the parent")
     return out_pieces
 
@@ -247,17 +217,17 @@ def partition_S(spec, k):
     if k > DEPTH_CAP:
         raise SpecError("partition depth %d beyond cap %d" % (k, DEPTH_CAP))
     levels = []
-    current = [PartitionPiece(spec, ((),))]
+    current = [((),)]
     for level in range(1, k + 1):
         # the pieces tile T, so exactly one prefix of a word is a word of
         # some piece; a set inside a piece has its first word below one
         # of that piece's words
-        home = {w: i for i, p in enumerate(current) for w in p.words}
+        home = {w: i for i, p in enumerate(current) for w in p}
         inside = [[] for _ in current]
         for c in c_family(spec, level):
             i = _home_of(home, c[0])
             # piece words are canonical, so each word of c needs one bisect
-            if i is not None and all(cylsets.covered(current[i].words, w)
+            if i is not None and all(cylsets.covered(current[i], w)
                                      for w in c):
                 inside[i].append(c)
         nxt = []
@@ -265,10 +235,10 @@ def partition_S(spec, k):
             if not marks:
                 nxt.append(piece)
             else:
-                nxt.extend(simple_decomposition(spec, piece.words, marks))
+                nxt.extend(simple_decomposition(spec, piece, marks))
         # the pieces' words are prefix-free, so on their first words
         # lexicographic order is spatial order (see ``cylsets``)
-        nxt.sort(key=lambda p: p.words[0])
+        nxt.sort(key=lambda p: p[0])
         levels.append(nxt)
         current = nxt
     return levels
@@ -368,7 +338,7 @@ def _gap_splitter(spec, delta):
             for c in range(1, n):
                 walk(w + (c,), s * scale[c - 1], m + 1)
                 if s * gaps[c - 1] >= t:
-                    pieces.append(PartitionPiece(spec, run))
+                    pieces.append(tuple(run))
                     run = []
             walk(w + (n,), s * scale[n - 1], m + 1)
 
@@ -380,11 +350,11 @@ def _gap_splitter(spec, delta):
                 top = max(d, pd)
                 if (o * (top // d) - (po + ps) * (top // pd)
                         >= level(max(len(w), pm))):
-                    pieces.append(PartitionPiece(spec, run))
+                    pieces.append(tuple(run))
                     run = []
             walk(w, s, len(w))
             prev = (s, o, d, len(w))
-        pieces.append(PartitionPiece(spec, run))
+        pieces.append(tuple(run))
         return pieces
 
     return split
@@ -397,8 +367,8 @@ def partition_T(spec, k):
     split = _gap_splitter(spec, delta_k(spec, k))
     out = []
     for piece in levels[-1]:
-        out.extend(split(piece.words))
-    out.sort(key=lambda p: p.words[0])
+        out.extend(split(piece))
+    out.sort(key=lambda p: p[0])
     return out
 
 
@@ -412,8 +382,7 @@ def partition_norm(spec, pieces):
     as integers on a rational system and one ``Fraction`` is built at
     the end.  A declared-base system has D = 1 and compares its exact
     values."""
-    ends = [(spec.grid(p.words[0]), spec.grid(p.words[-1]))
-            for p in pieces]
+    ends = [(spec.grid(p[0]), spec.grid(p[-1])) for p in pieces]
     top = max(max(u[2], v[2]) for u, v in ends)
     best = None
     for (_, ou, du), (sv, ov, dv) in ends:

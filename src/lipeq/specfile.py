@@ -13,7 +13,7 @@ from itertools import chain
 import json
 import re
 
-from .exactnum import DeclaredBase, ExactRatio, SymValue
+from .exactnum import MAX_DIGITS, DeclaredBase, ExactRatio, SymValue
 from .ifs import IfsSpec, SpecError
 
 
@@ -22,7 +22,10 @@ _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)"
 
 
 # the largest |exponent| of a declared base in one product term, and the
-# most declared bases of a system; see ``exactnum.MAX_DIGITS``
+# most declared bases of a system; see ``exactnum.MAX_DIGITS``, which
+# also bounds the digits of one number literal: a ratio's denominator is
+# factored, and a longer one costs seconds there, or a traceback where
+# Python limits the digits of an int string
 MAX_EXPONENT = 50
 MAX_BASES = 8
 
@@ -40,6 +43,11 @@ def _tokenize(s):
             raise ParseError("cannot tokenize %r at %d" % (s, pos))
         num, name, caret, star, plus, minus = m.groups()
         if num is not None:
+            digits = sum(c.isdigit() for c in num)
+            if digits > MAX_DIGITS:
+                raise ParseError("a number literal of %d digits at offset %d "
+                                 "is over the limit of %d"
+                                 % (digits, m.start(1), MAX_DIGITS))
             out.append(("num", num))
         elif name is not None:
             out.append(("name", name))
@@ -428,13 +436,21 @@ def _encode(doc, fast):
     return value(doc, "\n"), nests
 
 
-def load_spec(path):
+def load_json(path, error, what):
+    """The JSON document in the file at ``path``.  Text that is not JSON,
+    or that nests deeper than the reader's recursion, raises ``error``
+    (a SpecError class) with one line that names ``what`` was read."""
     with open(path) as f:
         try:
-            doc = json.load(f)
+            return json.load(f)
         except ValueError as e:
-            raise ParseError("system description is not JSON: %s" % e)
-    return spec_from_doc(doc)
+            raise error("%s is not JSON: %s" % (what, e))
+        except RecursionError:
+            raise error("%s nests too deeply to read" % what)
+
+
+def load_spec(path):
+    return spec_from_doc(load_json(path, ParseError, "system description"))
 
 
 def save_doc(doc, path):

@@ -1,18 +1,19 @@
-"""Decomposing patch differences and interval traces into family members.
+"""Decomposing patch differences and interval traces into vertex copies.
 
 Every set that the certificate construction meets is rewritten as a
-disjoint union of placed members of three families:
+disjoint union of copies of three vertex kinds of the certificate:
 
-* family 1: the level-1 connected blocks (indices 1..c1);
-* family 2: the two-sided neighbourhood of a touching point at depth 0,
-  R_0(T_i) union L_0(T_{i+1});
-* family 3: the deep neighbourhood R_q(T_i) union L_p(T_{i+1}).
+* ("comp1", j): the level-1 connected block j (1..c1);
+* ("touch2", i): the two-sided neighbourhood of a touching point at
+  depth 0, R_0(T_i) union L_0(T_{i+1});
+* ("touch3", i): the deep neighbourhood R_q(T_i) union L_p(T_{i+1}).
 
-A placement is (prefix word, family, index): the piece is the image of the
-family member under psi_prefix.  The engines construct and do not check
-their output: the certificate construction validates the tilings made of
-their placements exactly (``certify.verify_certificate``), and the tests
-hold each engine to its target word set with an exact oracle.
+Each engine returns a list of pairs (prefix word, vertex key): the piece
+is the image of the vertex's words under psi_prefix.  The engines
+construct and do not check their output: the certificate construction
+validates the tilings made of their pairs exactly
+(``certify.verify_certificate``), and the tests hold each engine to its
+target word set with an exact oracle.
 """
 
 from .ifs import SpecError
@@ -27,25 +28,6 @@ class DecompositionError(SpecError):
 
 class DepthError(DecompositionError):
     """The scan needs a deeper (p, q) than currently chosen."""
-
-
-class Placement:
-    __slots__ = ("prefix", "fam", "idx")
-
-    def __init__(self, prefix, fam, idx):
-        self.prefix = tuple(prefix)
-        self.fam = fam
-        self.idx = idx
-
-    def __repr__(self):
-        return "Placement(%r, fam%d, %d)" % (self.prefix, self.fam, self.idx)
-
-    def __eq__(self, other):
-        return (self.prefix, self.fam, self.idx) == \
-               (other.prefix, other.fam, other.idx)
-
-    def __hash__(self):
-        return hash((self.prefix, self.fam, self.idx))
 
 
 class Context:
@@ -63,19 +45,21 @@ class Context:
         self.touch = st.letters
         self.holes = {}  # touching letter -> its hole pieces (certify)
 
-    def family_words(self, fam, idx):
-        """Relative (prefix ()) canonical words of a family member: a
-        level-1 block, or R_k(T_i) union L_k'(T_{i+1}) with (k, k') = (0, 0)
-        for family 2 and (q, p) for family 3."""
-        if fam == 1:
-            b, e = self.blocks[idx - 1]
+    def family_words(self, key):
+        """Relative (prefix ()) canonical words of the vertex ``key``: a
+        level-1 block for ("comp1", j), or R_k(T_i) union L_k'(T_{i+1})
+        with (k, k') = (0, 0) for ("touch2", i) and (q, p) for
+        ("touch3", i)."""
+        kind = key[0]
+        if kind == "comp1":
+            b, e = self.blocks[key[1] - 1]
             return tuple((a,) for a in range(b, e + 1))
-        if fam not in (2, 3):
-            raise DecompositionError("unknown family %d" % fam)
-        if idx not in self.touch:
-            raise DecompositionError("family %d index must touch" % fam)
-        k, kp = (0, 0) if fam == 2 else (self.q, self.p)
-        return zone_words(self.spec, idx, k, kp)
+        if kind not in ("touch2", "touch3"):
+            raise DecompositionError("unknown vertex kind %r" % (kind,))
+        if key[1] not in self.touch:
+            raise DecompositionError("%s index must touch" % kind)
+        k, kp = (0, 0) if kind == "touch2" else (self.q, self.p)
+        return zone_words(self.spec, key[1], k, kp)
 
     def along(self, end):
         """(patch-difference engine, depth) of the patches that descend
@@ -90,7 +74,7 @@ class Context:
 # patch differences
 
 def ldiff(ctx, base, u, v):
-    """Placements tiling L_u(T_base) minus L_v(T_base), u < v."""
+    """Pairs tiling L_u(T_base) minus L_v(T_base), u < v."""
     if not u < v:
         raise DecompositionError("ldiff needs u < v")
     a, c1 = ctx.alpha, ctx.c1
@@ -98,18 +82,18 @@ def ldiff(ctx, base, u, v):
     for k in range(u, v):
         if a == 1:
             w = base + (1,) * (k + 1)
-            out.extend(Placement(w, 1, j) for j in range(2, c1 + 1))
+            out.extend((w, ("comp1", j)) for j in range(2, c1 + 1))
         else:
             w = base + (1,) * k
-            out.extend(Placement(w, 2, l) for l in range(1, a))
-            out.extend(Placement(w + (l,), 1, j)
+            out.extend((w, ("touch2", l)) for l in range(1, a))
+            out.extend((w + (l,), ("comp1", j))
                        for l in range(1, a + 1) for j in range(2, c1))
-            out.append(Placement(w + (a,), 1, c1))
+            out.append((w + (a,), ("comp1", c1)))
     return out
 
 
 def rdiff(ctx, base, u, v):
-    """Placements tiling R_u(T_base) minus R_v(T_base), u < v."""
+    """Pairs tiling R_u(T_base) minus R_v(T_base), u < v."""
     if not u < v:
         raise DecompositionError("rdiff needs u < v")
     n = ctx.spec.n
@@ -118,14 +102,14 @@ def rdiff(ctx, base, u, v):
     for k in range(u, v):
         if b == 1:
             w = base + (n,) * (k + 1)
-            out.extend(Placement(w, 1, j) for j in range(1, c1))
+            out.extend((w, ("comp1", j)) for j in range(1, c1))
         else:
             w = base + (n,) * k
-            out.extend(Placement(w, 2, l) for l in range(n - b + 1, n))
-            out.extend(Placement(w + (l,), 1, j)
+            out.extend((w, ("touch2", l)) for l in range(n - b + 1, n))
+            out.extend((w + (l,), ("comp1", j))
                        for l in range(n - b + 1, n + 1)
                        for j in range(2, c1))
-            out.append(Placement(w + (n - b + 1,), 1, 1))
+            out.append((w + (n - b + 1,), ("comp1", 1)))
     return out
 
 
@@ -172,7 +156,7 @@ def _cover(n, u, v):
 
 
 def trace(ctx, u, v):
-    """Placements tiling [psi_u(0), psi_v(1)] intersected with T.
+    """Pairs tiling [psi_u(0), psi_v(1)] intersected with T.
 
     u and v are words; the shorter one is padded (u along letter 1, v
     along letter n, neither changing its relevant endpoint).  The segment
@@ -186,8 +170,8 @@ def trace(ctx, u, v):
     the range.  Each C adds blocks 2..c1-1 of psi_C, the first C its
     block 1 and the last its block c1.  At the joint of C = P g n^s_a
     and C' = P (g+1) 1^s_b: block c1 of C and block 1 of C' if g does
-    not touch; else the family-2 piece at P if s_a = s_b = 0; else the
-    family-3 piece at P with R_s_a(T_Pg) minus R_q(T_Pg) and
+    not touch; else the touch2 piece at P if s_a = s_b = 0; else the
+    touch3 piece at P with R_s_a(T_Pg) minus R_q(T_Pg) and
     L_s_b(T_P(g+1)) minus L_p(T_P(g+1)).
     """
     spec = ctx.spec
@@ -200,9 +184,9 @@ def trace(ctx, u, v):
     if cylsets.shares_end(spec, u, 1):
         raise DecompositionError("trace start %r shares its left endpoint "
                                  "outside the segment" % (u,))
-    out = [Placement(cyls[0], 1, 1)]
+    out = [(cyls[0], ("comp1", 1))]
     for w in cyls:
-        out.extend(Placement(w, 1, j) for j in range(2, ctx.c1))
+        out.extend((w, ("comp1", j)) for j in range(2, ctx.c1))
     for a, b in zip(cyls, cyls[1:]):
         m = 0
         while a[m] == b[m]:
@@ -210,10 +194,10 @@ def trace(ctx, u, v):
         g = a[m]
         sa, sb = len(a) - m - 1, len(b) - m - 1
         if g not in ctx.touch:
-            out.append(Placement(a, 1, ctx.c1))
-            out.append(Placement(b, 1, 1))
+            out.append((a, ("comp1", ctx.c1)))
+            out.append((b, ("comp1", 1)))
         elif sa == sb == 0:
-            out.append(Placement(a[:m], 2, g))
+            out.append((a[:m], ("touch2", g)))
         else:
             if sa >= ctx.q or sb >= ctx.p:
                 raise DepthError(
@@ -221,8 +205,8 @@ def trace(ctx, u, v):
                     "q > %d and p > %d" % (sa, sb, sa, sb))
             out.extend(rdiff(ctx, a, 0, ctx.q - sa))
             out.extend(ldiff(ctx, b, 0, ctx.p - sb))
-            out.append(Placement(a[:m], 3, g))
-    out.append(Placement(cyls[-1], 1, ctx.c1))
+            out.append((a[:m], ("touch3", g)))
+    out.append((cyls[-1], ("comp1", ctx.c1)))
     if cylsets.shares_end(spec, v, n):
         raise DecompositionError("trace end %r shares its right endpoint "
                                  "outside the segment" % (v,))
@@ -251,7 +235,7 @@ def _hole_fits(n, p, q, end, kp, j):
 
 
 def hole_diff(ctx, end, i, kp, j):
-    """Placements tiling the near patch of touching letter i minus its
+    """Pairs tiling the near patch of touching letter i minus its
     deep copy and the hole of j, a substitution word on the side of
     ``end`` (``decide.witness_letters``): along 1, R_q(T_i) minus
     (R_3q(T_i) union L_kp(T_{i [n]^2q j})); along n the mirror image,
@@ -288,17 +272,17 @@ def block_decompose(ctx, idx):
     """One level-1 block rewritten through its own children.
 
     A single-letter block becomes the full child block list; a multi
-    letter block merges each internal touching pair into a family-2
+    letter block merges each internal touching pair into a touch2
     piece.
     """
     b, e = ctx.blocks[idx - 1]
     c1 = ctx.c1
     if b == e:
-        out = [Placement((b,), 1, j) for j in range(1, c1 + 1)]
+        out = [((b,), ("comp1", j)) for j in range(1, c1 + 1)]
     else:
-        out = [Placement((b,), 1, 1)]
-        out.extend(Placement((l,), 1, j)
+        out = [((b,), ("comp1", 1))]
+        out.extend(((l,), ("comp1", j))
                    for l in range(b, e + 1) for j in range(2, c1))
-        out.extend(Placement((), 2, l) for l in range(b, e))
-        out.append(Placement((e,), 1, c1))
+        out.extend(((), ("touch2", l)) for l in range(b, e))
+        out.append(((e,), ("comp1", c1)))
     return out

@@ -133,13 +133,13 @@ def _partition_suite(spec, kmax=5):
                 disjoint = not _word_sets_intersect(n, child, parent)
                 assert inside or disjoint
     for fam, pieces in zip(fams, levels):
-        canon_pieces = {tuple(sorted(p.words)) for p in pieces}
+        canon_pieces = {tuple(sorted(p)) for p in pieces}
         for ws in fam:
             assert tuple(sorted(ws)) in canon_pieces
     # refinement of consecutive partitions
     for coarse, fine in zip(levels, levels[1:]):
         for piece in fine:
-            assert sum(cylsets.word_subset(n, piece.words, c.words)
+            assert sum(cylsets.word_subset(n, piece, c)
                        for c in coarse) == 1
     # strictly decreasing gap-refined norms
     norms = [partition_norm(spec, partition_T(spec, k))

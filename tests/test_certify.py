@@ -25,7 +25,7 @@ from lipeq.decide import (SearchBudget, Witness, closed_form_witnesses,
 from lipeq.exactnum import SymValue, mult_dependence
 from lipeq.patches import patch_words
 from lipeq.specfile import format_value
-from lipeq.tstar import Context, Placement, _hole_fits
+from lipeq.tstar import Context, _hole_fits
 
 from conftest import (make_one45, make_endratio_spec, make_equal_spec,
                       random_equal_spec,
@@ -867,12 +867,12 @@ def test_disjointness_checked_on_both_sides_of_every_edge(one45,
 # ---------------------------------------------------------------------------
 # the build path validates once
 
-def _shift_block(ctx, pls):
+def _shift_block(ctx, pairs):
     """Move the first block piece to the neighbouring block."""
-    i = next(k for k, pl in enumerate(pls) if pl.fam == 1)
-    pl = pls[i]
-    idx = pl.idx + 1 if pl.idx < ctx.c1 else pl.idx - 1
-    return pls[:i] + [Placement(pl.prefix, 1, idx)] + pls[i + 1:]
+    i = next(k for k, (_, key) in enumerate(pairs) if key[0] == "comp1")
+    prefix, (_, idx) = pairs[i]
+    idx = idx + 1 if idx < ctx.c1 else idx - 1
+    return pairs[:i] + [(prefix, ("comp1", idx))] + pairs[i + 1:]
 
 
 ENGINE_FAULTS = {
@@ -940,7 +940,7 @@ class TestBuildPath:
         ctx = Context(one45, 3, 3)
         for idx in range(1, ctx.c1 + 1):
             pls = tstar.block_decompose(ctx, idx)
-            target = ctx.family_words(1, idx)
+            target = ctx.family_words(("comp1", idx))
             assert cover_fault(ctx, pls, target) is None
             assert cover_fault(ctx, ENGINE_FAULTS[fault](ctx, pls),
                                target) is not None

@@ -257,6 +257,30 @@ class TestAnalyze:
         assert out.out == "" and out.err.count("\n") == 1
         assert "over the limit" in out.err
 
+    def test_long_number_literal_refused_at_once(self, tmp_path, capsys):
+        # a 5000-digit denominator: over Python's int-string limit, which
+        # Fraction raised as a traceback, and factored for seconds where
+        # there is no such limit
+        doc = dict(spec_to_doc(make_one45()),
+                   ratios=["1/3", "1/" + "7" * 5000, "1/3"],
+                   translations=["0", "1/3", "2/3"])
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert main(["analyze", str(path)]) == 3
+        assert time.perf_counter() - t0 < 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert "over the limit" in out.err
+
+    def test_deeply_nested_spec_is_error(self, tmp_path, capsys):
+        # the JSON reader recurses once per nesting level
+        path = tmp_path / "s.json"
+        path.write_text("[" * 200000)
+        assert main(["analyze", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: system description nests too deeply to read\n"
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(0, len(SPEC_PATHS) - 1),
@@ -503,6 +527,35 @@ class TestVerifyMalformed:
         cert = tmp_path / "c.json"
         cert.write_text(json.dumps(ONE45_CERT)[:-3])
         assert main(["verify", one45_file, "--cert", str(cert)]) == 3
+
+    def test_deeply_nested(self, one45_file, tmp_path, capsys):
+        # the JSON reader recurses once per nesting level
+        cert = tmp_path / "c.json"
+        cert.write_text("[" * 200000)
+        assert main(["verify", one45_file, "--cert", str(cert)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: certificate nests too deeply to read\n"
+
+    def test_vertex_index_true_refused(self, one45_file, tmp_path, capsys):
+        # true equals 1 and hashes as 1, so a graph whose keys, sources
+        # and targets all say true for 1 would check as the intact one
+        doc = copy.deepcopy(ONE45_CERT)
+
+        def bool_key(key):
+            return [True if k == 1 else k for k in key]
+
+        for v in doc["vertices"]:
+            v["key"] = bool_key(v["key"])
+        for e in doc["edges"]:
+            e["source"] = bool_key(e["source"])
+            for piece in e["pieces"]:
+                piece["target"] = bool_key(piece["target"])
+        assert any(True in v["key"] for v in doc["vertices"])
+        capsys.readouterr()
+        assert verify_doc(one45_file, tmp_path, doc) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a nonempty list of names and numbers" in err
 
     @pytest.mark.parametrize("change", [
         {"p": 7}, {"p": -3}, {"q": 1}, {"p0": 5}, {"q0": 0},

@@ -12,8 +12,8 @@ from lipeq.patches import (tau, c_set_words, c_family, c_family_sizes,
                            partition_S, partition_T, partition_norm, delta_k,
                            e_family, e_family_sizes, e_ratio_set,
                            measure_words,
-                           simple_decomposition, PartitionPiece,
-                           gap_partition, _e_parents)
+                           simple_decomposition, gap_partition,
+                           _e_parents)
 from lipeq import cylsets, patches
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
@@ -26,21 +26,28 @@ def ref_partition_S(spec, k):
     """partition_S placing each touching-zone set by testing it against
     every piece, the reference for the prefix-indexed placement."""
     levels = []
-    current = [PartitionPiece(spec, ((),))]
+    current = [((),)]
     for level in range(1, k + 1):
         csets = c_family(spec, level)
         nxt = []
         for piece in current:
             inside = [c for c in csets
-                      if cylsets.word_subset(spec.n, c, piece.words)]
+                      if cylsets.word_subset(spec.n, c, piece)]
             if not inside:
                 nxt.append(piece)
             else:
-                nxt.extend(simple_decomposition(spec, piece.words, inside))
-        nxt.sort(key=lambda p: p.lo)
+                nxt.extend(simple_decomposition(spec, piece, inside))
+        nxt.sort(key=lambda p: hull(spec, p)[0])
         levels.append(nxt)
         current = nxt
     return levels
+
+
+def hull(spec, piece):
+    """(least left end, greatest right end) over the words of a piece,
+    exact values from ``cyl_lo`` and ``cyl_hi``."""
+    return (min(spec.cyl_lo(w) for w in piece),
+            max(spec.cyl_hi(w) for w in piece))
 
 
 def level1_gaps(spec):
@@ -53,7 +60,8 @@ def ref_gap_partition(spec, words, delta):
     """gap_partition by refining into atoms and scanning the hull ends of
     every pair of neighbouring atoms, the reference for the walk on the
     grid.  Exact values throughout: scales from ``affine``, ends from
-    ``cyl_lo`` and ``cyl_hi``.  Returns (words, lo, hi) per piece."""
+    ``cyl_lo`` and ``cyl_hi``.  Returns the canonical word tuple of each
+    piece, in spatial order."""
     gmax = max(level1_gaps(spec))
 
     def expand(w):
@@ -77,11 +85,7 @@ def ref_gap_partition(spec, words, delta):
             buf = []
         buf.append(v)
     runs.append(buf)
-    out = []
-    for run in runs:
-        ws = cylsets.canonicalize(spec.n, run)
-        out.append((ws, spec.cyl_lo(ws[0]), spec.cyl_hi(ws[-1])))
-    return out
+    return [cylsets.canonicalize(spec.n, run) for run in runs]
 
 
 SPEC_KINDS = ["equal", "unequal", "declared"]
@@ -150,9 +154,8 @@ class TestPartitionS:
     def test_levels_partition_everything(self):
         spec = make_one45()
         for pieces in partition_S(spec, 3):
-            groups = [p.words for p in pieces]
-            cylsets.check_disjoint_groups(spec, groups)
-            assert union_equal(spec.n, [w for g in groups for w in g],
+            cylsets.check_disjoint_groups(spec, pieces)
+            assert union_equal(spec.n, [w for p in pieces for w in p],
                                [()])
 
     def test_refinement(self):
@@ -161,8 +164,7 @@ class TestPartitionS:
         for coarse, fine in zip(levels, levels[1:]):
             for piece in fine:
                 parents = [c for c in coarse
-                           if cylsets.word_subset(spec.n, piece.words,
-                                                  c.words)]
+                           if cylsets.word_subset(spec.n, piece, c)]
                 assert len(parents) == 1
 
     def test_c_sets_appear_in_partition(self):
@@ -171,8 +173,7 @@ class TestPartitionS:
             pieces = partition_S(spec, k)[-1]
             for ws in c_family(spec, k):
                 target = cylsets.canonicalize(spec.n, ws)
-                assert any(tuple(sorted(p.words))
-                           == tuple(sorted(target))
+                assert any(tuple(sorted(p)) == tuple(sorted(target))
                            for p in pieces)
 
 
@@ -183,9 +184,7 @@ class TestPartitionS:
         for spec in specs:
             got = partition_S(spec, 4)
             want = ref_partition_S(spec, 4)
-            assert ([[(p.words, p.lo, p.hi) for p in lvl] for lvl in got]
-                    == [[(p.words, p.lo, p.hi) for p in lvl]
-                        for lvl in want])
+            assert got == want
 
 
 class TestPartitionT:
@@ -197,10 +196,7 @@ class TestPartitionT:
         for make in makers:
             warm = make()
             for k in (1, 2, 3):
-                assert ([(p.words, p.lo, p.hi)
-                         for p in partition_T(warm, k)]
-                        == [(p.words, p.lo, p.hi)
-                            for p in partition_T(make(), k)])
+                assert partition_T(warm, k) == partition_T(make(), k)
 
     def test_norm_strictly_decreasing(self):
         spec = make_one45()
@@ -212,9 +208,8 @@ class TestPartitionT:
         spec = make_one45()
         for k in (1, 2, 3):
             pieces = partition_T(spec, k)
-            groups = [p.words for p in pieces]
-            cylsets.check_disjoint_groups(spec, groups)
-            assert union_equal(spec.n, [w for g in groups for w in g],
+            cylsets.check_disjoint_groups(spec, pieces)
+            assert union_equal(spec.n, [w for p in pieces for w in p],
                                [()])
 
 
@@ -230,11 +225,9 @@ class TestPartitionTOneWalk:
         for k in (1, 2, 3):
             d = delta_k(spec, k)
             want = sorted((ref for piece in partition_S(spec, k)[-1]
-                           for ref in ref_gap_partition(spec, piece.words,
-                                                        d)),
-                          key=lambda r: r[0][0])
-            got = [(p.words, p.lo, p.hi) for p in partition_T(spec, k)]
-            assert got == want
+                           for ref in ref_gap_partition(spec, piece, d)),
+                          key=lambda r: r[0])
+            assert partition_T(spec, k) == want
 
 
 class TestGapPartition:
@@ -255,9 +248,8 @@ class TestGapPartition:
             delta = spec.affine(w)[0] * g
         else:
             delta = Fraction(1, rng.randrange(2, 300))
-        got = [(p.words, p.lo, p.hi)
-               for p in gap_partition(spec, words, delta)]
-        assert got == ref_gap_partition(spec, words, delta)
+        assert (gap_partition(spec, words, delta)
+                == ref_gap_partition(spec, words, delta))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32),
@@ -278,12 +270,11 @@ class TestGapPartition:
         gap = spec.cyl_lo(v) - spec.cyl_hi(u)
         for delta, split in ((gap, True), (gap * Fraction(1001, 1000),
                                            False)):
-            got = [(p.words, p.lo, p.hi)
-                   for p in gap_partition(spec, words, delta)]
+            got = gap_partition(spec, words, delta)
             assert got == ref_gap_partition(spec, words, delta)
             joined = any(any(w[:len(u)] == u for w in ws)
                          and any(w[:len(v)] == v for w in ws)
-                         for ws, _, _ in got)
+                         for ws in got)
             assert joined != split
 
     @pytest.mark.parametrize("delta", [Fraction(0), Fraction(-1)],
@@ -307,8 +298,9 @@ class TestLevelsOnTheGrid:
         levels = partition_S(spec, 3)
         for k in (1, 2, 3):
             for pieces in (levels[k - 1], partition_T(spec, k)):
-                assert all(p.lo < r.lo for p, r in zip(pieces, pieces[1:]))
-                want = max(p.hi - p.lo for p in pieces)
+                hulls = [hull(spec, p) for p in pieces]
+                assert all(a[0] < b[0] for a, b in zip(hulls, hulls[1:]))
+                want = max(hi - lo for lo, hi in hulls)
                 got = partition_norm(spec, pieces)
                 assert got == want and type(got) is type(want)
 
@@ -326,7 +318,7 @@ class TestPiecesCanonical:
         for k in (1, 2, 3):
             for pieces in (levels[k - 1], partition_T(spec, k)):
                 for p in pieces:
-                    assert p.words == cylsets.canonicalize(spec.n, p.words)
+                    assert p == cylsets.canonicalize(spec.n, p)
 
 
 ACCEPTANCE5_SPECS = (make_one45, lambda: make_equal_spec(4, 9, [0, 3, 4, 8]),
@@ -375,8 +367,7 @@ class TestSimpleDecomposition:
         marked = [c_set_words(spec, 1)]
         pieces = simple_decomposition(spec, [()], marked)
         sorted_marked = tuple(sorted(marked[0]))
-        assert any(tuple(sorted(p.words)) == sorted_marked
-                   for p in pieces)
+        assert any(tuple(sorted(p)) == sorted_marked for p in pieces)
 
     def test_hull_must_meet_parent_only_in_marked_set(self):
         spec = make_one45()
@@ -418,10 +409,14 @@ class TestSimpleDecomposition:
             simple_decomposition(spec, [()], marked)
 
     def test_hulls_of_pieces(self):
+        # the hull that ``cli._piece_doc`` writes, the left end of the
+        # first word to the right end of the last, is the hull of all
+        # the piece's words
         spec = make_one45()
-        for piece in partition_S(spec, 3)[-1]:
-            assert piece.lo == min(spec.cyl_lo(w) for w in piece.words)
-            assert piece.hi == max(spec.cyl_hi(w) for w in piece.words)
+        for pieces in (partition_S(spec, 3)[-1], partition_T(spec, 3)):
+            for piece in pieces:
+                assert (spec.cyl_lo(piece[0]), spec.cyl_hi(piece[-1])) \
+                    == hull(spec, piece)
 
     def test_lost_atom_does_not_cover_the_parent(self, monkeypatch):
         # an atom dropped from the refinement leaves pieces that are
@@ -441,9 +436,8 @@ class TestSimpleDecomposition:
     def test_cover_is_exact(self):
         spec = make_one45()
         pieces = simple_decomposition(spec, [()], [c_set_words(spec, 1)])
-        groups = [p.words for p in pieces]
-        cylsets.check_disjoint_groups(spec, groups)
-        assert union_equal(spec.n, [w for g in groups for w in g], [()])
+        cylsets.check_disjoint_groups(spec, pieces)
+        assert union_equal(spec.n, [w for p in pieces for w in p], [()])
 
 
 def four_map_spec():

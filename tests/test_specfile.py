@@ -167,6 +167,13 @@ def declared_doc(digits=MAX_DIGITS, exponent=MAX_EXPONENT, count=1,
                       for b in names]}
 
 
+def literal_doc(ratio="1/7", translation="1/3"):
+    """Ratios 1/3, ``ratio``, 1/3 at 0, ``translation``, 2/3."""
+    return {"format": "lipeq-spec", "version": 1, "role": "touching",
+            "ratios": ["1/3", ratio, "1/3"],
+            "translations": ["0", translation, "2/3"]}
+
+
 class TestReadingLimits:
     """Validation raises declared enclosures to the ratios' exponents, so
     the digits, the exponents and the number of bases are bounded; over a
@@ -192,6 +199,38 @@ class TestReadingLimits:
         with pytest.raises(ParseError, match="over the limit"):
             spec_from_doc(doc)
         assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("doc", [
+        literal_doc(ratio="1/" + "7" * (MAX_DIGITS - 1)),
+        literal_doc(ratio="0." + "1" * (MAX_DIGITS - 1)),
+    ], ids=["denominator", "decimal"])
+    def test_longest_admitted_literal_loads(self, doc):
+        # MAX_DIGITS digits in one literal, the separator not counted
+        t0 = time.perf_counter()
+        spec_from_doc(doc)
+        assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("doc", [
+        literal_doc(ratio="1/" + "7" * MAX_DIGITS),
+        literal_doc(ratio="1/" + "7" * 5000),
+        literal_doc(translation="0." + "3" * MAX_DIGITS),
+        literal_doc(translation="1/3+" + "1" * (MAX_DIGITS + 1) + "/10"
+                                + "0" * (MAX_DIGITS + 1)),
+    ], ids=["denominator", "int-string-limit", "decimal", "second-term"])
+    def test_long_literal_refused_at_once(self, doc):
+        # refused before a Fraction is built: Python 3.11 and later raise
+        # ValueError past 4300 digits, and 3.10 would read on
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="number literal of .* over "
+                                             "the limit"):
+            spec_from_doc(doc)
+        assert time.perf_counter() - t0 < 1
+
+    def test_long_exponent_literal_refused(self):
+        # read by int(), which raises past the int-string limit
+        with pytest.raises(ParseError, match="number literal of 5000 "
+                                             "digits"):
+            parse_value("g^" + "1" * 5000, {"g": DeclaredBase("g", "0.5")})
 
     def test_exponent_limit_is_on_the_product(self):
         with pytest.raises(ParseError, match="exponent 100 of g"):

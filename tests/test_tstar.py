@@ -1,4 +1,4 @@
-"""Placement engines for touching-zone decompositions.
+"""Tiling engines for touching-zone decompositions.
 
 The engines only construct.  ``cover_fault`` is the exact oracle that
 these tests hold them to: the placed pieces are pairwise point-disjoint,
@@ -16,9 +16,8 @@ from hypothesis import given, settings, strategies as st
 from lipeq import SpecError, cylsets
 from lipeq.patches import patch_words, zone_words
 from lipeq.decide import _admissible
-from lipeq.tstar import (Context, Placement, DepthError, ldiff, rdiff,
-                         trace, hole_diff, block_decompose, _cover,
-                         _hole_fits)
+from lipeq.tstar import (Context, DepthError, ldiff, rdiff, trace,
+                         hole_diff, block_decompose, _cover, _hole_fits)
 
 from conftest import (make_one45, random_equal_spec, random_fuzz_spec,
                       random_unequal_spec)
@@ -29,22 +28,24 @@ def ctx45(p=3, q=3):
     return Context(make_one45(), p, q)
 
 
-def placement_words(ctx, pl):
-    """The words of a placed family member."""
-    return tuple(pl.prefix + w for w in ctx.family_words(pl.fam, pl.idx))
+def placement_words(ctx, pair):
+    """The words of an engine's (prefix, vertex key) pair: the vertex's
+    words under the prefix."""
+    prefix, key = pair
+    return tuple(prefix + w for w in ctx.family_words(key))
 
 
-def cover_fault(ctx, placements, target):
-    """Why ``placements`` do not tile the word set ``target`` exactly, or
-    None when they do.  The pieces must be pairwise point-disjoint, each
-    block piece separate from the rest of the attractor (the exact
-    ``is_separate``), and their union must equal the target with no
-    residue."""
+def cover_fault(ctx, pairs, target):
+    """Why the engine's ``pairs`` do not tile the word set ``target``
+    exactly, or None when they do.  The pieces must be pairwise
+    point-disjoint, each block piece separate from the rest of the
+    attractor (the exact ``is_separate``), and their union must equal the
+    target with no residue."""
     spec = ctx.spec
-    groups = [placement_words(ctx, pl) for pl in placements]
-    for pl, words in zip(placements, groups):
-        if pl.fam == 1 and not is_separate(spec, words)[0]:
-            return "block piece %r not separate" % (pl,)
+    groups = [placement_words(ctx, pr) for pr in pairs]
+    for pr, words in zip(pairs, groups):
+        if pr[1][0] == "comp1" and not is_separate(spec, words)[0]:
+            return "block piece %r not separate" % (pr,)
     try:
         cylsets.check_disjoint_groups(spec, groups)
     except SpecError as e:
@@ -93,9 +94,9 @@ def ref_trace(ctx, u, v):
     elif len(v) < len(u):
         v = v + (n,) * (len(u) - len(v))
     words = trace_target(ctx.spec, u, v)
-    out = [Placement(words[0], 1, 1)]
+    out = [(words[0], ("comp1", 1))]
     for w in words:
-        out.extend(Placement(w, 1, j) for j in range(2, ctx.c1))
+        out.extend((w, ("comp1", j)) for j in range(2, ctx.c1))
     for a, b in zip(words, words[1:]):
         m = 0
         while a[m] == b[m]:
@@ -103,18 +104,18 @@ def ref_trace(ctx, u, v):
         g = a[m]
         s = len(a) - m - 1
         if g not in ctx.touch:
-            out.append(Placement(a, 1, ctx.c1))
-            out.append(Placement(b, 1, 1))
+            out.append((a, ("comp1", ctx.c1)))
+            out.append((b, ("comp1", 1)))
         elif s == 0:
-            out.append(Placement(a[:m], 2, g))
+            out.append((a[:m], ("touch2", g)))
         else:
             if s >= ctx.q or s >= ctx.p:
                 raise DepthError("joint pair with %d trailing letters "
                                  "needs p, q > %d" % (s, s))
             out.extend(rdiff(ctx, a, 0, ctx.q - s))
             out.extend(ldiff(ctx, b, 0, ctx.p - s))
-            out.append(Placement(a[:m], 3, g))
-    out.append(Placement(words[-1], 1, ctx.c1))
+            out.append((a[:m], ("touch3", g)))
+    out.append((words[-1], ("comp1", ctx.c1)))
     return out
 
 
@@ -157,16 +158,24 @@ class TestContext:
 
     def test_family_words(self):
         ctx = ctx45()
-        assert ctx.family_words(1, 1) == ((1,),)
-        assert ctx.family_words(1, 2) == ((2,), (3,))
+        assert ctx.family_words(("comp1", 1)) == ((1,),)
+        assert ctx.family_words(("comp1", 2)) == ((2,), (3,))
         # the level-2 neighbourhood joins the facing patches
-        assert set(ctx.family_words(2, 2)) == {(2, 2), (2, 3), (3, 1)}
+        assert set(ctx.family_words(("touch2", 2))) == {(2, 2), (2, 3),
+                                                        (3, 1)}
+
+    @pytest.mark.parametrize("key", [("whole",), ("touch4", 2),
+                                     ("comp2", 1)])
+    def test_unknown_kind_refused(self, key):
+        # only the three kinds that the engines place have relative words
+        with pytest.raises(SpecError, match="unknown vertex kind"):
+            ctx45().family_words(key)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32), st.booleans(),
            st.integers(1, 4), st.integers(1, 4))
     def test_touching_families_are_patch_unions(self, seed, equal, p, q):
-        # family 2 is R_0(T_i) + L_0(T_{i+1}) and family 3 is
+        # touch2 is R_0(T_i) + L_0(T_{i+1}) and touch3 is
         # R_q(T_i) + L_p(T_{i+1}), spelled here letter by letter
         rng = random.Random(seed)
         spec = (random_equal_spec(rng) if equal
@@ -174,17 +183,17 @@ class TestContext:
         ctx = Context(spec, p, q)
         n, a, b = spec.n, ctx.alpha, ctx.beta
         for i in sorted(ctx.touch):
-            for fam, k, kp in ((2, 0, 0), (3, q, p)):
+            for kind, k, kp in (("touch2", 0, 0), ("touch3", q, p)):
                 want = (tuple((i,) + (n,) * k + (l,)
                               for l in range(n - b + 1, n + 1))
                         + tuple((i + 1,) + (1,) * kp + (l,)
                                 for l in range(1, a + 1)))
                 assert want == zone_words(spec, i, k, kp)
-                assert ctx.family_words(fam, i) == want
+                assert ctx.family_words((kind, i)) == want
         free = next(i for i in range(1, n) if i not in ctx.touch)
-        for fam in (2, 3):
+        for kind in ("touch2", "touch3"):
             with pytest.raises(SpecError, match="must touch"):
-                ctx.family_words(fam, free)
+                ctx.family_words((kind, free))
 
     def test_patches(self):
         spec = make_one45()
@@ -220,12 +229,12 @@ class TestOracle:
     def test_rejects_residue_overlap_and_touching_blocks(self):
         ctx = ctx45()
         pls = block_decompose(ctx, 2)
-        target = ctx.family_words(1, 2)
+        target = ctx.family_words(("comp1", 2))
         assert cover_fault(ctx, pls, target) is None
         assert cover_fault(ctx, pls[1:], target) is not None
         assert cover_fault(ctx, pls + pls[:1], target) is not None
         # the second block under prefix 2 ends at psi_2(1) = psi_3(0)
-        piece = Placement((2,), 1, 2)
+        piece = ((2,), ("comp1", 2))
         assert "not separate" in cover_fault(ctx, [piece],
                                              [(2, 2), (2, 3)])
 
@@ -402,8 +411,8 @@ class TestBlockDecompose:
         ctx = ctx45()
         pls = block_decompose(ctx, 1)
         # cylinder (1,) splits into scaled copies of both level-1 blocks
-        assert {pl.idx for pl in pls if pl.fam == 1} == {1, 2}
-        assert cover_fault(ctx, pls, ctx.family_words(1, 1)) is None
+        assert {key for _, key in pls} == {("comp1", 1), ("comp1", 2)}
+        assert cover_fault(ctx, pls, ctx.family_words(("comp1", 1))) is None
 
     def test_multi_letter_block(self):
         ctx = ctx45()
@@ -484,7 +493,8 @@ class TestEnginesAgainstOracle:
         v = rng.randrange(u + 1, 4)
         calls = [(ldiff(ctx, base, u, v), ldiff_target(spec, base, u, v)),
                  (rdiff(ctx, base, u, v), rdiff_target(spec, base, u, v))]
-        calls += [(block_decompose(ctx, idx), ctx.family_words(1, idx))
+        calls += [(block_decompose(ctx, idx),
+                   ctx.family_words(("comp1", idx)))
                   for idx in range(1, ctx.c1 + 1)]
         a, b = _trace_args(rng, ctx)
         calls.append((trace(ctx, a, b), trace_target(spec, a, b)))
@@ -498,9 +508,9 @@ class TestEnginesAgainstOracle:
         calls.append((hole_diff(ctx, n, i, kp, j),
                       hole_target(spec, p, q, n, i, kp, j)))
 
-        for placements, target in calls:
-            assert placements
-            assert cover_fault(ctx, placements, target) is None
+        for pairs, target in calls:
+            assert pairs
+            assert cover_fault(ctx, pairs, target) is None
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +530,11 @@ def mirror_specs(source):
     return [s for b in base for s in (b, b.mirror())]
 
 
-def placed_word_set(ctx, placements):
-    """The canonical words of the union of ``placements``, as a set."""
+def placed_word_set(ctx, pairs):
+    """The canonical words of the union of an engine's ``pairs``, as a
+    set."""
     return set(cylsets.canonicalize(
-        ctx.spec.n, [w for pl in placements for w in placement_words(ctx, pl)]))
+        ctx.spec.n, [w for pr in pairs for w in placement_words(ctx, pr)]))
 
 
 class TestMirror:
