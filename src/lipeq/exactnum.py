@@ -161,7 +161,7 @@ class DeclaredBase:
         self.lo = v - eps
         self.hi = v + eps
         if self.lo <= 0:
-            raise ValueError("declared base %r must be certainly positive" % name)
+            raise ValueError("a declared base must be certainly positive")
 
     def interval(self):
         return (self.lo, self.hi)

@@ -5,6 +5,12 @@ base names, e.g. ``"1/5"``, ``"1/16*e^2"``, ``"3/4-1/4*e"``.  Ratios must
 be single positive monomials; translations may be sums.  Serialization is
 canonical so documents and digests are reproducible: every document lipeq
 writes is ``dump_doc`` text, sorted-key JSON with a one-space indent.
+
+An expression is ``[+|-] term ((+|-) term)*``, a term ``factor (*
+factor)*``, and a factor a number literal ``a/b``, ``a.b`` or ``a``, or a
+base name ``[A-Za-z_][A-Za-z_0-9]*`` with an optional ``^n`` or ``^-n``,
+where ``a``, ``b`` and ``n`` are runs of decimal digits.  Whitespace may
+come before each factor and operator.  ``_FACTOR`` and ``_OP`` read it.
 """
 
 from fractions import Fraction
@@ -17,144 +23,101 @@ from .exactnum import MAX_DIGITS, DeclaredBase, ExactRatio, SymValue
 from .ifs import IfsSpec, SpecError
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(\^)|(\*)|(\+)|(-))")
+_NUMBER = r"(\d+/\d+|\d+\.\d+|\d+)"
+_FACTOR = re.compile(r"\s*(?:%s|([A-Za-z_][A-Za-z_0-9]*)"
+                     r"(?:\s*\^\s*(-?)\s*(\d+))?)" % _NUMBER)
+_OP = re.compile(r"\s*([-+*])|\Z")
 
-
-# the largest |exponent| of a declared base in one product term, and the
-# most declared bases of a system; see ``exactnum.MAX_DIGITS``, which
-# also bounds the digits of one number literal: a ratio's denominator is
-# factored, and a longer one costs seconds there, or a traceback where
-# Python limits the digits of an int string
+# A number literal, an exponent too, has at most MAX_DIGITS digits, the
+# separator not counted (a longer denominator is slow to factor, and
+# Python 3.11 refuses int strings past 4300 digits), and so has each side
+# of a base's value.  A coefficient stays below _COEFF_LIMIT, a term's
+# exponents within MAX_EXPONENT, and a system has at most MAX_BASES bases.
 MAX_EXPONENT = 50
 MAX_BASES = 8
+_COEFF_LIMIT = 10 ** MAX_DIGITS
 
 
 class ParseError(SpecError):
     pass
 
 
-def _tokenize(s):
-    pos = 0
-    out = []
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m or m.end() == pos:
-            raise ParseError("cannot tokenize %r at %d" % (s, pos))
-        num, name, caret, star, plus, minus = m.groups()
+def _cut(text, width=60):
+    """``text`` for an error line: at most ``width`` characters, "..."."""
+    return text if len(text) <= width else text[:width] + "..."
+
+
+def _parse_terms(s, bases):
+    """The (Fraction, {base: exponent}) terms of s, every base declared."""
+    def refused(what):
+        return ParseError("%s in %s" % (what, _cut(ascii(s))))
+
+    terms, pos, op = [], 0, "+"
+    m = _OP.match(s)
+    if m and m.group(1) in ("+", "-"):
+        pos, op = m.end(), m.group(1)
+    while op:
+        # op is the operator before this factor, None at the end
+        if op != "*":
+            sign, coeff, mono = (-1 if op == "-" else 1), Fraction(1), {}
+        m = _FACTOR.match(s, pos)
+        if m is None:
+            raise refused("factor expected at offset %d" % pos)
+        num, name, minus, exp = m.groups()
+        lit = num or exp or ""
+        digits = sum(map(str.isdigit, lit))
+        if digits > MAX_DIGITS:
+            raise ParseError("a number literal of %d digits at offset %d "
+                             "is over the limit of %d"
+                             % (digits, m.end() - len(lit), MAX_DIGITS))
         if num is not None:
-            digits = sum(c.isdigit() for c in num)
-            if digits > MAX_DIGITS:
-                raise ParseError("a number literal of %d digits at offset %d "
-                                 "is over the limit of %d"
-                                 % (digits, m.start(1), MAX_DIGITS))
-            out.append(("num", num))
-        elif name is not None:
-            out.append(("name", name))
-        elif caret:
-            out.append(("^", None))
-        elif star:
-            out.append(("*", None))
-        elif plus:
-            out.append(("+", None))
+            try:
+                coeff *= Fraction(num)
+            except ZeroDivisionError:
+                raise refused("zero denominator")
+            if max(coeff.numerator, coeff.denominator) >= _COEFF_LIMIT:
+                raise refused("a coefficient over the limit of %d digits "
+                              "at offset %d" % (MAX_DIGITS, m.end()))
         else:
-            out.append(("-", None))
+            if name not in bases:
+                raise refused("undeclared base %s" % _cut(name))
+            e = 1 if exp is None else int(exp)
+            mono[name] = mono.get(name, 0) + (-e if minus else e)
         pos = m.end()
-    return out
-
-
-def _parse_terms(s):
-    """List of (Fraction coeff, dict base->exp) product terms."""
-    toks = _tokenize(s)
-    terms = []
-    i = 0
-    sign = 1
-    n = len(toks)
-    if toks and toks[0][0] in ("+", "-"):
-        sign = -1 if toks[0][0] == "-" else 1
-        i = 1
-    while i < n:
-        coeff = Fraction(1)
-        mono = {}
-        got = False
-        while True:
-            kind, val = toks[i]
-            if kind == "num":
-                try:
-                    coeff *= Fraction(val)
-                except ZeroDivisionError:
-                    raise ParseError("zero denominator in %r" % s)
-                i += 1
-            elif kind == "name":
-                e = 1
-                i += 1
-                if i < n and toks[i][0] == "^":
-                    i += 1
-                    expsign = 1
-                    if i < n and toks[i][0] == "-":
-                        expsign = -1
-                        i += 1
-                    if i >= n or toks[i][0] != "num":
-                        raise ParseError("exponent expected in %r" % s)
-                    try:
-                        e = expsign * int(toks[i][1])
-                    except ValueError:
-                        raise ParseError("integer exponent expected in %r"
-                                         % s)
-                    i += 1
-                mono[val] = mono.get(val, 0) + e
-            else:
-                raise ParseError("factor expected in %r" % s)
-            got = True
-            if i < n and toks[i][0] == "*":
-                i += 1
-                continue
-            break
-        if not got:
-            raise ParseError("empty term in %r" % s)
+        m = _OP.match(s, pos)
+        if m is None:
+            raise refused("operator expected at offset %d" % pos)
+        pos, op = m.end(), m.group(1)
+        if op == "*":
+            continue
         for name, e in mono.items():
             if abs(e) > MAX_EXPONENT:
-                raise ParseError("exponent %d of %s in %r is over the limit "
-                                 "of %d" % (e, name, s, MAX_EXPONENT))
+                raise refused("exponent %d of %s is over the limit of %d"
+                              % (e, _cut(name), MAX_EXPONENT))
         terms.append((sign * coeff, mono))
-        if i < n:
-            if toks[i][0] == "+":
-                sign = 1
-            elif toks[i][0] == "-":
-                sign = -1
-            else:
-                raise ParseError("operator expected in %r" % s)
-            i += 1
-            if i == n:
-                raise ParseError("dangling operator in %r" % s)
-    if not terms:
-        raise ParseError("empty expression")
     return terms
 
 
 def parse_ratio(s, bases):
-    terms = _parse_terms(s)
+    terms = _parse_terms(s, bases)
     if len(terms) != 1:
-        raise ParseError("a ratio must be a single product: %r" % s)
+        raise ParseError("a ratio must be a single product: %s"
+                         % _cut(ascii(s)))
     coeff, mono = terms[0]
-    for name in mono:
-        if name not in bases:
-            raise ParseError("undeclared base %r in %r" % (name, s))
     if coeff <= 0:
-        raise ParseError("a ratio must be positive: %r" % s)
+        raise ParseError("a ratio must be positive: %s" % _cut(ascii(s)))
     return ExactRatio(coeff, mono)
 
 
 def parse_value(s, bases):
     """Fraction (purely rational) or SymValue."""
-    terms = _parse_terms(s)
     acc = {}
-    for coeff, mono in terms:
-        for name in mono:
-            if name not in bases:
-                raise ParseError("undeclared base %r in %r" % (name, s))
+    for coeff, mono in _parse_terms(s, bases):
         key = tuple(sorted((k, v) for k, v in mono.items() if v != 0))
-        acc[key] = acc.get(key, Fraction(0)) + coeff
+        c = acc[key] = acc.get(key, Fraction(0)) + coeff
+        if max(abs(c.numerator), c.denominator) >= _COEFF_LIMIT:
+            raise ParseError("a summed coefficient over the limit of %d "
+                             "digits in %s" % (MAX_DIGITS, _cut(ascii(s))))
     acc = {k: v for k, v in acc.items() if v != 0}
     if not acc:
         return Fraction(0)
@@ -213,13 +176,14 @@ def spec_from_doc(doc):
     if doc.get("format") != SPEC_FORMAT:
         raise ParseError("not a system description document")
     if doc.get("version") != SPEC_VERSION:
-        raise ParseError("unsupported document version %r"
-                         % doc.get("version"))
+        raise ParseError("unsupported document version %s"
+                         % _cut(ascii(doc.get("version"))))
     known = {"format", "version", "role", "ratios", "translations",
              "bases", "mu_independent"}
     extra = set(doc) - known
     if extra:
-        raise ParseError("unknown fields: %s" % ", ".join(sorted(extra)))
+        raise ParseError("unknown fields: %s"
+                         % _cut(", ".join(map(ascii, sorted(extra)))))
     if not isinstance(doc.get("bases", []), list):
         raise ParseError("'bases' must be a list")
     if len(doc.get("bases", [])) > MAX_BASES:
@@ -230,15 +194,21 @@ def spec_from_doc(doc):
         if not isinstance(b, dict) or not isinstance(b.get("name"), str) \
                 or not isinstance(b.get("value"), str):
             raise ParseError("each base needs string 'name' and 'value'")
-        digits = b.get("digits")
-        if digits is not None and (not isinstance(digits, int)
-                                   or isinstance(digits, bool) or digits < 0):
-            raise ParseError("base %r: 'digits' must be a nonnegative "
-                             "integer" % b["name"])
+        name, value, digits = b["name"], b["value"], b.get("digits")
+        where = "base %s: " % _cut(ascii(name))
+        if digits is not None and (type(digits) is not int or digits < 0):
+            raise ParseError(where + "'digits' must be a nonnegative integer")
+        if not re.fullmatch(_NUMBER, value):
+            raise ParseError(where + "the value %s is not a number literal"
+                             % _cut(ascii(value)))
+        longest = max(map(len, re.split("[./]", value)))
+        if longest > MAX_DIGITS:
+            raise ParseError(where + "a value with %d digits on one side is "
+                             "over the limit of %d" % (longest, MAX_DIGITS))
         try:
-            bases[b["name"]] = DeclaredBase(b["name"], b["value"], digits)
+            bases[name] = DeclaredBase(name, value, digits)
         except (ValueError, ZeroDivisionError) as e:
-            raise ParseError("base %r: %s" % (b["name"], e))
+            raise ParseError(where + str(e))
     ratios = [parse_ratio(s, bases) for s in _string_list(doc, "ratios")]
     translations = [parse_value(s, bases)
                     for s in _string_list(doc, "translations")]
@@ -246,8 +216,8 @@ def spec_from_doc(doc):
         raise ParseError("ratio and translation counts differ")
     mu_independent = doc.get("mu_independent", False)
     if mu_independent is not True and mu_independent is not False:
-        raise ParseError("'mu_independent' must be true or false, got %r"
-                         % (mu_independent,))
+        raise ParseError("'mu_independent' must be true or false, got %s"
+                         % _cut(ascii(mu_independent)))
     return IfsSpec(ratios, translations, role=doc.get("role", "touching"),
                    bases=bases, mu_independent=mu_independent)
 

@@ -103,6 +103,8 @@ CERT_PATHS = list(json_paths(ONE45_CERT))
 SPEC_WITH_BASE = dict(spec_to_doc(make_one45()), bases=[
     {"name": "g", "value": "0.618", "digits": 3}])
 SPEC_PATHS = list(json_paths(SPEC_WITH_BASE))
+# a million characters of input, to be quoted in an error line
+MEGA = "x" * 1000000
 # stand-ins of every JSON type, letters outside 1..3 and malformed
 # numbers among them
 RETYPES = (None, True, 0, -1, 4, 2, 1.5, "x", "", [], [1], [[]], {},
@@ -272,6 +274,56 @@ class TestAnalyze:
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1
         assert "over the limit" in out.err
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"ratios": ["1/5*", "1/5", "1/5"]}, "factor expected"),
+        ({"ratios": ["1/3", "*".join(["1/3"] * 100000), "1/3"],
+          "translations": ["0", "1/3", "2/3"]},
+         "coefficient over the limit"),
+        ({"bases": [{"name": "g", "value": "0." + "6" * 100000,
+                     "digits": 3}]}, "digits on one side"),
+    ], ids=["trailing-star", "long-product", "long-base-value"])
+    def test_spec_reading_refusal_is_one_line(self, tmp_path, capsys,
+                                              change, reason):
+        # a trailing "*" ran off the end of the token list (IndexError),
+        # a long product of short literals passed Python's int-string
+        # limit when it was written (ValueError), and a long base value
+        # reached that limit with a message about sys.set_int_max_str_digits
+        doc = dict(SPEC_WITH_BASE, **change)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert main(["analyze", str(path)]) == 3
+        assert time.perf_counter() - t0 < 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert reason in out.err
+        assert len(out.err.encode()) <= 200
+
+    @pytest.mark.parametrize("change", [
+        {"ratios": ["1/5#" + MEGA, "1/5", "1/5"]},
+        {"ratios": ["1/5*" + MEGA, "1/5", "1/5"]},
+        {"ratios": [MEGA + "^51", "1/5", "1/5"],
+         "bases": [{"name": MEGA, "value": "0.5", "digits": 3}]},
+        {"bases": [{"name": MEGA, "value": "0.5", "digits": -1}]},
+        {"bases": [{"name": MEGA, "value": "0.05", "digits": 1}]},
+        {"bases": [{"name": "g", "value": MEGA}]},
+        {MEGA: 1},
+        {"version": MEGA},
+        {"mu_independent": MEGA},
+    ], ids=["expression", "undeclared-base", "exponent", "base-digits",
+            "base-positive", "base-value", "unknown-field", "version",
+            "mu-independent"])
+    def test_error_line_quotes_a_bounded_excerpt(self, tmp_path, capsys,
+                                                 change):
+        # each message echoed the whole offending input
+        doc = dict(spec_to_doc(make_one45()), **change)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert len(out.err.encode()) <= 200
 
     def test_deeply_nested_spec_is_error(self, tmp_path, capsys):
         # the JSON reader recurses once per nesting level

@@ -1,16 +1,17 @@
 """Spec document parsing, formatting, digests."""
 
 import json
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lipeq import IfsSpec, SpecError
 from lipeq import specfile
 from lipeq.certify import build_certificate, cert_to_doc
-from lipeq.exactnum import ExactRatio, DeclaredBase, MAX_DIGITS
+from lipeq.exactnum import ExactRatio, DeclaredBase, MAX_DIGITS, SymValue
 from lipeq.specfile import (parse_ratio, parse_value, format_ratio,
                             format_value, spec_to_doc, spec_from_doc,
                             canonical_json, doc_digest, load_spec,
@@ -50,9 +51,181 @@ class TestValueGrammar:
         assert parse_value(format_value(v), env) == v
 
     def test_garbage_rejected(self):
-        for bad in ("", "1//2", "g^", "1 +", "frob", "1..5"):
-            with pytest.raises(Exception):
-                parse_value(bad, {})
+        env = {"g": DeclaredBase("g", "0.5"), "e": DeclaredBase("e", "0.3")}
+        for bad in ("", " ", "1//2", "g^", "1 +", "frob", "1..5", "1/5*",
+                    "g*", "1/5 ", "e^--2", "*1", "--1", "g^1/2", "g^1.5",
+                    "2g", "1 2", "g^2^3"):
+            with pytest.raises(ParseError):
+                parse_value(bad, env)
+            with pytest.raises(ParseError):
+                parse_ratio(bad, env)
+
+    def test_whitespace_before_tokens(self):
+        env = {"g": DeclaredBase("g", "0.5")}
+        assert parse_value(" - 1/4 *\tg ^ - 2 +\n3", env) == \
+            parse_value("-1/4*g^-2+3", env)
+
+
+# A copy of the token-list reader that the regular grammar replaced, kept
+# as the reference for the differential test: it builds the token list
+# first, then walks it by index, and runs past the list's end (an
+# IndexError) on a trailing "*".
+REF_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)"
+                       r"|(\^)|(\*)|(\+)|(-))")
+
+
+def ref_tokenize(s):
+    pos = 0
+    out = []
+    while pos < len(s):
+        m = REF_TOKEN.match(s, pos)
+        if not m or m.end() == pos:
+            raise ParseError("cannot tokenize")
+        num, name, caret, star, plus, minus = m.groups()
+        if num is not None:
+            if sum(c.isdigit() for c in num) > MAX_DIGITS:
+                raise ParseError("over the limit")
+            out.append(("num", num))
+        elif name is not None:
+            out.append(("name", name))
+        else:
+            out.append((caret or star or plus or minus, None))
+        pos = m.end()
+    return out
+
+
+def ref_parse_terms(s):
+    toks = ref_tokenize(s)
+    terms = []
+    i = 0
+    sign = 1
+    n = len(toks)
+    if toks and toks[0][0] in ("+", "-"):
+        sign = -1 if toks[0][0] == "-" else 1
+        i = 1
+    while i < n:
+        coeff = Fraction(1)
+        mono = {}
+        while True:
+            kind, val = toks[i]
+            if kind == "num":
+                try:
+                    coeff *= Fraction(val)
+                except ZeroDivisionError:
+                    raise ParseError("zero denominator")
+                i += 1
+            elif kind == "name":
+                e = 1
+                i += 1
+                if i < n and toks[i][0] == "^":
+                    i += 1
+                    expsign = 1
+                    if i < n and toks[i][0] == "-":
+                        expsign = -1
+                        i += 1
+                    if i >= n or toks[i][0] != "num":
+                        raise ParseError("exponent expected")
+                    try:
+                        e = expsign * int(toks[i][1])
+                    except ValueError:
+                        raise ParseError("integer exponent expected")
+                    i += 1
+                mono[val] = mono.get(val, 0) + e
+            else:
+                raise ParseError("factor expected")
+            if i < n and toks[i][0] == "*":
+                i += 1
+                continue
+            break
+        for e in mono.values():
+            if abs(e) > MAX_EXPONENT:
+                raise ParseError("over the limit")
+        terms.append((sign * coeff, mono))
+        if i < n:
+            if toks[i][0] not in ("+", "-"):
+                raise ParseError("operator expected")
+            sign = -1 if toks[i][0] == "-" else 1
+            i += 1
+            if i == n:
+                raise ParseError("dangling operator")
+    if not terms:
+        raise ParseError("empty expression")
+    return terms
+
+
+def ref_parse(s, bases, ratio):
+    """What the token-list reader made of ``s``: parse_ratio's ExactRatio
+    when ``ratio``, else parse_value's Fraction or SymValue."""
+    terms = ref_parse_terms(s)
+    if any(name not in bases for _, mono in terms for name in mono):
+        raise ParseError("undeclared base")
+    if ratio:
+        if len(terms) != 1 or terms[0][0] <= 0:
+            raise ParseError("not a positive product")
+        return ExactRatio(*terms[0])
+    acc = {}
+    for coeff, mono in terms:
+        key = tuple(sorted((k, v) for k, v in mono.items() if v != 0))
+        acc[key] = acc.get(key, Fraction(0)) + coeff
+    acc = {k: v for k, v in acc.items() if v != 0}
+    if not acc:
+        return Fraction(0)
+    if set(acc) == {()}:
+        return acc[()]
+    return SymValue(acc, bases)
+
+
+# pieces of expressions: literals of at most 3 digits (so no coefficient
+# of 9 pieces nears the coefficient limit), an Arabic-Indic digit, the
+# operators and separators, whitespace, two declared bases and one
+# undeclared name
+EXPR_PIECES = ["0", "1", "2", "7", "10", "305", "\u0663", "/", ".", "^",
+               "*", "+", "-", " ", "\t", "g", "h", "x"]
+DIFF_ENV = {"g": DeclaredBase("g", "0.5"), "h": DeclaredBase("h", "0.3")}
+
+
+def outcome(read, *args):
+    """(True, value) from ``read(*args)``, or (False, None) on a refusal:
+    a ParseError, or the reference's IndexError."""
+    try:
+        value = read(*args)
+    except ParseError:
+        return False, None
+    except IndexError:
+        if read is not ref_parse:
+            raise
+        return False, None
+    return True, (type(value), value)
+
+
+class TestDifferential:
+    """The regular grammar reads every expression as the token-list reader
+    did: the same value, or a refusal where it refused or ran off the
+    end of its token list."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(st.sampled_from(EXPR_PIECES), max_size=9).map("".join),
+           st.booleans())
+    @example("g^50*g^50*g^-50", True)
+    @example(" -2 * g ^ - 3\t+ h", False)
+    @example("1/5*", True)
+    def test_same_as_token_reader(self, s, ratio):
+        read = parse_ratio if ratio else parse_value
+        assert outcome(read, s, DIFF_ENV) == \
+            outcome(ref_parse, s, DIFF_ENV, ratio)
+
+    @pytest.mark.parametrize("s", ["1/5*", "g*", "1/5*g^2*", "1+2*"])
+    def test_trailing_star_refused(self, s):
+        # the token-list reader raised IndexError here
+        with pytest.raises(IndexError):
+            ref_parse(s, DIFF_ENV, False)
+        with pytest.raises(ParseError, match="factor expected"):
+            parse_value(s, DIFF_ENV)
+
+    def test_exponent_limit_holds_at_the_term_end(self):
+        # a factor past the limit may be brought back within it
+        assert parse_ratio("g^50*g^50*g^-50", DIFF_ENV) == \
+            ExactRatio(1, (("g", 50),))
 
 
 class TestSpecDocs:
@@ -225,6 +398,51 @@ class TestReadingLimits:
                                              "the limit"):
             spec_from_doc(doc)
         assert time.perf_counter() - t0 < 1
+
+    def test_longest_admitted_product_loads(self):
+        # 3^104 < 10^MAX_DIGITS <= 3^105
+        t0 = time.perf_counter()
+        spec = spec_from_doc(literal_doc(ratio="*".join(["1/3"] * 104)))
+        assert time.perf_counter() - t0 < 1
+        assert spec.ratios[1] == ExactRatio(Fraction(1, 3 ** 104))
+
+    @pytest.mark.parametrize("doc", [
+        literal_doc(ratio="*".join(["1/3"] * 105)),
+        literal_doc(ratio="*".join(["1/3"] * 10000)),
+        literal_doc(ratio="*".join(["1/3"] * 100000)),
+        literal_doc(translation="+".join("1/%d" % k for k in range(2, 200))),
+    ], ids=["first-refused", "10000-factors", "100000-factors",
+            "summed-translation"])
+    def test_long_coefficient_refused_at_once(self, doc):
+        # every literal is short, but the product (or the sum over one
+        # monomial) passed Python's int-string limit when it was written
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="coefficient over the limit"):
+            spec_from_doc(doc)
+        assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("value", [
+        "0." + "1" * 100000, "0." + "1" * 4000, "1" * (MAX_DIGITS + 1),
+        "1/" + "7" * (MAX_DIGITS + 1)])
+    def test_long_base_value_refused_at_once(self, value):
+        # Fraction read these, or raised at Python's int-string limit
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="over the limit"):
+            spec_from_doc(declared_doc(digits=3, value=value))
+        assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("value", [
+        "1e-3", "1E-3", "1_000", " 0.5", "0.5 ", "+0.5", "-0.5", ".5", "5.",
+        "0.5/2", "abc"])
+    def test_base_value_is_a_number_literal(self, value):
+        # Fraction accepts the first nine of these
+        with pytest.raises(ParseError, match="not a number literal"):
+            spec_from_doc(declared_doc(digits=3, value=value))
+
+    @pytest.mark.parametrize("value", ["0.5", "1/2", "0." + "5" * 50])
+    def test_base_value_forms_admitted(self, value):
+        spec = spec_from_doc(declared_doc(digits=3, value=value))
+        assert spec.bases["b0"].value_str == value
 
     def test_long_exponent_literal_refused(self):
         # read by int(), which raises past the int-string limit
