@@ -22,11 +22,21 @@ Time and memory follow the number of distinct sums, not of multisets, and
 while the length is sought each length's tables are dropped as the next
 length's are built.  The tables depend on the spec and the side only, so
 ``decide`` shares them across the touching letters, keeping the lengths
-that found witnesses have walked.  At the default budget (40, 60), an
+that found witnesses have walked.
+
+The tables keep only the sums that can still complete to a goal.  A sum
+of r letters that reaches a goal g with at most K = max_word - r more
+letters differs from g, in each coordinate, by K letters' worth at most:
+so it lies in a box that the goals of the side's touching letters and
+the least and greatest exponent entries fix, and every other sum is
+dropped.  Every sum that a test of the search asks about lies in that
+box, so the answers, and every witness and status, are those of the
+full tables (the argument is in ``_SideTables``); a search whose tables
+run empty stops there, exhausted.  At the default budget (40, 60), an
 exhausted search on a six-map spec over five primes (ratios 1/4, 1/6,
-1/10, 1/14, 1/22, 1/8) takes about 2.7 s, a traced peak of 189 MB and a
-peak RSS of 268 MB on a 2-core x86-64 host; enumerating its 9.4 M
-multisets would take an estimated 270-350 s.
+1/10, 1/14, 1/22, 1/8) takes about 3 ms and a peak RSS of 20 MB on a
+2-core x86-64 host, against 2.6 s and 264 MB with every reachable sum
+kept; enumerating its 9.4 M multisets would take an estimated 270-350 s.
 
 ``decide`` gives each touching letter the cheaper of its closed-form
 witness and the search's, by k' + |word|, the depth that the certificate's
@@ -44,7 +54,7 @@ for.  Budget exhaustion yields "unknown".
 from collections import Counter
 import math
 
-from .exactnum import to_exponent_vector, mult_dependence
+from .exactnum import to_exponent_vector, mult_dependence, _vector_dependence
 from .ifs import SpecError
 
 
@@ -94,12 +104,18 @@ def witness_letters(side, i, n):
     raise SpecError("unknown side %r" % side)
 
 
-def verify_witness(spec, w):
+def _exponents(spec):
+    """The exponent vector of each ratio (``to_exponent_vector``), which
+    ``decide`` computes once per spec."""
+    return [to_exponent_vector(r) for r in spec.ratios]
+
+
+def verify_witness(spec, w, vecs=None):
     """Exact check of the substitution identity; also the admissibility of
     the last letter.  Returns True or raises SpecError.  The sides are
-    compared as exponent vectors (``to_exponent_vector``), where
-    rho_end**k is k times a vector: linear in the digits of k and k'."""
-    rho = spec.ratios
+    compared as exponent vectors (``to_exponent_vector``, or ``vecs`` of
+    the spec's ratios where given), where rho_end**k is k times a vector:
+    linear in the digits of k and k'."""
     if w.i not in spec.touching.letters:
         raise SpecError("letter %d does not touch its neighbour" % w.i)
     if not w.word:
@@ -116,7 +132,9 @@ def verify_witness(spec, w):
     terms[end] += w.k - w.kp
     quotient = Counter()
     for letter, m in terms.items():
-        for key, e in to_exponent_vector(rho[letter - 1]).items():
+        vec = (vecs[letter - 1] if vecs
+               else to_exponent_vector(spec.ratios[letter - 1]))
+        for key, e in vec.items():
             quotient[key] += m * e
     if any(quotient.values()):
         raise SpecError("witness identity fails exactly: %r" % w)
@@ -270,16 +288,19 @@ def _arrange_word(spec, side, multiset):
     return None
 
 
-def _longer_sums(prev, codes, adm, consume=False):
+def _longer_sums(prev, codes, adm, box, consume=False):
     """Suffix tables one length up.
 
     ``prev[a]`` is the pair (sums without an admissible letter, sums with
     one) over the multisets of length r - 1 drawn from letters a+1..n
     (0-based ``a``); the result holds the same pairs for length r.  A
     multiset from a+1..n either has no letter a+1, or it is letter a+1
-    added to a shorter multiset from a+1..n.  With ``consume``, each
-    ``prev[a]`` is dropped from ``prev`` once it has been read, so the
-    two lengths are never both whole in memory."""
+    added to a shorter multiset from a+1..n.  Unless ``box`` is None, it
+    is the triple (P, Q, G) of ``_SideTables.box``, and a new sum z is
+    kept only if its guard bits pass: (z + P) & G == G and
+    (Q - z) & G == G.
+    With ``consume``, each ``prev[a]`` is dropped from ``prev`` once it
+    has been read, so the two lengths are never both whole in memory."""
     n = len(codes)
     out = [None] * n + [(frozenset(), frozenset())]
     for a in range(n - 1, -1, -1):
@@ -288,8 +309,16 @@ def _longer_sums(prev, codes, adm, consume=False):
         below = prev[a]
         if consume:
             prev[a] = None
-        plain_up = {x + e for x in below[0]}
-        flagged_up = {x + e for x in below[1]}
+        if box is None:
+            plain_up = {x + e for x in below[0]}
+            flagged_up = {x + e for x in below[1]}
+        else:  # z + P == x + (e + P) and Q - z == (Q - e) - x
+            p, q, g = box
+            p, q = e + p, q - e
+            plain_up = {x + e for x in below[0]
+                        if (x + p) & g == g and (q - x) & g == g}
+            flagged_up = {x + e for x in below[1]
+                          if (x + p) & g == g and (q - x) & g == g}
         below = None
         if adm[a]:
             out[a] = (plain, flagged | plain_up | flagged_up)
@@ -306,35 +335,122 @@ class _SideTables:
     r = 0, 1, ...).  ``decide`` shares one per side across the letters.
 
     Each exponent vector becomes one int: its digits in the balanced base
-    B = 2*bound + 1.  The packing is linear, and it maps a vector to 0 only
-    if every entry, lying in [-bound, bound], is 0.  Every test of the
-    search asks whether a sum s of at most max_word letters equals a goal
-    g = target + delta*anchor, |delta| <= max_exp, where the target is the
-    difference of two letters' vectors and the anchor is one letter's
-    vector (the walk asks it as "is g - t in a table" for s = t + a table
-    sum); so each entry of s - g is within bound = (max_word + 2 +
-    max_exp) * (the largest exponent), and equal codes mean equal vectors.
-    Two goals may share a code, but then no sum has it.
+    B = 2**b, with 2**(b-2) > bound.  The packing is linear, and it maps a
+    vector to 0 only if every entry, lying in [-bound, bound], is 0.  Every
+    test of the search asks whether a sum s of at most max_word letters
+    equals a goal g = target + delta*anchor, |delta| <= max_exp, where the
+    target is the difference of two letters' vectors and the anchor is one
+    letter's vector (the walk asks it as "is g - t in a table" for
+    s = t + a table sum); so each entry of s - g is within
+    bound = (max_word + 2 + max_exp) * top, with top the largest
+    exponent, and equal codes mean equal vectors.  Two goals may share a
+    code, but then no sum has it.
+
+    The tables keep only the sums that can still complete to a goal of
+    some touching letter of the side within max_word letters.  Let
+    lo_j = min(0, min_t e_tj), hi_j = max(0, max_t e_tj), and let
+    [Gmin_j, Gmax_j] span entry j of every goal target_i + delta*anchor,
+    |delta| <= E_i, of every touching letter i of the side, where E_i is
+    the delta range that ``goals`` trims to at cap max_word.  A sum x of
+    r letters is kept iff, with K = max_word - r, for every j
+
+        L_j = Gmin_j - K*hi_j <= x_j <= Gmax_j - K*lo_j = U_j.
+
+    The result is exact:
+
+    * if x completes to a goal g at a length R <= max_word, then g - x is
+      a sum of at most K letters, so g_j - x_j lies in [K*lo_j, K*hi_j]
+      and x is in the box;
+    * so the box holds every sum the search asks about: the first-length
+      test asks whether a goal itself is a sum of r letters (0 more
+      letters), and the walk asks whether g - t is a sum of ``left``
+      letters, t being a prefix of length - left <= max_word - left
+      letters;
+    * if x is in the box at length r, x - e_a is in it at length r - 1,
+      since lo_j <= e_aj <= hi_j; so R[a][r] = R[a+1][r] u (R[a][r-1] +
+      e_a), restricted to the box, is the full table restricted to the
+      box, by induction over r and a, and a table is empty at one length
+      only if it is empty at every longer one.
+
+    The box is sound for every letter of the side and every cap up to
+    max_word, so the tables stay shared.  It is tested on packed codes:
+    with G = pack([2**(b-1)] * d), P_r = G - pack(L) and
+    Q_r = G + pack(U), z + P_r has the field x_j - L_j + 2**(b-1) in
+    (0, 2**b) at digit j, since |x_j - L_j| <= 2*bound < 2**(b-1); no
+    field carries into the next, and its top bit, a bit of G, is set iff
+    x_j >= L_j.  Q_r - z likewise tests x_j <= U_j.  P_r and Q_r are
+    built once per length, and a length whose box holds every sum of r
+    letters (r*min_t e_tj >= L_j and r*max_t e_tj <= U_j) is not
+    filtered.
     """
 
-    def __init__(self, spec, side, budget):
+    def __init__(self, spec, side, budget, vecs=None):
         self.spec = spec
         self.side = side
         self.budget = budget
-        vecs = [to_exponent_vector(r) for r in spec.ratios]
+        self.vecs = vecs = vecs or _exponents(spec)
         keys = sorted({k for v in vecs for k in v}, key=str)
         self.exps = [[v.get(k, 0) for k in keys] for v in vecs]
         self.top = top = max(abs(x) for e in self.exps for x in e)
-        self.base = 2 * (budget.max_word + 2 + budget.max_exp) * top + 1
+        bound = (budget.max_word + 2 + budget.max_exp) * top
+        self.shift = bound.bit_length() + 2
         self.codes = [self.pack(e) for e in self.exps]
         self.adm = [_admissible(spec, side, t) for t in range(1, spec.n + 1)]
         self.levels = [[({0}, frozenset())] * (spec.n + 1)]
+        self._bounds = None
 
     def pack(self, vec):
         code = 0
         for x in reversed(vec):
-            code = code * self.base + x
+            code = (code << self.shift) + x
         return code
+
+    def goals(self, i, cap):
+        """(target, anchor, max_exp) of letter ``i``: its goals are
+        target + delta*anchor for |delta| <= max_exp.  A sum of at most
+        ``cap`` letters has every entry within cap * top, so it can equal
+        a goal only if, for every j with anchor_j != 0,
+        |delta * anchor_j| <= cap * top + |target_j|: the budget's
+        max_exp is trimmed to the deltas within that."""
+        near, far, end = witness_letters(self.side, i, self.spec.n)
+        exps = self.exps
+        target = [a - b for a, b in zip(exps[far - 1], exps[near - 1])]
+        anchor = exps[end - 1]
+        max_exp = min([self.budget.max_exp]
+                      + [(cap * self.top + abs(x)) // abs(y)
+                         for x, y in zip(target, anchor) if y])
+        return target, anchor, max_exp
+
+    def box(self, r):
+        """(P_r, Q_r, G) of the box test at length r, or None when the
+        box holds every sum of r letters; the bounds are built on the
+        first call."""
+        if self._bounds is None:
+            cols = list(zip(*self.exps))
+            gmin, gmax = [], []
+            for i in sorted(self.spec.touching.letters):
+                target, anchor, m = self.goals(i, self.budget.max_word)
+                gmin.append([x - m * abs(y) for x, y in zip(target, anchor)])
+                gmax.append([x + m * abs(y) for x, y in zip(target, anchor)])
+            self._bounds = ([min(c) for c in cols], [max(c) for c in cols],
+                            [min(c) for c in zip(*gmin)],
+                            [max(c) for c in zip(*gmax)])
+        mn, mx, gmin, gmax = self._bounds
+        k = self.budget.max_word - r
+        lower = [g - k * max(0, h) for g, h in zip(gmin, mx)]
+        upper = [g - k * min(0, m) for g, m in zip(gmax, mn)]
+        if all(r * m >= lo for m, lo in zip(mn, lower)) and all(
+                r * h <= up for h, up in zip(mx, upper)):
+            return None
+        return self.guards(lower, upper)
+
+    def guards(self, lower, upper):
+        """(P, Q, G) such that the packed sum z of at most max_word letters
+        has lower_j <= entry j <= upper_j for every j iff
+        (z + P) & G == G and (Q - z) & G == G, for bounds within
+        [-bound, bound]."""
+        g = self.pack([1 << (self.shift - 1)] * len(lower))
+        return g - self.pack(lower), g + self.pack(upper), g
 
     def first_length(self, goal, cap):
         """The least length r <= ``cap`` at which a multiset holding an
@@ -343,7 +459,8 @@ class _SideTables:
         On success ``levels`` holds the lengths below r, which the walk
         reads.  Beyond the levels already kept, each length is built from
         the one before, which it consumes, so an exhausted search keeps
-        nothing new and holds at most one length and a part of the next.
+        nothing new and holds at most one length and a part of the next;
+        it stops at the first length whose tables are empty.
         """
         levels, codes, adm = self.levels, self.codes, self.adm
         level = levels[0]
@@ -351,14 +468,18 @@ class _SideTables:
             if r < len(levels):
                 level = levels[r]
             else:  # consume the level before, unless it is a kept one
-                level = _longer_sums(level, codes, adm, r > len(levels))
+                level = _longer_sums(level, codes, adm, self.box(r),
+                                     r > len(levels))
+                if not (level[0][0] or level[0][1]):
+                    return None
             if not goal.keys().isdisjoint(level[0][1]):
                 break
         else:
             return None
         del level
         while len(levels) < r:
-            levels.append(_longer_sums(levels[-1], codes, adm))
+            levels.append(_longer_sums(levels[-1], codes, adm,
+                                       self.box(len(levels))))
         return r
 
 
@@ -387,21 +508,22 @@ def find_witness(spec, i, side, budget=None, *, tables=None, cap=None):
     smallest letter that still has a completion, which is the
     lexicographically first multiset of length L.  Time and memory follow
     the number of distinct sums, not of multisets; while L is sought only
-    the tables of one length and a part of the next are live.
+    the tables of one length and a part of the next are live, and the
+    tables hold only the sums that can still reach a goal of a touching
+    letter of the side (``_SideTables``), so ``i`` must be one.
 
     ``decide`` shares one ``_SideTables`` of (spec, side) and its budget
     across letters as ``tables``; ``cap`` bounds words below max_word.
     """
     tab = tables or _SideTables(spec, side, budget or SearchBudget())
     cap = tab.budget.max_word if cap is None else cap
-    max_exp = tab.budget.max_exp
     n = spec.n
     if not any(tab.adm):
         return (None, "none")
-    near, far, end = witness_letters(side, i, n)
+    if i not in spec.touching.letters:
+        raise SpecError("letter %d does not touch its neighbour" % i)
     exps = tab.exps
-    target = [a - b for a, b in zip(exps[far - 1], exps[near - 1])]
-    anchor = exps[end - 1]
+    target, anchor, max_exp = tab.goals(i, cap)
 
     # rational relaxation: sum m_t e_t - delta*anchor == target,
     # m_t >= 0, sum m_t >= 1 (an equality with a nonnegative slack).
@@ -412,12 +534,6 @@ def find_witness(spec, i, side, budget=None, *, tables=None, cap=None):
     if _infeasible(eqs, nonneg=range(1, n + 2), nvars=n + 2):
         return (None, "none")
 
-    # a sum of at most cap letters has every entry within cap * top, so
-    # it can equal target + delta * anchor only if, for every j with
-    # anchor_j != 0, |delta * anchor_j| <= cap * top + |target_j|: the
-    # goals beyond that are never met, and are left out
-    max_exp = min([max_exp] + [(cap * tab.top + abs(x)) // abs(y)
-                               for x, y in zip(target, anchor) if y])
     t, a = tab.pack(target), tab.pack(anchor)
     goal = {t + d * a: d for d in range(-max_exp, max_exp + 1)}
     length = tab.first_length(goal, cap)
@@ -440,7 +556,7 @@ def find_witness(spec, i, side, budget=None, *, tables=None, cap=None):
     delta = goal[s]
     w = Witness(side, i, max(delta, 0), max(-delta, 0),
                 _arrange_word(spec, side, multi), "search")
-    verify_witness(spec, w)
+    verify_witness(spec, w, tab.vecs)
     return (w, "found")
 
 
@@ -465,17 +581,18 @@ def check_necessary(spec):
     return NecessaryResult(True, pq, "rho_1**%d == rho_n**%d" % pq)
 
 
-def _all_dependent(ratios):
-    """Pairwise multiplicative dependence of a list; returns True/False."""
-    base = ratios[0]
-    for r in ratios[1:]:
-        if mult_dependence(base, r) is None:
+def _all_dependent(vecs):
+    """Pairwise multiplicative dependence of ratios given by their
+    exponent vectors; returns True/False."""
+    base = vecs[0]
+    for v in vecs[1:]:
+        if _vector_dependence(base, v) is None:
             return False
     # pairwise follows from dependence on a common anchor
     return True
 
 
-def closed_form_witnesses(spec):
+def closed_form_witnesses(spec, vecs=None):
     """Closed-form witnesses when enough ratios share a common power.
 
     Witnesses of one side exist for every touching letter when rho_1,
@@ -485,26 +602,27 @@ def closed_form_witnesses(spec):
     rho_near**w and rho_anchor**u are the powers of rho_end that match.
     The right side, anchor alpha, is tried before the left, anchor
     n - beta + 1.  Returns a dict letter -> Witness, or None when neither
-    condition holds.
+    condition holds.  ``vecs`` are the exponent vectors of the spec's
+    ratios, if known.
     """
     st = spec.touching
     n = spec.n
-    rho = spec.ratios
+    vecs = vecs or _exponents(spec)
     for side, anchor in (("right", st.alpha), ("left", n - st.beta + 1)):
         subs = [(i,) + witness_letters(side, i, n) for i in sorted(st.letters)]
-        if not _all_dependent([rho[0], rho[n - 1], rho[anchor - 1]]
-                              + [rho[near - 1] for _, near, _, _ in subs]):
+        if not _all_dependent([vecs[0], vecs[n - 1], vecs[anchor - 1]]
+                              + [vecs[near - 1] for _, near, _, _ in subs]):
             continue
         out = {}
         for i, near, far, end in subs:
-            ua, va = mult_dependence(rho[anchor - 1], rho[end - 1])
-            wb, vb = mult_dependence(rho[near - 1], rho[end - 1])
+            ua, va = _vector_dependence(vecs[anchor - 1], vecs[end - 1])
+            wb, vb = _vector_dependence(vecs[near - 1], vecs[end - 1])
             v = va * vb // math.gcd(va, vb)
             u = ua * (v // va)
             wexp = wb * (v // vb)
             word = (far,) + (near,) * (wexp - 1) + (anchor,) * u
             w = Witness(side, i, 2 * v, 0, word, "fastpath")
-            verify_witness(spec, w)
+            verify_witness(spec, w, vecs)
             out[i] = w
         return out
     return None
@@ -565,7 +683,8 @@ def decide(spec, budget=None):
     reason4 = branch4_obstruction(spec)
     if reason4:
         return Verdict("not_equivalent", reason4, nec, {}, [])
-    fast = closed_form_witnesses(spec) or {}
+    vecs = _exponents(spec)
+    fast = closed_form_witnesses(spec, vecs) or {}
     tables = {}
     witnesses = {}
     unresolved = []
@@ -575,7 +694,7 @@ def decide(spec, budget=None):
                                                     w.depth - 1)
         for side in ("left", "right"):
             if side not in tables:
-                tables[side] = _SideTables(spec, side, budget)
+                tables[side] = _SideTables(spec, side, budget, vecs)
             got, _ = find_witness(spec, i, side, tables=tables[side],
                                   cap=cap)
             if got is not None:

@@ -466,8 +466,15 @@ def mult_dependence(a, b):
     Both arguments are ExactRatios; independence of declared bases is
     assumed as asserted at declaration time.
     """
-    va = to_exponent_vector(a)
-    vb = to_exponent_vector(b)
+    pq = _vector_dependence(to_exponent_vector(a), to_exponent_vector(b))
+    if pq is not None:
+        assert a.pow_int(pq[0]) == b.pow_int(pq[1])
+    return pq
+
+
+def _vector_dependence(va, vb):
+    """``mult_dependence`` on exponent vectors: the smallest positive
+    (p, q) with p*va == q*vb, or None."""
     if not va or not vb:
         return None  # one of them is 1, ratios in (0,1) never are
     if set(va) != set(vb):
@@ -476,11 +483,9 @@ def mult_dependence(a, b):
     t = Fraction(va[k0], vb[k0])  # q/p candidate
     if t <= 0:
         return None
-    for k in va:
-        if Fraction(va[k], vb[k]) != t:
-            return None
     q, p = t.numerator, t.denominator
-    assert a.pow_int(p) == b.pow_int(q)
+    if any(p * va[k] != q * vb[k] for k in va):
+        return None
     return (p, q)
 
 

@@ -311,9 +311,10 @@ class TestAnalyze:
         {MEGA: 1},
         {"version": MEGA},
         {"mu_independent": MEGA},
+        {"role": MEGA},
     ], ids=["expression", "undeclared-base", "exponent", "base-digits",
             "base-positive", "base-value", "unknown-field", "version",
-            "mu-independent"])
+            "mu-independent", "role"])
     def test_error_line_quotes_a_bounded_excerpt(self, tmp_path, capsys,
                                                  change):
         # each message echoed the whole offending input

@@ -21,7 +21,7 @@ from lipeq.decide import (check_necessary, find_witness,
                           closed_form_witnesses, branch4_obstruction,
                           _admissible, _arrange_word, _infeasible,
                           farkas_vector, _standard_form,
-                          _SideTables)
+                          _SideTables, _longer_sums, witness_letters)
 from lipeq.exactnum import ExactRatio, DeclaredBase, to_exponent_vector
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
@@ -542,6 +542,187 @@ class TestSharedTables:
         assert find_witness(spec, 4, "right", tables=tab, cap=2) == (
             None, "exhausted")
         assert len(tab.levels) == 3
+
+
+def box_bounds(tab, r):
+    """L and U of the box at length r, from its definition: every entry
+    of every goal of every touching letter of the side, less K = max_word
+    - r times the largest and the least entry a letter can add."""
+    cols = list(zip(*tab.exps))
+    lo = [min(0, *c) for c in cols]
+    hi = [max(0, *c) for c in cols]
+    ends = []
+    for i in tab.spec.touching.letters:
+        target, anchor, m = tab.goals(i, tab.budget.max_word)
+        ends += [[x + d * y for x, y in zip(target, anchor)] for d in (-m, m)]
+    k = tab.budget.max_word - r
+    return ([min(c) - k * h for c, h in zip(zip(*ends), hi)],
+            [max(c) - k * v for c, v in zip(zip(*ends), lo)])
+
+
+def full_tables(tab, length):
+    """The suffix tables without the box, by enumeration: entry [r][a] is
+    the pair (plain, flagged) of the packed sums of the r-letter multisets
+    drawn from letters a+1..n (0-based ``a``); and the vector of each
+    packed sum."""
+    n = len(tab.codes)
+    levels, vectors = [], {}
+    for r in range(length + 1):
+        level = []
+        for a in range(n + 1):
+            pair = (set(), set())
+            for multi in combinations_with_replacement(range(a, n), r):
+                code = sum(tab.codes[t] for t in multi)
+                vectors[code] = [sum(tab.exps[t][j] for t in multi)
+                                 for j in range(len(tab.exps[0]))]
+                pair[any(tab.adm[t] for t in multi)].add(code)
+            level.append(pair)
+        levels.append(level)
+    return levels, vectors
+
+
+def completing(tab, full, r):
+    """The packed sums x of r letters that reach some goal of a touching
+    letter of the side with at most max_word - r more letters, of any
+    kind; the goals here span the budget's whole max_exp."""
+    spec, budget = tab.spec, tab.budget
+    goals = set()
+    for i in spec.touching.letters:
+        near, far, end = witness_letters(tab.side, i, spec.n)
+        t = tab.codes[far - 1] - tab.codes[near - 1]
+        goals |= {t + d * tab.codes[end - 1]
+                  for d in range(-budget.max_exp, budget.max_exp + 1)}
+    return {g - y for k in range(budget.max_word - r + 1)
+            for y in full[k][0][0] | full[k][0][1] for g in goals}
+
+
+def sums_built(monkeypatch):
+    """A list that collects, for each length that ``first_length``
+    builds, the summed sizes of its tables."""
+    sizes = []
+    longer = decide_module._longer_sums
+
+    def record(*args, **kwargs):
+        out = longer(*args, **kwargs)
+        sizes.append(sum(len(part) for pair in out for part in pair))
+        return out
+
+    monkeypatch.setattr(decide_module, "_longer_sums", record)
+    return sizes
+
+
+# Six maps over five primes, touching after letters 1, 3 and 5: at the
+# default budget (40, 60), tables of every reachable sum held 10.7 M sums
+# over the 40 lengths of an exhausted search for letter 1 (left), built
+# in 2.6 s with a peak RSS of 264 MB.
+SIX_MAP = IfsSpec(
+    [Fraction(1, m) for m in (4, 6, 10, 14, 22, 8)],
+    [Fraction(t) for t in ("0", "1/4", "9931/18480", "11779/18480",
+                           "73/88", "7/8")],
+    role="touching")
+
+
+class TestBoxPrune:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(["left", "right"]),
+           st.integers(1, 40), st.integers(0, 60) | st.just(10 ** 6),
+           st.data())
+    def test_guard_bits_agree_with_unpacked_bounds(self, seed, side,
+                                                   max_word, max_exp, data):
+        # any bounds within the packing's bound and any vector that a sum
+        # of at most max_word letters can be, the extremes drawn often
+        spec = random_fuzz_spec(random.Random(seed))
+        tab = _SideTables(spec, side, SearchBudget(max_word, max_exp))
+        bound = (max_word + 2 + max_exp) * tab.top
+        reach = max_word * tab.top
+        d = len(tab.exps[0])
+
+        def entries(m):
+            return data.draw(st.lists(
+                st.sampled_from([-m, m]) | st.integers(-m, m),
+                min_size=d, max_size=d))
+
+        lower, upper, x = entries(bound), entries(bound), entries(reach)
+        p, q, g = tab.guards(lower, upper)
+        z = tab.pack(x)
+        assert ((z + p) & g == g and (q - z) & g == g) == all(
+            lo <= v <= up for lo, v, up in zip(lower, x, upper))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(["left", "right"]),
+           st.integers(1, 40), st.integers(0, 60) | st.just(10 ** 6),
+           st.data())
+    def test_box_at_each_length(self, seed, side, max_word, max_exp, data):
+        # the box's guards test its defining bounds, and a length goes
+        # unfiltered only where every sum of r letters is inside them
+        spec = random_fuzz_spec(random.Random(seed))
+        tab = _SideTables(spec, side, SearchBudget(max_word, max_exp))
+        r = data.draw(st.integers(1, max_word))
+        lower, upper = box_bounds(tab, r)
+        box = tab.box(r)
+        if box is None:
+            assert all(r * min(c) >= lo and r * max(c) <= up
+                       for c, lo, up in zip(zip(*tab.exps), lower, upper))
+        else:
+            assert box == tab.guards(lower, upper)
+
+    def test_kept_tables_hold_every_completing_sum(self):
+        # the kept tables are subsets of the full ones, and they hold
+        # every full-table sum that can still reach a goal
+        rng = random.Random(31)
+        kept_total = full_total = 0
+        empty = 0
+        for k in range(24):
+            spec = (random_decide_spec, random_equal_spec,
+                    random_fuzz_spec)[k % 3](rng)
+            budget = SearchBudget(rng.randrange(1, 7), rng.randrange(0, 5))
+            for side in ("left", "right"):
+                tab = _SideTables(spec, side, budget)
+                full, vectors = full_tables(tab, budget.max_word)
+                level = tab.levels[0]
+                for r in range(1, budget.max_word + 1):
+                    level = _longer_sums(level, tab.codes, tab.adm,
+                                         tab.box(r))
+                    reach = completing(tab, full, r)
+                    lower, upper = box_bounds(tab, r)
+                    for kept_pair, full_pair in zip(level, full[r]):
+                        for kept, every in zip(kept_pair, full_pair):
+                            assert kept <= every
+                            assert every & reach <= kept
+                            # exactly the full sums inside the box
+                            assert kept == {x for x in every if all(
+                                lo <= v <= up for lo, v, up in
+                                zip(lower, vectors[x], upper))}
+                            kept_total += len(kept)
+                            full_total += len(every)
+                    empty += not (level[0][0] or level[0][1])
+        assert 0 < kept_total < full_total and empty > 0
+
+    def test_search_stops_at_empty_tables(self, one45, monkeypatch):
+        # every ratio of {1,4,5} is 1/5, so with max_exp 0 the one goal
+        # is the zero vector, which no nonempty multiset reaches: the box
+        # holds no sum from length 1 on, and the search stops there
+        sizes = sums_built(monkeypatch)
+        assert find_witness(one45, 2, "right", SearchBudget(40, 0)) == (
+            None, "exhausted")
+        assert sizes == [0]
+
+    def test_six_map_at_the_default_budget(self, monkeypatch):
+        # 3,679 sums are kept
+        sizes = sums_built(monkeypatch)
+        assert find_witness(SIX_MAP, 1, "left") == (None, "exhausted")
+        assert len(sizes) == 40 and sum(sizes) < 10 ** 4
+        v = decide(SIX_MAP)
+        assert v.status == "unknown" and v.unresolved == [1, 3, 5]
+
+    def test_many_branch_at_the_default_budget(self, monkeypatch):
+        # 57,158 sums are kept over the 80 lengths that decide builds; the
+        # full tables did not fit in 1 GB
+        sizes = sums_built(monkeypatch)
+        v = decide(MANY_BRANCH)
+        assert v.status == "unknown"
+        assert v.unresolved == [1, 4, 5, 6, 7, 9]
+        assert sum(sizes) < 10 ** 6
 
 
 def check_farkas(eqs, nonneg, nvars, y):
