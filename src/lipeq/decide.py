@@ -54,7 +54,7 @@ for.  Budget exhaustion yields "unknown".
 from collections import Counter
 import math
 
-from .exactnum import to_exponent_vector, mult_dependence, _vector_dependence
+from .exactnum import to_exponent_vector, mult_dependence
 from .ifs import SpecError
 
 
@@ -104,18 +104,12 @@ def witness_letters(side, i, n):
     raise SpecError("unknown side %r" % side)
 
 
-def _exponents(spec):
-    """The exponent vector of each ratio (``to_exponent_vector``), which
-    ``decide`` computes once per spec."""
-    return [to_exponent_vector(r) for r in spec.ratios]
-
-
-def verify_witness(spec, w, vecs=None):
+def verify_witness(spec, w):
     """Exact check of the substitution identity; also the admissibility of
     the last letter.  Returns True or raises SpecError.  The sides are
-    compared as exponent vectors (``to_exponent_vector``, or ``vecs`` of
-    the spec's ratios where given), where rho_end**k is k times a vector:
-    linear in the digits of k and k'."""
+    compared as exponent vectors (``to_exponent_vector``), where
+    rho_end**k is k times a vector: linear in the digits of k and k'."""
+    rho = spec.ratios
     if w.i not in spec.touching.letters:
         raise SpecError("letter %d does not touch its neighbour" % w.i)
     if not w.word:
@@ -132,9 +126,7 @@ def verify_witness(spec, w, vecs=None):
     terms[end] += w.k - w.kp
     quotient = Counter()
     for letter, m in terms.items():
-        vec = (vecs[letter - 1] if vecs
-               else to_exponent_vector(spec.ratios[letter - 1]))
-        for key, e in vec.items():
+        for key, e in to_exponent_vector(rho[letter - 1]).items():
             quotient[key] += m * e
     if any(quotient.values()):
         raise SpecError("witness identity fails exactly: %r" % w)
@@ -295,13 +287,13 @@ def _longer_sums(prev, codes, adm, box, consume=False):
     one) over the multisets of length r - 1 drawn from letters a+1..n
     (0-based ``a``); the result holds the same pairs for length r.  A
     multiset from a+1..n either has no letter a+1, or it is letter a+1
-    added to a shorter multiset from a+1..n.  Unless ``box`` is None, it
-    is the triple (P, Q, G) of ``_SideTables.box``, and a new sum z is
-    kept only if its guard bits pass: (z + P) & G == G and
-    (Q - z) & G == G.
-    With ``consume``, each ``prev[a]`` is dropped from ``prev`` once it
+    added to a shorter multiset from a+1..n.  ``box`` is the triple
+    (P, Q, G) of ``_SideTables.box``, and a new sum z is kept only if its
+    guard bits pass: (z + P) & G == G and (Q - z) & G == G.  With
+    ``consume``, each ``prev[a]`` is dropped from ``prev`` once it
     has been read, so the two lengths are never both whole in memory."""
     n = len(codes)
+    p0, q0, g = box
     out = [None] * n + [(frozenset(), frozenset())]
     for a in range(n - 1, -1, -1):
         plain, flagged = out[a + 1]
@@ -309,16 +301,12 @@ def _longer_sums(prev, codes, adm, box, consume=False):
         below = prev[a]
         if consume:
             prev[a] = None
-        if box is None:
-            plain_up = {x + e for x in below[0]}
-            flagged_up = {x + e for x in below[1]}
-        else:  # z + P == x + (e + P) and Q - z == (Q - e) - x
-            p, q, g = box
-            p, q = e + p, q - e
-            plain_up = {x + e for x in below[0]
-                        if (x + p) & g == g and (q - x) & g == g}
-            flagged_up = {x + e for x in below[1]
-                          if (x + p) & g == g and (q - x) & g == g}
+        # z + P == x + (e + P) and Q - z == (Q - e) - x
+        p, q = e + p0, q0 - e
+        plain_up = {x + e for x in below[0]
+                    if (x + p) & g == g and (q - x) & g == g}
+        flagged_up = {x + e for x in below[1]
+                      if (x + p) & g == g and (q - x) & g == g}
         below = None
         if adm[a]:
             out[a] = (plain, flagged | plain_up | flagged_up)
@@ -379,16 +367,14 @@ class _SideTables:
     (0, 2**b) at digit j, since |x_j - L_j| <= 2*bound < 2**(b-1); no
     field carries into the next, and its top bit, a bit of G, is set iff
     x_j >= L_j.  Q_r - z likewise tests x_j <= U_j.  P_r and Q_r are
-    built once per length, and a length whose box holds every sum of r
-    letters (r*min_t e_tj >= L_j and r*max_t e_tj <= U_j) is not
-    filtered.
+    built once per length.
     """
 
-    def __init__(self, spec, side, budget, vecs=None):
+    def __init__(self, spec, side, budget):
         self.spec = spec
         self.side = side
         self.budget = budget
-        self.vecs = vecs = vecs or _exponents(spec)
+        vecs = [to_exponent_vector(r) for r in spec.ratios]
         keys = sorted({k for v in vecs for k in v}, key=str)
         self.exps = [[v.get(k, 0) for k in keys] for v in vecs]
         self.top = top = max(abs(x) for e in self.exps for x in e)
@@ -422,9 +408,8 @@ class _SideTables:
         return target, anchor, max_exp
 
     def box(self, r):
-        """(P_r, Q_r, G) of the box test at length r, or None when the
-        box holds every sum of r letters; the bounds are built on the
-        first call."""
+        """(P_r, Q_r, G) of the box test at length r; the bounds are built
+        on the first call."""
         if self._bounds is None:
             cols = list(zip(*self.exps))
             gmin, gmax = [], []
@@ -439,9 +424,6 @@ class _SideTables:
         k = self.budget.max_word - r
         lower = [g - k * max(0, h) for g, h in zip(gmin, mx)]
         upper = [g - k * min(0, m) for g, m in zip(gmax, mn)]
-        if all(r * m >= lo for m, lo in zip(mn, lower)) and all(
-                r * h <= up for h, up in zip(mx, upper)):
-            return None
         return self.guards(lower, upper)
 
     def guards(self, lower, upper):
@@ -556,7 +538,7 @@ def find_witness(spec, i, side, budget=None, *, tables=None, cap=None):
     delta = goal[s]
     w = Witness(side, i, max(delta, 0), max(-delta, 0),
                 _arrange_word(spec, side, multi), "search")
-    verify_witness(spec, w, tab.vecs)
+    verify_witness(spec, w)
     return (w, "found")
 
 
@@ -581,18 +563,18 @@ def check_necessary(spec):
     return NecessaryResult(True, pq, "rho_1**%d == rho_n**%d" % pq)
 
 
-def _all_dependent(vecs):
-    """Pairwise multiplicative dependence of ratios given by their
-    exponent vectors; returns True/False."""
-    base = vecs[0]
-    for v in vecs[1:]:
-        if _vector_dependence(base, v) is None:
+def _all_dependent(ratios):
+    """Pairwise multiplicative dependence of a list; returns True/False.
+    Each distinct ratio is tested once."""
+    base, *rest = dict.fromkeys(ratios)
+    for r in rest:
+        if mult_dependence(base, r) is None:
             return False
     # pairwise follows from dependence on a common anchor
     return True
 
 
-def closed_form_witnesses(spec, vecs=None):
+def closed_form_witnesses(spec):
     """Closed-form witnesses when enough ratios share a common power.
 
     Witnesses of one side exist for every touching letter when rho_1,
@@ -602,27 +584,26 @@ def closed_form_witnesses(spec, vecs=None):
     rho_near**w and rho_anchor**u are the powers of rho_end that match.
     The right side, anchor alpha, is tried before the left, anchor
     n - beta + 1.  Returns a dict letter -> Witness, or None when neither
-    condition holds.  ``vecs`` are the exponent vectors of the spec's
-    ratios, if known.
+    condition holds.
     """
     st = spec.touching
     n = spec.n
-    vecs = vecs or _exponents(spec)
+    rho = spec.ratios
     for side, anchor in (("right", st.alpha), ("left", n - st.beta + 1)):
         subs = [(i,) + witness_letters(side, i, n) for i in sorted(st.letters)]
-        if not _all_dependent([vecs[0], vecs[n - 1], vecs[anchor - 1]]
-                              + [vecs[near - 1] for _, near, _, _ in subs]):
+        if not _all_dependent([rho[0], rho[n - 1], rho[anchor - 1]]
+                              + [rho[near - 1] for _, near, _, _ in subs]):
             continue
         out = {}
         for i, near, far, end in subs:
-            ua, va = _vector_dependence(vecs[anchor - 1], vecs[end - 1])
-            wb, vb = _vector_dependence(vecs[near - 1], vecs[end - 1])
+            ua, va = mult_dependence(rho[anchor - 1], rho[end - 1])
+            wb, vb = mult_dependence(rho[near - 1], rho[end - 1])
             v = va * vb // math.gcd(va, vb)
             u = ua * (v // va)
             wexp = wb * (v // vb)
             word = (far,) + (near,) * (wexp - 1) + (anchor,) * u
             w = Witness(side, i, 2 * v, 0, word, "fastpath")
-            verify_witness(spec, w, vecs)
+            verify_witness(spec, w)
             out[i] = w
         return out
     return None
@@ -683,8 +664,7 @@ def decide(spec, budget=None):
     reason4 = branch4_obstruction(spec)
     if reason4:
         return Verdict("not_equivalent", reason4, nec, {}, [])
-    vecs = _exponents(spec)
-    fast = closed_form_witnesses(spec, vecs) or {}
+    fast = closed_form_witnesses(spec) or {}
     tables = {}
     witnesses = {}
     unresolved = []
@@ -694,7 +674,7 @@ def decide(spec, budget=None):
                                                     w.depth - 1)
         for side in ("left", "right"):
             if side not in tables:
-                tables[side] = _SideTables(spec, side, budget, vecs)
+                tables[side] = _SideTables(spec, side, budget)
             got, _ = find_witness(spec, i, side, tables=tables[side],
                                   cap=cap)
             if got is not None:

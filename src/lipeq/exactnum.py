@@ -25,6 +25,7 @@ an ``UncertifiableComparisonError`` is raised rather than guessing.
 from fractions import Fraction
 import math
 import random
+from types import MappingProxyType
 
 
 class ExactError(Exception):
@@ -209,7 +210,8 @@ class ExactRatio:
     bases raised to integer powers.  Rational iff the product part is empty.
     """
 
-    __slots__ = ("scalar", "sym")
+    # _vec: the exponent vector, filled by ``to_exponent_vector``
+    __slots__ = ("scalar", "sym", "_vec")
 
     def __init__(self, scalar, sym=()):
         scalar = Fraction(scalar)
@@ -444,8 +446,13 @@ def to_exponent_vector(r):
     Keys are ints (primes) and strings (declared base names); distinct keys
     are treated as multiplicatively independent.  Rational parts are fully
     factored; a huge unfactorable numerator or denominator raises
-    FactorizationError.
+    FactorizationError.  The vector is computed once per ratio object and
+    returned as a read-only mapping.
     """
+    try:
+        return r._vec
+    except AttributeError:
+        pass
     vec = {}
     num = r.scalar.numerator
     den = r.scalar.denominator
@@ -457,7 +464,8 @@ def to_exponent_vector(r):
             vec[p] = vec.get(p, 0) - e
     for k, v in r.sym:
         vec[k] = vec.get(k, 0) + v
-    return {k: v for k, v in vec.items() if v != 0}
+    r._vec = MappingProxyType({k: v for k, v in vec.items() if v != 0})
+    return r._vec
 
 
 def mult_dependence(a, b):
@@ -466,15 +474,8 @@ def mult_dependence(a, b):
     Both arguments are ExactRatios; independence of declared bases is
     assumed as asserted at declaration time.
     """
-    pq = _vector_dependence(to_exponent_vector(a), to_exponent_vector(b))
-    if pq is not None:
-        assert a.pow_int(pq[0]) == b.pow_int(pq[1])
-    return pq
-
-
-def _vector_dependence(va, vb):
-    """``mult_dependence`` on exponent vectors: the smallest positive
-    (p, q) with p*va == q*vb, or None."""
+    va = to_exponent_vector(a)
+    vb = to_exponent_vector(b)
     if not va or not vb:
         return None  # one of them is 1, ratios in (0,1) never are
     if set(va) != set(vb):
@@ -486,6 +487,7 @@ def _vector_dependence(va, vb):
     q, p = t.numerator, t.denominator
     if any(p * va[k] != q * vb[k] for k in va):
         return None
+    assert a.pow_int(p) == b.pow_int(q)
     return (p, q)
 
 

@@ -140,8 +140,10 @@ class IfsSpec:
         elif self.role == "dust":
             if any(g == 0 for g in gaps):
                 raise SpecError("dust system must have all gaps positive")
-        else:
-            raise SpecError("unknown role %r" % self.role)
+        else:  # an excerpt: the role may come from a file, of any length
+            role = ascii(self.role)
+            raise SpecError("unknown role %s" % (
+                role if len(role) <= 60 else role[:60] + "..."))
 
     # -- basic geometry ----------------------------------------------------
 

@@ -184,9 +184,6 @@ def spec_from_doc(doc):
     if extra:
         raise ParseError("unknown fields: %s"
                          % _cut(", ".join(map(ascii, sorted(extra)))))
-    role = doc.get("role", "touching")
-    if role not in ("touching", "dust"):
-        raise ParseError("unknown role %s" % _cut(ascii(role)))
     if not isinstance(doc.get("bases", []), list):
         raise ParseError("'bases' must be a list")
     if len(doc.get("bases", [])) > MAX_BASES:
@@ -221,8 +218,8 @@ def spec_from_doc(doc):
     if mu_independent is not True and mu_independent is not False:
         raise ParseError("'mu_independent' must be true or false, got %s"
                          % _cut(ascii(mu_independent)))
-    return IfsSpec(ratios, translations, role=role, bases=bases,
-                   mu_independent=mu_independent)
+    return IfsSpec(ratios, translations, role=doc.get("role", "touching"),
+                   bases=bases, mu_independent=mu_independent)
 
 
 def spec_to_doc(spec):

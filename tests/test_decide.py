@@ -23,6 +23,7 @@ from lipeq.decide import (check_necessary, find_witness,
                           farkas_vector, _standard_form,
                           _SideTables, _longer_sums, witness_letters)
 from lipeq.exactnum import ExactRatio, DeclaredBase, to_exponent_vector
+from lipeq.ifs import SpecError
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
                       random_equal_spec, random_unequal_spec,
@@ -653,18 +654,11 @@ class TestBoxPrune:
            st.integers(1, 40), st.integers(0, 60) | st.just(10 ** 6),
            st.data())
     def test_box_at_each_length(self, seed, side, max_word, max_exp, data):
-        # the box's guards test its defining bounds, and a length goes
-        # unfiltered only where every sum of r letters is inside them
+        # the box's guards test its defining bounds
         spec = random_fuzz_spec(random.Random(seed))
         tab = _SideTables(spec, side, SearchBudget(max_word, max_exp))
         r = data.draw(st.integers(1, max_word))
-        lower, upper = box_bounds(tab, r)
-        box = tab.box(r)
-        if box is None:
-            assert all(r * min(c) >= lo and r * max(c) <= up
-                       for c, lo, up in zip(zip(*tab.exps), lower, upper))
-        else:
-            assert box == tab.guards(lower, upper)
+        assert tab.box(r) == tab.guards(*box_bounds(tab, r))
 
     def test_kept_tables_hold_every_completing_sum(self):
         # the kept tables are subsets of the full ones, and they hold
@@ -697,6 +691,18 @@ class TestBoxPrune:
                             full_total += len(every)
                     empty += not (level[0][0] or level[0][1])
         assert 0 < kept_total < full_total and empty > 0
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_letter_that_does_not_touch_refused(self, one45, side, shared):
+        # the box holds the sums that can reach a goal of a touching
+        # letter only, so a search for another letter could answer
+        # "exhausted" where the full tables hold a witness
+        tables = _SideTables(one45, side, SearchBudget()) if shared else None
+        for i in (1, 3):
+            with pytest.raises(SpecError, match="letter %d does not touch"
+                               % i):
+                find_witness(one45, i, side, tables=tables)
 
     def test_search_stops_at_empty_tables(self, one45, monkeypatch):
         # every ratio of {1,4,5} is 1/5, so with max_exp 0 the one goal

@@ -249,6 +249,10 @@ class TestMultDependence:
     def test_exponent_vector(self):
         r = ExactRatio(Fraction(4, 45), (("g", -2),))
         assert to_exponent_vector(r) == {2: 2, 3: -2, 5: -1, "g": -2}
+        # kept on the ratio, which every caller shares: read-only
+        assert to_exponent_vector(r) is to_exponent_vector(r)
+        with pytest.raises(TypeError):
+            to_exponent_vector(r)[2] = 0
 
 
 # ---------------------------------------------------------------------------
