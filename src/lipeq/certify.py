@@ -51,13 +51,12 @@ def choose_pq(spec, witnesses):
     depth condition ``tstar._hole_fits``, exactly.
 
     This is the one place where (p, q) is decided; ``build_certificate``
-    builds at it once.  The hole engines accept it, and so does the joint
-    guard of ``tstar.trace``, which they call.  A joint of a trace's cover
-    lies between cylinders P g n^s_a and P (g+1) 1^s_b, prefixes of the
-    consecutive words P g n^s and P (g+1) 1^s of the range, so each side's
-    trailing count is at most the word's: s_a, s_b <= s.  Inside a hole's
-    trace ranges s <= max(k' + |j|, 1) < min(p, q), so s_a < q and
-    s_b < p.
+    builds at it once, and the engines rely on it unchecked: it gives
+    each joint of a hole's trace the valid ranges R_s_a minus R_q and
+    L_s_b minus L_p.  The joint lies between P g n^s_a and P (g+1) 1^s_b,
+    prefixes of the consecutive words P g n^s and P (g+1) 1^s of the
+    range, so s_a, s_b <= s, and inside a hole's trace ranges
+    s <= max(k' + |j|, 1) < min(p, q): so s_a < q and s_b < p.
 
     The condition also keeps each hole patch clear of the boundary patches
     around it, which the paper asks of (p, q).  Take a left witness for

@@ -155,19 +155,3 @@ def set_distance(spec, a, b):
 def set_diam(spec, words):
     ws = canonicalize(spec.n, words)
     return spec.cyl_hi(ws[-1]) - spec.cyl_lo(ws[0])
-
-
-def shares_end(spec, word, end):
-    """Does T_word share its endpoint on the side of ``end`` (1 the left,
-    n the right) with a cylinder outside it?
-
-    True iff word = w + (j,) + end...end with j touching on that side:
-    j - 1 a touching letter for end 1, j one for end n.
-    """
-    k = len(word)
-    while k and word[k - 1] == end:
-        k -= 1
-    if k == 0:
-        return False
-    j = word[k - 1]
-    return (j - 1 if end == 1 else j) in spec.touching.letters

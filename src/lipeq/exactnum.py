@@ -214,7 +214,7 @@ class ExactRatio:
     __slots__ = ("scalar", "sym", "_vec")
 
     def __init__(self, scalar, sym=()):
-        scalar = Fraction(scalar)
+        scalar = scalar if type(scalar) is Fraction else Fraction(scalar)
         if scalar <= 0:
             raise ValueError("ExactRatio scalar must be positive")
         self.scalar = scalar

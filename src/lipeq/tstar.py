@@ -10,24 +10,18 @@ disjoint union of copies of three vertex kinds of the certificate:
 
 Each engine returns a list of pairs (prefix word, vertex key): the piece
 is the image of the vertex's words under psi_prefix.  The engines
-construct and do not check their output: the certificate construction
-validates the tilings made of their pairs exactly
-(``certify.verify_certificate``), and the tests hold each engine to its
-target word set with an exact oracle.
+construct and check neither their arguments nor their output.  No
+argument comes from outside the program: ``certify`` computes each one
+from a validated spec, a witness that passed ``decide.verify_witness``
+and the (p, q) of ``certify.choose_pq``, and each engine's docstring
+names its precondition and the code that establishes it.  Whatever the
+engines return, ``build_certificate`` runs the kernel, whose exact
+tiling check can refuse a wrong piece list but never accept one.  The
+tests hold each engine to its target with an exact oracle, and to its
+preconditions on the build path.
 """
 
-from .ifs import SpecError
-from . import cylsets
-from .decide import _admissible
 from .patches import zone_words
-
-
-class DecompositionError(SpecError):
-    pass
-
-
-class DepthError(DecompositionError):
-    """The scan needs a deeper (p, q) than currently chosen."""
 
 
 class Context:
@@ -49,15 +43,11 @@ class Context:
         """Relative (prefix ()) canonical words of the vertex ``key``: a
         level-1 block for ("comp1", j), or R_k(T_i) union L_k'(T_{i+1})
         with (k, k') = (0, 0) for ("touch2", i) and (q, p) for
-        ("touch3", i)."""
+        ("touch3", i).  Keys come from ``certify.build_vertices``."""
         kind = key[0]
         if kind == "comp1":
             b, e = self.blocks[key[1] - 1]
             return tuple((a,) for a in range(b, e + 1))
-        if kind not in ("touch2", "touch3"):
-            raise DecompositionError("unknown vertex kind %r" % (kind,))
-        if key[1] not in self.touch:
-            raise DecompositionError("%s index must touch" % kind)
         k, kp = (0, 0) if kind == "touch2" else (self.q, self.p)
         return zone_words(self.spec, key[1], k, kp)
 
@@ -74,9 +64,9 @@ class Context:
 # patch differences
 
 def ldiff(ctx, base, u, v):
-    """Pairs tiling L_u(T_base) minus L_v(T_base), u < v."""
-    if not u < v:
-        raise DecompositionError("ldiff needs u < v")
+    """Pairs tiling L_u(T_base) minus L_v(T_base), u < v: from 0 < p, q
+    in ``certify``, s_b < p in ``trace`` and ``_hole_fits`` in
+    ``hole_diff``."""
     a, c1 = ctx.alpha, ctx.c1
     out = []
     for k in range(u, v):
@@ -93,9 +83,8 @@ def ldiff(ctx, base, u, v):
 
 
 def rdiff(ctx, base, u, v):
-    """Pairs tiling R_u(T_base) minus R_v(T_base), u < v."""
-    if not u < v:
-        raise DecompositionError("rdiff needs u < v")
+    """Pairs tiling R_u(T_base) minus R_v(T_base), u < v as in
+    ``ldiff``."""
     n = ctx.spec.n
     b, c1 = ctx.beta, ctx.c1
     out = []
@@ -126,12 +115,9 @@ def _cover(n, u, v):
     v's letters after P add at most n - 2: so r <= n + 2(n - 1)(L - |P| -
     1) <= 2(n - 1)L, where the range can hold n^(L - |P|) words.
     Consecutive cylinders read P' g n^s_a and P' (g+1) 1^s_b, P' their
-    common prefix.
+    common prefix.  ``trace`` pads u and v to one length, and
+    ``hole_diff`` writes each range with u <= v.
     """
-    if len(u) != len(v):
-        raise DecompositionError("trace words must have equal length")
-    if u > v:
-        raise DecompositionError("trace range reversed: %r > %r" % (u, v))
     m = 0
     while m < len(u) and u[m] == v[m]:
         m += 1
@@ -160,10 +146,9 @@ def trace(ctx, u, v):
 
     u and v are words; the shorter one is padded (u along letter 1, v
     along letter n, neither changing its relevant endpoint).  The segment
-    must itself be separated from the rest of T, which holds for every
-    call site; only its two ends are checked here, and no block piece is
-    checked for separateness (the tests hold the engine to its target
-    with an exact oracle).
+    must be separated from the rest of T, and every joint below a
+    touching letter needs s_a < q and s_b < p: ``hole_diff`` says why
+    both hold for its ranges, the only ones traced.
 
     The segment is the union of T_C over the maximal cylinders C of
     [u, v] (``_cover``), so the pieces grow with the cover and not with
@@ -174,16 +159,12 @@ def trace(ctx, u, v):
     touch3 piece at P with R_s_a(T_Pg) minus R_q(T_Pg) and
     L_s_b(T_P(g+1)) minus L_p(T_P(g+1)).
     """
-    spec = ctx.spec
-    n = spec.n
+    n = ctx.spec.n
     if len(u) < len(v):
         u = u + (1,) * (len(v) - len(u))
     elif len(v) < len(u):
         v = v + (n,) * (len(u) - len(v))
     cyls = _cover(n, u, v)
-    if cylsets.shares_end(spec, u, 1):
-        raise DecompositionError("trace start %r shares its left endpoint "
-                                 "outside the segment" % (u,))
     out = [(cyls[0], ("comp1", 1))]
     for w in cyls:
         out.extend((w, ("comp1", j)) for j in range(2, ctx.c1))
@@ -199,17 +180,10 @@ def trace(ctx, u, v):
         elif sa == sb == 0:
             out.append((a[:m], ("touch2", g)))
         else:
-            if sa >= ctx.q or sb >= ctx.p:
-                raise DepthError(
-                    "joint pair with %d and %d trailing letters needs "
-                    "q > %d and p > %d" % (sa, sb, sa, sb))
             out.extend(rdiff(ctx, a, 0, ctx.q - sa))
             out.extend(ldiff(ctx, b, 0, ctx.p - sb))
             out.append((a[:m], ("touch3", g)))
     out.append((cyls[-1], ("comp1", ctx.c1)))
-    if cylsets.shares_end(spec, v, n):
-        raise DecompositionError("trace end %r shares its right endpoint "
-                                 "outside the segment" % (v,))
     return out
 
 
@@ -240,13 +214,16 @@ def hole_diff(ctx, end, i, kp, j):
     ``end`` (``decide.witness_letters``): along 1, R_q(T_i) minus
     (R_3q(T_i) union L_kp(T_{i [n]^2q j})); along n the mirror image,
     L_p(T_{i+1}) minus (L_3p(T_{i+1}) union R_kp(T_{(i+1) [1]^2p j})).
-    Each trace range is written for end 1 and reversed for end n."""
+    Each trace range is written for end 1 and reversed for end n.
+
+    ``certify.choose_pq`` admits (p, q) only where ``_hole_fits`` holds,
+    which keeps both ``diff`` ranges nonempty and, by its docstring,
+    s_a < q and s_b < p at every trace joint.  Each trace range starts
+    and stops beside a gap of T: its words close on alpha, alpha + 1,
+    n - beta or n - beta + 1, next to the gaps that bound the first and
+    last level-1 blocks, or on j's last letter stepped toward ``end``,
+    which ``decide.verify_witness`` found admissible."""
     n = ctx.spec.n
-    if not _admissible(ctx.spec, "left" if end == 1 else "right", j[-1]):
-        raise DecompositionError("inadmissible final letter in %r" % (j,))
-    if not _hole_fits(n, ctx.p, ctx.q, end, kp, j):
-        raise DepthError("hole word %r with k' = %d needs larger (p, q)"
-                         % (j, kp))
     opp = n + 1 - end
     near = (i,) if end == 1 else (i + 1,)
     diff, depth = ctx.along(opp)

@@ -32,7 +32,8 @@ from conftest import (make_one45, make_endratio_spec, make_equal_spec,
                       random_unequal_spec, random_fuzz_spec,
                       make_declared_spec, closed_form_certificate,
                       identity_certificate, verify_expansion)
-from test_golden import golden_specs
+from test_cylsets import shares_end
+from test_golden import golden_specs, left_specs
 from test_tstar import cover_fault
 
 
@@ -360,7 +361,7 @@ class TestChoosePq:
     def test_restrictions_refuse_what_the_hole_engine_refuses(self, q):
         # mirrored {1,4,5}: a left witness for letter 1 whose word is
         # q - 1 letters n with k' = 0 passes the depth bound at (q, q),
-        # where hole_diff along 1 refuses it, and tiles at (q + 1, q + 1)
+        # where ``_hole_fits`` refuses it, and tiles at (q + 1, q + 1)
         spec = make_one45().mirror()
         w = Witness("left", 1, q - 1, 0, (spec.n,) * (q - 1), "search")
         verify_witness(spec, w)
@@ -409,7 +410,7 @@ def choose_pq_with_patch_checks(spec, witnesses):
             for i, w in sorted(witnesses.items()):
                 end = witness_letters(w.side, i, spec.n)[2]
                 if not _hole_fits(spec.n, p, q, end, w.kp, w.word):
-                    raise tstar.DepthError("needs larger (p, q)")
+                    raise SpecError("needs larger (p, q)")
                 patch_disjointness(spec, w.side, i, w.kp, w.word, p, q)
             return p, q, p0, q0
         except SpecError:
@@ -944,6 +945,73 @@ class TestBuildPath:
             assert cover_fault(ctx, pls, target) is None
             assert cover_fault(ctx, ENGINE_FAULTS[fault](ctx, pls),
                                target) is not None
+
+
+    # The engines check none of their arguments: each docstring in
+    # ``tstar`` names its precondition and the code that establishes it.
+    # These wrappers assert every one at each engine call of the build.
+    @staticmethod
+    def precondition_oracle(monkeypatch):
+        """Wrap ``ldiff``, ``rdiff``, ``trace`` and ``hole_diff`` wherever
+        the build reaches them; returns the calls counted per engine."""
+        calls = dict.fromkeys(("ldiff", "rdiff", "trace", "hole_diff"), 0)
+
+        def diff(name, real):
+            def wrapped(ctx, base, u, v):
+                calls[name] += 1
+                assert u < v
+                return real(ctx, base, u, v)
+            return wrapped
+
+        def trace(ctx, u, v, real=tstar.trace):
+            calls["trace"] += 1
+            spec, n = ctx.spec, ctx.spec.n
+            a = u + (1,) * (len(v) - len(u))
+            b = v + (n,) * (len(u) - len(v))
+            assert len(a) == len(b) and a <= b
+            assert not shares_end(spec, a, 1) and not shares_end(spec, b, n)
+            cyls = tstar._cover(n, a, b)
+            for x, y in zip(cyls, cyls[1:]):
+                m = next(k for k in range(len(x)) if x[k] != y[k])
+                sa, sb = len(x) - m - 1, len(y) - m - 1
+                if x[m] in ctx.touch and (sa, sb) != (0, 0):
+                    assert sa < ctx.q and sb < ctx.p
+            return real(ctx, u, v)
+
+        def hole_diff(ctx, end, i, kp, j, real=tstar.hole_diff):
+            calls["hole_diff"] += 1
+            side = "left" if end == 1 else "right"
+            assert _admissible(ctx.spec, side, j[-1])
+            assert _hole_fits(ctx.spec.n, ctx.p, ctx.q, end, kp, j)
+            return real(ctx, end, i, kp, j)
+
+        wrappers = {"ldiff": diff("ldiff", tstar.ldiff),
+                    "rdiff": diff("rdiff", tstar.rdiff),
+                    "trace": trace, "hole_diff": hole_diff}
+        for name, fn in wrappers.items():
+            monkeypatch.setattr(tstar, name, fn)
+            if hasattr(lipeq.certify, name):
+                monkeypatch.setattr(lipeq.certify, name, fn)
+        return calls
+
+    @pytest.mark.parametrize("source", ["golden", "fuzz-1", "fuzz-2"])
+    def test_engine_preconditions_hold(self, monkeypatch, source):
+        # the certified specs of the golden files, or those of 100 draws
+        # of ``random_fuzz_spec``, each with its mirror
+        if source == "golden":
+            specs = [s for _, s in golden_specs() + left_specs()]
+        else:
+            rng = random.Random(int(source[-1]))
+            specs = [random_fuzz_spec(rng) for _ in range(100)]
+        calls = self.precondition_oracle(monkeypatch)
+        built = 0
+        for spec in (s for b in specs for s in (b, b.mirror())):
+            verdict = decide(spec, SearchBudget(12, 40))
+            if verdict.status == "equivalent":
+                build_certificate(spec, verdict)
+                built += 1
+        assert built >= 40
+        assert all(calls.values()), calls
 
 
 # ---------------------------------------------------------------------------

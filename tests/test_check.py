@@ -188,3 +188,12 @@ def test_kernel_reaches_no_engine():
     closure = import_closure("check")
     assert closure <= KERNEL_IMPORTS
     assert not closure & ENGINES
+
+
+def test_tiling_engines_reach_no_search():
+    # the engines rely on the witness checks of ``decide`` and on
+    # ``certify.choose_pq`` without calling either
+    assert package_imports("tstar") == {"patches"}
+    closure = import_closure("tstar")
+    assert closure <= {"patches", "cylsets", "ifs", "exactnum"}
+    assert "decide" not in closure

@@ -5,7 +5,8 @@ The ``ref_*`` functions are the earlier prefix-scanning versions of the
 algebra, kept here as the reference the sorted-order versions must agree
 with.  ``ref_subtract``, ``ref_complement_words`` and ``is_separate``
 also build the exact oracle that ``test_tstar`` holds the tiling engines
-to, so they are tested here in their own right."""
+to, and ``shares_end`` picks the trace ranges it tests them on, so they
+are tested here in their own right."""
 
 import itertools
 import random
@@ -19,7 +20,7 @@ from lipeq.exactnum import ExactRatio
 from lipeq.ifs import canonical_dust, words_touch
 from lipeq.cylsets import (canonicalize, word_subset,
                            check_disjoint_groups, set_distance,
-                           set_diam, shares_end)
+                           set_diam)
 
 from conftest import make_one45, random_equal_spec
 
@@ -55,6 +56,22 @@ def is_separate(spec, words):
         return (False, 0, set_diam(spec, ws))
     d = set_distance(spec, ws, comp)
     return (d > 0, d, set_diam(spec, ws))
+
+
+def shares_end(spec, word, end):
+    """Does T_word share its endpoint on the side of ``end`` (1 the left,
+    n the right) with a cylinder outside it?
+
+    True iff word = w + (j,) + end...end with j touching on that side:
+    j - 1 a touching letter for end 1, j one for end n.
+    """
+    k = len(word)
+    while k and word[k - 1] == end:
+        k -= 1
+    if k == 0:
+        return False
+    j = word[k - 1]
+    return (j - 1 if end == 1 else j) in spec.touching.letters
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +575,8 @@ class TestSeparateness:
         # of T unless it is the first block and the prefix shares its left
         # endpoint outside, or the last block and the prefix shares its
         # right endpoint outside: the closed form ``shares_end`` along 1
-        # and along n, which ``tstar.trace`` relies on, against the
-        # complement scan
+        # and along n, which the trace ranges of ``test_tstar`` rely on,
+        # against the complement scan
         spec = make_one45()
         blocks = spec.blocks()
         prefixes = [(), (1,), (2,), (3,), (2, 3), (3, 1), (1, 2, 3)]

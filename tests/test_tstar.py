@@ -1,10 +1,12 @@
 """Tiling engines for touching-zone decompositions.
 
-The engines only construct.  ``cover_fault`` is the exact oracle that
-these tests hold them to: the placed pieces are pairwise point-disjoint,
-each block piece is separate from the rest of the attractor, and their
-union is the engine's target word set, built here with the reference
-subtraction of ``test_cylsets``.
+The engines only construct, and check neither their arguments nor their
+output.  ``cover_fault`` is the exact oracle that these tests hold them
+to: the placed pieces are pairwise point-disjoint, each block piece is
+separate from the rest of the attractor, and their union is the engine's
+target word set, built here with the reference subtraction of
+``test_cylsets``.  Every call here meets the engine's precondition;
+``test_certify`` checks that the build path does too.
 """
 
 import itertools
@@ -16,12 +18,12 @@ from hypothesis import given, settings, strategies as st
 from lipeq import SpecError, cylsets
 from lipeq.patches import patch_words, zone_words
 from lipeq.decide import _admissible
-from lipeq.tstar import (Context, DepthError, ldiff, rdiff, trace,
-                         hole_diff, block_decompose, _cover, _hole_fits)
+from lipeq.tstar import (Context, ldiff, rdiff, trace, hole_diff,
+                         block_decompose, _cover, _hole_fits, _leading_run)
 
 from conftest import (make_one45, random_equal_spec, random_fuzz_spec,
                       random_unequal_spec)
-from test_cylsets import is_separate, ref_subtract, union_equal
+from test_cylsets import is_separate, ref_subtract, shares_end, union_equal
 
 
 def ctx45(p=3, q=3):
@@ -82,12 +84,18 @@ def trace_target(spec, u, v):
             if u[c:] <= w <= v[c:]]
 
 
+class JointTooDeep(Exception):
+    """A joint of ``ref_trace`` needs a deeper (p, q)."""
+
+
 def ref_trace(ctx, u, v):
     """The trace word by word: every word of [u, v] at their common
     length adds blocks 2..c1-1, and each pair of consecutive words a joint
     with one trailing count s for both sides.  Certificates were built
     this way before ``trace`` walked the range's maximal cylinders; the
-    golden files that pin those certificates build them with it."""
+    golden files that pin those certificates build them with it.  Raises
+    JointTooDeep at a joint whose trailing count s is not below p and
+    q."""
     n = ctx.spec.n
     if len(u) < len(v):
         u = u + (1,) * (len(v) - len(u))
@@ -110,8 +118,8 @@ def ref_trace(ctx, u, v):
             out.append((a[:m], ("touch2", g)))
         else:
             if s >= ctx.q or s >= ctx.p:
-                raise DepthError("joint pair with %d trailing letters "
-                                 "needs p, q > %d" % (s, s))
+                raise JointTooDeep("joint pair with %d trailing letters "
+                                   "needs p, q > %d" % (s, s))
             out.extend(rdiff(ctx, a, 0, ctx.q - s))
             out.extend(ldiff(ctx, b, 0, ctx.p - s))
             out.append((a[:m], ("touch3", g)))
@@ -164,13 +172,6 @@ class TestContext:
         assert set(ctx.family_words(("touch2", 2))) == {(2, 2), (2, 3),
                                                         (3, 1)}
 
-    @pytest.mark.parametrize("key", [("whole",), ("touch4", 2),
-                                     ("comp2", 1)])
-    def test_unknown_kind_refused(self, key):
-        # only the three kinds that the engines place have relative words
-        with pytest.raises(SpecError, match="unknown vertex kind"):
-            ctx45().family_words(key)
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32), st.booleans(),
            st.integers(1, 4), st.integers(1, 4))
@@ -190,10 +191,6 @@ class TestContext:
                                 for l in range(1, a + 1)))
                 assert want == zone_words(spec, i, k, kp)
                 assert ctx.family_words((kind, i)) == want
-        free = next(i for i in range(1, n) if i not in ctx.touch)
-        for kind in ("touch2", "touch3"):
-            with pytest.raises(SpecError, match="must touch"):
-                ctx.family_words((kind, free))
 
     def test_patches(self):
         spec = make_one45()
@@ -279,23 +276,24 @@ class TestTrace:
         # the cover joins (2,) to (3,1), with trailing counts 0 and 1
         u, v = (2, 1), (3, 2, 1)
         assert _cover(3, (2, 1, 1), v) == [(2,), (3, 1), (3, 2, 1)]
-        with pytest.raises(DepthError):
+        with pytest.raises(JointTooDeep):
             ref_trace(ctx, u, v)
         assert cover_fault(ctx, trace(ctx, u, v),
                            trace_target(ctx.spec, u, v)) is None
 
-    def test_depth_error_on_close_touch(self):
+    def test_close_touch_joint_needs_q_up_to_its_run(self):
         # the cover (2,3,2) < (2,3,3) < (3,1) meets the touching point
         # with s_a = 2 letters n on the left and s_b = 1 letter 1 on the
-        # right: the joint needs q > 2 and p > 1
+        # right.  At q = 1 the touch3 piece overlaps the first block;
+        # from q = s_a the range is tiled, as it is from p = s_b.
+        # certify.choose_pq promises s_a < q and s_b < p, which is more.
         u, v = (2, 3, 2), (3, 1)
         assert _cover(3, u, (3, 1, 3)) == [(2, 3, 2), (2, 3, 3), (3, 1)]
-        for p, q in ((2, 2), (3, 2)):
-            with pytest.raises(DepthError):
-                trace(ctx45(p, q), u, v)
-        ctx = ctx45(2, 3)
-        assert cover_fault(ctx, trace(ctx, u, v),
-                           trace_target(ctx.spec, u, v)) is None
+        for p, q in itertools.product((1, 2, 3), (1, 2, 3)):
+            ctx = ctx45(p, q)
+            fault = cover_fault(ctx, trace(ctx, u, v),
+                                trace_target(ctx.spec, u, v))
+            assert (fault is None) == (q >= 2)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32), st.booleans())
@@ -324,25 +322,36 @@ class TestHoleDiff:
                            hole_target(ctx.spec, 3, 3, 3, 2, 0, (2, 1))) \
             is None
 
-    def test_depth_error_when_too_deep(self):
-        ctx = ctx45(2, 2)
-        with pytest.raises(DepthError):
-            hole_diff(ctx, 3, 2, 0, (2, 1))
+    def test_hole_fits_refuses_a_hole_too_deep(self):
+        # k' + |j| = 2 is not below min(p, q) = 2
+        assert not _hole_fits(3, 2, 2, 3, 0, (2, 1))
+        assert _hole_fits(3, 3, 3, 3, 0, (2, 1))
 
     # k' = 0 with j = n...n (left) or 1...1 (right) of length q - 1 or
     # p - 1 passes the depth bound k' + |j| < min(p, q) but leaves the
-    # last annuli empty.  The engine raises DepthError there, and
-    # certify.choose_pq refuses such a (p, q) by the same condition, so
-    # it moves on to a larger multiple, here (q + 1, q + 1), where the
-    # same word tiles its target.
+    # last annuli of the hole's side empty.  certify.choose_pq refuses
+    # such a (p, q) by ``_hole_fits``, so it moves on to a larger
+    # multiple, here (q + 1, q + 1), where the same word tiles its
+    # target.
+
+    @staticmethod
+    def last_annuli(ctx, end, i, j):
+        """The patch difference that ``hole_diff`` places past the hole
+        on its near side."""
+        opp = ctx.spec.n + 1 - end
+        near = (i,) if end == 1 else (i + 1,)
+        diff, depth = ctx.along(opp)
+        s = _leading_run(j, opp)
+        return diff(ctx, near, 2 * depth + s + 1, 3 * depth)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_left_run_of_q_minus_1_letters_n_is_too_deep(self, q):
         spec = make_one45().mirror()
         j = (spec.n,) * (q - 1)
-        with pytest.raises(DepthError):
-            hole_diff(Context(spec, q, q), 1, 1, 0, j)
+        assert not _hole_fits(spec.n, q, q, 1, 0, j)
+        assert self.last_annuli(Context(spec, q, q), 1, 1, j) == []
         ctx = Context(spec, q + 1, q + 1)
+        assert _hole_fits(spec.n, q + 1, q + 1, 1, 0, j)
         assert cover_fault(ctx, hole_diff(ctx, 1, 1, 0, j),
                            hole_target(spec, q + 1, q + 1, 1, 1, 0, j)) \
             is None
@@ -351,18 +360,20 @@ class TestHoleDiff:
     def test_right_run_of_p_minus_1_letters_1_is_too_deep(self, p):
         spec = make_one45()
         j = (1,) * (p - 1)
-        with pytest.raises(DepthError):
-            hole_diff(Context(spec, p, p), 3, 2, 0, j)
+        assert not _hole_fits(spec.n, p, p, 3, 0, j)
+        assert self.last_annuli(Context(spec, p, p), 3, 2, j) == []
         ctx = Context(spec, p + 1, p + 1)
+        assert _hole_fits(spec.n, p + 1, p + 1, 3, 0, j)
         assert cover_fault(ctx, hole_diff(ctx, 3, 2, 0, j),
                            hole_target(spec, p + 1, p + 1, 3, 2, 0, j)) \
             is None
 
     # _hole_fits is the depth condition of hole_diff along both ends, and
     # certify.choose_pq admits (p, q) by it alone.  Where it holds, the
-    # engine tiles its target, so neither its own guard nor the joint
-    # guard of ``trace`` fires on the build path; elsewhere the engine
-    # raises DepthError.
+    # engine tiles its target exactly.  The condition is stricter than
+    # the engine needs: most holes it refuses tile too, and it refuses
+    # every one that does not (a cover fault).  ``choose_pq`` needs it
+    # for the whole construction, not for this engine alone.
     @pytest.mark.parametrize("mirror", [False, True])
     def test_engines_tile_exactly_where_the_hole_fits(self, mirror):
         spec = make_one45().mirror() if mirror else make_one45()
@@ -370,23 +381,28 @@ class TestHoleDiff:
         i = min(spec.touching.letters)
         words = [(c,) for c in range(1, n + 1)]
         words += [(a, c) for a in range(1, n + 1) for c in range(1, n + 1)]
-        seen = set()
+        counts = {"fits": 0, "refused, tiles": 0, "refused, fault": 0}
         for p, q, kp, side, j in itertools.product(
                 (2, 3, 4), (2, 3, 4), (0, 1), ("left", "right"), words):
             if not _admissible(spec, side, j[-1]):
                 continue
             ctx = Context(spec, p, q)
             end = 1 if side == "left" else n
-            fits = _hole_fits(n, p, q, end, kp, j)
-            seen.add(fits)
-            if not fits:
-                with pytest.raises(DepthError):
-                    hole_diff(ctx, end, i, kp, j)
+            fault = cover_fault(ctx, hole_diff(ctx, end, i, kp, j),
+                                hole_target(spec, p, q, end, i, kp, j))
+            if _hole_fits(n, p, q, end, kp, j):
+                assert fault is None
+                counts["fits"] += 1
+            elif fault is None:
+                counts["refused, tiles"] += 1
             else:
-                assert cover_fault(ctx, hole_diff(ctx, end, i, kp, j),
-                                   hole_target(spec, p, q, end, i, kp, j)) \
-                    is None
-        assert seen == {True, False}
+                counts["refused, fault"] += 1
+                # the faults: j = 1 1 at p = 2 along n, n n at q = 2
+                # along 1
+                opp = n + 1 - end
+                assert j == (opp, opp) and (q if end == 1 else p) == 2
+        assert counts == {"fits": 51, "refused, tiles": 87,
+                          "refused, fault": 6}
 
     @pytest.mark.parametrize("end", ENDS)
     def test_tiles_its_target_on_fuzz_specs(self, end):
@@ -440,8 +456,7 @@ def _trace_args(rng, ctx):
         x = prefix + (rng.randrange(b, e + 1), rng.randrange(1, spec.n + 1))
         y = prefix + (rng.randrange(b, e + 1), rng.randrange(1, spec.n + 1))
         x, y = min(x, y), max(x, y)
-        if not (cylsets.shares_end(spec, x, 1)
-                or cylsets.shares_end(spec, y, spec.n)):
+        if not (shares_end(spec, x, 1) or shares_end(spec, y, spec.n)):
             return x, y
     return (b,), (e,)
 
@@ -460,8 +475,8 @@ def _mixed_trace_args(rng, ctx):
         u = prefix + (b,) + _word(rng, n, 1, 3)
         v = prefix + (e,)
         if (any(x != 1 for x in u[len(prefix) + 1:])
-                and not cylsets.shares_end(spec, u, 1)
-                and not cylsets.shares_end(spec, v, n)):
+                and not shares_end(spec, u, 1)
+                and not shares_end(spec, v, n)):
             break
     lengths = {len(c) for c in _cover(n, u, v + (n,) * (len(u) - len(v)))}
     assert len(lengths) > 1
@@ -561,8 +576,8 @@ class TestMirror:
             for length in range(4):
                 for w in itertools.product(range(1, n + 1), repeat=length):
                     for end in (1, n):
-                        assert cylsets.shares_end(spec, w, end) == \
-                            cylsets.shares_end(m, reflect(n, w), n + 1 - end)
+                        assert shares_end(spec, w, end) == \
+                            shares_end(m, reflect(n, w), n + 1 - end)
 
     @pytest.mark.parametrize("source", MIRROR_SOURCES)
     def test_hole_diff(self, source):
@@ -579,11 +594,8 @@ class TestMirror:
                 # (p, q) swap: along n the near patch descends p, along 1 q
                 ctx, ctx_m = Context(spec, p, q), Context(m, q, p)
                 jm = reflect(n, j)
-                if not _hole_fits(n, p, q, 1, kp, j):
-                    assert not _hole_fits(n, q, p, n, kp, jm)
-                    with pytest.raises(DepthError):
-                        hole_diff(ctx_m, n, n - i, kp, jm)
-                    continue
+                assert _hole_fits(n, p, q, 1, kp, j) == \
+                    _hole_fits(n, q, p, n, kp, jm)
                 want = {reflect(n, w) for w in placed_word_set(
                     ctx, hole_diff(ctx, 1, i, kp, j))}
                 assert placed_word_set(
