@@ -15,27 +15,35 @@ It checks, each check written once as a loop over the two sides:
   1. the digests are those of L and R, which declare the same bases, so
      equal symbolic ratios are equal numbers;
   2. the whole vertex is the empty word on both sides: A = K_L, B = K_R;
-  3. every edge tiles exactly on both sides: the images of its pieces are
+  3. every vertex has a word on each side: A_v and B_v are nonempty;
+  4. every edge tiles exactly on both sides: the images of its pieces are
      pairwise point-disjoint and their union is the source;
-  4. phi_i and chi_i have one ratio r_i, exactly;
-  5. no r_i exceeds 1; and 6. the pieces of ratio 1 form no cycle.
+  5. phi_i and chi_i have one ratio r_i, exactly;
+  6. no r_i exceeds 1; and 7. the pieces of ratio 1 form no cycle.
 
-Proof.  By 5 and 6 every cycle of the graph holds a piece of ratio below
+The kernel owns 3.  ``cert_from_doc`` refuses an empty word list as well,
+but only as a check of a document's shape; a certificate built in code
+reaches the kernel without it.
+
+Proof.  By 6 and 7 every cycle of the graph holds a piece of ratio below
 1, so the images along an infinite path of pieces shrink to a point.  By
-3, a point x of A_v lies in the images of exactly one infinite path from
-v; f maps it to the point of that path on the right, a bijection of A_v
-onto B_v.  The images are compact, so the pieces of an edge lie at
-positive distances; let d be the least, over all edges and both sides,
-and D the largest diameter of a vertex set.  Points x != y of A_v share
-k pieces, of ratio product r, and then part at two pieces of one edge:
-d r <= |x - y| <= D r, and by 4 the same holds for |f(x) - f(y)|.  So f
-is bi-Lipschitz with constant D / d, and by 2 it maps K_L onto K_R.
+4, a point of A_v lies in the images of exactly one infinite path from
+v, and a point of B_v likewise.  By 3 the images along every path are
+nonempty compact sets on both sides, so each side's nested images meet
+in one point; f maps the left point of a path to its right point, a
+bijection of A_v onto B_v.  The images are compact, so the pieces of an
+edge lie at positive distances; let d be the least, over all edges and
+both sides, and D the largest diameter of a vertex set.  Points x != y
+of A_v share k pieces, of ratio product r, and then part at two pieces
+of one edge: d r <= |x - y| <= D r, and by 5 the same holds for
+|f(x) - f(y)|.  So f is bi-Lipschitz with constant D / d, and by 2 it
+maps K_L onto K_R.
 
 The measure identity at the similarity dimension s, that each source's
 natural measure is the sum over its pieces of r_i^s times the target's,
 is implied and not checked: a rule (strip, add) maps the cylinder of a
 target word w to phi_i(T_w), so a piece's image is phi_i(A_u), of r_i^s
-times A_u's measure, and by 3 an edge's images add up to its source.
+times A_u's measure, and by 4 an edge's images add up to its source.
 """
 
 from operator import itemgetter
@@ -197,6 +205,11 @@ def check_certificate(pair, cert):
         if whole is None or whole.words[i] != ((),):
             raise CertificateError("missing or malformed whole-set vertex "
                                    "on the %s side" % side)
+    for key, vertex in vertices.items():
+        for words, side in zip(vertex.words, SIDES):
+            if not words:
+                raise CertificateError("vertex %r has no %s-side word"
+                                       % (key, side))
     if set(cert.edges) != set(vertices):
         raise CertificateError("every vertex needs exactly one edge")
 
@@ -382,7 +395,8 @@ def cert_from_doc(doc, n=None):
     rule lists, vertex keys and edge sources unique, and every letter an
     int (not ``true``, not ``1.0``) in 1..n (when n is given).  Any
     violation raises CertificateError.  ``certify.cert_from_doc`` reads
-    the template fields.
+    the template fields.  A nonempty word list is a shape rule here; the
+    kernel owns the rule that every vertex has a word on each side.
 
     A word costs one ``set(map(type, ...))`` and one ``min``/``max``, and
     a piece's five exact strings one pass (``read_field`` runs only to

@@ -190,17 +190,6 @@ def _grid_text(num, den):
     return "%d/%d" % (num // g, den // g)
 
 
-def _piece_doc(spec, piece):
-    """A piece of family S or T, a canonical word tuple, with its hull:
-    the left end of its first word to the right end of its last, read off
-    the grid of ``IfsSpec``.  Canonical words are in spatial order, so
-    these are the least and greatest ends of all its words."""
-    _, lo, dlo = spec.grid(piece[0])
-    s, o, dhi = spec.grid(piece[-1])
-    return {"words": [list(w) for w in piece],
-            "lo": _grid_text(lo, dlo), "hi": _grid_text(o + s, dhi)}
-
-
 def cmd_partition(args):
     spec = specfile.load_spec(args.specfile)
     k = args.k
@@ -215,12 +204,11 @@ def cmd_partition(args):
            "family": fam, "k": k}
     if fam == "C":
         sets = patches.c_family(spec, k)
-        doc["sets"] = [{"words": [list(w) for w in ws]} for ws in sets]
+        doc["sets"] = [{"words": ws} for ws in sets]
     elif fam == "E":
         muv = _weights(args.mu)
         levels = patches.e_family(spec, k)
-        doc["levels"] = [[{"words": [list(w) for w in ws]} for ws in lvl]
-                         for lvl in levels]
+        doc["levels"] = [[{"words": ws} for ws in lvl] for lvl in levels]
         doc["measure_ratios"] = sorted(
             str(r) for r in patches.e_ratio_set(spec, k, muv))
     else:
@@ -228,9 +216,14 @@ def cmd_partition(args):
             pieces = patches.partition_S(spec, k)[-1]
         else:
             pieces = patches.partition_T(spec, k)
-        doc["pieces"] = [_piece_doc(spec, p) for p in pieces]
-        doc["norm"] = {"value": specfile.format_value(
-            patches.partition_norm(spec, pieces)), "exactness": "exact"}
+        # a piece is a canonical word tuple, which dump_doc writes as
+        # lists of lists
+        ends, norm = patches.piece_hulls(spec, pieces)
+        doc["pieces"] = [{"words": p, "lo": _grid_text(lo, dlo),
+                          "hi": _grid_text(hi, dhi)}
+                         for p, (lo, dlo, hi, dhi) in zip(pieces, ends)]
+        doc["norm"] = {"value": specfile.format_value(norm),
+                       "exactness": "exact"}
     _emit(doc, args.output)
     return 0
 
@@ -243,11 +236,16 @@ def cmd_render(args):
     if not 1 <= args.width <= MAX_RENDER_WIDTH:
         raise SpecError("--width must be in 1..%d, got %d"
                         % (MAX_RENDER_WIDTH, args.width))
-    # each row draws at most n^l bars at level l, and --with-dust draws
-    # two rows
+    # a row draws only bars at least one pixel wide: at most n^l at level
+    # l, and at most --width of them, since bars of one level meet only
+    # at endpoints; --with-dust draws two rows.  n >= 2, so n^l exceeds
+    # the width from l = width.bit_length() on, and no larger power is
+    # computed
     rows = 2 if args.with_dust else 1
+    cap = args.width.bit_length()
     _check_limit("--levels", args.levels, 0,
-                 accumulate(rows * spec.n ** level for level in count()),
+                 accumulate(rows * min(spec.n ** min(level, cap), args.width)
+                            for level in count()),
                  "bars", "level")
     svg = render.render_svg(spec, levels=args.levels, width=args.width,
                             with_dust=args.with_dust)

@@ -12,17 +12,20 @@ tuple, in spatial order; each function that makes pieces says why they
 are canonical as made, so none is canonicalized again.  A piece's hull
 runs from ``cyl_lo`` of its first word to ``cyl_hi`` of its last, and is
 read off the cylinder grid of ``IfsSpec`` only where a document writes
-it, so a level that is refined again, or split at its gaps, never
-builds one.
-Construction is exact and every decomposition step re-verifies itself.
-``partition_T`` splits all S_k pieces with one gap walk per (spec,
-delta), set up by ``_gap_splitter``.
+it, by ``piece_hulls``, which also gives the norm from the same ends; a
+level that is refined again, or split at its gaps, never builds one.
+Construction is exact, and each decomposition step checks its pieces
+in one pass over their words (``simple_decomposition``): in order,
+covered by the parent, of the parent's code measure, and not touching
+across a piece boundary.  ``partition_T`` splits all S_k pieces with
+one gap walk per (spec, delta), set up by ``_gap_splitter``.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
 
-from .ifs import SpecError
+from .ifs import SpecError, words_touch
 from . import cylsets
 
 # the deepest level that ``partition_S`` and ``partition_T`` build
@@ -90,10 +93,24 @@ def simple_decomposition(spec, parent_words, marked):
     one piece per maximal run.  Preconditions are verified exactly, and
     no hull is built: two marked sets in the parent whose hulls share
     interior points interleave in the spatial order of the atoms, which
-    the run check refuses; hulls that share only an endpoint make two
-    pieces touch, and a marked word below another makes two overlap,
-    which the final check refuses; and a marked set wholly below other
-    marked words is never reached, which the count refuses.
+    the run check refuses; a marked set wholly below other marked words
+    is never reached, which the count refuses; and one pass over the
+    emitted words, in order, refuses the rest:
+
+    1. each word is greater than the one before it and does not begin
+       with it.  In sorted order the words that begin with u follow u
+       directly, so the words are pairwise prefix-incomparable;
+    2. each word is covered by the parent (``cylsets.covered``);
+    3. the code measures of the words and of the parent, the sums of
+       n**(L - |w|) with L the longest length, are equal.  By 1 and 2 the
+       words' codes are a subset of the parent's, and the rest is a
+       clopen set of measure 0, which is empty: the union is the parent;
+    4. ``words_touch`` is false at every boundary between two pieces.  A
+       cylinder between two others has positive length, so by 1 only
+       neighbouring words can share a point.
+
+    So a marked word below another fails 1, and a marked set that shares
+    an endpoint with a neighbour fails 4.
 
     The parent and the marked sets must be canonical, and are not
     canonicalized here.  The one caller, ``partition_S``, passes the
@@ -108,9 +125,6 @@ def simple_decomposition(spec, parent_words, marked):
     """
     n = spec.n
     parent_words = tuple(parent_words)
-    for m in marked:
-        if not all(cylsets.covered(parent_words, w) for w in m):
-            raise SpecError("marked set not inside parent")
     # all marked words, sorted
     tagged = sorted((w, k) for k, m in enumerate(marked) for w in m)
     mark_words = tuple(w for w, _ in tagged)
@@ -147,10 +161,24 @@ def simple_decomposition(spec, parent_words, marked):
         lost = min(set(range(len(marked))) - emitted_marks)
         raise SpecError("marked sets overlap: %r lies in another marked "
                         "set" % (tuple(marked[lost]),))
-    # verify: no shared points between pieces, and their union, which
-    # the disjointness check returns, is the parent
-    if cylsets.check_disjoint_groups(spec, out_pieces) != parent_words:
+    # verify the pieces, steps 1-4 of the docstring
+    words = tuple(chain.from_iterable(out_pieces))
+    prev = None
+    for w in words:
+        if not cylsets.covered(parent_words, w):
+            raise SpecError("marked set not inside parent")
+        if prev is not None and (w <= prev or w[:len(prev)] == prev):
+            what = "overlap" if w[:len(prev)] == prev else "out of order"
+            raise SpecError("piece %s: %r and %r" % (what, prev, w))
+        prev = w
+    top = max(map(len, chain(words, parent_words)), default=0)
+    if (sum(n ** (top - len(w)) for w in words)
+            != sum(n ** (top - len(w)) for w in parent_words)):
         raise SpecError("decomposition does not cover the parent")
+    for a, b in zip(out_pieces, out_pieces[1:]):
+        if words_touch(spec, a[-1], b[0]):
+            raise SpecError("pieces touch at a point: %r | %r"
+                            % (a[-1], b[0]))
     return out_pieces
 
 
@@ -372,24 +400,35 @@ def partition_T(spec, k):
     return out
 
 
-def partition_norm(spec, pieces):
-    """Largest piece diameter, exact.
+def piece_hulls(spec, pieces):
+    """The hull of each piece and the largest piece diameter, exact:
+    (ends, norm).
 
     A piece runs from the left end of its first word to the right end of
     its last, O_u / q**|u| to (O_v + S_v) / q**|v| on the grid of
-    ``IfsSpec``.  Over the common denominator D = q**m, m the longest of
-    these words, every diameter is one numerator, so the pieces compare
-    as integers on a rational system and one ``Fraction`` is built at
-    the end.  A declared-base system has D = 1 and compares its exact
-    values."""
-    ends = [(spec.grid(p[0]), spec.grid(p[-1])) for p in pieces]
-    top = max(max(u[2], v[2]) for u, v in ends)
-    best = None
-    for (_, ou, du), (sv, ov, dv) in ends:
-        x = (ov + sv) * (top // dv) - ou * (top // du)
-        if best is None or x > best:
-            best = x
-    return best * Fraction(1, top)
+    ``IfsSpec``; canonical words are in spatial order, so these are the
+    least and greatest ends of all its words.  ``ends`` holds (lo, dlo,
+    hi, dhi) for each piece, its hull lo / dlo to hi / dhi, each end read
+    off the grid once.  Over the common denominator D = q**m, m the
+    longest of these words, every diameter is one numerator, so the
+    pieces compare as integers on a rational system and one ``Fraction``
+    is built at the end.  A declared-base system has D = 1 and compares
+    its exact values."""
+    grid = spec.grid
+    ends = []
+    for p in pieces:
+        _, lo, dlo = grid(p[0])
+        s, o, dhi = grid(p[-1])
+        ends.append((lo, dlo, o + s, dhi))
+    top = max(max(dlo, dhi) for _, dlo, _, dhi in ends)
+    best = max(hi * (top // dhi) - lo * (top // dlo)
+               for lo, dlo, hi, dhi in ends)
+    return ends, best * Fraction(1, top)
+
+
+def partition_norm(spec, pieces):
+    """Largest piece diameter, exact, as ``piece_hulls`` computes it."""
+    return piece_hulls(spec, pieces)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,50 @@ class TestTwoVertexCertificate:
             check_certificate(pair, cert)
 
 
+# four maps of ratio 1/5: with EVEN, a pair of dusts of dimensions
+# log 3 / log 5 and log 4 / log 5, which no bi-Lipschitz map joins
+FOUR = IfsSpec([FIFTH] * 4, [Fraction(0), Fraction(4, 15), Fraction(8, 15),
+                             Fraction(4, 5)], role="dust")
+
+
+def one_sided_certificate(pair, first):
+    """A false certificate over ``pair``: the whole set is the vertex
+    "tonly", the whole left set with no right word, and "donly", the
+    whole right set with no left word, each by the identity; "tonly" is
+    the left system's n copies of itself and "donly" the right's.  Every
+    edge tiles on both sides, since a side with no word unions to no
+    word, every ratio is 1/5 on both sides, and the ratio-1 pieces form
+    no cycle.  ``first`` names the one-sided vertex listed first."""
+    left, right = pair
+    ident = rule(())
+    one_sided = {
+        ("tonly",): (Vertex(("tonly",), [()], []), Edge(("tonly",), [
+            Piece(("tonly",), rule((j,)), rule((1,)))
+            for j in range(1, left.n + 1)])),
+        ("donly",): (Vertex(("donly",), [], [()]), Edge(("donly",), [
+            Piece(("donly",), rule((1,)), rule((j,)))
+            for j in range(1, right.n + 1)]))}
+    order = [(first,)] + [k for k in one_sided if k != (first,)]
+    vertices = {("whole",): Vertex(("whole",), [()], [()])}
+    edges = {("whole",): Edge(("whole",), [Piece(k, ident, ident)
+                                           for k in order])}
+    for key in order:
+        vertices[key], edges[key] = one_sided[key]
+    return Certificate(vertices, edges, *map(system_digest, pair))
+
+
+@pytest.mark.parametrize("first, side", [("tonly", "D"), ("donly", "T")])
+def test_a_vertex_with_no_word_on_a_side_is_refused(first, side):
+    # without the rule the kernel accepts this certificate, and so
+    # "proves" two dusts of different dimension equivalent: the proof's
+    # map needs a nonempty image on the right of every left point
+    for pair in ((EVEN, FOUR), (FOUR, EVEN)):
+        with pytest.raises(CertificateError,
+                           match=r"^vertex \('%s',\) has no %s-side word$"
+                           % (first, side)):
+            check_certificate(pair, one_sided_certificate(pair, first))
+
+
 def declared_dust(value):
     """The dust of the ratios g, 1/5, g for a declared base g = value."""
     rg = ExactRatio(1, (("g", 1),))

@@ -674,6 +674,13 @@ HULL_IDS = ["one45", "declared"] + ["%s%d" % (kind, seed)
                                     for seed in range(3)]
 
 
+NORM_SPECS = [make_one45, lambda: make_equal_spec(4, 9, [0, 3, 4, 8]),
+              lambda: make_endratio_spec(Fraction(1, 4), Fraction(1, 8),
+                                         r2=Fraction(1, 3)),
+              make_declared_spec]
+NORM_IDS = ["one45", "ninths", "endratio", "declared"]
+
+
 class TestPartition:
     def test_s_family(self, one45_file, tmp_path):
         out = tmp_path / "p.json"
@@ -767,6 +774,29 @@ class TestPartition:
                 assert piece["lo"] == format_value(spec.cyl_lo(first))
                 assert piece["hi"] == format_value(spec.cyl_hi(last))
 
+    @pytest.mark.parametrize("make", NORM_SPECS, ids=NORM_IDS)
+    @pytest.mark.parametrize("family", ["S", "T"])
+    def test_norm_text(self, tmp_path, capsys, make, family):
+        # the written norm and hulls come from one read of each piece's
+        # ends; the norm is the text of partition_norm, and the words
+        # are the pieces; the declared-base spec has q = 1
+        spec = make()
+        path = tmp_path / "spec.json"
+        save_doc(spec_to_doc(spec), str(path))
+        for k in (1, 2, 3):
+            assert main(["partition", str(path), "--k", str(k),
+                         "--family", family]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            pieces = (lipeq.patches.partition_S(spec, k)[-1]
+                      if family == "S" else
+                      lipeq.patches.partition_T(spec, k))
+            assert doc["norm"] == {
+                "value": format_value(
+                    lipeq.patches.partition_norm(spec, pieces)),
+                "exactness": "exact"}
+            assert [[tuple(w) for w in piece["words"]]
+                    for piece in doc["pieces"]] == [list(p) for p in pieces]
+
     def test_k_zero_is_error(self, one45_file):
         assert main(["partition", one45_file, "--k", "0",
                      "--family", "S"]) == 3
@@ -830,17 +860,29 @@ class TestRender:
                      str(lipeq.cli.MAX_RENDER_WIDTH)]) == 0
 
     @pytest.mark.parametrize("dust, bars, level", [
-        ([], 2391484, 13), (["--with-dust"], 1594322, 12)])
+        ([], 1000044, 1567), (["--with-dust"], 1000408, 786)])
     def test_levels_over_the_limit_is_error(self, one45_file, capsys,
                                             dust, bars, level):
-        # a row draws 1 + 3 + ... + 3^L bars at levels 0..L on {1,4,5}
+        # a row draws at most min(3^l, 640) bars at level l on {1,4,5} at
+        # the default width: 1 + 3 + ... + 243 = 364 at levels 0..5, then
+        # 640 a level
         t0 = time.perf_counter()
-        assert main(["render", one45_file, "--levels", "40"] + dust) == 3
+        assert main(["render", one45_file, "--levels", "2000"] + dust) == 3
         assert time.perf_counter() - t0 < 2
         out = capsys.readouterr()
         assert out.out == "" and out.err == (
-            "error: --levels 40 needs at least %d bars (%d at level %d), "
+            "error: --levels 2000 needs at least %d bars (%d at level %d), "
             "over the limit of 1000000\n" % (bars, bars, level))
+
+    def test_levels_below_a_pixel_are_counted_by_the_width(self, one45_file,
+                                                           capsys):
+        # 3^13 bars would pass the limit, but at most 640 a level are one
+        # pixel wide; levels 5-13 are narrower and add no bar
+        assert main(["render", one45_file, "--levels", "13"]) == 0
+        deep = capsys.readouterr().out
+        assert main(["render", one45_file, "--levels", "4"]) == 0
+        assert deep.count("<rect") == capsys.readouterr().out.count(
+            "<rect") == 121
 
     def test_deterministic(self, one45_file, tmp_path):
         a = tmp_path / "a.svg"

@@ -409,9 +409,9 @@ class TestSimpleDecomposition:
             simple_decomposition(spec, [()], marked)
 
     def test_hulls_of_pieces(self):
-        # the hull that ``cli._piece_doc`` writes, the left end of the
-        # first word to the right end of the last, is the hull of all
-        # the piece's words
+        # the hull that ``piece_hulls`` reads, the left end of the first
+        # word to the right end of the last, is the hull of all the
+        # piece's words
         spec = make_one45()
         for pieces in (partition_S(spec, 3)[-1], partition_T(spec, 3)):
             for piece in pieces:
@@ -438,6 +438,178 @@ class TestSimpleDecomposition:
         pieces = simple_decomposition(spec, [()], [c_set_words(spec, 1)])
         cylsets.check_disjoint_groups(spec, pieces)
         assert union_equal(spec.n, [w for p in pieces for w in p], [()])
+
+
+def old_simple_decomposition(spec, parent_words, marked):
+    """``simple_decomposition`` as it checked itself before its one-pass
+    check: a ``covered`` loop over the marked words first, and at the end
+    the disjointness scan of ``check_disjoint_groups``, whose canonical
+    union must be the parent.  The reference for the one-pass check; it
+    refines through ``patches._refine_past`` as the package does."""
+    n = spec.n
+    parent_words = tuple(parent_words)
+    for m in marked:
+        if not all(cylsets.covered(parent_words, w) for w in m):
+            raise SpecError("marked set not inside parent")
+    tagged = sorted((w, k) for k, m in enumerate(marked) for w in m)
+    mark_words = tuple(w for w, _ in tagged)
+    mark_of = tuple(k for _, k in tagged)
+    runs = []
+    for w in parent_words:
+        patches._refine_past(n, w, mark_words, mark_of, runs)
+    out_pieces, buf, emitted, prev = [], [], set(), None
+    for w, o in runs:
+        if o is None:
+            buf.append(w)
+        elif o != prev:
+            if o in emitted:
+                raise SpecError("outside the set")
+            if buf:
+                out_pieces.append(tuple(buf))
+                buf = []
+            out_pieces.append(tuple(marked[o]))
+            emitted.add(o)
+        prev = o
+    if buf:
+        out_pieces.append(tuple(buf))
+    if len(emitted) < len(marked):
+        raise SpecError("marked sets overlap")
+    if cylsets.check_disjoint_groups(spec, out_pieces) != parent_words:
+        raise SpecError("decomposition does not cover the parent")
+    return out_pieces
+
+
+def refine_randomly(rng, n, w, depth):
+    """Sorted words that tile T_w: w split into its children, each child
+    split again, down to ``depth`` more letters at random."""
+    if not depth or rng.random() < 0.4:
+        return [w]
+    return [x for c in range(1, n + 1)
+            for x in refine_randomly(rng, n, w + (c,), depth - 1)]
+
+
+DECOMPOSITION_FAULTS = ["none", "adjacent", "nested", "partly-nested",
+                        "outside", "dropped-atom"]
+
+
+def decomposition_case(rng, fault):
+    """(spec, parent, marked, drop): a random canonical parent, marked
+    sets cut as disjoint runs of a random refinement of it, canonicalized,
+    and one ``fault``.  "adjacent" marks every run, so neighbouring
+    marked sets touch where their boundary words do; "nested" marks a
+    word below or at a marked word; "partly-nested" marks such a word
+    together with an unmarked atom; "outside" adds to a marked set a word
+    the parent does not cover; "dropped-atom" sets ``drop``, the index,
+    modulo the atom count, of an atom that the refinement loses.  With
+    "none" a case can still be refused, where a marked set touches a
+    neighbour."""
+    kind = rng.choice(["equal", "unequal", "declared", "dust"])
+    spec = (random_unequal_spec(rng, role="dust") if kind == "dust"
+            else spec_of_kind(rng, kind))
+    n = spec.n
+    parent = random_canonical_set(rng, n, max_depth=2)
+    atoms = [x for w in parent for x in refine_randomly(rng, n, w, 2)]
+    cuts = sorted(rng.sample(range(len(atoms) + 1),
+                             min(len(atoms) + 1, rng.randrange(2, 7))))
+    runs = [atoms[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
+    step = 1 if fault == "adjacent" else 2
+    start = rng.randrange(min(2, len(runs)))
+    marked = [cylsets.canonicalize(n, r) for r in runs[start::step]]
+    unmarked = [w for r in runs[start + 1::2] for w in r]
+    words = [w for m in marked for w in m]
+    drop = None
+    if fault in ("nested", "partly-nested") and words:
+        w = rng.choice(words)
+        inner = [w + (rng.randrange(1, n + 1),) if rng.random() < 0.7
+                 else w]
+        if fault == "partly-nested" and unmarked:
+            inner.append(rng.choice(unmarked))
+        marked.insert(rng.randrange(len(marked) + 1),
+                      cylsets.canonicalize(n, inner))
+    elif fault == "outside" and marked:
+        for _ in range(20):
+            w = tuple(rng.randrange(1, n + 1)
+                      for _ in range(rng.randrange(0, 3)))
+            m = rng.randrange(len(marked))
+            grown = cylsets.canonicalize(n, marked[m] + (w,))
+            if not cylsets.covered(parent, w) and w in grown:
+                marked[m] = grown
+                break
+    elif fault == "dropped-atom":
+        drop = rng.randrange(1000)
+    return spec, parent, marked, drop
+
+
+def decide_both(spec, parent, marked, drop):
+    """(old, new): the outcome of ``old_simple_decomposition`` and of
+    ``simple_decomposition`` on one case, the pieces or "refused"; with
+    ``drop`` set, the refinement of both loses one atom."""
+    real = patches._refine_past
+
+    def lossy(n, w, mark_words, mark_of, out):
+        real(n, w, mark_words, mark_of, out)
+        if w == parent[-1]:     # the last parent word, after its refinement
+            del out[drop % len(out)]
+
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        if drop is not None:
+            mp.setattr(patches, "_refine_past", lossy)
+        for fn in (old_simple_decomposition, simple_decomposition):
+            try:
+                outcomes.append(fn(spec, parent, marked))
+            except SpecError:
+                outcomes.append("refused")
+    return outcomes
+
+
+class TestOnePassCheck:
+    """``simple_decomposition`` checks its pieces in one pass; it refuses
+    exactly what the old ``covered`` loop and final
+    ``check_disjoint_groups`` refused, and otherwise returns the same
+    pieces."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32),
+           st.sampled_from(DECOMPOSITION_FAULTS))
+    def test_refuses_what_the_old_check_refused(self, seed, fault):
+        old, new = decide_both(*decomposition_case(random.Random(seed),
+                                                   fault))
+        assert old == new
+
+    @pytest.mark.parametrize("parent, marked, lost, match", [
+        # (1, 1) lies below the marked word (1,), and the lost atom (2, 2)
+        # has its code measure, so only the order step sees the overlap
+        ([()], [[(1,)], [(1, 1), (2, 1)]], (2, 2), "piece overlap"),
+        # (1,) lies outside the parent, and the lost atom (3,) has its
+        # code measure, so only the cover step sees it
+        ([(2,), (3,)], [[(1,), (2, 1)]], (3,), "not inside parent")],
+        ids=["order", "cover"])
+    def test_a_step_that_alone_refuses(self, monkeypatch, parent, marked,
+                                       lost, match):
+        spec = make_one45()
+        real = patches._refine_past
+
+        def lossy(n, w, mark_words, mark_of, out):
+            real(n, w, mark_words, mark_of, out)
+            out[:] = [a for a in out if a[0] != lost]
+
+        monkeypatch.setattr(patches, "_refine_past", lossy)
+        with pytest.raises(SpecError, match=match):
+            simple_decomposition(spec, parent, marked)
+
+    def test_cases_reach_both_outcomes(self):
+        # the generator makes accepted and refused cases, and every
+        # fault is refused somewhere
+        seen = {fault: set() for fault in DECOMPOSITION_FAULTS}
+        for seed in range(150):
+            for fault in DECOMPOSITION_FAULTS:
+                old, new = decide_both(*decomposition_case(
+                    random.Random(seed), fault))
+                assert old == new
+                seen[fault].add(new == "refused")
+        assert seen["none"] == {True, False}
+        assert all(True in got for got in seen.values())
 
 
 def four_map_spec():
