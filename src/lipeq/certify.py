@@ -16,7 +16,7 @@ import math
 import random
 
 from .exactnum import mult_dependence
-from . import check, cylsets, specfile
+from . import check, cylsets
 from .check import (Certificate, CertificateError, Edge, Piece, Vertex,
                     piece_images, read_field, read_records, read_word,
                     rules_affine)
@@ -428,15 +428,19 @@ def cert_to_doc(spec, cert):
     Each distinct rule tuple becomes one JSON rule list, and every piece
     that uses the tuple holds that same list object; so does a piece whose
     ``t_rules`` is its ``d_rules``.  The ratio, scale and offset strings
-    are formatted once per distinct (side, rule set).  An in-place edit of
-    one piece's rules therefore changes every piece that shares the list:
-    copy the document through JSON text first (``copy.deepcopy`` keeps the
-    sharing), as a certificate read from a file already is."""
+    are formatted once per distinct (side, rule set) by
+    ``check.piece_strings``: those of a usual rule ((), w), and the
+    vertex hulls (``Vertex.hull_strings``), straight from the integers of
+    ``IfsSpec.grid``, which the kernel does not compute for them.  An
+    in-place edit of one piece's rules therefore changes every piece that
+    shares the list: copy the document through JSON text first
+    (``copy.deepcopy`` keeps the sharing), as a certificate read from a
+    file already is."""
     pair = (spec, spec.dust())
     vertices = []
     for key in sorted(cert.vertices):
         v = cert.vertices[key]
-        t_lo, t_hi, d_lo, d_hi = map(specfile.format_value, v.hulls(pair))
+        t_lo, t_hi, d_lo, d_hi = v.hull_strings(pair)
         vertices.append({"key": list(key), "t_lo": t_lo, "t_hi": t_hi,
                          "d_lo": d_lo, "d_hi": d_hi,
                          "t_words": [list(w) for w in v.t_words],
@@ -481,8 +485,10 @@ def _rule_list(rules, memo):
 def cert_from_doc(doc, n=None):
     """Read a certificate document: the graph by ``check.cert_from_doc``,
     then p, q, p0, q0 and the witness records, checked as the graph is:
-    letters unique and every letter of a word an int in 1..n."""
-    cert = check.cert_from_doc(doc, n)
+    letters unique and every letter of a word an int in 1..n.  n is the
+    spec's alphabet, and so its dust's, which has the spec's ratios: each
+    side's words are read against (spec.n, spec.dust().n) = (n, n)."""
+    cert = check.cert_from_doc(doc, (n, n))
     witnesses = cert.witnesses
     where = "witness"
     for w in (read_records(doc, "witnesses", "certificate")

@@ -23,7 +23,30 @@ It checks, each check written once as a loop over the two sides:
 
 The kernel owns 3.  ``cert_from_doc`` refuses an empty word list as well,
 but only as a check of a document's shape; a certificate built in code
-reaches the kernel without it.
+reaches the kernel without it.  Every word is taken to be over its
+side's letters 1..n: ``cert_from_doc`` checks that of a document, and
+the kernel does not check it again.
+
+Two kinds of check follow from others, and are not run:
+  * Checks 5-7 of a usual piece, one placed by the one rule ((), w) on
+    both sides of a pair with one ratio tuple (L's r_c are R's).  On
+    each side its similarity is psi_w, of ratio r_w, the product of r_c
+    over the letters c of w: the same product on both sides (5).
+    ``IfsSpec`` validates every r_c as certainly in (0, 1), so r_w < 1
+    when w is nonempty (6), and r_w = 1, a piece that check 7 takes in,
+    exactly when w is empty.
+  * Check 4 on the D side of a twin edge, one whose source, targets and
+    rules have the same words on both sides, when L and R have the same
+    n and every touching letter of R is one of L.
+    ``cylsets.check_disjoint_groups`` reads only the words, n and the
+    touching letters.  On the D side it scans the same words in the same
+    order as on the T side.  It finds an overlap where the T scan does,
+    and a touch (``ifs.words_touch``, combinatorial in n and the touching
+    letters) only where the T scan finds one too.  It returns the same
+    union, compared with the same source words.  So once the T side
+    tiles, the D side tiles.
+Every other piece and edge is checked in full, in the same order, so a
+refused certificate gets the message it would get with both checks run.
 
 Proof.  By 6 and 7 every cycle of the graph holds a piece of ratio below
 1, so the images along an infinite path of pieces shrink to a point.  By
@@ -46,11 +69,13 @@ target word w to phi_i(T_w), so a piece's image is phi_i(A_u), of r_i^s
 times A_u's measure, and by 4 an edge's images add up to its source.
 """
 
+from fractions import Fraction
 from operator import itemgetter
 
 from . import cylsets, specfile
 from .exactnum import ExactRatio
 from .ifs import SpecError
+from .specfile import _grid_text
 
 CERT_FORMAT = "lipeq-certificate"
 CERT_VERSION = 1
@@ -139,13 +164,35 @@ class Vertex:
     t_words = property(lambda self: self.words[0])
     d_words = property(lambda self: self.words[1])
 
-    def hulls(self, pair):
-        """(t_lo, t_hi, d_lo, d_hi): the hull of each side's set."""
-        out = ()
+    def ends(self, pair):
+        """Each side's hull as (lo, hi, den), running from lo / den to
+        hi / den, read off the grid of ``IfsSpec`` once per word.  den is
+        the largest q**|w| of the side's words, so on a rational system
+        every end is an integer over it and the least and greatest
+        compare as integers; a declared-base system has den = 1 and
+        compares its exact values."""
+        out = []
         for system, words in zip(pair, self.words):
-            out += (min(system.cyl_lo(w) for w in words),
-                    max(system.cyl_hi(w) for w in words))
+            cells = [system.grid(w) for w in words]
+            den = max(d for _, _, d in cells)
+            out.append((
+                min(o if d == den else o * (den // d) for _, o, d in cells),
+                max(o + s if d == den else (o + s) * (den // d)
+                    for s, o, d in cells),
+                den))
         return out
+
+    def hulls(self, pair):
+        """(t_lo, t_hi, d_lo, d_hi): the hull of each side's set, exact,
+        from ``ends``."""
+        return tuple(Fraction(v, den) if type(v) is int else v
+                     for lo, hi, den in self.ends(pair) for v in (lo, hi))
+
+    def hull_strings(self, pair):
+        """The exact strings of ``hulls``, formatted from ``ends`` with no
+        ``Fraction``."""
+        return tuple(_grid_text(v, den)
+                     for lo, hi, den in self.ends(pair) for v in (lo, hi))
 
 
 class Piece:
@@ -190,7 +237,9 @@ def system_digest(system):
 def check_certificate(pair, cert):
     """Check ``cert`` over ``pair`` = (left, right) exactly, as the module
     docstring lists; raise CertificateError (or the SpecError of a failed
-    disjointness check) on the first violation."""
+    disjointness check) on the first violation.  A usual piece takes
+    checks 5-7 from its word, and the D side of a twin edge takes check 4
+    from its T side, each by the argument of the module docstring."""
     docs = [specfile.spec_to_doc(system) for system in pair]
     for side, doc, digest in zip(SIDES, docs,
                                  (cert.spec_digest, cert.dust_digest)):
@@ -213,8 +262,17 @@ def check_certificate(pair, cert):
     if set(cert.edges) != set(vertices):
         raise CertificateError("every vertex needs exactly one edge")
 
+    left, right = pair
+    one_ratio_tuple = left.ratios == right.ratios
+    # the vertices with the same words on both sides, when a twin edge's
+    # D-side tiling is its T-side one
+    if left.n == right.n and right.touching.letters <= left.touching.letters:
+        twins = {key: v.words[0] == v.words[1]
+                 for key, v in vertices.items()}
+    else:
+        twins = dict.fromkeys(vertices, False)
     one = ExactRatio(1)
-    bases = pair[0].bases
+    bases = left.bases
     ratio1_edges = []
     # id(ratio) -> (ratio, is it 1?): the rule sets of a system share
     # their ratio objects through ``rules_affine``, so each is tested once
@@ -227,25 +285,39 @@ def check_certificate(pair, cert):
                                    % (key,))
         pieces = edge.pieces
         targets = []
+        # per piece: the word w of a usual piece, ((), w) on both sides,
+        # else None
+        usual = []
+        twin = twins[key]
         for piece in pieces:
             tgt = vertices.get(piece.target)
             if tgt is None:
                 raise CertificateError("unknown target %r" % (piece.target,))
             targets.append(tgt.words)
+            tr, dr = piece.rules
+            same = tr is dr or tr == dr
+            twin = twin and same and twins[piece.target]
+            usual.append(tr[0][1] if same and one_ratio_tuple and len(tr) == 1
+                         and not tr[0][0] else None)
         ratios = []
         for i, system in enumerate(pair):
-            ratios.append([rules_affine(system, p.rules[i], (key, pi))[0]
-                           for pi, p in enumerate(pieces)])
+            ratios.append([None if w is not None else
+                           rules_affine(system, p.rules[i], (key, pi))[0]
+                           for pi, (p, w) in enumerate(zip(pieces, usual))])
+            if i and twin:
+                break
             groups = [piece_images(p.rules[i], words[i])
                       for p, words in zip(pieces, targets)]
             if (cylsets.check_disjoint_groups(system, groups)
                     != cylsets.canonicalize(system.n, vertices[key].words[i])):
                 raise CertificateError("%s-side tiling mismatch at %r"
                                        % (SIDES[i], key))
-        # a spec and its dust share one ratio-word table, so equal ratios
-        # of the usual rules are one object
-        for pi, (r, rd) in enumerate(zip(*ratios)):
-            if r is not rd and r != rd:
+        for pi, (r, rd, w) in enumerate(zip(*ratios, usual)):
+            if r is None:
+                if not w:
+                    ratio1_edges.append((key, pieces[pi].target))
+                continue
+            if r != rd:
                 raise CertificateError("%s: T and D ratios differ"
                                        % _label((key, pi)))
             seen = checked_ratios.get(id(r))
@@ -294,23 +366,36 @@ def piece_strings(pair, piece, memos, where):
 
 
 def _strings(system, rules, memo, where):
+    """(ratio, scale, offset) strings of a rule set.  The usual rule
+    ((), w) is psi_w = (S x + O) / D on the grid of ``IfsSpec``, so its
+    ratio and scale are S / D and its offset O / D, formatted with no
+    ``Fraction``; any other rule set goes through ``rules_affine``."""
     got = memo.get(rules)
     if got is None:
-        r, scale, offset = rules_affine(system, rules, where)
-        got = memo[rules] = (specfile.format_ratio(r),
-                             specfile.format_value(scale),
-                             specfile.format_value(offset))
+        if len(rules) == 1 and not rules[0][0]:
+            s, o, d = system.grid(rules[0][1])
+            scale = _grid_text(s, d)
+            got = (scale, scale, _grid_text(o, d))
+        else:
+            r, scale, offset = rules_affine(system, rules, where)
+            got = (specfile.format_ratio(r),
+                   specfile.format_value(scale),
+                   specfile.format_value(offset))
+        memo[rules] = got
     return got
 
 
 def check_stored(pair, doc, cert):
     """Compare the exact strings stored in ``doc`` (hulls, ratios, scales,
     offsets) with their recomputation from ``cert``, read from ``doc``
-    and checked on ``pair``."""
+    and checked on ``pair``.  The hulls (``Vertex.hull_strings``) and the
+    strings of a usual rule ((), w) are formatted off the grid of
+    ``IfsSpec``, one ``gcd`` each and no ``Fraction``; every other rule
+    set goes through ``rules_affine``, as ``cert_to_doc`` wrote it."""
     for vd in doc["vertices"]:
-        hulls = cert.vertices[tuple(vd["key"])].hulls(pair)
-        for name, val in zip(("t_lo", "t_hi", "d_lo", "d_hi"), hulls):
-            if vd[name] != specfile.format_value(val):
+        hulls = cert.vertices[tuple(vd["key"])].hull_strings(pair)
+        for name, text in zip(("t_lo", "t_hi", "d_lo", "d_hi"), hulls):
+            if vd[name] != text:
                 raise CertificateError("stored %s of %r does not match"
                                        % (name, vd["key"]))
     memos = ({}, {})
@@ -389,12 +474,14 @@ def _key(d, name, where):
     return tuple(key)
 
 
-def cert_from_doc(doc, n=None):
+def cert_from_doc(doc, ns=(None, None)):
     """Read the graph and digests of a certificate document, whose shape
     is checked: every field present with its JSON type, nonempty word and
     rule lists, vertex keys and edge sources unique, and every letter an
-    int (not ``true``, not ``1.0``) in 1..n (when n is given).  Any
-    violation raises CertificateError.  ``certify.cert_from_doc`` reads
+    int (not ``true``, not ``1.0``) in 1..n for the n of its side, T or D,
+    in ``ns`` (any positive letter where it is None): the two systems of
+    a pair may have different alphabets.  Any violation raises
+    CertificateError.  ``certify.cert_from_doc`` reads
     the template fields.  A nonempty word list is a shape rule here; the
     kernel owns the rule that every vertex has a word on each side.
 
@@ -406,6 +493,7 @@ def cert_from_doc(doc, n=None):
         raise CertificateError("not a certificate document")
     if doc.get("version") != CERT_VERSION:
         raise CertificateError("unsupported certificate version")
+    t_n, d_n = ns
     vertices = {}
     for v in read_records(doc, "vertices", "certificate"):
         key = _key(v, "key", "vertex")
@@ -414,8 +502,8 @@ def cert_from_doc(doc, n=None):
             raise CertificateError("%s appears twice" % where)
         for name in ("t_lo", "t_hi", "d_lo", "d_hi"):
             read_field(v, name, str, where)
-        vertices[key] = Vertex(key, _words(v, "t_words", n, where),
-                               _words(v, "d_words", n, where))
+        vertices[key] = Vertex(key, _words(v, "t_words", t_n, where),
+                               _words(v, "d_words", d_n, where))
     edges = {}
     rule_sets = {}
     for e in read_records(doc, "edges", "certificate"):
@@ -429,8 +517,8 @@ def cert_from_doc(doc, n=None):
                 for name in PIECE_STRINGS:
                     read_field(pd, name, str, where)
             pieces.append(Piece(_key(pd, "target", where),
-                                _rules(pd, "t_rules", n, where, rule_sets),
-                                _rules(pd, "d_rules", n, where, rule_sets)))
+                                _rules(pd, "t_rules", t_n, where, rule_sets),
+                                _rules(pd, "d_rules", d_n, where, rule_sets)))
         edges[key] = Edge(key, pieces)
     return Certificate(vertices, edges,
                        read_field(doc, "spec_digest", str, "certificate"),

@@ -10,7 +10,6 @@ codes of analyze: 0 equivalent, 1 not equivalent, 2 unknown, 3 error.
 import argparse
 from fractions import Fraction
 from itertools import accumulate, count
-from math import gcd
 import os
 import sys
 
@@ -177,19 +176,6 @@ def _weights(raw):
     return mu
 
 
-def _grid_text(num, den):
-    """The text of num / den for two grid values of ``IfsSpec.grid``:
-    ``str(Fraction(num, den))``, with one ``gcd`` of the integers and
-    no ``Fraction``, on a rational system; ``specfile.format_value`` of
-    the exact value on a declared-base system, where den == 1."""
-    if den == 1:
-        return specfile.format_value(num)
-    g = gcd(num, den)
-    if g == den:
-        return str(num // g)
-    return "%d/%d" % (num // g, den // g)
-
-
 def cmd_partition(args):
     spec = specfile.load_spec(args.specfile)
     k = args.k
@@ -219,8 +205,8 @@ def cmd_partition(args):
         # a piece is a canonical word tuple, which dump_doc writes as
         # lists of lists
         ends, norm = patches.piece_hulls(spec, pieces)
-        doc["pieces"] = [{"words": p, "lo": _grid_text(lo, dlo),
-                          "hi": _grid_text(hi, dhi)}
+        doc["pieces"] = [{"words": p, "lo": specfile._grid_text(lo, dlo),
+                          "hi": specfile._grid_text(hi, dhi)}
                          for p, (lo, dlo, hi, dhi) in zip(pieces, ends)]
         doc["norm"] = {"value": specfile.format_value(norm),
                        "exactness": "exact"}

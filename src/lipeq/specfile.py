@@ -17,6 +17,7 @@ from fractions import Fraction
 import hashlib
 from itertools import chain
 import json
+from math import gcd
 import re
 
 from .exactnum import MAX_DIGITS, DeclaredBase, ExactRatio, SymValue
@@ -153,6 +154,22 @@ def format_value(x):
                 bits.append(("+" if c > 0 else "-") + piece)
         return "".join(bits)
     return str(Fraction(x))
+
+
+def _grid_text(num, den):
+    """The text of num / den for two grid values of ``IfsSpec.grid``:
+    ``str(Fraction(num, den))``, with one ``gcd`` of the integers and
+    no ``Fraction``, on a rational system; ``format_value`` of the exact
+    value on a declared-base system, where den == 1.  The certificate
+    and partition writers share it; it runs once per value written, so
+    it stays out of the public names that ``bench/tracer.py`` records a
+    span for."""
+    if den == 1:
+        return format_value(num)
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return "%d/%d" % (num // g, den // g)
 
 
 # ---------------------------------------------------------------------------

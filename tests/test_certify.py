@@ -5,6 +5,7 @@ import copy
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from lipeq.decide import (SearchBudget, Witness, closed_form_witnesses,
                           verify_witness, witness_letters, _admissible)
 from lipeq.exactnum import SymValue, mult_dependence
 from lipeq.patches import patch_words
+from lipeq import specfile
 from lipeq.specfile import format_value
 from lipeq.tstar import Context, _hole_fits
 
@@ -90,6 +92,30 @@ class TestSimilarityMemo:
                 with pytest.raises(SpecError):
                     verify_cert_doc(one45, d)
         verify_cert_doc(one45, doc)
+
+    @pytest.mark.parametrize("make", [make_one45, make_declared_spec],
+                             ids=["one45", "declared"])
+    def test_grid_strings_are_the_exact_ones(self, make):
+        # the strings of a usual rule and the hulls are formatted off the
+        # grid; they equal those of rules_affine and cyl_lo / cyl_hi
+        spec = make()
+        pair = (spec, spec.dust())
+        for k in range(4):
+            words = list(itertools.product(range(1, spec.n + 1), repeat=k))
+            for w in words:
+                rules = (((), w),)
+                want = (specfile.format_ratio(rules_affine(spec, rules)[0]),)
+                for system in pair:
+                    want += tuple(map(format_value,
+                                      rules_affine(system, rules)[1:]))
+                assert check.piece_strings(
+                    pair, Piece(("v",), rules, rules), ({}, {}), "") == want
+            vertex = Vertex(("v",), words[len(words) // 2:], words[::-1])
+            want = ()
+            for system, ws in zip(pair, vertex.words):
+                want += (format_value(min(map(system.cyl_lo, ws))),
+                         format_value(max(map(system.cyl_hi, ws))))
+            assert vertex.hull_strings(pair) == want
 
     def test_equal_rule_tuples_share_one_list(self, one45):
         cert = build_certificate(one45)
@@ -848,11 +874,22 @@ def test_swapped_sides_check_on_the_swapped_pair(make):
         check.check_certificate((spec, spec.dust()), swapped)
 
 
-def test_disjointness_checked_on_both_sides_of_every_edge(one45,
-                                                          monkeypatch):
-    # a duplicate piece overlaps on both sides at once, so the mutants
-    # above would still fail with one side's check gone; count the calls
+def is_twin(cert, edge):
+    """Has ``edge`` the same words on both sides: its source's and each
+    target's words, and each piece's rules?"""
+    return all(v.t_words == v.d_words for v in
+               [cert.vertices[edge.source]]
+               + [cert.vertices[p.target] for p in edge.pieces]) and all(
+        p.t_rules == p.d_rules for p in edge.pieces)
+
+
+def test_d_side_tiled_on_every_edge_that_is_not_a_twin(one45, monkeypatch):
+    # the T side of every edge is tiled, and the D side of every edge
+    # whose words differ from its T side's; the D side of a twin edge
+    # tiles with its T side (check 4 of the ``check`` docstring)
     cert = build_certificate(one45)
+    differ = [e for e in cert.edges.values() if not is_twin(cert, e)]
+    assert 0 < len(differ) < len(cert.edges)
     real = cylsets.check_disjoint_groups
     seen = []
 
@@ -862,7 +899,30 @@ def test_disjointness_checked_on_both_sides_of_every_edge(one45,
 
     monkeypatch.setattr(cylsets, "check_disjoint_groups", recording)
     verify_certificate(one45, cert)
-    assert seen == ["touching", "dust"] * len(cert.edges)
+    assert seen.count("touching") == len(cert.edges)
+    assert seen.count("dust") == len(differ)
+
+
+def test_a_fault_on_the_d_side_of_a_twin_edge_is_refused(one45):
+    # move one D-side piece of each twin edge one letter deeper: the edge
+    # is no longer a twin, its T side still tiles, and its D side leaves
+    # a hole
+    cert = build_certificate(one45)
+    twins = [k for k, e in cert.edges.items() if is_twin(cert, e)]
+    assert twins
+    for key in twins:
+        edge = cert.edges[key]
+        bad = copy.copy(cert)
+        bad.edges = dict(cert.edges)
+        piece = edge.pieces[0]
+        (strip, add), = piece.d_rules
+        bad.edges[key] = Edge(key, [Piece(piece.target, piece.t_rules,
+                                          (((strip, add + (1,))),))]
+                              + edge.pieces[1:])
+        with pytest.raises(CertificateError,
+                           match=r"^D-side tiling mismatch at %s$"
+                           % re.escape(repr(key))):
+            verify_certificate(one45, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from lipeq.check import (Certificate, CertificateError, Edge, Piece, Vertex,
-                         check_certificate, check_ratio1_acyclic,
-                         system_digest)
+from lipeq.check import (CERT_FORMAT, CERT_VERSION, PIECE_STRINGS,
+                         Certificate, CertificateError, Edge, Piece, Vertex,
+                         cert_from_doc, check_certificate,
+                         check_ratio1_acyclic, system_digest)
 from lipeq.exactnum import DeclaredBase, ExactRatio
 from lipeq.ifs import IfsSpec, canonical_dust
 
@@ -138,6 +139,56 @@ def test_a_vertex_with_no_word_on_a_side_is_refused(first, side):
                            match=r"^vertex \('%s',\) has no %s-side word$"
                            % (first, side)):
             check_certificate(pair, one_sided_certificate(pair, first))
+
+
+def graph_doc(cert):
+    """The document of ``cert`` as ``cert_from_doc`` reads it, with "0"
+    for every exact string: only ``check_stored`` compares those."""
+    zero = dict.fromkeys(("t_lo", "t_hi", "d_lo", "d_hi"), "0")
+    return {"format": CERT_FORMAT, "version": CERT_VERSION,
+            "spec_digest": cert.spec_digest,
+            "dust_digest": cert.dust_digest,
+            "vertices": [dict(zero, key=list(k),
+                              t_words=[list(w) for w in v.t_words],
+                              d_words=[list(w) for w in v.d_words])
+                         for k, v in cert.vertices.items()],
+            "edges": [{"source": list(k), "pieces": [
+                dict(dict.fromkeys(PIECE_STRINGS, "0"),
+                     target=list(p.target),
+                     t_rules=[[list(s), list(a)] for s, a in p.t_rules],
+                     d_rules=[[list(s), list(a)] for s, a in p.d_rules])
+                for p in e.pieces]} for k, e in cert.edges.items()]}
+
+
+def split_whole(pair, t_adds, d_adds):
+    """The whole set as copies of itself placed by the usual rules of
+    ``t_adds`` on the left and ``d_adds`` on the right."""
+    return Certificate({("whole",): Vertex(("whole",), [()], [()])},
+                       {("whole",): Edge(("whole",), [
+                           Piece(("whole",), rule(t), rule(d))
+                           for t, d in zip(t_adds, d_adds)])},
+                       *map(system_digest, pair))
+
+
+@pytest.mark.parametrize("pair, ns", [((EVEN, FOUR), (3, 4)),
+                                      ((FOUR, EVEN), (4, 3))])
+def test_each_side_is_read_against_its_own_alphabet(pair, ns):
+    # seven copies of the whole on each side: EVEN's 1, 2, 31, 32, 331,
+    # 332, 333 and FOUR's 1, 2, 3, 41, 42, 43, 44, which tile both sides
+    # at different ratios
+    three = [(1,), (2,), (3, 1), (3, 2), (3, 3, 1), (3, 3, 2), (3, 3, 3)]
+    four = [(1,), (2,), (3,), (4, 1), (4, 2), (4, 3), (4, 4)]
+    words = {3: three, 4: four}
+    doc = graph_doc(split_whole(pair, *(words[s.n] for s in pair)))
+    cert = cert_from_doc(doc, ns)
+    with pytest.raises(CertificateError, match=r"^\('whole',\) piece 2: "
+                                               "T and D ratios differ$"):
+        check_certificate(pair, cert)
+    for wrong in ((3, 3), ns[::-1]):
+        with pytest.raises(CertificateError,
+                           match=r"is not a word over the letters 1\.\.3$"):
+            cert_from_doc(doc, wrong)
+    cert_from_doc(doc)      # no alphabet: any positive letter
 
 
 def declared_dust(value):
