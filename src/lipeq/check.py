@@ -15,17 +15,18 @@ It checks, each check written once as a loop over the two sides:
   1. the digests are those of L and R, which declare the same bases, so
      equal symbolic ratios are equal numbers;
   2. the whole vertex is the empty word on both sides: A = K_L, B = K_R;
-  3. every vertex has a word on each side: A_v and B_v are nonempty;
+  3. every vertex has a word on each side, so A_v and B_v are nonempty,
+     and every word of a vertex or a rule is over its side's letters
+     1..n, so it names a cylinder;
   4. every edge tiles exactly on both sides: the images of its pieces are
      pairwise point-disjoint and their union is the source;
   5. phi_i and chi_i have one ratio r_i, exactly;
   6. no r_i exceeds 1; and 7. the pieces of ratio 1 form no cycle.
 
-The kernel owns 3.  ``cert_from_doc`` refuses an empty word list as well,
-but only as a check of a document's shape; a certificate built in code
-reaches the kernel without it.  Every word is taken to be over its
-side's letters 1..n: ``cert_from_doc`` checks that of a document, and
-the kernel does not check it again.
+The kernel owns 3.  ``cert_from_doc`` refuses an empty word list and a
+letter outside its side's 1..n as well, but only as a check of a
+document's shape; a certificate built in code reaches the kernel without
+it.
 
 Two kinds of check follow from others, and are not run:
   * Checks 5-7 of a usual piece, one placed by the one rule ((), w) on
@@ -70,6 +71,7 @@ times A_u's measure, and by 4 an edge's images add up to its source.
 """
 
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 
 from . import cylsets, specfile
@@ -254,11 +256,16 @@ def check_certificate(pair, cert):
         if whole is None or whole.words[i] != ((),):
             raise CertificateError("missing or malformed whole-set vertex "
                                    "on the %s side" % side)
+    alphabets = [frozenset(range(1, system.n + 1)) for system in pair]
     for key, vertex in vertices.items():
-        for words, side in zip(vertex.words, SIDES):
+        for words, side, alphabet in zip(vertex.words, SIDES, alphabets):
             if not words:
                 raise CertificateError("vertex %r has no %s-side word"
                                        % (key, side))
+            if not alphabet.issuperset(chain.from_iterable(words)):
+                raise CertificateError("vertex %r has a %s-side letter "
+                                       "outside 1..%d"
+                                       % (key, side, len(alphabet)))
     if set(cert.edges) != set(vertices):
         raise CertificateError("every vertex needs exactly one edge")
 
@@ -299,6 +306,15 @@ def check_certificate(pair, cert):
             twin = twin and same and twins[piece.target]
             usual.append(tr[0][1] if same and one_ratio_tuple and len(tr) == 1
                          and not tr[0][0] else None)
+        for i, alphabet in enumerate(alphabets):
+            if not alphabet.issuperset(_rule_letters(p.rules[i]
+                                                     for p in pieces)):
+                pi = next(pi for pi, p in enumerate(pieces)
+                          if not alphabet.issuperset(
+                              _rule_letters([p.rules[i]])))
+                raise CertificateError(
+                    "%s: a %s-side rule has a letter outside 1..%d"
+                    % (_label((key, pi)), SIDES[i], len(alphabet)))
         ratios = []
         for i, system in enumerate(pair):
             ratios.append([None if w is not None else
@@ -330,6 +346,12 @@ def check_certificate(pair, cert):
                 ratio1_edges.append((key, pieces[pi].target))
     check_ratio1_acyclic(ratio1_edges)
     return True
+
+
+def _rule_letters(rule_sets):
+    """The letters of every strip and add word of ``rule_sets``."""
+    return chain.from_iterable(chain.from_iterable(
+        chain.from_iterable(rule_sets)))
 
 
 def check_ratio1_acyclic(pairs):
@@ -482,8 +504,9 @@ def cert_from_doc(doc, ns=(None, None)):
     in ``ns`` (any positive letter where it is None): the two systems of
     a pair may have different alphabets.  Any violation raises
     CertificateError.  ``certify.cert_from_doc`` reads
-    the template fields.  A nonempty word list is a shape rule here; the
-    kernel owns the rule that every vertex has a word on each side.
+    the template fields.  A nonempty word list and the letter range are
+    shape rules here; the kernel owns the rules that every vertex has a
+    word on each side and that every letter lies in its side's 1..n.
 
     A word costs one ``set(map(type, ...))`` and one ``min``/``max``, and
     a piece's five exact strings one pass (``read_field`` runs only to

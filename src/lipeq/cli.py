@@ -10,7 +10,6 @@ codes of analyze: 0 equivalent, 1 not equivalent, 2 unknown, 3 error.
 import argparse
 from fractions import Fraction
 from itertools import accumulate, count
-import os
 import sys
 
 from . import specfile, patches, render
@@ -33,11 +32,10 @@ MAX_RENDER_WIDTH = 10_000
 
 
 def _budget(args):
-    """The search budget from --budget, else from LIPEQ_BUDGET.  Anything
-    but two integers MAX_WORD,MAX_EXP with MAX_WORD >= 1 and MAX_EXP >= 0
-    ends the command with one error line and exit status 3."""
-    source = "--budget" if args.budget else "LIPEQ_BUDGET"
-    raw = args.budget or os.environ.get("LIPEQ_BUDGET")
+    """The search budget from --budget.  Anything but two integers
+    MAX_WORD,MAX_EXP with MAX_WORD >= 1 and MAX_EXP >= 0 ends the command
+    with one error line and exit status 3."""
+    raw = args.budget
     if not raw:
         return SearchBudget()
     try:
@@ -46,9 +44,9 @@ def _budget(args):
     except ValueError:
         ok = False
     if not ok:
-        sys.stderr.write("error: %s expects MAX_WORD,MAX_EXP with integers "
-                         "MAX_WORD >= 1 and MAX_EXP >= 0, got %r\n"
-                         % (source, raw))
+        sys.stderr.write("error: --budget expects MAX_WORD,MAX_EXP with "
+                         "integers MAX_WORD >= 1 and MAX_EXP >= 0, got %r\n"
+                         % raw)
         raise SystemExit(3)
     return SearchBudget(max_word, max_exp)
 

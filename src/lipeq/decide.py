@@ -38,9 +38,9 @@ exhausted search on a six-map spec over five primes (ratios 1/4, 1/6,
 2-core x86-64 host, against 2.6 s and 264 MB with every reachable sum
 kept; enumerating its 9.4 M multisets would take an estimated 270-350 s.
 
-``decide`` gives each touching letter the cheaper of its closed-form
-witness and the search's, by k' + |word|, the depth that the certificate's
-(p, q) must exceed.
+``decide`` searches each touching letter on both sides and keeps the
+witness of smaller k' + |word|, the depth that the certificate's (p, q)
+must exceed; the right side only looks for words short enough to win.
 
 A definitive "no witness exists" answer is only produced when the
 rational relaxation of the lattice problem is infeasible.  An exact
@@ -52,7 +52,6 @@ for.  Budget exhaustion yields "unknown".
 """
 
 from collections import Counter
-import math
 
 from .exactnum import to_exponent_vector, mult_dependence
 from .ifs import SpecError
@@ -543,7 +542,7 @@ def find_witness(spec, i, side, budget=None, *, tables=None, cap=None):
 
 
 # ---------------------------------------------------------------------------
-# necessary condition and fast-path witnesses
+# necessary condition and the four-map obstruction
 
 class NecessaryResult:
     def __init__(self, ok, pq, detail):
@@ -561,52 +560,6 @@ def check_necessary(spec):
             "log rho_1 / log rho_n is irrational: the end ratios admit no "
             "common power")
     return NecessaryResult(True, pq, "rho_1**%d == rho_n**%d" % pq)
-
-
-def _all_dependent(ratios):
-    """Pairwise multiplicative dependence of a list; returns True/False.
-    Each distinct ratio is tested once."""
-    base, *rest = dict.fromkeys(ratios)
-    for r in rest:
-        if mult_dependence(base, r) is None:
-            return False
-    # pairwise follows from dependence on a common anchor
-    return True
-
-
-def closed_form_witnesses(spec):
-    """Closed-form witnesses when enough ratios share a common power.
-
-    Witnesses of one side exist for every touching letter when rho_1,
-    rho_n, rho_anchor and rho_near of every touching letter are pairwise
-    multiplicatively dependent: with (near, far, end) from
-    ``witness_letters``, the word is far, near^(w-1), anchor^u, where
-    rho_near**w and rho_anchor**u are the powers of rho_end that match.
-    The right side, anchor alpha, is tried before the left, anchor
-    n - beta + 1.  Returns a dict letter -> Witness, or None when neither
-    condition holds.
-    """
-    st = spec.touching
-    n = spec.n
-    rho = spec.ratios
-    for side, anchor in (("right", st.alpha), ("left", n - st.beta + 1)):
-        subs = [(i,) + witness_letters(side, i, n) for i in sorted(st.letters)]
-        if not _all_dependent([rho[0], rho[n - 1], rho[anchor - 1]]
-                              + [rho[near - 1] for _, near, _, _ in subs]):
-            continue
-        out = {}
-        for i, near, far, end in subs:
-            ua, va = mult_dependence(rho[anchor - 1], rho[end - 1])
-            wb, vb = mult_dependence(rho[near - 1], rho[end - 1])
-            v = va * vb // math.gcd(va, vb)
-            u = ua * (v // va)
-            wexp = wb * (v // vb)
-            word = (far,) + (near,) * (wexp - 1) + (anchor,) * u
-            w = Witness(side, i, 2 * v, 0, word, "fastpath")
-            verify_witness(spec, w)
-            out[i] = w
-        return out
-    return None
 
 
 def branch4_obstruction(spec):
@@ -649,11 +602,10 @@ def decide(spec, budget=None):
     letter; "not_equivalent" only from the necessary condition or the
     four-map obstruction; anything else is "unknown".
 
-    Each touching letter gets the cheaper of its closed-form witness and
-    the search's (left first, then right), by ``Witness.depth``, which
-    (p, q) must exceed; a tie goes to the closed form.  Where a closed
-    form exists, the search only looks for words short enough to win.
-    The searches of one side share one ``_SideTables``.
+    Each touching letter is searched on the left, then on the right for
+    words shorter than the left witness's ``Witness.depth``, which (p, q)
+    must exceed; it gets the witness of smaller depth, and a tie goes to
+    the left.  The searches of one side share one ``_SideTables``.
     """
     if spec.role != "touching":
         raise SpecError("decision applies to touching systems")
@@ -664,23 +616,22 @@ def decide(spec, budget=None):
     reason4 = branch4_obstruction(spec)
     if reason4:
         return Verdict("not_equivalent", reason4, nec, {}, [])
-    fast = closed_form_witnesses(spec) or {}
     tables = {}
     witnesses = {}
     unresolved = []
     for i in sorted(spec.touching.letters):
-        w = fast.get(i)
-        cap = budget.max_word if w is None else min(budget.max_word,
-                                                    w.depth - 1)
+        w = None
+        cap = budget.max_word
         for side in ("left", "right"):
+            if cap < 1:
+                break
             if side not in tables:
                 tables[side] = _SideTables(spec, side, budget)
             got, _ = find_witness(spec, i, side, tables=tables[side],
                                   cap=cap)
-            if got is not None:
-                if w is None or got.depth < w.depth:
-                    w = got
-                break
+            if got is not None and (w is None or got.depth < w.depth):
+                w = got
+                cap = min(cap, w.depth - 1)
         if w is None:
             unresolved.append(i)
         else:

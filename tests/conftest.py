@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ import pytest
 from lipeq import IfsSpec, Verdict, build_certificate, cylsets
 from lipeq.check import (Certificate, Edge, Piece, Vertex,
                          check_certificate, system_digest)
-from lipeq.decide import check_necessary, closed_form_witnesses
-from lipeq.exactnum import DeclaredBase, ExactRatio
+from lipeq.decide import (Witness, check_necessary, verify_witness,
+                          witness_letters)
+from lipeq.exactnum import DeclaredBase, ExactRatio, mult_dependence
 
 
 def make_one45():
@@ -74,6 +76,45 @@ def four_map_doc(**fields):
 @pytest.fixture
 def one45():
     return make_one45()
+
+
+def closed_form_witnesses(spec):
+    """Closed-form witnesses when enough ratios share a common power.
+
+    Witnesses of one side exist for every touching letter when rho_1,
+    rho_n, rho_anchor and rho_near of every touching letter are pairwise
+    multiplicatively dependent: with (near, far, end) from
+    ``witness_letters``, the word is far, near^(w-1), anchor^u, where
+    rho_near**w and rho_anchor**u are the powers of rho_end that match.
+    The right side, anchor alpha, is tried before the left, anchor
+    n - beta + 1.  Returns a dict letter -> Witness of source
+    "fastpath", or None when neither condition holds.  ``decide`` never
+    picks these; the tests use them to build long witnesses.
+    """
+    st = spec.touching
+    n = spec.n
+    rho = spec.ratios
+    for side, anchor in (("right", st.alpha), ("left", n - st.beta + 1)):
+        subs = [(i,) + witness_letters(side, i, n) for i in sorted(st.letters)]
+        # pairwise dependence follows from dependence on a common anchor
+        base, *rest = dict.fromkeys(
+            [rho[0], rho[n - 1], rho[anchor - 1]]
+            + [rho[near - 1] for _, near, _, _ in subs])
+        if any(mult_dependence(base, r) is None for r in rest):
+            continue
+        out = {}
+        for i, near, far, end in subs:
+            ua, va = mult_dependence(rho[anchor - 1], rho[end - 1])
+            wb, vb = mult_dependence(rho[near - 1], rho[end - 1])
+            v = va * vb // math.gcd(va, vb)
+            u = ua * (v // va)
+            wexp = wb * (v // vb)
+            word = (far,) + (near,) * (wexp - 1) + (anchor,) * u
+            w = Witness(side, i, 2 * v, 0, word, "fastpath")
+            verify_witness(spec, w)
+            out[i] = w
+        return out
+    return None
 
 
 def closed_form_verdict(spec):

@@ -18,13 +18,13 @@ from lipeq import (IfsSpec, decide, verify_witness, build_certificate,
                    expand_map, distortion_report,
                    canonical_dust, moran_dimension)
 from lipeq import cylsets
-from lipeq.decide import closed_form_witnesses
 from lipeq.exactnum import ExactRatio, DeclaredBase
 from lipeq.patches import (partition_S, partition_T, partition_norm,
                            c_family, e_ratio_set)
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
-                      random_equal_spec, verify_expansion)
+                      random_equal_spec, verify_expansion,
+                      closed_form_witnesses)
 
 
 def report(num, name):

@@ -21,8 +21,8 @@ from lipeq.certify import (MAX_PQ_MULTIPLE, compose_rules, choose_pq,
                            leaf_counts, leaf_hulls)
 from lipeq.check import (apply_rules, rules_affine, rule_affine, Certificate,
                          Edge, Piece, Vertex)
-from lipeq.decide import (SearchBudget, Witness, closed_form_witnesses,
-                          verify_witness, witness_letters, _admissible)
+from lipeq.decide import (SearchBudget, Witness, verify_witness,
+                          witness_letters, _admissible)
 from lipeq.exactnum import SymValue, mult_dependence
 from lipeq.patches import patch_words
 from lipeq import specfile
@@ -33,7 +33,8 @@ from conftest import (make_one45, make_endratio_spec, make_equal_spec,
                       random_equal_spec,
                       random_unequal_spec, random_fuzz_spec,
                       make_declared_spec, closed_form_certificate,
-                      identity_certificate, verify_expansion)
+                      closed_form_witnesses, identity_certificate,
+                      verify_expansion)
 from test_cylsets import shares_end
 from test_golden import golden_specs, left_specs
 from test_tstar import cover_fault

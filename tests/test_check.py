@@ -141,6 +141,54 @@ def test_a_vertex_with_no_word_on_a_side_is_refused(first, side):
             check_certificate(pair, one_sided_certificate(pair, first))
 
 
+def junk_certificate(pair, t_word, d_word, extra_rule=None):
+    """The identity certificate over ``pair`` (level-1 pieces of the whole)
+    with an unreachable vertex "junk", the sets at ``t_word`` and
+    ``d_word``, each the three copies of the whole at its level-1
+    cylinders.  ``extra_rule`` is put first in the T rules of the first
+    junk piece, where it matches no target word."""
+    whole = ("whole",)
+    junk = [Piece(whole, rule(t_word + (c,)), rule(d_word + (c,)))
+            for c in (1, 2, 3)]
+    if extra_rule:
+        junk[0] = Piece(whole, (extra_rule,) + junk[0].t_rules,
+                        junk[0].d_rules)
+    vertices = {whole: Vertex(whole, [()], [()]),
+                ("junk",): Vertex(("junk",), [t_word], [d_word])}
+    edges = {whole: Edge(whole, [Piece(whole, rule((c,)), rule((c,)))
+                                 for c in (1, 2, 3)]),
+             ("junk",): Edge(("junk",), junk)}
+    return Certificate(vertices, edges, *map(system_digest, pair))
+
+
+@pytest.mark.parametrize("letter", [0, 4])
+@pytest.mark.parametrize("bad", ["T", "D", "TD"])
+def test_a_letter_outside_the_alphabet_is_refused(letter, bad):
+    # every edge tiles, since the images of a word of letters outside
+    # 1..3 union to that word, and every ratio is 1/5; such a word names
+    # no cylinder, and a kernel that takes the letters on trust accepts
+    t_word, d_word = [(letter,) if side in bad else (1,) for side in "TD"]
+    for pair in ((EVEN, EVEN), (EVEN, UNEVEN), (UNEVEN, EVEN)):
+        assert check_certificate(pair, junk_certificate(pair, (1,), (1,)))
+        with pytest.raises(CertificateError,
+                           match=r"^vertex \('junk',\) has a %s-side letter "
+                                 r"outside 1\.\.3$" % bad[0]):
+            check_certificate(pair, junk_certificate(pair, t_word, d_word))
+
+
+@pytest.mark.parametrize("letter", [0, 4])
+def test_a_rule_letter_outside_the_alphabet_is_refused(letter):
+    # the rule ((letter,), (letter,)) matches no target word, so it
+    # places nothing, but it is no similarity of the system
+    for pair in ((EVEN, EVEN), (EVEN, UNEVEN), (UNEVEN, EVEN)):
+        cert = junk_certificate(pair, (1,), (1,),
+                                ((letter,), (letter,)))
+        with pytest.raises(CertificateError,
+                           match=r"^\('junk',\) piece 0: a T-side rule has "
+                                 r"a letter outside 1\.\.3$"):
+            check_certificate(pair, cert)
+
+
 def graph_doc(cert):
     """The document of ``cert`` as ``cert_from_doc`` reads it, with "0"
     for every exact string: only ``check_stored`` compares those."""

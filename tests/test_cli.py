@@ -358,23 +358,6 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: --budget") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("raw", MALFORMED_BUDGETS)
-    def test_malformed_budget_variable(self, one45_file, capsys,
-                                       monkeypatch, raw):
-        monkeypatch.setenv("LIPEQ_BUDGET", raw)
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", one45_file])
-        assert exc.value.code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: LIPEQ_BUDGET") and err.count("\n") == 1
-
-    def test_budget_variable_read(self, one45_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("LIPEQ_BUDGET", "1,0")
-        out = tmp_path / "r.json"
-        assert main(["analyze", one45_file, "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["budget"] == {"max_word": 1,
-                                                         "max_exp": 0}
-
 
 class TestCertify:
     def test_deterministic_output(self, one45_file, tmp_path):

@@ -1,6 +1,6 @@
 """Decision pipeline: necessary condition, witness search and
-verification, closed-form fastpath, four-map obstruction, and the exact
-phase-1 simplex behind every "none".
+verification, the closed-form witnesses that the tests build, four-map
+obstruction, and the exact phase-1 simplex behind every "none".
 
 The ``ref_*`` functions are the earlier witness search, which enumerated
 letter multisets, and its Fourier-Motzkin test over Fractions, kept here
@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipeq import IfsSpec, decide, verify_witness, Witness, SearchBudget
-from lipeq.decide import (check_necessary, find_witness,
-                          closed_form_witnesses, branch4_obstruction,
+from lipeq.decide import (check_necessary, find_witness, branch4_obstruction,
                           _admissible, _arrange_word, _infeasible,
                           farkas_vector, _standard_form,
                           _SideTables, _longer_sums, witness_letters)
@@ -27,7 +26,7 @@ from lipeq.ifs import SpecError
 
 from conftest import (make_one45, make_equal_spec, make_endratio_spec,
                       random_equal_spec, random_unequal_spec,
-                      random_fuzz_spec)
+                      random_fuzz_spec, closed_form_witnesses)
 
 # the module: ``lipeq.decide`` names the function that the package exports
 decide_module = importlib.import_module("lipeq.decide")
@@ -398,17 +397,15 @@ def cost(w):
 
 
 def expected_witness(spec, i, budget):
-    """The witness that ``decide`` must pick for letter ``i``, from
-    ``find_witness`` and ``closed_form_witnesses`` alone."""
-    fast = (closed_form_witnesses(spec) or {}).get(i)
-    cap = budget.max_word if fast is None else min(budget.max_word,
-                                                   cost(fast) - 1)
+    """The witness that ``decide`` must pick for letter ``i``: the first
+    that ``find_witness`` finds on each side, uncapped, and of those the
+    one of smaller ``cost``, the left on a tie."""
+    best = None
     for side in ("left", "right"):
-        got, _ = find_witness(spec, i, side,
-                              SearchBudget(cap, budget.max_exp))
-        if got is not None:
-            return got if fast is None or cost(got) < cost(fast) else fast
-    return fast
+        got, _ = find_witness(spec, i, side, budget)
+        if got is not None and (best is None or cost(got) < cost(best)):
+            best = got
+    return best
 
 
 class TestCheapestWitness:
@@ -418,28 +415,34 @@ class TestCheapestWitness:
             "left", 1, 0, (2,), "search")
         assert cost(closed_form_witnesses(one45)[2]) == 2
 
-    def test_tie_goes_to_the_closed_form(self):
-        spec = IfsSpec([Fraction(1, 4), Fraction(1, 20), Fraction(1, 16)],
-                       [Fraction(0), Fraction(71, 80), Fraction(15, 16)],
-                       role="touching")
-        fast = closed_form_witnesses(spec)[2]
-        assert (fast.side, fast.k, fast.kp, fast.word) == (
-            "right", 2, 0, (2, 1, 1))
-        # the uncapped search finds another witness of the same cost
-        assert find_witness(spec, 2, "left") == (None, "none")
-        got, status = find_witness(spec, 2, "right")
-        assert status == "found" and got.word == (1, 2, 1)
-        assert cost(got) == cost(fast)
-        assert decide(spec).witnesses[2].as_dict() == fast.as_dict()
+    def test_tie_goes_to_the_left(self, one45):
+        # the uncapped searches find a witness of cost 1 on each side
+        left, _ = find_witness(one45, 2, "left")
+        right, _ = find_witness(one45, 2, "right")
+        assert (left.word, right.word) == ((2,), (1,))
+        assert cost(left) == cost(right) == 1
+        assert decide(one45).witnesses[2].as_dict() == left.as_dict()
 
-    def test_closed_form_when_the_search_finds_nothing(self):
-        # the search budget admits no word at all
-        w = decide(make_one45(), SearchBudget(1, 0)).witnesses[2]
-        assert w.source == "fastpath"
+    def test_right_beats_a_found_left_witness(self):
+        spec = IfsSpec([Fraction(1, 8), Fraction(1, 8), Fraction(1, 4)],
+                       [Fraction(0), Fraction(5, 8), Fraction(3, 4)],
+                       role="touching")
+        left, _ = find_witness(spec, 2, "left")
+        assert (left.k, left.kp, left.word) == (2, 0, (3, 2))
+        w = decide(spec).witnesses[2]
+        assert (w.side, w.k, w.kp, w.word, w.source) == (
+            "right", 1, 0, (1,), "search")
+
+    def test_unknown_when_the_search_finds_nothing(self, one45):
+        # the search budget admits no word at all; the closed form
+        # (2, 1) exists, but is no witness path of ``decide``
+        v = decide(one45, SearchBudget(1, 0))
+        assert (v.status, v.unresolved, v.witnesses) == ("unknown", [2], {})
+        assert closed_form_witnesses(one45)[2].word == (2, 1)
 
     def test_choice_on_generated_specs(self):
         rng = random.Random(23)
-        picked = set()
+        picked, sides = set(), set()
         for k in range(45):
             spec = (random_equal_spec, random_decide_spec,
                     random_unequal_spec)[k % 3](rng)
@@ -454,7 +457,9 @@ class TestCheapestWitness:
                 if got:
                     verify_witness(spec, got)
                     picked.add(got.source)
-        assert picked == {"search", "fastpath"}
+                    sides.add(got.side)
+        assert picked == {"search"}
+        assert sides == {"left", "right"}
 
 
 class TestGoalClip:

@@ -25,7 +25,12 @@ partition benchmark runs, recorded before ``gap_partition`` and
 ``golden_certify_left.json`` holds both the ``lipeq certify`` digest and
 the ``lipeq verify --depth 2`` digest (keyed ``label@2``) of three specs
 whose certificates use left witnesses (``left_specs``), recorded before
-the two sides of the construction became one code path.
+the two sides of the construction became one code path.  Its
+``left-closed`` certificate holds the closed-form left witness, which
+``decide`` picked then; the search finds the same word (2, 3), and the
+certificate differs only in the witness's ``source``, so that digest is
+of the certificate of ``conftest.closed_form_verdict``
+(``CLOSED_FORM_CASES``).
 
 These four certificate files pin certificates whose traces list every
 word of a range, as ``tstar.trace`` did before it walked the range's
@@ -34,6 +39,11 @@ maximal cylinders; their tests and regeneration modes build with
 ``golden_certify_cover.json`` holds the digest of every case of the four
 files (``certificate_cases``, keyed ``file/key``) as the cover trace
 builds it; 42 of its 62 digests differ from the word-by-word ones.
+``golden_certify_witness.json`` holds the ``lipeq certify`` digests
+(``witness_specs``) of ``left-closed``, now with the searched witness,
+and of ratios 1/8, 1/8, 1/4, whose right witness (1,) ``decide`` picks
+over the left (3, 2) now that it searches both sides for each letter;
+both were recorded with the cover trace.
 
 A change that only makes certification, verification or partitioning
 faster, or that merges code paths, must leave every digest as it is.
@@ -55,6 +65,8 @@ checked, as above, and records the new ones in a new file:
         > tests/golden_certify_decided.json
     PYTHONPATH=src python3 tests/test_golden.py cover \
         > tests/golden_certify_cover.json
+    PYTHONPATH=src python3 tests/test_golden.py witness \
+        > tests/golden_certify_witness.json
 """
 
 import contextlib
@@ -87,6 +99,10 @@ GOLDEN_PARTITION_K5 = os.path.join(HERE, "golden_partition_k5.json")
 GOLDEN_LEFT = os.path.join(HERE, "golden_certify_left.json")
 GOLDEN_DECIDED = os.path.join(HERE, "golden_certify_decided.json")
 GOLDEN_COVER = os.path.join(HERE, "golden_certify_cover.json")
+GOLDEN_WITNESS = os.path.join(HERE, "golden_certify_witness.json")
+# the ``left`` keys whose recorded certificate held a closed-form witness
+# that ``decide`` no longer picks
+CLOSED_FORM_CASES = ("left-closed",)
 # (label, depth) of every recorded ``lipeq verify --depth`` report
 VERIFY_CASES = (("one45", 5), ("endratio64", 3), ("eq31-00", 2),
                 ("eq31-02", 2), ("eq31-03", 2), ("eq31-07", 2))
@@ -102,20 +118,33 @@ def golden_specs():
     return out
 
 
+def rational_spec(ratios, translations):
+    return IfsSpec([Fraction(r) for r in ratios],
+                   [Fraction(t) for t in translations], role="touching")
+
+
 def left_specs():
     """(label, spec) of the specs whose certificates hold left witnesses:
     a closed-form left witness at letter 1 (word (2, 3), (p, q) = (3, 3)),
     a searched one at letter 2 (word (4,)), and a left witness at letter
     1 beside a right one at letter 4."""
-    def spec(ratios, translations):
-        return IfsSpec([Fraction(r) for r in ratios],
-                       [Fraction(t) for t in translations], role="touching")
-    return [("left-closed", spec(["1/4", "1/3", "1/4"], ["0", "1/4", "3/4"])),
-            ("left-search", spec(["1/27", "1/6", "1/2", "1/9"],
-                                 ["0", "7/54", "8/27", "8/9"])),
-            ("left-and-right", spec(["1/3", "1/8", "1/9", "1/8", "1/27"],
-                                    ["0", "1/3", "16/27", "181/216",
-                                     "26/27"]))]
+    return [("left-closed", rational_spec(["1/4", "1/3", "1/4"],
+                                           ["0", "1/4", "3/4"])),
+            ("left-search", rational_spec(["1/27", "1/6", "1/2", "1/9"],
+                                         ["0", "7/54", "8/27", "8/9"])),
+            ("left-and-right",
+             rational_spec(["1/3", "1/8", "1/9", "1/8", "1/27"],
+                           ["0", "1/3", "16/27", "181/216", "26/27"]))]
+
+
+def witness_specs():
+    """(label, spec) of ``golden_certify_witness.json``: ``left-closed``,
+    and ratios 1/8, 1/8, 1/4 touching at letter 2, where the right
+    witness (1,) beats the left (3, 2) and the certificate has 88 pieces
+    in place of 184, at (p, q) = (4, 6) either way."""
+    return [left_specs()[0],
+            ("right-beats-left", rational_spec(["1/8", "1/8", "1/4"],
+                                               ["0", "5/8", "3/4"]))]
 
 
 def left_cases():
@@ -242,10 +271,10 @@ def certificate_cases():
             + [("decided",) + case for case in decided_cases()])
 
 
-def certificate_digest(name, spec, depth, directory):
-    """The digest that the certificate file ``name`` records for one
-    case."""
-    if name == "certify":
+def certificate_digest(name, key, spec, depth, directory):
+    """The digest that the certificate file ``name`` records for the case
+    ``key``."""
+    if name == "certify" or (name == "left" and key in CLOSED_FORM_CASES):
         return closed_form_certify_digest(spec)
     if name == "verify":
         return closed_form_verify_digest(spec, depth, directory)
@@ -298,7 +327,8 @@ def test_golden_left_file_covers_every_case():
 def test_left_witness_output_unchanged(key, spec, depth, tmp_path, word_trace):
     with open(GOLDEN_LEFT) as fh:
         want = json.load(fh)[key]
-    assert cli_digest(spec, depth, str(tmp_path)) == want
+    assert certificate_digest("left", key, spec, depth,
+                              str(tmp_path)) == want
 
 
 def test_golden_decided_file_covers_every_case():
@@ -330,7 +360,21 @@ def test_golden_cover_file_covers_every_case():
 def test_cover_trace_output_unchanged(name, key, spec, depth, tmp_path):
     with open(GOLDEN_COVER) as fh:
         want = json.load(fh)["%s/%s" % (name, key)]
-    assert certificate_digest(name, spec, depth, str(tmp_path)) == want
+    assert certificate_digest(name, key, spec, depth, str(tmp_path)) == want
+
+
+def test_golden_witness_file_covers_every_spec():
+    with open(GOLDEN_WITNESS) as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == sorted(label for label, _ in witness_specs())
+
+
+@pytest.mark.parametrize("label,spec", witness_specs(),
+                         ids=[label for label, _ in witness_specs()])
+def test_witness_choice_output_unchanged(label, spec, tmp_path):
+    with open(GOLDEN_WITNESS) as fh:
+        want = json.load(fh)[label]
+    assert cli_digest(spec, None, str(tmp_path)) == want
 
 
 def test_golden_partition_file_covers_every_case():
@@ -369,8 +413,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         if sys.argv[1:] == ["cover"]:
             digests = {"%s/%s" % (name, key):
-                       certificate_digest(name, spec, depth, d)
+                       certificate_digest(name, key, spec, depth, d)
                        for name, key, spec, depth in certificate_cases()}
+        elif sys.argv[1:] == ["witness"]:
+            digests = {label: cli_digest(spec, None, d)
+                       for label, spec in witness_specs()}
         elif sys.argv[1:] in (["partition"], ["partition5"]):
             cases = (partition_cases() if sys.argv[1] == "partition"
                      else partition_k5_cases())
@@ -382,7 +429,7 @@ if __name__ == "__main__":
                                                      ["decided"])
                     else "certify")
             lipeq.tstar.trace = ref_trace
-            digests = {key: certificate_digest(name, spec, depth, d)
+            digests = {key: certificate_digest(name, key, spec, depth, d)
                        for name, key, spec, depth in certificate_cases()
                        if name == want}
     print(json.dumps(digests, indent=1, sort_keys=True))

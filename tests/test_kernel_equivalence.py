@@ -7,8 +7,8 @@ kernel without either shortcut: ``rules_affine`` on every piece and the
 tiling of both sides of every edge.  On valid certificates and on their
 mutants, over pairs with one ratio tuple and pairs without, the kernel
 must return or raise exactly as the reference does, with the same
-message.  Every mutant's words stay over their side's letters 1..n, as
-the kernel takes them to be."""
+message.  Every mutant's words stay over their side's letters 1..n, a
+rule that the kernel checks first and the reference leaves out."""
 
 import random
 from fractions import Fraction
