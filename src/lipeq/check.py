@@ -23,10 +23,10 @@ It checks, each check written once as a loop over the two sides:
   5. phi_i and chi_i have one ratio r_i, exactly;
   6. no r_i exceeds 1; and 7. the pieces of ratio 1 form no cycle.
 
-The kernel owns 3.  ``cert_from_doc`` refuses an empty word list and a
-letter outside its side's 1..n as well, but only as a check of a
-document's shape; a certificate built in code reaches the kernel without
-it.
+The kernel alone owns 3: ``cert_from_doc`` reads a word as a list of
+JSON integers and checks neither its letters' range nor that a vertex
+has a word, so a certificate read from a file and one built in code
+reach the kernel alike.
 
 Two kinds of check follow from others, and are not run:
   * Checks 5-7 of a usual piece, one placed by the one rule ((), w) on
@@ -217,8 +217,9 @@ class Edge:
 
 
 class Certificate:
-    """The graph and the digests of its pair, and the template data (p, q,
-    p0, q0, witnesses) that the kernel carries and ``certify`` checks."""
+    """The graph and the digests of its pair, and the build notes (p, q,
+    p0, q0, witnesses): how ``certify`` built the graph, carried and
+    written but evaluated by no check."""
 
     def __init__(self, vertices, edges, spec_digest, dust_digest, p=None,
                  q=None, p0=None, q0=None, witnesses=()):
@@ -453,27 +454,19 @@ def read_records(d, name, where):
     return out
 
 
-def read_word(v, n, where):
-    """A word: a list of letters in 1..n (n None: any positive letter).
-    A JSON letter is an int; ``true`` and ``1.0`` are not letters."""
-    if type(v) is list and (not v or (
-            set(map(type, v)) <= {int} and min(v) >= 1
-            and (n is None or max(v) <= n))):
+def read_word(v, where):
+    """A word: a list of letters, each a JSON int (``true`` and ``1.0``
+    are not letters).  Its letters' range is the kernel's check 3."""
+    if type(v) is list and set(map(type, v)) <= {int}:
         return tuple(v)
-    raise CertificateError("%s: %r is not a word over the letters 1..%s"
-                           % (where, v, n if n else "n"))
+    raise CertificateError("%s: %r is not a word, a list of integer letters"
+                           % (where, v))
 
 
-def _words(d, name, n, where):
-    ws = read_field(d, name, list, where)
-    if not ws:
-        raise CertificateError("%s: %r is empty" % (where, name))
-    return [read_word(w, n, where) for w in ws]
-
-
-def _rules(d, name, n, where, seen):
+def _rules(d, name, where, seen):
     """A nonempty tuple of (strip, add) word pairs: the one in ``seen``
-    equal to it, if any, so equal rule sets of a document share a tuple."""
+    equal to it, if any, so equal rule sets of a document share a tuple.
+    Nonempty, because the kernel reads a rule set's first rule."""
     rules = read_field(d, name, list, where)
     if not rules:
         raise CertificateError("%s: %r is empty" % (where, name))
@@ -482,7 +475,7 @@ def _rules(d, name, n, where, seen):
         if type(r) is not list or len(r) != 2:
             raise CertificateError("%s: a rule is a [strip, add] pair"
                                    % where)
-        out.append((read_word(r[0], n, where), read_word(r[1], n, where)))
+        out.append((read_word(r[0], where), read_word(r[1], where)))
     out = tuple(out)
     return seen.setdefault(out, out)
 
@@ -496,27 +489,23 @@ def _key(d, name, where):
     return tuple(key)
 
 
-def cert_from_doc(doc, ns=(None, None)):
+def cert_from_doc(doc):
     """Read the graph and digests of a certificate document, whose shape
-    is checked: every field present with its JSON type, nonempty word and
-    rule lists, vertex keys and edge sources unique, and every letter an
-    int (not ``true``, not ``1.0``) in 1..n for the n of its side, T or D,
-    in ``ns`` (any positive letter where it is None): the two systems of
-    a pair may have different alphabets.  Any violation raises
-    CertificateError.  ``certify.cert_from_doc`` reads
-    the template fields.  A nonempty word list and the letter range are
-    shape rules here; the kernel owns the rules that every vertex has a
-    word on each side and that every letter lies in its side's 1..n.
+    is checked: every field present with its JSON type, nonempty rule
+    lists, vertex keys and edge sources unique, and every word a list of
+    JSON ints (``read_word``).  Any violation raises CertificateError.
+    It reads with no alphabet: that every letter lies in its side's 1..n
+    and that every vertex has a word on each side are the kernel's check
+    3.  ``certify.cert_from_doc`` reads the build notes.
 
-    A word costs one ``set(map(type, ...))`` and one ``min``/``max``, and
-    a piece's five exact strings one pass (``read_field`` runs only to
-    name a failure).  Equal rule lists, which most pieces repeat, become
-    one tuple, as ``cert_to_doc`` wrote them from one list."""
+    A word costs one ``set(map(type, ...))``, and a piece's five exact
+    strings one pass (``read_field`` runs only to name a failure).  Equal
+    rule lists, which most pieces repeat, become one tuple, as
+    ``cert_to_doc`` wrote them from one list."""
     if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
         raise CertificateError("not a certificate document")
     if doc.get("version") != CERT_VERSION:
         raise CertificateError("unsupported certificate version")
-    t_n, d_n = ns
     vertices = {}
     for v in read_records(doc, "vertices", "certificate"):
         key = _key(v, "key", "vertex")
@@ -525,8 +514,9 @@ def cert_from_doc(doc, ns=(None, None)):
             raise CertificateError("%s appears twice" % where)
         for name in ("t_lo", "t_hi", "d_lo", "d_hi"):
             read_field(v, name, str, where)
-        vertices[key] = Vertex(key, _words(v, "t_words", t_n, where),
-                               _words(v, "d_words", d_n, where))
+        vertices[key] = Vertex(key, *[
+            [read_word(w, where) for w in read_field(v, name, list, where)]
+            for name in ("t_words", "d_words")])
     edges = {}
     rule_sets = {}
     for e in read_records(doc, "edges", "certificate"):
@@ -540,8 +530,8 @@ def cert_from_doc(doc, ns=(None, None)):
                 for name in PIECE_STRINGS:
                     read_field(pd, name, str, where)
             pieces.append(Piece(_key(pd, "target", where),
-                                _rules(pd, "t_rules", t_n, where, rule_sets),
-                                _rules(pd, "d_rules", d_n, where, rule_sets)))
+                                _rules(pd, "t_rules", where, rule_sets),
+                                _rules(pd, "d_rules", where, rule_sets)))
         edges[key] = Edge(key, pieces)
     return Certificate(vertices, edges,
                        read_field(doc, "spec_digest", str, "certificate"),

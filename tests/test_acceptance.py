@@ -75,10 +75,11 @@ def test_criterion_2_end_ratio_dichotomy():
 def test_criterion_3_certificate_soundness_suite():
     """Certificates validate on {1,4,5} and 20 random equal-ratio specs.
 
-    verify_certificate re-checks the stored exponents, exact tilings on
-    both sides, piece ratio equality and cycle contraction.  The per-edge
+    verify_certificate is the kernel alone: exact tilings on both sides,
+    piece ratio equality and cycle contraction.  The stored exponents
+    and witnesses are build notes that it does not read.  The per-edge
     measure identity at the similarity dimension follows from the exact
-    tilings and is no longer checked on its own.
+    tilings and is not checked on its own.
     """
     specs = [make_one45()]
     rng = random.Random(31)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from lipeq.check import (CERT_FORMAT, CERT_VERSION, PIECE_STRINGS,
+from lipeq.check import (CERT_FORMAT, CERT_VERSION, PIECE_STRINGS, SIDES,
                          Certificate, CertificateError, Edge, Piece, Vertex,
                          cert_from_doc, check_certificate,
                          check_ratio1_acyclic, system_digest)
@@ -223,20 +223,23 @@ def split_whole(pair, t_adds, d_adds):
 def test_each_side_is_read_against_its_own_alphabet(pair, ns):
     # seven copies of the whole on each side: EVEN's 1, 2, 31, 32, 331,
     # 332, 333 and FOUR's 1, 2, 3, 41, 42, 43, 44, which tile both sides
-    # at different ratios
+    # at different ratios; ``ns`` holds each side's n
     three = [(1,), (2,), (3, 1), (3, 2), (3, 3, 1), (3, 3, 2), (3, 3, 3)]
     four = [(1,), (2,), (3,), (4, 1), (4, 2), (4, 3), (4, 4)]
     words = {3: three, 4: four}
-    doc = graph_doc(split_whole(pair, *(words[s.n] for s in pair)))
-    cert = cert_from_doc(doc, ns)
+    cert = cert_from_doc(graph_doc(split_whole(pair, *(words[n]
+                                                       for n in ns))))
     with pytest.raises(CertificateError, match=r"^\('whole',\) piece 2: "
                                                "T and D ratios differ$"):
         check_certificate(pair, cert)
-    for wrong in ((3, 3), ns[::-1]):
-        with pytest.raises(CertificateError,
-                           match=r"is not a word over the letters 1\.\.3$"):
-            cert_from_doc(doc, wrong)
-    cert_from_doc(doc)      # no alphabet: any positive letter
+    # the reader has no alphabet: FOUR's words on both sides read, and
+    # the kernel refuses letter 4 on the side of the three maps
+    side = SIDES[ns.index(3)]
+    cert = cert_from_doc(graph_doc(split_whole(pair, four, four)))
+    with pytest.raises(CertificateError,
+                       match=r"^\('whole',\) piece 3: a %s-side rule has "
+                             r"a letter outside 1\.\.3$" % side):
+        check_certificate(pair, cert)
 
 
 def declared_dust(value):

@@ -9,6 +9,7 @@ must agree with."""
 
 import importlib
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
@@ -220,6 +221,18 @@ class TestWitnessVerification:
         # must not end in a touching letter
         with pytest.raises(Exception):
             verify_witness(spec, Witness("right", 2, 2, 0, (1, 2), "manual"))
+
+    @pytest.mark.parametrize("k, kp", [(10 ** 9, 0), (10 ** 18, 0),
+                                       (0, 10 ** 9)],
+                             ids=["k=1e9", "k=1e18", "k_prime=1e9"])
+    def test_huge_exponent_refused_at_once(self, k, kp):
+        # a power of rho_end with a huge exponent would take time and
+        # memory that grow with the exponent; an exponent vector does not
+        t0 = time.perf_counter()
+        with pytest.raises(SpecError, match="witness identity fails exactly"):
+            verify_witness(make_one45(), Witness("left", 2, k, kp, (2,),
+                                                 "manual"))
+        assert time.perf_counter() - t0 < 1
 
     def test_left_witness(self):
         # mirror of the standard example touches at letter 1
