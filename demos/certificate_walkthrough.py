@@ -36,7 +36,7 @@ print("re-validated from the serialized form alone")
 
 for depth in (2, 3, 4):
     pieces = expand_map(spec, cert, depth)
-    lo, hi = distortion_report(spec, cert, depth)
+    lo, hi = distortion_report(spec, cert, depth, pieces=pieces)
     print("depth %d: %5d leaf pieces, distortion bounds "
           "c_low=%.6g c_high=%.6g" % (depth, len(pieces), lo, hi))
 

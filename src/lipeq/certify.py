@@ -14,14 +14,13 @@ are kept with it as build notes: written and read, never evaluated.
 
 from collections import namedtuple
 from fractions import Fraction
-import math
-import random
+from operator import itemgetter
 
 from .exactnum import mult_dependence
 from . import check, cylsets
 from .check import (Certificate, CertificateError, Edge, Piece, Vertex,
-                    piece_images, read_field, read_records, read_word,
-                    rules_affine)
+                    grid_ends, piece_images, read_field, read_records,
+                    read_word)
 from .decide import decide, witness_letters, Witness
 from .patches import patch_words
 from .tstar import (Context, ldiff, rdiff, hole_diff, block_decompose,
@@ -237,21 +236,21 @@ def compose_rules(outer, inner):
     return tuple(res.items())
 
 
-ExpandPiece = namedtuple("ExpandPiece", "vkey t_words d_words t_scale "
-                                        "t_offset d_scale d_offset")
+ExpandPiece = namedtuple("ExpandPiece", "vkey t_words d_words")
 
 
 def expand_map(spec, cert, depth):
     """Unroll the certificate recursion ``depth`` times: the leaf pieces,
-    each pairing a T-side cylinder union with a D-side one through
-    explicit increasing similarities.  ``cert`` must have passed
-    ``verify_certificate``; then the leaves tile T and D with equal
-    ratios, so neither is checked here.  By induction: at depth 0 the one
-    leaf is the whole set on both sides, and the children of a leaf are
-    the images of its vertex's pieces under the leaf's similarity
-    (``compose_rules``), which the kernel's tiling check makes pairwise
-    point-disjoint with union the leaf."""
-    dust = spec.dust()
+    each a vertex and its T-side and D-side words placed by the leaf's
+    composed rules.  ``cert`` must have passed ``verify_certificate``
+    (for ``spec``, which the expansion itself does not read); then the
+    leaves tile T and D with equal ratios, so neither is checked here.
+    By induction: at depth 0 the one leaf is the whole set on both sides,
+    and the children of a leaf are the images of its vertex's pieces
+    under the leaf's similarity (``compose_rules``), which the kernel's
+    tiling check makes pairwise point-disjoint with union the leaf.  A
+    composed rule set describes one similarity, outer after inner, so
+    the kernel's check of each piece's rules covers it too."""
     ident = (((), ()),)
     leaves = [(("whole",), ident, ident)]
     for _ in range(depth):
@@ -265,10 +264,8 @@ def expand_map(spec, cert, depth):
     out = []
     for vkey, tr, dr in leaves:
         tw, dw = cert.vertices[vkey].words
-        ts, to = rules_affine(spec, tr, "expand")[1:]
-        ds, do = rules_affine(dust, dr, "expand")[1:]
         out.append(ExpandPiece(vkey, piece_images(tr, tw),
-                               piece_images(dr, dw), ts, to, ds, do))
+                               piece_images(dr, dw)))
     return out
 
 
@@ -288,99 +285,72 @@ def leaf_counts(cert):
         counts = nxt
 
 
-def leaf_hulls(pair, cert, pieces):
-    """(t_lo, t_hi, d_lo, d_hi), the T-hull and D-hull of each leaf of
-    ``pieces`` (an ``expand_map`` result on ``pair`` = (spec,
-    spec.dust())), from its similarities.
-
-    A leaf's T-hull is (t_scale*t_lo + t_offset, t_scale*t_hi + t_offset)
-    for the T-hull (t_lo, t_hi) of its vertex (``Vertex.hulls``, once per
-    vertex), and its D-hull likewise, exactly: a rule (strip, add) of the
-    leaf maps the cylinder of a vertex word w to phi(T_w) for the leaf's
-    one increasing similarity phi, which keeps the least and greatest
-    ends."""
-    hulls = {}
-    out = []
-    for pc in pieces:
-        h = hulls.get(pc.vkey)
-        if h is None:
-            h = hulls[pc.vkey] = cert.vertices[pc.vkey].hulls(pair)
-        t_lo, t_hi, d_lo, d_hi = h
-        ts, to, ds, do = pc.t_scale, pc.t_offset, pc.d_scale, pc.d_offset
-        out.append((ts * t_lo + to, ts * t_hi + to,
-                    ds * d_lo + do, ds * d_hi + do))
-    return out
-
-
-def distortion_report(spec, cert, depth, sample_pairs=4000, seed=7,
-                      pieces=None):
-    """Empirical bi-Lipschitz bounds of the finite-depth correspondence.
-
-    Each leaf contributes both hull endpoint pairs (left of T-set with
-    left of D-set, right with right); the hulls come from the leaves'
-    similarities (``leaf_hulls``).  The ratio extremes are taken over all
-    consecutive pairs in both coordinate orders, where they are attained,
-    plus a seeded random sample of long-range pairs.  ``pieces`` is
+def distortion_report(spec, cert, depth, pieces=None):
+    """Empirical bi-Lipschitz bounds (c_low, c_high) of the finite-depth
+    correspondence: the least and greatest |dy| / |dx| over all pairs of
+    its points.  Each leaf contributes two points, its T-hull's left end
+    with its D-hull's left end and right with right.  ``pieces`` is
     ``expand_map(spec, cert, depth)`` when the caller has it already;
     otherwise it is computed here.
 
-    All coordinates and differences are exact; only the quotients are
-    floats, each the correctly rounded value of an exact quotient, so
-    arbitrarily close points are handled safely.  When every coordinate
-    is a Fraction, each side is written over one common denominator
-    (D_T and D_D): the points are sorted by their integer numerators, and
-    dy/dx is formed as (dY*D_T) / (dX*D_D), an int true division that
-    rounds once.  The points and their order are those of the set of
-    hull endpoints, so ties sort and the seeded sample draws as they
-    would over the exact coordinates.
+    A leaf's hull ends are read off the grid of ``IfsSpec`` from its
+    words (``check.grid_ends``).  On a rational side every end is then
+    an integer over the side's largest den, D_T or D_D, the points are
+    sorted by their integer numerators, and dy/dx is formed as
+    (dY*D_T) / (dX*D_D), an int true division that rounds once.  A
+    declared-base side keeps its exact values, and a quotient whose
+    differences are not both Fractions is float(dy) / float(dx), which
+    rounds twice.
+
+    The coordinates are distinct.  The kernel's check 4 makes the leaves
+    of any depth pairwise point-disjoint on both sides (by induction on
+    depth, as in ``expand_map``), and a leaf's hull ends are points of
+    that leaf (0 and 1 lie in the attractor, so psi_w(0) and psi_w(1)
+    lie in T_w), with lo < hi.  So the
+    2L x values are distinct, and so are the 2L y values, and both sort
+    orders are fixed by the values alone.
+
+    The neighbours in each order give the extremes over all pairs.  Take
+    the points sorted by x.  For a < b < c, |dy_ac| <= |dy_ab| + |dy_bc|
+    and dx_ac = dx_ab + dx_bc, so |dy_ac| / dx_ac is at most the mediant
+    of |dy_ab| / dx_ab and |dy_bc| / dx_bc, hence at most the larger;
+    by induction the largest |dy| / |dx| over all pairs is attained at
+    an x-neighbour pair.  Likewise the largest |dx| / |dy|, the
+    reciprocal of the smallest |dy| / |dx|, is attained at a y-neighbour
+    pair.  On a rational pair of sides each quotient is the correctly
+    rounded value of an exact rational, and rounding is monotone, so no
+    other pair, sampled or not, could move c_low or c_high.  The twice
+    rounded declared-base quotient is not provably monotone, and there
+    the report is the one the neighbours give.
     """
     if pieces is None:
         pieces = expand_map(spec, cert, depth)
-    pair = (spec, spec.dust())
-    pts = set()
-    for t_lo, t_hi, d_lo, d_hi in leaf_hulls(pair, cert, pieces):
-        pts.add((t_lo, d_lo))
-        pts.add((t_hi, d_hi))
-    pts = list(pts)
-    if all(type(x) is Fraction and type(y) is Fraction for x, y in pts):
-        den_t = math.lcm(*[x.denominator for x, _ in pts])
-        den_d = math.lcm(*[y.denominator for _, y in pts])
-        pts = [(x.numerator * (den_t // x.denominator),
-                y.numerator * (den_d // y.denominator)) for x, y in pts]
-
+    sides = []
+    for system, words in ((spec, [pc.t_words for pc in pieces]),
+                          (spec.dust(), [pc.d_words for pc in pieces])):
+        ends = [grid_ends(system, ws) for ws in words]
+        den = max(d for _, _, d in ends)
+        sides.append(([v if d == den else v * (den // d)
+                       for lo, hi, d in ends for v in (lo, hi)], den))
+    (xs, den_t), (ys, den_d) = sides
+    if type(xs[0]) is int and type(ys[0]) is int:
         def quotient(dx, dy):
             return (dy * den_t) / (dx * den_d)
     else:
+        xs, ys = ([Fraction(v, den) if type(v) is int else v for v in vals]
+                  for vals, den in sides)
+
         def quotient(dx, dy):
-            if isinstance(dx, Fraction) and isinstance(dy, Fraction):
+            if type(dx) is Fraction and type(dy) is Fraction:
                 return float(dy / dx)
             return float(dy) / float(dx)
-    pairs = []
-    orders = [sorted(pts, key=lambda p: p[0]),
-              sorted(pts, key=lambda p: p[1])]
-    for order in orders:
-        pairs.extend(zip(order, order[1:]))
-    lst = orders[0]
-    m = len(lst)
-    rng = random.Random(seed)
-    for _ in range(min(sample_pairs, m * (m - 1) // 2)):
-        a = rng.randrange(m)
-        b = rng.randrange(m)
-        if a != b:
-            pairs.append((lst[a], lst[b]))
-    c_low = c_high = None
-    for a, b in pairs:
-        dx = abs(a[0] - b[0])
-        dy = abs(a[1] - b[1])
-        if dx == 0 or dy == 0:
-            continue
-        r = quotient(dx, dy)
-        if c_low is None or r < c_low:
-            c_low = r
-        if c_high is None or r > c_high:
-            c_high = r
-    if c_low is None:
-        raise CertificateError("no usable point pairs at depth %d" % depth)
+    pts = list(zip(xs, ys))
+    by_x = sorted(pts, key=itemgetter(0))
+    by_y = sorted(pts, key=itemgetter(1))
+    c_high = max(quotient(b[0] - a[0], abs(b[1] - a[1]))
+                 for a, b in zip(by_x, by_x[1:]))
+    c_low = min(quotient(abs(b[0] - a[0]), b[1] - a[1])
+                for a, b in zip(by_y, by_y[1:]))
     return (c_low, c_high)
 
 
@@ -467,8 +437,9 @@ def cert_from_doc(doc, n=None):
                                    % letter)
         word = read_word(w.get("word"), where)
         if word and (min(word) < 1 or n is not None and max(word) > n):
-            raise CertificateError("%s: %r is not a word over the letters "
-                                   "1..%s" % (where, list(word), n or "n"))
+            raise CertificateError("%s: %s is not a word over the letters "
+                                   "1..%s" % (where, check._quote(list(word)),
+                                              n or "n"))
         witnesses[letter] = Witness(
             read_field(w, "side", str, where), letter,
             read_field(w, "k", int, where),

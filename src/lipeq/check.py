@@ -70,14 +70,13 @@ target word w to phi_i(T_w), so a piece's image is phi_i(A_u), of r_i^s
 times A_u's measure, and by 4 an edge's images add up to its source.
 """
 
-from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 
 from . import cylsets, specfile
 from .exactnum import ExactRatio
 from .ifs import SpecError
-from .specfile import _grid_text
+from .specfile import _cut, _grid_text
 
 CERT_FORMAT = "lipeq-certificate"
 CERT_VERSION = 1
@@ -99,7 +98,7 @@ def apply_rules(rules, word):
     for strip, add in rules:
         if word[:len(strip)] == strip:
             return add + word[len(strip):]
-    raise CertificateError("no rule matches word %r" % (word,))
+    raise CertificateError("no rule matches word %s" % _quote(word))
 
 
 def rule_affine(system, rule):
@@ -123,8 +122,7 @@ def rules_affine(system, rules, where=""):
 
     Results are kept on ``system``, keyed by the rule tuple; a rule set
     whose rules disagree is never stored and raises on every call.
-    ``where`` names the rule set in that error: a label, or the (vertex
-    key, piece index) of a certificate piece, formatted only then."""
+    ``where`` names the rule set in that error (``_label``)."""
     cache = system._rules_cache
     got = cache.get(rules)
     if got is not None:
@@ -141,9 +139,38 @@ def rules_affine(system, rules, where=""):
 
 
 def _label(where):
-    if isinstance(where, tuple):
-        return "%r piece %d" % where
-    return where
+    """``where`` for an error line, formatted only on the raise path: a
+    str as it is, a (vertex key, piece index) pair of a certificate piece
+    as the key and the index, and a (kind, key) pair, such as ("edge",
+    key), as the kind and the key, each key cut by ``_quote``."""
+    if isinstance(where, str):
+        return where
+    a, b = where
+    if type(b) is int:
+        return "%s piece %d" % (_quote(a), b)
+    return "%s %s" % (a, _quote(b))
+
+
+def _quote(value):
+    """A value read from a document, for an error line: its ASCII repr,
+    cut to 60 characters, so that the whole line stays within 200 bytes
+    however long the value is."""
+    return _cut(ascii(value))
+
+
+def grid_ends(system, words):
+    """The hull of the cylinders of ``words`` as (lo, hi, den), running
+    from lo / den to hi / den, read off the grid of ``IfsSpec`` once per
+    word.  den is the largest q**|w| of the words, so on a rational system
+    every end is an integer over it and the least and greatest compare as
+    integers; a declared-base system has den = 1 and compares its exact
+    values."""
+    cells = [system.grid(w) for w in words]
+    den = max(d for _, _, d in cells)
+    return (min(o if d == den else o * (den // d) for _, o, d in cells),
+            max(o + s if d == den else (o + s) * (den // d)
+                for s, o, d in cells),
+            den)
 
 
 def piece_images(rules, words):
@@ -167,32 +194,13 @@ class Vertex:
     d_words = property(lambda self: self.words[1])
 
     def ends(self, pair):
-        """Each side's hull as (lo, hi, den), running from lo / den to
-        hi / den, read off the grid of ``IfsSpec`` once per word.  den is
-        the largest q**|w| of the side's words, so on a rational system
-        every end is an integer over it and the least and greatest
-        compare as integers; a declared-base system has den = 1 and
-        compares its exact values."""
-        out = []
-        for system, words in zip(pair, self.words):
-            cells = [system.grid(w) for w in words]
-            den = max(d for _, _, d in cells)
-            out.append((
-                min(o if d == den else o * (den // d) for _, o, d in cells),
-                max(o + s if d == den else (o + s) * (den // d)
-                    for s, o, d in cells),
-                den))
-        return out
-
-    def hulls(self, pair):
-        """(t_lo, t_hi, d_lo, d_hi): the hull of each side's set, exact,
-        from ``ends``."""
-        return tuple(Fraction(v, den) if type(v) is int else v
-                     for lo, hi, den in self.ends(pair) for v in (lo, hi))
+        """Each side's hull as (lo, hi, den), from ``grid_ends``."""
+        return [grid_ends(system, words)
+                for system, words in zip(pair, self.words)]
 
     def hull_strings(self, pair):
-        """The exact strings of ``hulls``, formatted from ``ends`` with no
-        ``Fraction``."""
+        """The exact strings of each side's hull ends, formatted from
+        ``ends`` with no ``Fraction``."""
         return tuple(_grid_text(v, den)
                      for lo, hi, den in self.ends(pair) for v in (lo, hi))
 
@@ -261,12 +269,12 @@ def check_certificate(pair, cert):
     for key, vertex in vertices.items():
         for words, side, alphabet in zip(vertex.words, SIDES, alphabets):
             if not words:
-                raise CertificateError("vertex %r has no %s-side word"
-                                       % (key, side))
+                raise CertificateError("vertex %s has no %s-side word"
+                                       % (_quote(key), side))
             if not alphabet.issuperset(chain.from_iterable(words)):
-                raise CertificateError("vertex %r has a %s-side letter "
+                raise CertificateError("vertex %s has a %s-side letter "
                                        "outside 1..%d"
-                                       % (key, side, len(alphabet)))
+                                       % (_quote(key), side, len(alphabet)))
     if set(cert.edges) != set(vertices):
         raise CertificateError("every vertex needs exactly one edge")
 
@@ -287,10 +295,11 @@ def check_certificate(pair, cert):
     checked_ratios = {}
     for key, edge in cert.edges.items():
         if edge.source != key:
-            raise CertificateError("edge source mismatch at %r" % (key,))
+            raise CertificateError("edge source mismatch at %s"
+                                   % _quote(key))
         if len(edge.pieces) < 2:
-            raise CertificateError("edge at %r has fewer than 2 pieces"
-                                   % (key,))
+            raise CertificateError("edge at %s has fewer than 2 pieces"
+                                   % _quote(key))
         pieces = edge.pieces
         targets = []
         # per piece: the word w of a usual piece, ((), w) on both sides,
@@ -300,7 +309,8 @@ def check_certificate(pair, cert):
         for piece in pieces:
             tgt = vertices.get(piece.target)
             if tgt is None:
-                raise CertificateError("unknown target %r" % (piece.target,))
+                raise CertificateError("unknown target %s"
+                                       % _quote(piece.target))
             targets.append(tgt.words)
             tr, dr = piece.rules
             same = tr is dr or tr == dr
@@ -327,8 +337,8 @@ def check_certificate(pair, cert):
                       for p, words in zip(pieces, targets)]
             if (cylsets.check_disjoint_groups(system, groups)
                     != cylsets.canonicalize(system.n, vertices[key].words[i])):
-                raise CertificateError("%s-side tiling mismatch at %r"
-                                       % (SIDES[i], key))
+                raise CertificateError("%s-side tiling mismatch at %s"
+                                       % (SIDES[i], _quote(key)))
         for pi, (r, rd, w) in enumerate(zip(*ratios, usual)):
             if r is None:
                 if not w:
@@ -419,8 +429,8 @@ def check_stored(pair, doc, cert):
         hulls = cert.vertices[tuple(vd["key"])].hull_strings(pair)
         for name, text in zip(("t_lo", "t_hi", "d_lo", "d_hi"), hulls):
             if vd[name] != text:
-                raise CertificateError("stored %s of %r does not match"
-                                       % (name, vd["key"]))
+                raise CertificateError("stored %s of %s does not match"
+                                       % (name, _quote(vd["key"])))
     memos = ({}, {})
     for ed in doc["edges"]:
         edge = cert.edges[tuple(ed["source"])]
@@ -431,16 +441,18 @@ def check_stored(pair, doc, cert):
                 name = next(name for name, a, b in
                             zip(PIECE_STRINGS, stored, want) if a != b)
                 raise CertificateError(
-                    "stored %s mismatches recomputation in edge %r"
-                    % (name, ed["source"]))
+                    "stored %s mismatches recomputation in edge %s"
+                    % (name, _quote(ed["source"])))
 
 
 def read_field(d, name, kind, where):
-    """``d[name]``, which must hold a value of JSON type ``kind``."""
+    """``d[name]``, which must hold a value of JSON type ``kind``.
+    ``where``, here and in the readers below, is formatted by
+    ``_label`` on the raise path only."""
     v = d.get(name)
     if not isinstance(v, kind) or isinstance(v, bool):
         raise CertificateError("%s: %r must be %s" % (
-            where, name, {int: "an integer", str: "a string",
+            _label(where), name, {int: "an integer", str: "a string",
                           list: "a list", dict: "an object"}[kind]))
     return v
 
@@ -450,7 +462,7 @@ def read_records(d, name, where):
     out = read_field(d, name, list, where)
     if not all(isinstance(r, dict) for r in out):
         raise CertificateError("%s: every entry of %r must be an object"
-                               % (where, name))
+                               % (_label(where), name))
     return out
 
 
@@ -459,8 +471,8 @@ def read_word(v, where):
     are not letters).  Its letters' range is the kernel's check 3."""
     if type(v) is list and set(map(type, v)) <= {int}:
         return tuple(v)
-    raise CertificateError("%s: %r is not a word, a list of integer letters"
-                           % (where, v))
+    raise CertificateError("%s: %s is not a word, a list of integer letters"
+                           % (_label(where), _quote(v)))
 
 
 def _rules(d, name, where, seen):
@@ -469,12 +481,12 @@ def _rules(d, name, where, seen):
     Nonempty, because the kernel reads a rule set's first rule."""
     rules = read_field(d, name, list, where)
     if not rules:
-        raise CertificateError("%s: %r is empty" % (where, name))
+        raise CertificateError("%s: %r is empty" % (_label(where), name))
     out = []
     for r in rules:
         if type(r) is not list or len(r) != 2:
             raise CertificateError("%s: a rule is a [strip, add] pair"
-                                   % where)
+                                   % _label(where))
         out.append((read_word(r[0], where), read_word(r[1], where)))
     out = tuple(out)
     return seen.setdefault(out, out)
@@ -485,7 +497,7 @@ def _key(d, name, where):
     # a bool is an int to isinstance, and no vertex index
     if not key or not set(map(type, key)) <= {str, int}:
         raise CertificateError("%s: %r must be a nonempty list of names "
-                               "and numbers" % (where, name))
+                               "and numbers" % (_label(where), name))
     return tuple(key)
 
 
@@ -509,9 +521,9 @@ def cert_from_doc(doc):
     vertices = {}
     for v in read_records(doc, "vertices", "certificate"):
         key = _key(v, "key", "vertex")
-        where = "vertex %r" % (key,)
+        where = ("vertex", key)
         if key in vertices:
-            raise CertificateError("%s appears twice" % where)
+            raise CertificateError("%s appears twice" % _label(where))
         for name in ("t_lo", "t_hi", "d_lo", "d_hi"):
             read_field(v, name, str, where)
         vertices[key] = Vertex(key, *[
@@ -521,9 +533,9 @@ def cert_from_doc(doc):
     rule_sets = {}
     for e in read_records(doc, "edges", "certificate"):
         key = _key(e, "source", "edge")
-        where = "edge %r" % (key,)
+        where = ("edge", key)
         if key in edges:
-            raise CertificateError("%s appears twice" % where)
+            raise CertificateError("%s appears twice" % _label(where))
         pieces = []
         for pd in read_records(e, "pieces", where):
             if not all(type(pd.get(name)) is str for name in PIECE_STRINGS):

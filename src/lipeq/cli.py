@@ -22,9 +22,9 @@ from .certify import (build_certificate, cert_to_doc, verify_cert_doc,
 
 REPORT_FORMAT = "lipeq-report"
 REPORT_VERSION = 1
-# the most leaf pieces ``lipeq verify --depth`` expands, the most pairs
-# its ``--pairs`` samples, and the most sets of one level that ``lipeq
-# partition --k`` builds
+# the most leaf pieces ``lipeq verify --depth`` expands (its distortion
+# report reads two points per leaf), and the most sets of one level that
+# ``lipeq partition --k`` builds
 MAX_EXPAND_LEAVES = 1_000_000
 # the widest drawing, in pixels, that ``lipeq render --width`` draws; bar
 # positions are floats, and the examples draw at most 1000
@@ -131,9 +131,6 @@ def _check_limit(flag, value, first, counts, unit, stage):
 def cmd_verify(args):
     if args.depth < 0:
         raise SpecError("--depth must be nonnegative, got %d" % args.depth)
-    if not 0 <= args.pairs <= MAX_EXPAND_LEAVES:
-        raise SpecError("--pairs must be in 0..%d, got %d"
-                        % (MAX_EXPAND_LEAVES, args.pairs))
     spec = specfile.load_spec(args.specfile)
     doc = specfile.load_json(args.cert, CertificateError, "certificate")
     cert = verify_cert_doc(spec, doc)
@@ -152,7 +149,6 @@ def cmd_verify(args):
         # argument is in expand_map's docstring
         pieces = expand_map(spec, cert, args.depth)
         c_low, c_high = distortion_report(spec, cert, args.depth,
-                                          sample_pairs=args.pairs,
                                           pieces=pieces)
         out["leaf_pieces"] = len(pieces)
         out["distortion"] = {"c_low": c_low, "c_high": c_high,
@@ -266,7 +262,6 @@ def build_parser():
     p.add_argument("specfile")
     p.add_argument("--cert", required=True)
     p.add_argument("--depth", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=4000)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_verify)
 

@@ -4,6 +4,7 @@ distortion estimation."""
 import copy
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -18,9 +19,9 @@ from lipeq import (IfsSpec, decide, build_certificate, verify_certificate,
 import lipeq.certify
 from lipeq import check, cylsets, tstar
 from lipeq.certify import (MAX_PQ_MULTIPLE, compose_rules, choose_pq,
-                           leaf_counts, leaf_hulls)
-from lipeq.check import (apply_rules, rules_affine, rule_affine, Certificate,
-                         Edge, Piece, Vertex)
+                           leaf_counts)
+from lipeq.check import (apply_rules, grid_ends, rules_affine, rule_affine,
+                         Certificate, Edge, Piece, Vertex)
 from lipeq.decide import (SearchBudget, Witness, verify_witness,
                           witness_letters, _admissible)
 from lipeq.exactnum import SymValue, mult_dependence
@@ -594,8 +595,7 @@ def declared_dust():
 
 def word_scan_hulls(spec, pieces):
     """Reference leaf hulls: the extremes of ``cyl_lo`` and ``cyl_hi``
-    over each leaf's words, the scan the depth report made before it took
-    its hulls from the leaves' similarities."""
+    over each leaf's words, exact, with no grid integers."""
     dust = spec.dust()
     return [(min(spec.cyl_lo(w) for w in pc.t_words),
              max(spec.cyl_hi(w) for w in pc.t_words),
@@ -644,6 +644,64 @@ def hull_cases():
 HULL_CASES = hull_cases()
 
 
+def corpus_cases(depths=(1, 2, 3)):
+    """(label, spec, certificate, depth) of the recorded certificate specs
+    (``golden_specs``) and their mirrors, at each depth of ``depths``."""
+    out = []
+    for label, spec in golden_specs():
+        for name, s in ((label, spec), (label + "-mirror", spec.mirror())):
+            cert = build_certificate(s)
+            out += [(name, s, cert, depth) for depth in depths]
+    return out
+
+
+def report_cases():
+    """The corpus cases and the hull cases, each at depths 1-3."""
+    return corpus_cases() + [(label, spec, cert, depth)
+                             for label, spec, cert, deepest in HULL_CASES
+                             for depth in range(1, min(deepest, 3) + 1)]
+
+
+REPORT_CASES = report_cases()
+REPORT_IDS = ["%s-%d" % (c[0], c[3]) for c in REPORT_CASES]
+
+
+def hull_points(spec, pieces):
+    """The 2L points of the depth report: each leaf's left hull ends and
+    its right hull ends, from ``word_scan_hulls``."""
+    return [pt for t_lo, t_hi, d_lo, d_hi in word_scan_hulls(spec, pieces)
+            for pt in ((t_lo, d_lo), (t_hi, d_hi))]
+
+
+def all_pairs_report(spec, pieces):
+    """(c_low, c_high) by brute force: the pairs of hull points with the
+    least and the greatest exact |dy| / |dx| over all pairs, compared by
+    cross-multiplication, each rounded as the depth report rounds it.
+    Rational points are put over one denominator per side first, so the
+    comparisons are of integers."""
+    pts = hull_points(spec, pieces)
+    rational = all(type(v) is Fraction for pt in pts for v in pt)
+    if rational:
+        dens = [math.lcm(*[pt[i].denominator for pt in pts]) for i in (0, 1)]
+        pts = [tuple(v.numerator * (den // v.denominator)
+                     for v, den in zip(pt, dens)) for pt in pts]
+    low = high = None
+    for a, b in itertools.combinations(pts, 2):
+        dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
+        if low is None or dy * low[0] < low[1] * dx:
+            low = (dx, dy)
+        if high is None or dy * high[0] > high[1] * dx:
+            high = (dx, dy)
+
+    def rounded(dx, dy):
+        if rational:
+            return float(Fraction(dy * dens[0], dx * dens[1]))
+        if type(dx) is Fraction and type(dy) is Fraction:
+            return float(dy / dx)
+        return float(dy) / float(dx)
+    return rounded(*low), rounded(*high)
+
+
 class TestExpansion:
     def test_leaves_tile_both_sides(self, one45):
         cert = build_certificate(one45)
@@ -678,10 +736,37 @@ class TestLeafHulls:
                              ids=[c[0] for c in HULL_CASES])
     def test_similarity_hull_equals_word_scan(self, label, spec, cert,
                                               deepest):
+        # the hull of a leaf, the image of its vertex's hull under the
+        # leaf's similarity, read off the grid from the leaf's words
+        def exact_ends(system, words):
+            lo, hi, den = grid_ends(system, words)
+            return tuple(Fraction(v, den) if type(v) is int else v
+                         for v in (lo, hi))
+
+        dust = spec.dust()
         for depth in range(1, deepest + 1):
             pieces = expand_map(spec, cert, depth)
-            assert (leaf_hulls((spec, spec.dust()), cert, pieces)
-                    == word_scan_hulls(spec, pieces)), depth
+            got = [exact_ends(spec, pc.t_words) + exact_ends(dust, pc.d_words)
+                   for pc in pieces]
+            assert got == word_scan_hulls(spec, pieces), depth
+
+    @pytest.mark.parametrize("label,spec,cert,depth", REPORT_CASES,
+                             ids=REPORT_IDS)
+    def test_hull_coordinates_distinct(self, label, spec, cert, depth):
+        # the report's argument: the 2L x values are distinct, and so are
+        # the 2L y values
+        pieces = expand_map(spec, cert, depth)
+        pts = hull_points(spec, pieces)
+        assert len(pts) == 2 * len(pieces)
+        for i in (0, 1):
+            assert len(set(pt[i] for pt in pts)) == len(pts)
+
+    @pytest.mark.parametrize("label,spec,cert,depth", REPORT_CASES,
+                             ids=REPORT_IDS)
+    def test_report_equals_all_pairs(self, label, spec, cert, depth):
+        pieces = expand_map(spec, cert, depth)
+        assert (distortion_report(spec, cert, depth, pieces=pieces)
+                == all_pairs_report(spec, pieces))
 
     @pytest.mark.parametrize("make,depth,seed,pairs", [
         (make_one45, 3, 7, 4000), (make_one45, 4, 11, 500),
@@ -689,10 +774,11 @@ class TestLeafHulls:
         ids=["one45-3", "one45-4", "endratio64-3", "endratio64-2"])
     def test_report_matches_fraction_reference(self, make, depth, seed,
                                                pairs):
+        # the reference adds a seeded sample of pairs to the neighbours,
+        # which moves neither extreme
         spec = make()
         cert = build_certificate(spec)
-        assert (distortion_report(spec, cert, depth, sample_pairs=pairs,
-                                  seed=seed)
+        assert (distortion_report(spec, cert, depth)
                 == ref_distortion_report(spec, cert, depth,
                                          sample_pairs=pairs, seed=seed))
 

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lipeq.certify
+import lipeq.check
 import lipeq.cli
 import lipeq.patches
 import lipeq.specfile
-from lipeq.certify import build_certificate, cert_to_doc, cert_from_doc
+from lipeq.certify import (build_certificate, cert_to_doc, cert_from_doc,
+                           distortion_report)
 from lipeq.cli import main
 from lipeq.specfile import spec_to_doc, save_doc, format_value
 
@@ -405,9 +407,7 @@ class TestVerify:
         # the report of the code that expanded the certificate twice
         assert capsys.readouterr().out == ONE45_DEPTH5_REPORT
 
-    @pytest.mark.parametrize("argv", [["--depth", "-1"], ["--pairs", "-5"],
-                                      ["--depth", "3", "--pairs", "-1"]],
-                             ids=["depth-1", "pairs-5", "depth3-pairs-1"])
+    @pytest.mark.parametrize("argv", [["--depth", "-1"]], ids=["depth-1"])
     def test_negative_argument_is_error(self, one45_file, tmp_path, capsys,
                                         argv):
         cert = tmp_path / "c.json"
@@ -418,40 +418,37 @@ class TestVerify:
         assert out.out == ""
         assert out.err.startswith("error: --") and out.err.count("\n") == 1
 
-    def test_pairs_over_limit_refused_at_once(self, one45_file, tmp_path,
-                                              capsys, monkeypatch):
-        # --pairs sets the length of the sampled pair list; it is refused
-        # before the spec is loaded, at any depth
+    def test_pairs_flag_refused(self, one45_file, tmp_path, capsys,
+                                monkeypatch):
+        # the depth report reads the neighbours in each coordinate order,
+        # which give the extremes over all pairs, and samples no pairs;
+        # the sample's size flag is gone, and the parser refuses it
         cert = tmp_path / "c.json"
         main(["certify", one45_file, "-o", str(cert)])
         loaded = []
         monkeypatch.setattr(lipeq.cli.specfile, "load_spec",
                             lambda *args: loaded.append(args))
         capsys.readouterr()
-        t0 = time.perf_counter()
-        assert main(["verify", one45_file, "--cert", str(cert),
-                     "--depth", "0", "--pairs", str(10 ** 12)]) == 3
-        assert time.perf_counter() - t0 < 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err == ("error: --pairs must be in 0..1000000, got "
-                           "1000000000000\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", one45_file, "--cert", str(cert),
+                  "--depth", "0", "--pairs", str(10 ** 12)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pairs" in capsys.readouterr().err
         assert loaded == []
 
-    def test_pairs_at_limit_accepted(self, one45_file, tmp_path, capsys):
+    def test_depth_one_reports_two_leaves(self, one45_file, tmp_path,
+                                          capsys):
         cert = tmp_path / "c.json"
         main(["certify", one45_file, "-o", str(cert)])
         capsys.readouterr()
         assert main(["verify", one45_file, "--cert", str(cert),
-                     "--depth", "0", "--pairs", "1000000"]) == 0
-
-    def test_zero_pairs_accepted(self, one45_file, tmp_path, capsys):
-        cert = tmp_path / "c.json"
-        main(["certify", one45_file, "-o", str(cert)])
-        capsys.readouterr()
-        assert main(["verify", one45_file, "--cert", str(cert),
-                     "--depth", "1", "--pairs", "0"]) == 0
-        assert json.loads(capsys.readouterr().out)["leaf_pieces"] == 2
+                     "--depth", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["leaf_pieces"] == 2
+        got = report["distortion"]
+        assert ((got["c_low"], got["c_high"])
+                == distortion_report(make_one45(), cert_from_doc(
+                    json.loads(cert.read_text())), 1))
 
     def test_depth_over_leaf_budget_refused(self, one45_file, tmp_path,
                                             capsys, monkeypatch):
@@ -480,13 +477,13 @@ class TestVerify:
                                              monkeypatch):
         cert = tmp_path / "c.json"
         main(["certify", one45_file, "-o", str(cert)])
-        # depth 2 has 5 leaves: a limit of 5 still expands it (the limit
-        # bounds --pairs too, so the calls sample 5 pairs)
+        # depth 2 has 5 leaves: a limit of 5 still expands it, and
+        # refuses depth 3
         monkeypatch.setattr(lipeq.cli, "MAX_EXPAND_LEAVES", 5)
         assert main(["verify", one45_file, "--cert", str(cert),
-                     "--depth", "2", "--pairs", "5"]) == 0
+                     "--depth", "2"]) == 0
         assert main(["verify", one45_file, "--cert", str(cert),
-                     "--depth", "3", "--pairs", "5"]) == 3
+                     "--depth", "3"]) == 3
 
     def test_tampered_certificate(self, one45_file, tmp_path):
         cert = tmp_path / "c.json"
@@ -550,8 +547,8 @@ class TestVerifyMalformed:
         (lambda doc: (doc.pop("witnesses"), doc.update(p=1, q=1)), 0),
         (lambda doc: doc.update(witnesses=[]), 0)],
         ids=["bogus-duplicate", "missing-p1", "empty"])
-    def test_one_witness_per_touching_letter(self, one45_file, tmp_path,
-                                             capsys, change, status):
+    def test_witness_records_are_notes(self, one45_file, tmp_path, capsys,
+                                       change, status):
         doc = copy.deepcopy(ONE45_CERT)
         change(doc)
         capsys.readouterr()
@@ -607,7 +604,7 @@ class TestVerifyMalformed:
         # depth k' + |word| = 2
         {"p": 2, "q": 2}],
         ids=lambda c: ",".join("%s=%s" % kv for kv in c.items()))
-    def test_stored_exponents_checked(self, one45_file, tmp_path, change):
+    def test_stored_exponents_are_notes(self, one45_file, tmp_path, change):
         doc = dict(ONE45_CF_CERT, **change)
         assert verify_doc(one45_file, tmp_path, doc) == 0
         assert proof_part(doc) == proof_part(ONE45_CF_CERT)
@@ -620,8 +617,8 @@ class TestVerifyMalformed:
         ({"k": 10 ** 18}, {}),
         ({"k_prime": 10 ** 9}, {"p": 10 ** 9 + 2, "q": 10 ** 9 + 2})],
         ids=["k=1e9", "k=1e18", "k_prime=1e9"])
-    def test_huge_witness_exponent_refused_at_once(self, one45_file,
-                                                   tmp_path, witness, pq):
+    def test_huge_witness_exponent_accepted_at_once(self, one45_file,
+                                                    tmp_path, witness, pq):
         doc = copy.deepcopy(ONE45_CERT)
         doc["witnesses"][0].update(witness)
         doc.update(pq)
@@ -631,6 +628,48 @@ class TestVerifyMalformed:
 
     def test_intact_document_accepted(self, one45_file, tmp_path):
         assert verify_doc(one45_file, tmp_path, ONE45_CERT) == 0
+
+    def test_intact_read_formats_no_label(self, one45_file, tmp_path,
+                                          monkeypatch):
+        # a vertex or edge label is formatted only for an error line
+        def refuse(where):
+            raise AssertionError("label formatted: %s" % (where,))
+
+        monkeypatch.setattr(lipeq.check, "_label", refuse)
+        monkeypatch.setattr(lipeq.check, "_quote", refuse)
+        assert verify_doc(one45_file, tmp_path, ONE45_CERT) == 0
+
+    @pytest.mark.parametrize("change", [
+        lambda d: d["edges"][0]["pieces"][0]["t_rules"][0].__setitem__(
+            1, [1] * 100000 + [True]),
+        lambda d: d["vertices"][0]["t_words"].__setitem__(
+            0, [1] * 100000 + [True]),
+        lambda d: d["vertices"][0].update(key=[MEGA], t_words=[[True]]),
+        lambda d: d["vertices"].append(dict(d["vertices"][0], key=[MEGA]))
+        or d["vertices"].append(dict(d["vertices"][0], key=[MEGA])),
+        lambda d: d["edges"][0].update(source=[1] * 100000)
+        or d["edges"][0]["pieces"][0].update(t_rules=[]),
+        lambda d: d["edges"][0]["pieces"][0].update(target=[MEGA]),
+        lambda d: d["edges"][0]["pieces"][0].update(target=[1] * 100000),
+        lambda d: d["vertices"].append(dict(d["vertices"][0], key=[MEGA],
+                                            t_words=[[9]])),
+        lambda d: d["witnesses"][0].update(word=[9] * 100000),
+        lambda d: d["witnesses"][0].update(word=[1] * 100000 + [True]),
+    ], ids=["rule-word", "vertex-word", "vertex-key", "vertex-twice",
+            "edge-source", "target-name", "target-letters", "letter-range",
+            "witness-range", "witness-word"])
+    def test_error_line_quotes_a_bounded_excerpt(self, one45_file, tmp_path,
+                                                 capsys, change):
+        # each message echoed the whole offending value: a rule word of
+        # 100,000 letters made a 300,074-byte line
+        doc = copy.deepcopy(ONE45_CERT)
+        change(doc)
+        capsys.readouterr()
+        assert verify_doc(one45_file, tmp_path, doc) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("error: ")
+        assert len(out.err.encode()) <= 200
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
