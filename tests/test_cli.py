@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report stability, file formats."""
 
 import copy
+import itertools
 import json
 import os
 import random
@@ -15,7 +16,7 @@ import lipeq.cli
 import lipeq.patches
 import lipeq.specfile
 from lipeq.certify import (build_certificate, cert_to_doc, cert_from_doc,
-                           distortion_report)
+                           distortion_report, leaf_counts)
 from lipeq.cli import main
 from lipeq.specfile import spec_to_doc, save_doc, format_value
 
@@ -435,6 +436,28 @@ class TestVerify:
         assert exc.value.code == 2
         assert "unrecognized arguments: --pairs" in capsys.readouterr().err
         assert loaded == []
+
+    def test_pairs_at_limit_accepted(self, one45_file, tmp_path, capsys,
+                                     monkeypatch):
+        # the report covers all pairs of leaf hull points with no sample
+        # size to bound; at a leaf limit equal to the depth's exact leaf
+        # count it is still made, and it equals distortion_report's
+        cert = tmp_path / "c.json"
+        main(["certify", one45_file, "-o", str(cert)])
+        loaded = cert_from_doc(json.loads(cert.read_text()))
+        limit = list(itertools.islice(leaf_counts(loaded), 4))[3]
+        monkeypatch.setattr(lipeq.cli, "MAX_EXPAND_LEAVES", limit)
+        capsys.readouterr()
+        assert main(["verify", one45_file, "--cert", str(cert),
+                     "--depth", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["leaf_pieces"] == limit
+        got = report["distortion"]
+        assert ((got["c_low"], got["c_high"])
+                == distortion_report(make_one45(), loaded, 3))
+        monkeypatch.setattr(lipeq.cli, "MAX_EXPAND_LEAVES", limit - 1)
+        assert main(["verify", one45_file, "--cert", str(cert),
+                     "--depth", "3"]) == 3
 
     def test_depth_one_reports_two_leaves(self, one45_file, tmp_path,
                                           capsys):
