@@ -85,6 +85,13 @@ SIDES = ("T", "D")
 # the exact strings stored with each piece, compared by check_stored
 PIECE_STRINGS = ("ratio", "t_scale", "t_offset", "d_scale", "d_offset")
 _stored = itemgetter(*PIECE_STRINGS)
+# the most letters of a word that ``read_word`` takes.  The certificates
+# lipeq writes hold words of at most 14 letters on the 16 specs of the
+# certify benchmark and 40 on the long-witness spec 1/8, 3/16, 1/9, 1/8.
+# A cylinder's grid values are cached along every prefix of its word, so
+# one word of L letters holds about L^2 / 2 letters of cache keys, some
+# 16 MB at 2,000 letters
+MAX_WORD_LETTERS = 2500
 
 
 class CertificateError(SpecError):
@@ -467,9 +474,14 @@ def read_records(d, name, where):
 
 
 def read_word(v, where):
-    """A word: a list of letters, each a JSON int (``true`` and ``1.0``
-    are not letters).  Its letters' range is the kernel's check 3."""
+    """A word: a list of at most MAX_WORD_LETTERS letters, each a JSON
+    int (``true`` and ``1.0`` are not letters).  Its letters' range is
+    the kernel's check 3."""
     if type(v) is list and set(map(type, v)) <= {int}:
+        if len(v) > MAX_WORD_LETTERS:
+            raise CertificateError("%s: a word of %d letters is over the "
+                                   "limit of %d" % (_label(where), len(v),
+                                                    MAX_WORD_LETTERS))
         return tuple(v)
     raise CertificateError("%s: %s is not a word, a list of integer letters"
                            % (_label(where), _quote(v)))

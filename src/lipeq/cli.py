@@ -2,14 +2,16 @@
 
 Subcommands: analyze, certify, verify, partition, render.  All file
 formats carry a leading format/version pair; exact numbers serialize as
-strings, approximations carry their tolerance.  Every document is written
-by ``specfile.dump_doc``: sorted-key JSON with a one-space indent.  Exit
-codes of analyze: 0 equivalent, 1 not equivalent, 2 unknown, 3 error.
+strings, approximations carry their tolerance.  Every document is
+sorted-key JSON with a one-space indent, written by ``specfile.dump_doc``;
+a partition report's record list is written column by column by
+``specfile.dump_records``.  Exit codes of analyze: 0 equivalent, 1 not
+equivalent, 2 unknown, 3 error.
 """
 
 import argparse
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 import sys
 
 from . import specfile, patches, render
@@ -51,13 +53,14 @@ def _budget(args):
     return SearchBudget(max_word, max_exp)
 
 
-def _emit(doc, path=None):
-    """Write a document as ``specfile.dump_doc`` text to ``path``, or to
+def _emit(text, path=None):
+    """Write a document's text and a final newline to ``path``, or to
     standard output."""
     if path:
-        specfile.save_doc(doc, path)
+        with open(path, "w") as f:
+            f.write(text + "\n")
     else:
-        sys.stdout.write(specfile.dump_doc(doc) + "\n")
+        sys.stdout.write(text + "\n")
 
 
 def analyze_report(spec, budget):
@@ -97,7 +100,7 @@ def cmd_analyze(args):
     spec = specfile.load_spec(args.specfile)
     budget = _budget(args)
     report, verdict = analyze_report(spec, budget)
-    _emit(report, args.output)
+    _emit(specfile.dump_doc(report), args.output)
     return {"equivalent": 0, "not_equivalent": 1, "unknown": 2}[
         verdict.status]
 
@@ -110,7 +113,7 @@ def cmd_certify(args):
                          % (verdict.status, verdict.reason))
         return 1 if verdict.status == "not_equivalent" else 2
     cert = build_certificate(spec, verdict)
-    _emit(cert_to_doc(spec, cert), args.output)
+    _emit(specfile.dump_doc(cert_to_doc(spec, cert)), args.output)
     return 0
 
 
@@ -153,7 +156,7 @@ def cmd_verify(args):
         out["leaf_pieces"] = len(pieces)
         out["distortion"] = {"c_low": c_low, "c_high": c_high,
                              "exactness": "approx(float64)"}
-    _emit(out, args.output)
+    _emit(specfile.dump_doc(out), args.output)
     return 0
 
 
@@ -182,29 +185,33 @@ def cmd_partition(args):
                  else patches.c_family_sizes(spec), "sets", "level")
     doc = {"format": REPORT_FORMAT, "version": REPORT_VERSION,
            "family": fam, "k": k}
+    # each record list is written column by column by dump_records: a set
+    # or a piece is a canonical word tuple, written as lists of int lists
     if fam == "C":
-        sets = patches.c_family(spec, k)
-        doc["sets"] = [{"words": ws} for ws in sets]
+        text = specfile.dump_records(
+            doc, "sets", {"words": patches.c_family(spec, k)})
     elif fam == "E":
         muv = _weights(args.mu)
         levels = patches.e_family(spec, k)
-        doc["levels"] = [[{"words": ws} for ws in lvl] for lvl in levels]
         doc["measure_ratios"] = sorted(
             str(r) for r in patches.e_ratio_set(spec, k, muv))
+        text = specfile.dump_records(
+            doc, "levels", {"words": list(chain.from_iterable(levels))},
+            groups=list(map(len, levels)))
     else:
         if fam == "S":
             pieces = patches.partition_S(spec, k)[-1]
         else:
             pieces = patches.partition_T(spec, k)
-        # a piece is a canonical word tuple, which dump_doc writes as
-        # lists of lists
         ends, norm = patches.piece_hulls(spec, pieces)
-        doc["pieces"] = [{"words": p, "lo": specfile._grid_text(lo, dlo),
-                          "hi": specfile._grid_text(hi, dhi)}
-                         for p, (lo, dlo, hi, dhi) in zip(pieces, ends)]
+        grid_text = specfile._grid_text
         doc["norm"] = {"value": specfile.format_value(norm),
                        "exactness": "exact"}
-    _emit(doc, args.output)
+        text = specfile.dump_records(doc, "pieces", {
+            "words": pieces,
+            "lo": [grid_text(lo, dlo) for lo, dlo, _, _ in ends],
+            "hi": [grid_text(hi, dhi) for _, _, hi, dhi in ends]})
+    _emit(text, args.output)
     return 0
 
 

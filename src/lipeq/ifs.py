@@ -148,13 +148,27 @@ class IfsSpec:
     # -- basic geometry ----------------------------------------------------
 
     def _cell(self, word):
-        """(S_word, O_word) on the grid, cached along prefixes."""
+        """(S_word, O_word) on the grid, for a nonempty word not in
+        ``_grid``, each prefix cached on the way.  Commonly its parent
+        word[:-1] is cached, and one step gives it; else the parent is
+        built first, forward from the longest cached prefix (the empty
+        word always is).  No recursion, so a word's length is not
+        bounded by the interpreter's stack."""
         grid = self._grid
-        got = grid.get(word)
-        if got is not None:
-            return got
-        s, o = self._cell(word[:-1])
-        i = word[-1] - 1
+        n = len(word) - 1
+        got = grid.get(word[:n])
+        if got is None:
+            k = n - 1
+            while (got := grid.get(word[:k])) is None:
+                k -= 1
+            s, o = got
+            for k in range(k, n):
+                i = word[k] - 1
+                got = s, o = s * self._R[i], o * self._q + s * self._T[i]
+                if len(grid) < 400000:
+                    grid[word[:k + 1]] = got
+        s, o = got
+        i = word[n] - 1
         res = (s * self._R[i], o * self._q + s * self._T[i])
         if len(grid) < 400000:
             grid[word] = res

@@ -4,7 +4,9 @@ Exact values serialize as small expressions over rationals and declared
 base names, e.g. ``"1/5"``, ``"1/16*e^2"``, ``"3/4-1/4*e"``.  Ratios must
 be single positive monomials; translations may be sums.  Serialization is
 canonical so documents and digests are reproducible: every document lipeq
-writes is ``dump_doc`` text, sorted-key JSON with a one-space indent.
+writes is the text ``json.dumps(doc, indent=1, sort_keys=True)`` gives,
+written by ``dump_doc``, or, for a report with a record list,
+``dump_records``.
 
 An expression is ``[+|-] term ((+|-) term)*``, a term ``factor (*
 factor)*``, and a factor a number literal ``a/b``, ``a.b`` or ``a``, or a
@@ -15,7 +17,7 @@ come before each factor and operator.  ``_FACTOR`` and ``_OP`` read it.
 
 from fractions import Fraction
 import hashlib
-from itertools import chain
+from itertools import accumulate, chain
 import json
 from math import gcd
 import re
@@ -421,6 +423,70 @@ def _encode(doc, fast):
              for k, v in sorted(d.items())]) + nl + "}"
 
     return value(doc, "\n"), nests
+
+
+def dump_records(doc, field, columns, groups=None):
+    """``dump_doc`` of ``doc`` with a list of records added at ``field``,
+    byte for byte, written with no dict built per record.
+
+    ``columns`` maps each key of the records to its column, the values of
+    that key in record order: strs, or words lists (sequences of int
+    sequences, written as lists of int lists), as the column's first value
+    tells.  Record i is {key: column[i] for each key}, and the value at
+    ``field`` is the list of the records or, with ``groups``, a list of
+    counts that add up to their number, the list of the runs of
+    consecutive records of those lengths.  Letters go through
+    ``int.__repr__`` unchecked: a bool letter, which ``dump_doc`` writes
+    as ``true``, would be written as 1.
+
+    All records have one shape, so their text is one %-template, from the
+    sorted keys through the string encoder, filled once per record with
+    each value's text at its depth.  Every other value of ``doc`` is
+    ``dump_doc`` text moved to depth 1: the text of a value at depth d is
+    its ``dump_doc`` text with d more spaces after each line break.
+    """
+    if field in doc:
+        raise ValueError("%r is already a key of the document" % field)
+    keys = sorted(columns)
+    # the list at ``field`` is at depth 1 and its records at depth 2, or
+    # 3 in groups; a record's values are one level deeper, and the words
+    # of a words list one more
+    nl = "\n  " if groups is None else "\n   "
+    inner = nl + " "
+    deeper = inner + " "
+    template = "{" + inner + ("," + inner).join(
+        [_str_json(k).replace("%", "%%") + ": %s" for k in keys]) + nl + "}"
+    cols = []
+    for col in map(columns.get, keys):
+        if col and type(col[0]) is str:
+            cols.append(map(_str_json, col))
+        else:
+            head, tail = "[" + deeper, inner + "]"
+            cols.append([head + _int_lists(ws, deeper) + tail if ws else "[]"
+                         for ws in col])
+    records = [template % row for row in zip(*cols, strict=True)]
+    if groups is None:
+        value = _list_text(records, "\n ")
+    else:
+        bounds = list(accumulate(groups, initial=0))
+        if bounds[-1] != len(records):
+            raise ValueError("groups of %d records in all, for %d records"
+                             % (bounds[-1], len(records)))
+        value = _list_text([_list_text(records[a:b], "\n  ")
+                            for a, b in zip(bounds, bounds[1:])], "\n ")
+    texts = {k: dump_doc(v).replace("\n", "\n ") for k, v in doc.items()}
+    texts[field] = value
+    return "{\n " + ",\n ".join(
+        [_str_json(k) + ": " + texts[k] for k in sorted(texts)]) + "\n}"
+
+
+def _list_text(items, nl):
+    """The JSON list of the texts ``items``, each already at its depth,
+    its closing bracket after ``nl``."""
+    if not items:
+        return "[]"
+    inner = nl + " "
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
 def load_json(path, error, what):

@@ -23,7 +23,7 @@ from lipeq.specfile import spec_to_doc, save_doc, format_value
 from conftest import (make_one45, make_endratio_spec, make_equal_spec,
                       four_map_doc, closed_form_certificate,
                       make_declared_spec, random_equal_spec,
-                      random_unequal_spec)
+                      random_unequal_spec, random_fuzz_spec)
 from fractions import Fraction
 
 
@@ -545,6 +545,33 @@ class TestVerifyMalformed:
         assert err.startswith("error: edge ") and err.count("\n") == 1
         assert "is not a word, a list of integer letters" in err
 
+    @pytest.mark.parametrize("letters", [
+        2000, lipeq.check.MAX_WORD_LETTERS,
+        lipeq.check.MAX_WORD_LETTERS + 1, 100000])
+    def test_long_nested_vertex_word(self, one45_file, tmp_path, capsys,
+                                     letters):
+        # a word nested in another word of its vertex leaves the vertex's
+        # set as it is, and the kernel accepts it; the grid was built by
+        # one recursive call per letter, so 2,000 letters ended in a
+        # RecursionError traceback (exit 1)
+        doc = copy.deepcopy(ONE45_CERT)
+        vertex = next(v for v in doc["vertices"]
+                      if v["key"] == ["comp1", 1])
+        assert vertex["t_words"] == [[1]]
+        vertex["t_words"].append([1] * letters)
+        capsys.readouterr()
+        status = verify_doc(one45_file, tmp_path, doc)
+        out = capsys.readouterr()
+        if letters <= lipeq.check.MAX_WORD_LETTERS:
+            assert status == 0 and out.err == ""
+            assert json.loads(out.out)["certificate_valid"] is True
+        else:
+            assert status == 3 and out.out == ""
+            assert out.err == ("error: vertex ('comp1', 1): a word of %d "
+                               "letters is over the limit of %d\n"
+                               % (letters, lipeq.check.MAX_WORD_LETTERS))
+            assert len(out.err.encode()) <= 200
+
     def test_missing_vertices(self, one45_file, tmp_path):
         doc = copy.deepcopy(ONE45_CERT)
         del doc["vertices"]
@@ -943,6 +970,42 @@ class TestRender:
         assert a.read_bytes() == b.read_bytes()
 
 
+def partition_reference(spec, family, k, mu=None):
+    """The ``lipeq partition`` report as a document built record by
+    record from the families' output, as the command built it before it
+    wrote its record lists column by column."""
+    doc = {"format": "lipeq-report", "version": 1, "family": family,
+           "k": k}
+    if family == "C":
+        doc["sets"] = [{"words": ws}
+                       for ws in lipeq.patches.c_family(spec, k)]
+    elif family == "E":
+        doc["levels"] = [[{"words": ws} for ws in lvl]
+                         for lvl in lipeq.patches.e_family(spec, k)]
+        doc["measure_ratios"] = sorted(
+            str(r) for r in lipeq.patches.e_ratio_set(spec, k, mu))
+    else:
+        pieces = (lipeq.patches.partition_S(spec, k)[-1] if family == "S"
+                  else lipeq.patches.partition_T(spec, k))
+        ends, norm = lipeq.patches.piece_hulls(spec, pieces)
+        grid_text = lipeq.specfile._grid_text
+        doc["pieces"] = [{"words": p, "lo": grid_text(lo, dlo),
+                          "hi": grid_text(hi, dhi)}
+                         for p, (lo, dlo, hi, dhi) in zip(pieces, ends)]
+        doc["norm"] = {"value": format_value(norm), "exactness": "exact"}
+    return doc
+
+
+def check_partition_text(text, spec, family, k, mu=None):
+    """The report text is the standard library's indented, sorted-key
+    encoding of itself, and holds the families' words, hull strings and
+    norm."""
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert doc == json.loads(json.dumps(
+        partition_reference(spec, family, k, mu)))
+
+
 class TestDocumentText:
     """Every document is the standard library's indented, sorted-key
     encoding of itself, byte for byte."""
@@ -950,12 +1013,11 @@ class TestDocumentText:
     @pytest.mark.parametrize("spec", ["one45", "endratio64"])
     def test_output_matches_stdlib_encoding(self, spec, tmp_path, capsys,
                                             monkeypatch):
+        system = (make_one45() if spec == "one45" else
+                  make_endratio_spec(Fraction(1, 4), Fraction(1, 8),
+                                     r2=Fraction(1, 8)))
         spec_file = str(tmp_path / "spec.json")
-        save_doc(spec_to_doc(make_one45() if spec == "one45" else
-                             make_endratio_spec(Fraction(1, 4),
-                                                Fraction(1, 8),
-                                                r2=Fraction(1, 8))),
-                 spec_file)
+        save_doc(spec_to_doc(system), spec_file)
         docs = []
 
         def recording(doc):
@@ -968,8 +1030,6 @@ class TestDocumentText:
         commands = [["certify", spec_file, "-o", cert],
                     ["analyze", spec_file], ["certify", spec_file],
                     ["verify", spec_file, "--cert", cert, "--depth", "2"]]
-        commands += [["partition", spec_file, "--k", "2", "--family", f]
-                     for f in "STC"]
         texts = []
         for argv in commands:
             assert main(argv) == 0
@@ -979,3 +1039,59 @@ class TestDocumentText:
         assert len(docs) == len(texts)
         for doc, text in zip(docs, texts):
             assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        # a partition report is not one dump_doc call: its record list is
+        # written column by column (specfile.dump_records), so the text
+        # itself is held to the encoding and to the families' output
+        for family in "STC":
+            assert main(["partition", spec_file, "--k", "2",
+                         "--family", family]) == 0
+            check_partition_text(capsys.readouterr().out, system, family, 2)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(("equal", "fuzz")), st.integers(0, 10 ** 6),
+           st.sampled_from("STC"), st.integers(1, 3))
+    def test_partition_report_text(self, tmp_path, capsys, kind, seed,
+                                   family, k):
+        rng = random.Random(seed)
+        spec = (random_equal_spec if kind == "equal"
+                else random_fuzz_spec)(rng)
+        if spec.rho[0] < spec.rho[-1]:
+            spec = spec.mirror()
+        path = tmp_path / "spec.json"
+        save_doc(spec_to_doc(spec), str(path))
+        assert main(["partition", str(path), "--k", str(k),
+                     "--family", family]) == 0
+        check_partition_text(capsys.readouterr().out, spec, family, k)
+
+    @pytest.mark.parametrize("family", "STC")
+    def test_declared_base_partition_text(self, tmp_path, capsys, family):
+        spec = make_declared_spec()
+        path = tmp_path / "spec.json"
+        save_doc(spec_to_doc(spec), str(path))
+        for k in (1, 2, 3):
+            assert main(["partition", str(path), "--k", str(k),
+                         "--family", family]) == 0
+            check_partition_text(capsys.readouterr().out, spec, family, k)
+
+    def test_e_family_text(self, tmp_path, capsys):
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps(four_map_doc()))
+        spec = lipeq.specfile.load_spec(str(path))
+        mu = [Fraction(1, 5), Fraction(3, 10), Fraction(1, 10),
+              Fraction(2, 5)]
+        for k in (1, 2, 3):
+            assert main(["partition", str(path), "--k", str(k), "--family",
+                         "E", "--mu", ",".join(map(str, mu))]) == 0
+            check_partition_text(capsys.readouterr().out, spec, "E", k, mu)
+
+    @pytest.mark.parametrize("family", "STCE")
+    def test_output_file_matches_stdout(self, tmp_path, capsys, family):
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps(four_map_doc()))
+        argv = ["partition", str(path), "--k", "2", "--family", family,
+                "--mu", "1/4,1/4,1/4,1/4"]
+        assert main(argv) == 0
+        out = tmp_path / "out.json"
+        assert main(argv + ["-o", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out

@@ -171,6 +171,26 @@ class TestCylinders:
             assert same((spec.cyl_lo(w),), (o,)), w
             assert same((spec.cyl_hi(w),), (o + s,)), w
 
+    @pytest.mark.parametrize("make", [make_one45, make_declared_spec],
+                             ids=["one45", "declared"])
+    def test_grid_of_a_long_word(self, make):
+        # the grid was built by one recursive call per letter, so a word
+        # past the interpreter's recursion limit raised RecursionError
+        spec = make()
+        rng = random.Random(7)
+        if spec.bases:
+            # letter 2 has the rational ratio 1/5, so the exact values
+            # stay sums of few monomials in the base
+            word = (1, 3) + (2,) * 2498
+        else:
+            word = tuple(rng.randrange(1, spec.n + 1) for _ in range(2500))
+        s, o = ref_affine(spec, word)
+        assert same(spec.affine(word), (s, o))
+        # a cached prefix is extended, not recomputed
+        longer = word + (1, 2, 3)
+        s2, o2 = ref_affine(spec, longer)
+        assert same(spec.cyl_interval(longer), (o2, o2 + s2))
+
     def test_empty_word_is_identity(self):
         spec = make_one45()
         assert spec.cyl_interval(()) == (Fraction(0), Fraction(1))

@@ -6,7 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (assume, example, given, settings,
+                        strategies as st)
 
 from lipeq import IfsSpec, SpecError
 from lipeq import specfile
@@ -15,8 +16,8 @@ from lipeq.exactnum import ExactRatio, DeclaredBase, MAX_DIGITS, SymValue
 from lipeq.specfile import (parse_ratio, parse_value, format_ratio,
                             format_value, spec_to_doc, spec_from_doc,
                             canonical_json, doc_digest, load_spec,
-                            save_doc, dump_doc, ParseError, MAX_BASES,
-                            MAX_EXPONENT)
+                            save_doc, dump_doc, dump_records, ParseError,
+                            MAX_BASES, MAX_EXPONENT)
 
 from conftest import make_one45, four_map_doc
 
@@ -558,3 +559,64 @@ class TestDumpDoc:
         path = tmp_path / "d.json"
         save_doc(doc, str(path))
         assert path.read_text() == stdlib_text(doc) + "\n"
+
+
+# a words list: a list or tuple of int lists or tuples, as a piece's or a
+# set's words are written
+WORD = st.lists(st.integers(), max_size=4)
+WORDS = st.lists(WORD | WORD.map(tuple), max_size=4)
+
+
+class TestDumpRecords:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4), JSON_TREES, max_size=4),
+           st.text(max_size=4), st.integers(0, 5), st.data())
+    def test_equals_dump_doc_of_the_records(self, head, field, count, data):
+        assume(field not in head)
+        keys = data.draw(st.lists(st.text(max_size=4), min_size=1,
+                                  max_size=3, unique=True))
+        columns = {}
+        for key in keys:
+            kind = data.draw(st.sampled_from((st.text(max_size=5), WORDS)))
+            columns[key] = data.draw(st.lists(kind, min_size=count,
+                                              max_size=count))
+        records = [{k: col[i] for k, col in columns.items()}
+                   for i in range(count)]
+        cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=3)))
+        bounds = [0] + cuts + [count]
+        runs = list(zip(bounds, bounds[1:]))
+        assert dump_records(head, field, columns) == dump_doc(
+            dict(head, **{field: records}))
+        assert dump_records(head, field, columns,
+                            [b - a for a, b in runs]) == dump_doc(
+            dict(head, **{field: [records[a:b] for a, b in runs]}))
+
+    def test_percent_signs(self):
+        # the template is filled by %: a key's % is escaped, and a value's
+        # is substituted, not read
+        head = {"%s": "%d"}
+        columns = {"%": ["%s", "%%"], "a%d": [[[1], [2, 3]], []]}
+        records = [{"%": "%s", "a%d": [[1], [2, 3]]}, {"%": "%%", "a%d": []}]
+        assert dump_records(head, "%(x)s", columns) == stdlib_text(
+            dict(head, **{"%(x)s": records}))
+
+    def test_piece_records(self):
+        # the shape of a partition report: two string columns and words
+        head = {"format": "lipeq-report", "version": 1, "k": 2,
+                "norm": {"value": "1/5", "exactness": "exact"}}
+        columns = {"words": [((1,), (2, 1)), ((),)],
+                   "lo": ["0", "-1/3"], "hi": ["\u00e9\n", "1"]}
+        records = [{"words": w, "lo": lo, "hi": hi}
+                   for w, lo, hi in zip(*columns.values())]
+        text = dump_records(head, "pieces", columns)
+        assert text == stdlib_text(dict(head, pieces=records))
+        assert head == {"format": "lipeq-report", "version": 1, "k": 2,
+                        "norm": {"value": "1/5", "exactness": "exact"}}
+
+    @pytest.mark.parametrize("field, columns, groups", [
+        ("a", {"w": [[[1]]]}, None),            # field already in doc
+        ("b", {"w": [[[1]]]}, [2]),             # groups of 2, 1 record
+        ("b", {"w": [[[1]]], "s": ["x", "y"]}, None)])   # uneven columns
+    def test_refused(self, field, columns, groups):
+        with pytest.raises(ValueError):
+            dump_records({"a": 1}, field, columns, groups)
